@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import sympy
-
 from . import treegroup
 from .exactpoly import BadPrime, RatPoly, discriminant, factor_degrees_mod_p, iterate
+from .primes import next_prime
 from .sqclass import ClassStream, ClassSubspace, SquareClass, class_of
 
 
@@ -168,7 +167,7 @@ def splitting_degree_lower_bound(f: RatPoly, k: int, prime_budget: int) -> int:
         else:
             good += 1
             bound = math.lcm(bound, pattern.lcm())
-        p = sympy.nextprime(p)
+        p = next_prime(p)
     if good == 0:
         raise NoGoodPrimes(f"no good prime among the first {prime_budget}")
     return bound

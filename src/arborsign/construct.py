@@ -13,6 +13,7 @@ infinite disjointness.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -197,19 +198,13 @@ def rationals_by_height(max_height: int) -> Iterator[Fraction]:
     for h in range(1, max_height + 1):
         for den in range(1, h + 1):
             for num in range(0, h + 1):
-                if max(num, den) != h or (num and _gcd(num, den) != 1):
+                if max(num, den) != h or (num and math.gcd(num, den) != 1):
                     continue
                 if num == 0 and den != 1:
                     continue
                 yield Fraction(num, den)
                 if num:
                     yield Fraction(-num, den)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import sympy
+from . import primes
 
 Rational = Fraction | int
 
@@ -278,11 +278,8 @@ def discriminant(f: RatPoly) -> Fraction:
 @lru_cache(maxsize=None)
 def _squarefree_part(n: int) -> tuple[int, tuple[int, ...]]:
     """(kernel, odd-exponent primes) of a positive integer."""
-    primes = tuple(sorted(int(p) for p, e in sympy.factorint(n).items() if e % 2 == 1))
-    k = 1
-    for p in primes:
-        k *= p
-    return k, primes
+    odd = tuple(p for p, e in primes.factorint(n).items() if e % 2 == 1)
+    return math.prod(odd), odd
 
 
 def squarefree_kernel(q: Rational) -> int:
@@ -296,8 +293,8 @@ def squarefree_kernel_support(q: Rational) -> tuple[int, tuple[int, ...]]:
     if q == 0:
         raise ValueError("zero has no square class")
     # q and num*den differ by the square den^2.
-    k, primes = _squarefree_part(abs(q.numerator * q.denominator))
-    return (k if q > 0 else -k), primes
+    k, odd = _squarefree_part(abs(q.numerator * q.denominator))
+    return (k if q > 0 else -k), odd
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +422,7 @@ def factor_degrees_mod_p(f: RatPoly, p: int) -> FactorDegreePattern:
     """
     if f.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    if not sympy.isprime(p):
+    if not primes.is_prime(p):
         raise ValueError(f"{p} is not prime")
     fbar = _gf_monic(reduce_mod_p(f, p), p)
     deriv = _gf_trim([i * c % p for i, c in enumerate(fbar)][1:])

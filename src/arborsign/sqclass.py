@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-import sympy
-
 from .exactpoly import RatPoly, Rational, squarefree_kernel_support
+from .primes import next_prime
 
 
 class BaseNotContained(ValueError):
@@ -320,7 +319,14 @@ class ClassStream:
 
 
 def primes_stream() -> ClassStream:
-    return ClassStream("primes", lambda i: class_of(sympy.prime(i + 1)))
+    found = [2]
+
+    def at(i: int) -> SquareClass:
+        while len(found) <= i:
+            found.append(next_prime(found[-1]))
+        return class_of(found[i])
+
+    return ClassStream("primes", at)
 
 
 def stream_from_name(name: str) -> ClassStream:

@@ -11,7 +11,7 @@ import math
 import re
 from typing import Iterable, Mapping
 
-import sympy
+from . import primes
 
 # Distinguished absorbing exponent.  Not a "very large number": it is only ever
 # compared and added, never used in modular or floating arithmetic.
@@ -28,7 +28,7 @@ class SupernaturalNumber:
     def __init__(self, exponents: Mapping[int, int | float] | Iterable[tuple[int, int | float]] = ()):
         exps = dict(exponents)
         for p, e in list(exps.items()):
-            if not (isinstance(p, int) and sympy.isprime(p)):
+            if not (isinstance(p, int) and primes.is_prime(p)):
                 raise ValueError(f"key {p!r} is not prime")
             if e == 0:
                 del exps[p]
@@ -55,8 +55,7 @@ class SupernaturalNumber:
     def from_integer(cls, n: int) -> "SupernaturalNumber":
         if not (isinstance(n, int) and n >= 1):
             raise ValueError(f"expected a positive integer, got {n!r}")
-        # factorint may hand back gmpy2 integers; normalize to int
-        return cls({int(p): int(e) for p, e in sympy.factorint(n).items()})
+        return cls(primes.factorint(n))
 
     @classmethod
     def parse(cls, text: str) -> "SupernaturalNumber":

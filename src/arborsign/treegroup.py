@@ -12,6 +12,7 @@ import math
 from itertools import product
 from typing import Iterator, Mapping
 
+from .primes import is_prime
 from .supernat import INF, SupernaturalNumber
 
 Perm = tuple[int, ...]  # images of 0..d-1
@@ -211,11 +212,7 @@ def aut_order_supernatural(d: int) -> SupernaturalNumber:
     """
     if d < 2:
         raise ValueError("arity must be >= 2")
-    return SupernaturalNumber({p: INF for p in range(2, d + 1) if _is_prime(p)})
-
-
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % m for m in range(2, int(n**0.5) + 1))
+    return SupernaturalNumber({p: INF for p in range(2, d + 1) if is_prime(p)})
 
 
 def all_portraits(d: int, k: int) -> Iterator[Portrait]:

@@ -8,13 +8,17 @@ library: determinants, exhaustive group enumeration, and re-factorization.
 import contextlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 import sympy
 
+import arborsign
 from arborsign.arboreal import (
     disc_class,
     disc_class_sequence,
@@ -60,8 +64,8 @@ def reported(capsys, num, desc):
 
 
 # ---------------------------------------------------------------------------
-# Shared artifacts for criteria 4-10.  Built from scratch on every call so
-# criterion 10 can compare two genuinely independent executions.
+# Shared artifacts for criteria 4-10.  Built from scratch on every call;
+# criterion 10 compares them with a build in a separate process.
 # ---------------------------------------------------------------------------
 
 
@@ -115,6 +119,28 @@ def build_artifacts():
 @pytest.fixture(scope="module")
 def artifacts():
     return build_artifacts()
+
+
+def blob_from_fresh_process() -> bytes:
+    """The artifact blob built by a new interpreter, with cold caches and its
+    own hash seed."""
+    paths = [
+        os.path.dirname(os.path.abspath(__file__)),
+        os.path.dirname(os.path.dirname(arborsign.__file__)),
+        os.environ.get("PYTHONPATH", ""),
+    ]
+    code = (
+        "import sys; from test_acceptance import build_artifacts; "
+        "sys.stdout.buffer.write(build_artifacts()['blob'])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p)),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -296,4 +322,4 @@ def test_criterion_09_audit_growth(capsys, artifacts):
 
 def test_criterion_10_determinism(capsys, artifacts):
     with reported(capsys, 10, "two independent executions, byte-identical artifacts"):
-        assert artifacts["blob"] == build_artifacts()["blob"]
+        assert artifacts["blob"] == blob_from_fresh_process()

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 import sympy
 
-from arborsign import exactpoly
+from arborsign import exactpoly, primes
 from arborsign.construct import VastEnumeration
 from arborsign.exactpoly import RatPoly
 from arborsign.sqclass import (
@@ -283,10 +283,12 @@ def random_element(rng):
 
 @pytest.fixture
 def no_factoring(monkeypatch):
-    def refuse(n, *args, **kwargs):
-        raise AssertionError(f"factorint called on a {int(n).bit_length()}-bit integer")
+    """Refuse every factorization, by the stdlib path or the sympy fallback."""
 
-    monkeypatch.setattr(sympy, "factorint", refuse)
+    def refuse(n):
+        raise AssertionError(f"factorint called on a {n.bit_length()}-bit integer")
+
+    monkeypatch.setattr(primes, "factorint", refuse)
 
 
 class TestFactorFree:
@@ -341,15 +343,15 @@ def test_orbit_stream_disjointness_needs_no_factoring(monkeypatch):
     """Step 10 of run(10, 5, 1000) tests the stream x^2 + 2, n = 5 against the
     span of the first nine witnesses.  Its level-9 orbit value has 336 bits;
     deciding the span must not hand it, or any other large integer, to
-    factorint."""
+    factorint, by the stdlib path or the sympy fallback."""
     exactpoly._squarefree_part.cache_clear()
-    real = sympy.factorint
+    real = primes.factorint
 
-    def small_only(n, *args, **kwargs):
-        assert int(n).bit_length() <= 64, f"factorint called on a {int(n).bit_length()}-bit integer"
-        return real(n, *args, **kwargs)
+    def small_only(n):
+        assert n.bit_length() <= 64, f"factorint called on a {n.bit_length()}-bit integer"
+        return real(n)
 
-    monkeypatch.setattr(sympy, "factorint", small_only)
+    monkeypatch.setattr(primes, "factorint", small_only)
     spec = VastEnumeration().entry(17)
     assert (str(spec.f), spec.n) == ("x^2 + 2", 5)
     F9 = ClassSubspace.from_kernels([-1, 5, 38, 26, 5403, 1086, 677, 1446, 458330])
