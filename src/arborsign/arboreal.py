@@ -205,8 +205,12 @@ def index_report(
     """Test the level-k truncation of "image has index at most n".
 
     REFUTES_INDEX_AT_MOST(n) when the killed signs already force index
-    2^|killed| > n; CONSISTENT when the Frobenius degree bound reaches
-    |Aut T_k(d)| / n; UNKNOWN otherwise (both bounds are reported).
+    2^|killed| > n.  CONSISTENT when dlb * n >= |Aut T_k(d)| * 2^dim F, where
+    dlb is the Frobenius lower bound on the degree of the level-k splitting
+    field K_k over Q: the image over the field F models has order
+    [F K_k : F] = [K_k : F ∩ K_k] >= dlb / 2^dim F, so CONSISTENT asserts
+    that the level-k image over F has index at most n in Aut T_k(d).
+    UNKNOWN otherwise (both bounds are reported).
     """
     if k < 1:
         raise ValueError("level must be >= 1")
@@ -221,7 +225,7 @@ def index_report(
     dlb = splitting_degree_lower_bound(f, k, prime_budget)
     if ilb > n:
         verdict = f"REFUTES_INDEX_AT_MOST({n})"
-    elif dlb * n >= order:
+    elif dlb * n >= order * 2**F.dim:
         verdict = "CONSISTENT"
     else:
         verdict = "UNKNOWN"

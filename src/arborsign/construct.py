@@ -321,11 +321,21 @@ class ConstructionTrace:
             raise TraceFormatError(f"unsupported schema {data.get('schema')!r}")
         try:
             steps = tuple(StepRecord.from_json(s) for s in data["steps"])
-            final = tuple(int(k) for k in data["final"]["F"])
+            final = tuple(data["final"]["F"])
             params = dict(data["params"])
             retries = tuple(dict(r) for r in data.get("retries", []))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"malformed trace: {exc}") from exc
+        for k in final:
+            if type(k) is not int:
+                raise TraceFormatError(f"final.F kernel {k!r} is not an integer")
+            try:
+                SquareClass.from_kernel(k)
+            except ValueError as exc:
+                raise TraceFormatError(f"bad final.F kernel: {exc}") from exc
+        height = params.get("height")
+        if type(height) is not int or height < 1:
+            raise TraceFormatError(f"params.height {height!r} is not a positive integer")
         return cls(steps, final, params, retries)
 
 

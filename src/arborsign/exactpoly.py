@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import primes
@@ -307,38 +310,16 @@ def _gf_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _gf_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    return _gf_trim(out)
-
-
-def _gf_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _gf_trim(out)
-
-
 def _gf_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
     a = list(a)
     dm = len(m) - 1
     inv = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm:
-        coef = a[-1] * inv % p
-        shift = len(a) - 1 - dm
+    while len(a) > dm:
+        coef = a.pop() * inv % p
         if coef:
-            for i in range(dm):
-                a[shift + i] = (a[shift + i] - coef * m[i]) % p
-        a.pop()
-        _gf_trim(a)
-        if not a:
-            break
-    return a
+            shift = len(a) - dm
+            a[shift:] = [(c - coef * d) % p for c, d in zip(a[shift:], m)]
+    return _gf_trim(a)
 
 
 def _gf_monic(a: Sequence[int], p: int) -> list[int]:
@@ -355,31 +336,82 @@ def _gf_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
 
 def _gf_divexact(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
+    db = len(b) - 1
+    q = [0] * (len(a) - db)
     inv = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        coef = a[-1] * inv % p
-        shift = len(a) - len(b)
+    while len(a) > db:
+        coef = a.pop() * inv % p
+        shift = len(a) - db
         q[shift] = coef
-        for i in range(len(b)):
-            a[shift + i] = (a[shift + i] - coef * b[i]) % p
-        _gf_trim(a)
-        if not a:
-            break
-    if a:
+        if coef:
+            a[shift:] = [(c - coef * d) % p for c, d in zip(a[shift:], b)]
+    if _gf_trim(a):
         raise ArithmeticError("division was not exact")
     return _gf_trim(q)
 
 
-def _gf_powmod(base: Sequence[int], e: int, m: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    b = _gf_mod(base, m, p)
-    while e:
-        if e & 1:
-            result = _gf_mod(_gf_mul(result, b, p), m, p)
-        b = _gf_mod(_gf_mul(b, b, p), m, p)
-        e >>= 1
-    return result
+class _FrobeniusMap:
+    """h -> h^p on GF(p)[x]/(f), for a monic f of degree n >= 2.
+
+    The map is GF(p)-linear, h^p = sum h_j * x^(j*p), so it is applied as a
+    matrix whose rows x^(j*p) mod f are computed once.  Residues are packed
+    for Kronecker substitution: coefficient i sits in bits [i*w, (i+1)*w) of
+    one int, so a product of residues is one big-int multiply and a sum of
+    scalar multiples of residues is int arithmetic.  A w-bit slot holds
+    n*(p-1)^2 + p, which bounds every slot of such a product and of such a
+    sum of n terms (plus one residue); with w = 64 (every p below about
+    2^32/sqrt(n)) a pack or unpack is one C-level array conversion.  Residues
+    are exchanged as lists of n coefficients in [0, p).
+    """
+
+    def __init__(self, f: Sequence[int], p: int):
+        n = len(f) - 1
+        self.n, self.p = n, p
+        self.width = 64 * -(-(n * (p - 1) ** 2 + p).bit_length() // 64)
+        self.native = self.width == 64 and sys.byteorder == "little"
+        # x^(n+j) mod f for 0 <= j <= n-2: x^n = -(f - x^n), then shift.
+        row = [-c % p for c in f[:-1]]
+        table = [row]
+        for _ in range(n - 2):
+            top = row[-1]
+            row = [(c + top * t) % p for c, t in zip([0, *row[:-1]], table[0])]
+            table.append(row)
+        self.table = [self._pack(r) for r in table]
+        xp = [0, 1]  # x^p by square-and-multiply
+        for bit in bin(p)[3:]:
+            xp = self._mul(xp, xp)
+            if bit == "1":
+                xp = self._reduce([0, *xp])
+        self.rows, row = [1], [1]  # the packed 1 is 1
+        for _ in range(n - 1):
+            row = self._mul(row, xp)
+            self.rows.append(self._pack(row))
+
+    def __call__(self, h: Sequence[int]) -> list[int]:
+        return self._unpack(sum(map(mul, h, self.rows)), self.n)
+
+    def _pack(self, cs: Sequence[int]) -> int:
+        if self.native:
+            return int.from_bytes(array("Q", cs).tobytes(), "little")
+        size = self.width // 8
+        return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in cs), "little")
+
+    def _unpack(self, v: int, slots: int) -> list[int]:
+        """The first `slots` coefficients of a packed value, reduced mod p."""
+        p = self.p
+        size = self.width // 8
+        raw = v.to_bytes(slots * size, "little")
+        if self.native:
+            return [c % p for c in memoryview(raw).cast("Q").tolist()]
+        return [int.from_bytes(raw[i : i + size], "little") % p for i in range(0, len(raw), size)]
+
+    def _reduce(self, cs: Sequence[int]) -> list[int]:
+        """cs mod f, for at most 2n - 1 coefficients in [0, p)."""
+        n = self.n
+        return self._unpack(self._pack(cs[:n]) + sum(map(mul, cs[n:], self.table)), n)
+
+    def _mul(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
+        return self._reduce(self._unpack(self._pack(a) * self._pack(b), 2 * self.n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -428,21 +460,23 @@ def factor_degrees_mod_p(f: RatPoly, p: int) -> FactorDegreePattern:
     deriv = _gf_trim([i * c % p for i, c in enumerate(fbar)][1:])
     if not deriv or len(_gf_gcd(fbar, deriv, p)) != 1:
         raise BadPrime(f"{p} divides the discriminant")
+    if len(fbar) == 2:
+        return FactorDegreePattern((1,), p)
+    frobenius = _FrobeniusMap(fbar, p)
     degrees: list[int] = []
     g = fbar
-    h = [0, 1]  # x
+    h = [0, 1]  # x, then x^(p^i) mod fbar
     i = 0
     while len(g) - 1 > 0:
         i += 1
         if 2 * i > len(g) - 1:
             degrees.append(len(g) - 1)  # remaining part is irreducible
             break
-        h = _gf_powmod(h, p, g, p)
-        d = _gf_gcd(_gf_sub(h, [0, 1], p), g, p)
+        h = frobenius(h)
+        d = _gf_gcd(_gf_trim([h[0], (h[1] - 1) % p, *h[2:]]), g, p)
         if len(d) > 1:
             degrees.extend([i] * ((len(d) - 1) // i))
             g = _gf_divexact(g, d, p)
-            h = _gf_mod(h, g, p)
     return FactorDegreePattern(tuple(degrees), p)
 
 

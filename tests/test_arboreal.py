@@ -142,6 +142,15 @@ class TestSplittingDegree:
         with pytest.raises(Inseparable):
             splitting_degree_lower_bound(RatPoly.parse("x^2"), 1, 10)
 
+    @pytest.mark.parametrize(
+        "poly, level, budget, bound",
+        [("x^2 - 8", 6, 30, 64), ("x^2 - 2*x - 1", 5, 50, 32), ("x^3 + x^2 + 2", 3, 40, 216)],
+    )
+    def test_pinned_heavy_scans(self, poly, level, budget, bound):
+        # the heaviest index-report shapes of the benchmark's certify mix;
+        # the same bounds come from sympy's gf_factor_sqf over these primes
+        assert splitting_degree_lower_bound(RatPoly.parse(poly), level, budget) == bound
+
 
 class TestIndexReport:
     def test_refutation_example(self):
@@ -168,6 +177,21 @@ class TestIndexReport:
         cert = index_report(X2P1, ClassSubspace(), 1, 1, 10)
         assert cert.verdict == "CONSISTENT"
         assert cert.degree_lower_bound == 2
+
+    def test_consistent_over_base_needs_base_factor(self):
+        # K_3 of x^2 - 2 is Q(zeta_32)^+, cyclic of degree 8 and containing
+        # sqrt 2: over Q(sqrt 2) the image has order 4, index 32 > 16 in the
+        # order-128 group, so the degree bound 8 over Q must not certify
+        # index <= 16 over the base
+        f, base = RatPoly.parse("x^2 - 2"), ClassSubspace.from_kernels([2])
+        cert = index_report(f, base, 3, 16, 60)
+        assert cert.degree_lower_bound == 8 and cert.group_order == 128
+        assert cert.verdict == "UNKNOWN"
+        # dlb * n >= order * 2^dim F still certifies
+        assert index_report(f, base, 3, 32, 60).verdict == "CONSISTENT"
+        base = ClassSubspace.from_kernels([3])
+        assert index_report(X2P1, base, 1, 2, 10).verdict == "CONSISTENT"
+        assert index_report(X2P1, base, 1, 1, 10).verdict == "UNKNOWN"
 
     def test_inseparable_verdict(self):
         cert = index_report(RatPoly.parse("x^2"), ClassSubspace(), 1, 1, 10)

@@ -136,6 +136,24 @@ class TestSimulateVerifyAudit:
     def test_audit_bad_level_exit_2(self, capsys, trace_file):
         assert run_cli(capsys, "audit", "--trace", str(trace_file), "--level", "-1")[0] == 2
 
+    def test_audit_non_squarefree_final_kernel_exit_2(self, capsys, trace_file, tmp_path):
+        data = json.loads(trace_file.read_text())
+        data["final"]["F"] = [4]
+        bad = tmp_path / "bad_final.json"
+        bad.write_text(json.dumps(data))
+        code, payload, err = run_cli(capsys, "audit", "--trace", str(bad), "--level", "2")
+        assert code == 2
+        assert payload is None and "squarefree" in err
+
+    def test_verify_non_integer_height_exit_2(self, capsys, trace_file, tmp_path):
+        data = json.loads(trace_file.read_text())
+        data["params"]["height"] = "abc"
+        bad = tmp_path / "bad_height.json"
+        bad.write_text(json.dumps(data))
+        code, payload, err = run_cli(capsys, "verify", "--trace", str(bad))
+        assert code == 2
+        assert payload is None and "height" in err
+
 
 class TestVastWitness:
     def test_primes_stream(self, capsys):

@@ -141,6 +141,28 @@ class TestTraceSerialization:
         with pytest.raises(TraceFormatError):
             ConstructionTrace.from_json(data)
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("final", "F"), [4]),
+            (("final", "F"), [0]),
+            (("final", "F"), ["3"]),
+            (("final", "F"), [True]),
+            (("params", "height"), "abc"),
+            (("params", "height"), 0),
+            (("params", "height"), 1.5),
+            (("retries",), ["abc"]),
+        ],
+    )
+    def test_rejects_bad_final_params_retries(self, trace3, path, value):
+        data = trace3.to_json()
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(TraceFormatError):
+            ConstructionTrace.from_json(data)
+
     def test_rejects_bad_rational(self, trace3):
         data = trace3.to_json()
         data["steps"][0]["point"] = "1/0"

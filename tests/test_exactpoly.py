@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor_sqf, gf_sqf_p
 
 from arborsign.exactpoly import (
     BadPrime,
@@ -18,6 +20,8 @@ from arborsign.exactpoly import (
     squarefree_kernel,
     squarefree_kernel_support,
 )
+
+FIRST_100_PRIMES = [p for p in range(2, 542) if all(p % q for q in range(2, math.isqrt(p) + 1))]
 
 # ---------------------------------------------------------------------------
 # Independent oracles.  Everything here is implemented from scratch so the
@@ -83,6 +87,21 @@ def _oracle_divmod_p(a, b, p):
         for i in range(len(b)):
             a[s + i] = (a[s + i] - c * b[i]) % p
     return q, a
+
+
+def _oracle_mulmod(a, b, f, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _oracle_divmod_p([c % p for c in out], f, p)[1]
+
+
+def _trimmed(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
 def oracle_factor_degrees(coeffs, p):
@@ -353,6 +372,77 @@ class TestFactorDegrees:
             assert pattern.degrees == oracle_factor_degrees(monic, p)
             assert sum(pattern.degrees) == f.degree
             checked += 1
+
+    @pytest.mark.parametrize(
+        "poly, level, stride",
+        [("x^2 - 8", 4, 7), ("x^3 + x^2 + 2", 3, 7), ("x^2 - 2*x - 1", 5, 7), ("x^2 - 8", 6, 15)],
+    )
+    def test_sympy_oracle_on_iterates(self, poly, level, stride):
+        # degrees 16, 27, 32 and 64, the sizes certify scans, at primes up
+        # to the 100th (541); bad primes are exactly the non-squarefree ones
+        f = iterate(RatPoly.parse(poly), level)
+        coeffs = [int(c) for c in reversed(f.coeffs)]  # monic, integral
+        checked = 0
+        for p in FIRST_100_PRIMES[::stride] + [541]:
+            fl = [c % p for c in coeffs]
+            if not gf_sqf_p(fl, p, ZZ):
+                with pytest.raises(BadPrime):
+                    factor_degrees_mod_p(f, p)
+                continue
+            expected = tuple(sorted(len(g) - 1 for g in gf_factor_sqf(fl, p, ZZ)[1]))
+            assert factor_degrees_mod_p(f, p).degrees == expected
+            checked += 1
+        assert checked >= 5
+
+    def test_sympy_oracle_at_word_size_primes(self):
+        # primes on both sides of the largest ones whose residue products fit
+        # 64-bit slots (n*(p-1)^2 + p < 2^64 for n = 2, 4), and near 2^61
+        rng = random.Random(61)
+        for p, degrees in [
+            (2147483629, (2, 3, 4)),
+            (2147483647, (2, 3, 4)),
+            (2147483659, (4,)),
+            (3037000493, (2,)),
+            (3037000507, (2,)),
+            (2305843009213693921, (2, 3, 4)),
+            (2305843009213693951, (2, 3, 4)),
+        ]:
+            for n in degrees:
+                for _ in range(4):
+                    coeffs = [rng.randint(-(10**6), 10**6) for _ in range(n)] + [1]
+                    fl = [c % p for c in reversed(coeffs)]
+                    expected = tuple(sorted(len(g) - 1 for g in gf_factor_sqf(fl, p, ZZ)[1]))
+                    assert factor_degrees_mod_p(RatPoly(coeffs), p).degrees == expected
+
+    @pytest.mark.parametrize(
+        "n, p",
+        [
+            (2, 3037000493),
+            (2, 3037000507),
+            (4, 2147483647),
+            (4, 2147483659),
+            (16, 1073741789),
+            (16, 1073741827),
+            (3, 2305843009213693951),
+        ],
+    )
+    def test_packed_arithmetic_at_the_slot_bound(self, n, p):
+        # residues with every coefficient p - 1 fill each slot of their
+        # product and of the Frobenius sum to n*(p-1)^2; with
+        # f = 1 + x + ... + x^n, x^n mod f has every coefficient p - 1 too
+        from arborsign.exactpoly import _FrobeniusMap
+
+        f = [1] * (n + 1)
+        frobenius = _FrobeniusMap(f, p)
+        top = [p - 1] * n
+        assert _trimmed(frobenius._mul(top, top)) == _oracle_mulmod(top, top, f, p)
+        power, base, e = [1], top, p
+        while e:
+            if e & 1:
+                power = _oracle_mulmod(power, base, f, p)
+            base = _oracle_mulmod(base, base, f, p)
+            e >>= 1
+        assert _trimmed(frobenius(top)) == power
 
 
 # ---------------------------------------------------------------------------

@@ -156,11 +156,13 @@ class TestFactorint:
     [
         ["disc-seq", "--poly", "x^2-3", "--levels", "2"],
         ["simulate", "--steps", "3", "--height", "100", "--out", "{tmp}/t3.json"],
+        ["index-report", "--poly", "x^2-7", "--level", "3", "--n", "32", "--primes", "40"],
     ],
 )
 def test_cli_runs_without_sympy(argv, tmp_path):
-    """A cold CLI process never imports sympy on these inputs; its import
-    dominated the start-up time."""
+    """A cold CLI process never imports sympy (or numpy or mpmath) on these
+    inputs; sympy's import dominated the start-up time.  index-report runs
+    the Frobenius scan."""
     paths = [os.path.dirname(os.path.dirname(arborsign.__file__)), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     argv = [a.format(tmp=tmp_path) for a in argv]
@@ -175,4 +177,4 @@ def test_cli_runs_without_sympy(argv, tmp_path):
     assert proc.returncode == 0, proc.stderr
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
     assert "arborsign.primes" in imported
-    assert not [m for m in imported if m.split(".")[0] == "sympy"]
+    assert not [m for m in imported if m.split(".")[0] in ("sympy", "numpy", "mpmath")]
