@@ -11,7 +11,6 @@ never computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -84,13 +83,18 @@ def disc_class(f: RatPoly, n: int) -> SquareClass:
     return class_of(d)
 
 
-@dataclass(frozen=True)
 class DiscClassSequence:
-    """Classes of disc(f^(on)) for 1 <= n <= computed_to."""
+    """Classes of disc(f^(on)) for 1 <= n <= computed_to.  Immutable."""
 
-    poly: RatPoly
-    classes: tuple[SquareClass, ...]
-    computed_to: int
+    __slots__ = ("poly", "classes", "computed_to")
+
+    def __init__(self, poly: RatPoly, classes: tuple[SquareClass, ...], computed_to: int):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "computed_to", computed_to)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DiscClassSequence is immutable")
 
     def at_level(self, n: int) -> SquareClass:
         if not 1 <= n <= self.computed_to:
@@ -173,18 +177,37 @@ def splitting_degree_lower_bound(f: RatPoly, k: int, prime_budget: int) -> int:
     return bound
 
 
-@dataclass(frozen=True)
 class IndexCertificate:
-    """One-sided evidence about the index of the arboreal image at level k."""
+    """One-sided evidence about the index of the arboreal image at level k.
 
-    poly: RatPoly
-    base: ClassSubspace
-    level: int
-    killed: frozenset[int]
-    index_lower_bound: int
-    degree_lower_bound: int | None
-    group_order: int
-    verdict: str
+    Instances are immutable.
+    """
+
+    __slots__ = ("poly", "base", "level", "killed", "index_lower_bound",
+                 "degree_lower_bound", "group_order", "verdict")
+
+    def __init__(
+        self,
+        poly: RatPoly,
+        base: ClassSubspace,
+        level: int,
+        killed: frozenset[int],
+        index_lower_bound: int,
+        degree_lower_bound: int | None,
+        group_order: int,
+        verdict: str,
+    ):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "killed", killed)
+        object.__setattr__(self, "index_lower_bound", index_lower_bound)
+        object.__setattr__(self, "degree_lower_bound", degree_lower_bound)
+        object.__setattr__(self, "group_order", group_order)
+        object.__setattr__(self, "verdict", verdict)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IndexCertificate is immutable")
 
     def to_json(self) -> dict:
         return {

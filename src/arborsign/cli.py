@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import __version__
 from .arboreal import (
@@ -33,6 +34,8 @@ from .sqclass import ClassSubspace, DepthExhausted, stream_from_name, vast_witne
 from .treegroup import aut_order_supernatural, group_order
 
 OK, FINDING, INPUT_ERROR, RESOURCE = 0, 1, 2, 3
+# The interpreter's default limit on the digits of an int it converts to text.
+MAX_ORDER_DIGITS = 4300
 
 
 class InputError(ValueError):
@@ -176,11 +179,33 @@ def _cmd_vast_witness(args) -> tuple[int, dict]:
     return OK, {"stream": args.stream, "depth": args.depth, "witness": w.kernel}
 
 
+def _order_too_long(d: int, k: int) -> bool:
+    """Whether |Aut T_k(d)| = d!^e, e = (d^k - 1)/(d - 1), has more than
+    MAX_ORDER_DIGITS digits; the power is computed only near that limit."""
+    e = 0
+    for _ in range(k):
+        e = e * d + 1
+        if e > 4 * MAX_ORDER_DIGITS:  # d! >= 2 > 10^(1/4)
+            return True
+    if e == 0:
+        return False
+    if d >= MAX_ORDER_DIGITS + 9:  # d! >= 10^(d-9): its factors 10..d are each >= 10
+        return True
+    digits = e * math.lgamma(d + 1) / math.log(10)  # log10 of the order
+    if abs(digits - MAX_ORDER_DIGITS) > 1:
+        return digits > MAX_ORDER_DIGITS
+    return math.factorial(d) ** e >= 10**MAX_ORDER_DIGITS
+
+
 def _cmd_group_order(args) -> tuple[int, dict]:
     if args.arity < 2:
         raise InputError("--arity must be >= 2")
     if args.depth < 0:
         raise InputError("--depth must be >= 0")
+    if _order_too_long(args.arity, args.depth):
+        print(f"error: |Aut T_{args.depth}({args.arity})| has more than "
+              f"{MAX_ORDER_DIGITS} digits", file=sys.stderr)
+        return RESOURCE, {}
     return OK, {
         "arity": args.arity,
         "depth": args.depth,

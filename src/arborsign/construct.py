@@ -14,9 +14,8 @@ infinite disjointness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .arboreal import Inseparable, disc_class, disc_stream, killed_signs
 from .exactpoly import RatPoly
@@ -74,33 +73,40 @@ def _unpair(j0: int) -> tuple[int, int]:
     return t, s - t
 
 
-@dataclass(frozen=True)
 class CoverSpec:
     """Entry of the cover list: y^2 = h(t) with its position bookkeeping."""
 
-    entry: int  # 1-based position in the list (the JSON "id")
-    grid_index: int
-    repetition: int
-    h: RatPoly
+    __slots__ = ("entry", "grid_index", "repetition", "h")
+
+    def __init__(self, entry: int, grid_index: int, repetition: int, h: RatPoly):
+        object.__setattr__(self, "entry", entry)  # 1-based position in the list (the JSON "id")
+        object.__setattr__(self, "grid_index", grid_index)
+        object.__setattr__(self, "repetition", repetition)
+        object.__setattr__(self, "h", h)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CoverSpec is immutable")
 
 
-@dataclass(frozen=True)
 class VastSpec:
-    """Entry of the vast list: the n-th discriminant-class stream of f."""
+    """Entry of the vast list: the n-th discriminant-class stream of f, a
+    stream over Q."""
 
-    index: int  # 1-based position in the list
-    f: RatPoly
-    n: int
+    __slots__ = ("index", "f", "n")
+
+    def __init__(self, index: int, f: RatPoly, n: int):
+        object.__setattr__(self, "index", index)  # 1-based position in the list
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VastSpec is immutable")
 
     def stream(self) -> ClassStream:
         return disc_stream(self.f, self.n)
 
     def subspace(self, depth: int) -> ClassSubspace:
         return ClassSubspace.span(self.stream().prefix(depth))
-
-    def base(self) -> ClassSubspace:
-        # all default specs are defined over Q
-        return ClassSubspace()
 
 
 def _signed_values(limit: int) -> Iterator[int]:
@@ -211,48 +217,84 @@ def rationals_by_height(max_height: int) -> Iterator[Fraction]:
 # State, records, trace
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PointRecord:
-    step: int
-    cover: CoverSpec
-    c: Fraction
-    fiber: SquareClass
+    __slots__ = ("step", "cover", "c", "fiber")
+
+    def __init__(self, step: int, cover: CoverSpec, c: Fraction, fiber: SquareClass):
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "cover", cover)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "fiber", fiber)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PointRecord is immutable")
 
 
-@dataclass(frozen=True)
-class AssignRecord:
-    step: int
-    spec: VastSpec
-    depth_checked: int
-
-
-@dataclass(frozen=True)
 class ConstructionState:
-    m: int  # completed steps; dim F == m
-    F: ClassSubspace
-    points: tuple[PointRecord, ...]
-    assignments: tuple[AssignRecord, ...]
-    depth: int
+    """What the induction has built after m steps.  Immutable."""
+
+    __slots__ = ("m", "F", "points", "used", "depth")
+
+    def __init__(
+        self,
+        m: int,
+        F: ClassSubspace,
+        points: tuple[PointRecord, ...],
+        used: frozenset[int],
+        depth: int,
+    ):
+        object.__setattr__(self, "m", m)  # completed steps; dim F == m
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "used", used)  # vast entries assigned so far
+        object.__setattr__(self, "depth", depth)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ConstructionState is immutable")
 
     @classmethod
     def initial(cls, depth: int) -> "ConstructionState":
-        return cls(0, ClassSubspace(), (), (), depth)
+        return cls(0, ClassSubspace(), (), frozenset(), depth)
 
 
 _CHECK_NAMES = ("c1", "c2", "c3", "c4", "c5")
 
 
-@dataclass(frozen=True)
 class StepRecord:
-    m: int
-    witness_kernel: int
-    cover_id: int
-    cover_h: RatPoly
-    point: Fraction
-    vast_poly: RatPoly
-    vast_n: int
-    depth_checked: int
-    checks: tuple[bool, bool, bool, bool, bool]
+    """One step of a trace.  Immutable; equal when every field is equal."""
+
+    __slots__ = ("m", "witness_kernel", "cover_id", "cover_h", "point", "vast_poly",
+                 "vast_n", "depth_checked", "checks")
+
+    def __init__(
+        self,
+        m: int,
+        witness_kernel: int,
+        cover_id: int,
+        cover_h: RatPoly,
+        point: Fraction,
+        vast_poly: RatPoly,
+        vast_n: int,
+        depth_checked: int,
+        checks: tuple[bool, bool, bool, bool, bool],
+    ):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "witness_kernel", witness_kernel)
+        object.__setattr__(self, "cover_id", cover_id)
+        object.__setattr__(self, "cover_h", cover_h)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "vast_poly", vast_poly)
+        object.__setattr__(self, "vast_n", vast_n)
+        object.__setattr__(self, "depth_checked", depth_checked)
+        object.__setattr__(self, "checks", checks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StepRecord is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StepRecord):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def to_json(self) -> dict:
         return {
@@ -286,12 +328,31 @@ class StepRecord:
             raise TraceFormatError(f"malformed step record: {exc}") from exc
 
 
-@dataclass(frozen=True)
 class ConstructionTrace:
-    steps: tuple[StepRecord, ...]
-    final_kernels: tuple[int, ...]
-    params: dict
-    retries: tuple[dict, ...] = ()
+    """A run's steps, final field and parameters.  Immutable; equal when
+    every field is equal."""
+
+    __slots__ = ("steps", "final_kernels", "params", "retries")
+
+    def __init__(
+        self,
+        steps: tuple[StepRecord, ...],
+        final_kernels: tuple[int, ...],
+        params: dict,
+        retries: tuple[dict, ...] = (),
+    ):
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "final_kernels", final_kernels)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "retries", retries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ConstructionTrace is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ConstructionTrace):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     @property
     def dim(self) -> int:
@@ -357,18 +418,17 @@ def _frac_parse(text: str) -> Fraction:
 def _select_vast(
     A: VastEnumeration,
     F: ClassSubspace,
-    used: set[int],
+    used: frozenset[int],
     depth: int,
     window: int,
 ) -> VastSpec:
-    """First unused enumeration entry whose base is contained in F and whose
-    depth-truncated subspace is disjoint from F over that base."""
+    """First unused enumeration entry whose depth-truncated subspace is
+    disjoint from F over Q."""
     for j in range(1, window + 1):
         if j in used:
             continue
         spec = A.entry(j)
-        base = spec.base()
-        if F.contains(base) and disjoint_over(spec.subspace(depth), F, base):
+        if disjoint_over(spec.subspace(depth), F, ClassSubspace()):
             return spec
     raise NoEligibleVastSpec(f"no eligible stream among the first {window} entries")
 
@@ -396,8 +456,7 @@ def step(
     """
     m = state.m + 1
     F = state.F
-    used = {a.spec.index for a in state.assignments}
-    spec = _select_vast(A, F, used, state.depth, window)
+    spec = _select_vast(A, F, state.used, state.depth, window)
     M = _with_fibers(F, state.points)
     w = vast_witness(spec.stream(), M, state.depth)
     F2 = F.extend(w)
@@ -429,7 +488,7 @@ def step(
         m=m,
         F=F2,
         points=state.points + (PointRecord(m, cover, point, fiber),),
-        assignments=state.assignments + (AssignRecord(m, spec, state.depth),),
+        used=state.used | {spec.index},
         depth=state.depth,
     )
     return new_state, record
@@ -477,7 +536,8 @@ def run(
                 {"step": state.m + 1, "reason": "depth_exhausted",
                  "depth": state.depth, "new_depth": state.depth * 2}
             )
-            state = replace(state, depth=state.depth * 2)
+            state = ConstructionState(state.m, state.F, state.points, state.used,
+                                      state.depth * 2)
             continue
         except NoEligibleVastSpec as exc:
             if budget == 0:
@@ -570,19 +630,14 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
         else:
             try:
                 spec = A.entry(idx)
-                base = spec.base()
-                if not (F_prev.contains(base)
-                        and disjoint_over(spec.subspace(rec.depth_checked), F_prev, base)):
+                if not disjoint_over(spec.subspace(rec.depth_checked), F_prev, ClassSubspace()):
                     out.append(f"(4_{i}): recorded stream is not disjoint at depth "
                                f"{rec.depth_checked}")
                 for j in range(1, idx):
                     if j in used_indices:
                         continue
                     early = A.entry(j)
-                    eb = early.base()
-                    if F_prev.contains(eb) and disjoint_over(
-                        early.subspace(rec.depth_checked), F_prev, eb
-                    ):
+                    if disjoint_over(early.subspace(rec.depth_checked), F_prev, ClassSubspace()):
                         out.append(f"(4_{i}): entry {j} was eligible before entry {idx}")
                         break
             except Inseparable as exc:

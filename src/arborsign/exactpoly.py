@@ -12,11 +12,10 @@ import math
 import re
 import sys
 from array import array
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Sequence
 
 from . import primes
 
@@ -418,18 +417,23 @@ class _FrobeniusMap:
 # Factor degrees mod p
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FactorDegreePattern:
-    """Multiset of degrees of the irreducible factors of a reduction mod p."""
+    """Multiset of degrees of the irreducible factors of a reduction mod p.
 
-    degrees: tuple[int, ...]  # sorted, with multiplicity
-    prime: int
+    Instances are immutable.
+    """
+
+    __slots__ = ("degrees", "prime")
+
+    def __init__(self, degrees: Iterable[int], prime: int):
+        object.__setattr__(self, "degrees", tuple(sorted(degrees)))  # with multiplicity
+        object.__setattr__(self, "prime", prime)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FactorDegreePattern is immutable")
 
     def lcm(self) -> int:
         return math.lcm(*self.degrees)
-
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(sorted(self.degrees)))
 
 
 def reduce_mod_p(f: RatPoly, p: int) -> list[int]:

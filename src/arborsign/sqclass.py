@@ -15,9 +15,8 @@ when asked for, for output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from .exactpoly import RatPoly, Rational, squarefree_kernel_support
 from .primes import next_prime
@@ -35,19 +34,23 @@ def _is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-@dataclass(frozen=True, eq=False)
 class SquareClass:
     """A rational square class, carried by a nonzero integer representative.
 
     Equality is square-class equality: a == b iff a.rep * b.rep is a square.
     `kernel` and `support` factor the representative and are meant for output.
+    Instances are immutable.
     """
 
-    rep: int
+    __slots__ = ("rep",)
 
-    def __post_init__(self):
-        if self.rep == 0:
+    def __init__(self, rep: int):
+        if rep == 0:
             raise ValueError("zero has no square class")
+        object.__setattr__(self, "rep", rep)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SquareClass is immutable")
 
     @classmethod
     def trivial(cls) -> "SquareClass":
@@ -191,7 +194,6 @@ def _pivot(vec: frozenset[int]) -> int:
     return min(vec, key=_coord_key)
 
 
-@dataclass(frozen=True, eq=False)
 class ClassSubspace:
     """An F2-span of square classes.
 
@@ -203,9 +205,16 @@ class ClassSubspace:
     of spans.
     """
 
-    basis: tuple[SquareClass, ...] = ()
-    _base: tuple[int, ...] = field(default=(), repr=False)
-    _rows: Rows = field(default=(), repr=False)
+    __slots__ = ("basis", "_base", "_rows")
+
+    def __init__(self, basis: tuple[SquareClass, ...] = (), base: tuple[int, ...] = (),
+                 rows: Rows = ()):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ClassSubspace is immutable")
 
     @classmethod
     def span(cls, classes: Iterable[SquareClass]) -> "ClassSubspace":
@@ -224,8 +233,11 @@ class ClassSubspace:
 
     def _locate(self, c: SquareClass) -> tuple[tuple[int, ...], Rows, int]:
         """The base refined by c, the basis rows over it, and c's reduced vector."""
-        base = _refine(self._base, abs(c.rep))
-        rows = self._rows if base == self._base else _echelon(self.basis, base)
+        old = self._base
+        base = _refine(old, abs(c.rep))
+        # Elements only appended to the base are coprime to every old one, so
+        # the basis has coordinate zero at each of them and the rows stand.
+        rows = self._rows if base[: len(old)] == old else _echelon(self.basis, base)
         return base, rows, _reduce(_vector(c.rep, base), rows)
 
     def member(self, c: SquareClass) -> bool:
@@ -301,7 +313,6 @@ def disjoint_over(V: ClassSubspace, W: ClassSubspace, B: ClassSubspace) -> bool:
     return intersection_dim(V, W) == B.dim
 
 
-@dataclass(frozen=True)
 class ClassStream:
     """Deterministic enumerable sequence of square classes.
 
@@ -309,8 +320,14 @@ class ClassStream:
     truncated and re-inspected reproducibly.
     """
 
-    name: str
-    at: Callable[[int], SquareClass] = field(compare=False)
+    __slots__ = ("name", "at")
+
+    def __init__(self, name: str, at: Callable[[int], SquareClass]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "at", at)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ClassStream is immutable")
 
     def prefix(self, depth: int) -> list[SquareClass]:
         if depth < 1:
@@ -360,5 +377,15 @@ def vast_witness(L: ClassStream, F: ClassSubspace, depth: int) -> SquareClass:
 def cover_fiber_integral(h: RatPoly, c: Rational, F: ClassSubspace) -> bool:
     """Whether the fiber of y^2 = h(t) above t = c is integral over the
     multiquadratic field modeled by F: h(c) nonzero and a nonsquare there."""
-    v = h(Fraction(c))
-    return v != 0 and not F.member(class_of(v))
+    # With c = a/b and L the lcm of the denominators of h, the integer
+    # n = sum (L h_i) a^i b^(d-i) is h(c) L b^d, so h(c) = 0 iff n = 0 and h(c)
+    # lies in the class of n L b^(d mod 2).
+    a, b = c.numerator, c.denominator
+    L = math.lcm(*(x.denominator for x in h.coeffs))
+    n, bp = 0, 1
+    for x in reversed(h.coeffs):
+        n = n * a + x.numerator * (L // x.denominator) * bp
+        bp *= b
+    if n == 0:
+        return False
+    return not F.member(SquareClass(n * L * (b if h.degree % 2 else 1)))

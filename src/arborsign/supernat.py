@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from . import primes
 

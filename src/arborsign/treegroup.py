@@ -9,8 +9,8 @@ homomorphisms and group orders (exact and supernatural).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from itertools import product
-from typing import Iterator, Mapping
 
 from .primes import is_prime
 from .supernat import INF, SupernaturalNumber

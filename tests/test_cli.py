@@ -1,8 +1,14 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import arborsign
 from arborsign.cli import main
+from arborsign.treegroup import group_order
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +197,39 @@ class TestGroupOrder:
 
     def test_bad_arity_exit_2(self, capsys):
         assert run_cli(capsys, "group-order", "--arity", "1", "--depth", "3")[0] == 2
+
+    def test_depth_13_prints_exact_order(self, capsys):
+        code, payload, _ = run_cli(capsys, "group-order", "--arity", "2", "--depth", "13")
+        assert code == 0
+        assert payload["order"] == 2**8191
+
+    @pytest.mark.parametrize("arity,depth", [(2, 14), (3, 9), (2, 100000)])
+    def test_order_past_digit_limit_exit_3(self, arity, depth):
+        """Orders of more than 4300 digits cannot be printed as JSON ints; the
+        decision comes before the power is computed, so it is quick."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arborsign.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "arborsign.cli", "group-order",
+             "--arity", str(arity), "--depth", str(depth)],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_digit_limit_matches_order(self, capsys):
+        """Exit 3 exactly when the order is at least 10^4300; arity 1558 at
+        depth 1 has 4300 digits, and 1559 has 4303."""
+        cases = [(d, k) for d in range(2, 7) for k in range(12)] + [(1558, 1), (1559, 1)]
+        for d, k in cases:
+            code, payload, _ = run_cli(capsys, "group-order", "--arity", str(d), "--depth", str(k))
+            e = (d**k - 1) // (d - 1)
+            if e * math.log10(math.factorial(d)) > 10**4:  # far past the limit
+                assert (code, payload) == (3, None)
+            elif group_order(d, k) >= 10**4300:
+                assert (code, payload) == (3, None)
+            else:
+                assert code == 0 and payload["order"] == group_order(d, k)
 
 
 class TestArgparseContract:

@@ -161,8 +161,9 @@ class TestFactorint:
 )
 def test_cli_runs_without_sympy(argv, tmp_path):
     """A cold CLI process never imports sympy (or numpy or mpmath) on these
-    inputs; sympy's import dominated the start-up time.  index-report runs
-    the Frobenius scan."""
+    inputs; sympy's import dominated the start-up time.  Nor does it import
+    dataclasses or inspect, which cost more than the program's own modules.
+    index-report runs the Frobenius scan."""
     paths = [os.path.dirname(os.path.dirname(arborsign.__file__)), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     argv = [a.format(tmp=tmp_path) for a in argv]
@@ -177,4 +178,5 @@ def test_cli_runs_without_sympy(argv, tmp_path):
     assert proc.returncode == 0, proc.stderr
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
     assert "arborsign.primes" in imported
-    assert not [m for m in imported if m.split(".")[0] in ("sympy", "numpy", "mpmath")]
+    refused = ("sympy", "numpy", "mpmath", "dataclasses", "inspect")
+    assert not [m for m in imported if m.split(".")[0] in refused]

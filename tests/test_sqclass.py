@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 import sympy
+from hypothesis import given, strategies as st
 
 from arborsign import exactpoly, primes
 from arborsign.construct import VastEnumeration
@@ -193,6 +194,25 @@ class TestCoverFiber:
         F = ClassSubspace()
         assert cover_fiber_integral(h, Fraction(1, 2), F)  # 5/4, class 5
 
+    @given(
+        st.lists(st.fractions(-9, 9, max_denominator=6), min_size=1, max_size=5),
+        st.one_of(st.fractions(-20, 20, max_denominator=15), st.integers(-20, 20)),
+        st.booleans(),
+        st.lists(st.integers(-60, 60).filter(bool), max_size=4),
+    )
+    def test_matches_fraction_oracle(self, coeffs, q, at_root, kernels):
+        """Non-monic h with non-integer coefficients, of odd and even degree,
+        at points with denominators and at roots of h, over random spans."""
+        h = RatPoly(coeffs)
+        if h.is_zero:
+            h = RatPoly.constant(coeffs[0] + 1)
+        if at_root:
+            h = h * RatPoly((-q, 1))
+        F = ClassSubspace.span(class_of(k) for k in kernels)
+        v = h(Fraction(q))
+        expected = v != 0 and class_of(v) not in brute_span(list(F.basis))
+        assert cover_fiber_integral(h, q, F) == expected
+
 
 # ---------------------------------------------------------------------------
 # Factor-free span algebra on values of known factorization
@@ -312,6 +332,38 @@ class TestFactorFree:
             q = rng.choice(BIG_PRIMES)
             same = class_of(Fraction(value(*x) * q, q**3))
             assert same == a and hash(same) == hash(a)
+
+    def test_refinement_appends_then_splits(self, no_factoring):
+        """The first extensions only append coprime elements to the base, which
+        keeps the echelon rows; the last splits a base element, which rebuilds
+        them.  Membership matches the oracle after each."""
+        p = BIG_PRIMES
+        gens = [
+            (1, {p[0]: 1, p[1]: 1}),
+            (1, {p[2]: 1}),
+            (-1, {p[3]: 3}),
+            (1, {p[0]: 1, p[4]: 2}),
+        ]
+        probes = [
+            (1, {p[0]: 1}),
+            (1, {p[1]: 1}),
+            (-1, {p[0]: 1, p[1]: 1, p[3]: 1}),
+            (-1, {p[2]: 1, p[3]: 1}),
+            (-1, {}),
+            (1, {p[3]: 1}),
+            (1, {p[4]: 1}),
+        ]
+        V, vecs, appended = ClassSubspace(), [], []
+        for g in gens:
+            old = V._base
+            V = V.extend(class_of(value(*g)))
+            appended.append(V._base[: len(old)] == old)
+            vecs.append(prime_vector(*g))
+            assert V.dim == rank(vecs) == len(vecs)
+            for x in probes:
+                in_span = rank(vecs + [prime_vector(*x)]) == rank(vecs)
+                assert V.member(class_of(value(*x))) == in_span
+        assert appended == [True, True, True, False]
 
     def test_span_ops_match_oracle(self, no_factoring):
         rng = random.Random(43)
