@@ -21,6 +21,7 @@ from .arboreal import (
     index_report,
 )
 from .construct import (
+    MAX_STREAM_LEVEL,
     ConstructionAborted,
     ConstructionTrace,
     TraceFormatError,
@@ -36,6 +37,9 @@ from .treegroup import aut_order_supernatural, group_order
 OK, FINDING, INPUT_ERROR, RESOURCE = 0, 1, 2, 3
 # The interpreter's default limit on the digits of an int it converts to text.
 MAX_ORDER_DIGITS = 4300
+# group-order lists every prime <= arity in the ambient order (1229 primes at
+# this cap); at depth >= 1 the order itself passes MAX_ORDER_DIGITS from arity 1559.
+MAX_ARITY = 10_000
 
 
 class InputError(ValueError):
@@ -100,8 +104,9 @@ def _cmd_index_report(args) -> tuple[int, dict]:
 def _cmd_simulate(args) -> tuple[int, dict]:
     if args.steps < 1:
         raise InputError("--steps must be >= 1")
-    if args.depth < 1:
-        raise InputError("--depth must be >= 1")
+    if not 1 <= args.depth <= MAX_STREAM_LEVEL:
+        # the first stream alone would be read past the level a trace may name
+        raise InputError(f"--depth must be in 1..{MAX_STREAM_LEVEL}")
     if args.height < 1:
         raise InputError("--height must be >= 1")
     try:
@@ -151,8 +156,8 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 def _cmd_audit(args) -> tuple[int, dict]:
-    if args.level < 1:
-        raise InputError("--level must be >= 1")
+    if not 1 <= args.level <= MAX_STREAM_LEVEL:
+        raise InputError(f"--level must be in 1..{MAX_STREAM_LEVEL}")
     trace = _load_trace(args.trace)
     try:
         report = counterexample_audit(trace, assigned_polynomials(trace), args.level)
@@ -202,6 +207,10 @@ def _cmd_group_order(args) -> tuple[int, dict]:
         raise InputError("--arity must be >= 2")
     if args.depth < 0:
         raise InputError("--depth must be >= 0")
+    if args.arity > MAX_ARITY:
+        print(f"error: --arity above {MAX_ARITY}: the ambient order lists every "
+              f"prime up to it", file=sys.stderr)
+        return RESOURCE, {}
     if _order_too_long(args.arity, args.depth):
         print(f"error: |Aut T_{args.depth}({args.arity})| has more than "
               f"{MAX_ORDER_DIGITS} digits", file=sys.stderr)

@@ -18,7 +18,7 @@ from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
 from .arboreal import Inseparable, disc_class, disc_stream, killed_signs
-from .exactpoly import RatPoly
+from .exactpoly import RatPoly, Rational
 from .sqclass import (
     ClassStream,
     ClassSubspace,
@@ -36,6 +36,11 @@ SCHEMA_VERSION = 1
 DEFAULT_WINDOW = 64
 MAX_RETRIES = 6
 _SPEC_RESOLVE_CAP = 512  # enumeration scan limit when re-resolving a recorded spec
+# Deepest iterate level a trace step may name, vast.n + depth_checked - 1.
+# Critical-orbit values double in bits per level (x^2 - 46 has 360,953 bits
+# at level 17), so deeper streams cannot be checked.  Runs with the default
+# depth and window read at most level 15, and after one retry at most 20.
+MAX_STREAM_LEVEL = 24
 
 
 class NoEligibleVastSpec(RuntimeError):
@@ -198,19 +203,54 @@ def default_enumerations() -> tuple[CoverEnumeration, VastEnumeration]:
     return CoverEnumeration(), VastEnumeration()
 
 
-def rationals_by_height(max_height: int) -> Iterator[Fraction]:
+def _height_key(num: int, den: int) -> tuple[int, int, int, bool]:
+    """Position of num/den, in lowest terms with den > 0, in the height order."""
+    return max(abs(num), den), den, abs(num), num < 0
+
+
+def _pairs_at_height(h: int) -> Iterator[tuple[int, int]]:
+    """The (num, den) in lowest terms with max(|num|, den) = h, in order."""
+    if h == 1:
+        yield 0, 1
+        yield 1, 1
+        yield -1, 1
+        return
+    for den in range(1, h):  # |num| = h
+        if math.gcd(h, den) == 1:
+            yield h, den
+            yield -h, den
+    for num in range(1, h):  # den = h
+        if math.gcd(num, h) == 1:
+            yield num, h
+            yield -num, h
+
+
+def _pairs_by_height(
+    max_height: int, after: tuple[int, int] | None = None
+) -> Iterator[tuple[int, int]]:
+    """(numerator, denominator) of each rational of `rationals_by_height`, in
+    its order; with `after` = (num, den) in lowest terms, only those that
+    follow num/den."""
+    h = 1
+    if after is not None:
+        h = max(abs(after[0]), after[1])
+        if h <= max_height:
+            key = _height_key(*after)
+            for p in _pairs_at_height(h):
+                if _height_key(*p) > key:
+                    yield p
+        h += 1
+    for h in range(h, max_height + 1):
+        yield from _pairs_at_height(h)
+
+
+def rationals_by_height(max_height: int, after: Rational | None = None) -> Iterator[Fraction]:
     """Deterministic enumeration of Q by height max(|num|, den), then
-    denominator, then |num| with the positive value first."""
-    for h in range(1, max_height + 1):
-        for den in range(1, h + 1):
-            for num in range(0, h + 1):
-                if max(num, den) != h or (num and math.gcd(num, den) != 1):
-                    continue
-                if num == 0 and den != 1:
-                    continue
-                yield Fraction(num, den)
-                if num:
-                    yield Fraction(-num, den)
+    denominator, then |num| with the positive value first.  With `after`, the
+    enumeration resumes right after that rational."""
+    start = None if after is None else (after.numerator, after.denominator)
+    for num, den in _pairs_by_height(max_height, start):
+        yield Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +416,10 @@ class ConstructionTrace:
 
     @classmethod
     def from_json(cls, data: dict) -> "ConstructionTrace":
+        """Parse a trace; raises TraceFormatError on malformed data.  Besides
+        the shape it checks what the verifier needs to end: each step's stream
+        is read from level vast.n to vast.n + vast.depth_checked - 1, which
+        must lie in 1..MAX_STREAM_LEVEL."""
         if not isinstance(data, dict):
             raise TraceFormatError("trace must be a JSON object")
         if data.get("schema") != SCHEMA_VERSION:
@@ -397,6 +441,12 @@ class ConstructionTrace:
         height = params.get("height")
         if type(height) is not int or height < 1:
             raise TraceFormatError(f"params.height {height!r} is not a positive integer")
+        for s in steps:
+            if s.vast_n < 1 or s.depth_checked < 1:
+                raise TraceFormatError(f"step {s.m}: vast.n and vast.depth_checked must be >= 1")
+            if s.vast_n + s.depth_checked - 1 > MAX_STREAM_LEVEL:
+                raise TraceFormatError(
+                    f"step {s.m}: vast.n + vast.depth_checked - 1 exceeds {MAX_STREAM_LEVEL}")
         return cls(steps, final, params, retries)
 
 
@@ -461,23 +511,31 @@ def step(
     w = vast_witness(spec.stream(), M, state.depth)
     F2 = F.extend(w)
     cover = B.entry(m)
+    h = cover.h
     integral_over = _with_fibers(F2, state.points)
-    prior_points = {pt.c for pt in state.points}
+    prior_points = {(pt.c.numerator, pt.c.denominator) for pt in state.points}
+    # Spans only grow, so every rational the last step with this cover skipped
+    # is still ineligible, and that step's point is now a prior point.
+    after = None
+    for pt in state.points:
+        if pt.cover.h == h:
+            after = (pt.c.numerator, pt.c.denominator)
     point = None
-    for q in rationals_by_height(height):
-        if q in prior_points:
+    for num, den in _pairs_by_height(height, after):
+        if (num, den) in prior_points:
             continue
-        if cover_fiber_integral(cover.h, q, integral_over):
+        q = Fraction(num, den)
+        if cover_fiber_integral(h, q, integral_over):
             point = q
             break
     if point is None:
         raise PointSearchExhausted(f"no point of height <= {height}")
-    fiber = class_of(cover.h(point))
+    fiber = class_of(h(point))
     record = StepRecord(
         m=m,
         witness_kernel=w.kernel,
         cover_id=cover.entry,
-        cover_h=cover.h,
+        cover_h=h,
         point=point,
         vast_poly=spec.f,
         vast_n=spec.n,
@@ -606,6 +664,8 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
         else:
             fibers.append(class_of(v))
 
+    points = [(rec.point.numerator, rec.point.denominator) for rec in trace.steps]
+    passed: dict[RatPoly, tuple[int, int]] = {}  # cover -> point of its last passed scan
     used_indices: set[int] = set()
     for i, rec in enumerate(trace.steps, start=1):
         F_prev, F_cur = fields[i - 1], fields[i]
@@ -665,15 +725,26 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
         for fb in fibers[: i - 1]:
             if fb is not None:
                 integral_over = integral_over.extend(fb)
-        prior = {trace.steps[j].point for j in range(i - 1)}
+        target = points[i - 1]
+        prior = set(points[: i - 1])
+        # A passed scan of an earlier step with this cover found every rational
+        # before its point prior or ineligible, and both stay so as spans grow;
+        # that point is prior now.  So the scan resumes after it, unless the
+        # recorded point lies in that stretch.
+        after = passed.get(rec.cover_h)
+        if after is not None and _height_key(*target) <= _height_key(*after):
+            after = None
         reached = False
-        for q in rationals_by_height(height):
-            if q in prior:
+        for num, den in _pairs_by_height(height, after):
+            if (num, den) in prior:
                 continue
+            q = Fraction(num, den)
             eligible = cover_fiber_integral(rec.cover_h, q, integral_over)
-            if q == rec.point:
+            if (num, den) == target:
                 reached = True
-                if not eligible:
+                if eligible:
+                    passed[rec.cover_h] = target
+                else:
                     out.append(f"(2_{i}): recorded point is not integral")
                 break
             if eligible:

@@ -42,13 +42,14 @@ class RatPoly:
     (empty tuple for the zero polynomial).  Instances are immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_cleared")
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_cleared", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
@@ -90,6 +91,15 @@ class RatPoly:
 
     def coeff(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+
+    def cleared(self) -> tuple[tuple[int, ...], int]:
+        """(integer coefficients of L*self from low to high, L), where L is the
+        lcm of the coefficient denominators.  Computed once per polynomial."""
+        if self._cleared is None:
+            L = math.lcm(*(c.denominator for c in self.coeffs)) if self.coeffs else 1
+            ks = tuple(c.numerator * (L // c.denominator) for c in self.coeffs)
+            object.__setattr__(self, "_cleared", (ks, L))
+        return self._cleared
 
     def __call__(self, q: Rational) -> Fraction:
         acc = Fraction(0)
@@ -186,8 +196,8 @@ def iterate(f: RatPoly, k: int) -> RatPoly:
 
 def _int_clear(f: RatPoly) -> tuple[list[int], int]:
     """Return (integer coefficient list, multiplier L) with L*f integral."""
-    L = math.lcm(*(c.denominator for c in f.coeffs)) if f.coeffs else 1
-    return [int(c * L) for c in f.coeffs], L
+    ks, L = f.cleared()
+    return list(ks), L
 
 
 def _content(cs: Sequence[int]) -> int:

@@ -145,9 +145,10 @@ def _refine(base: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _vector(n: int, base: tuple[int, ...]) -> int:
-    """Coordinates of the class of n as a bit mask: bit 0 is the sign, bit j
-    the exponent parity of base[j-1].  n must factor over the coprime base."""
+def _coordinates(n: int, base: tuple[int, ...]) -> tuple[int, int]:
+    """(v, x): n = sign * x * prod base[j-1]^e_j with x > 0 divisible by no
+    base element, and v the bit mask of the class of n / x: bit 0 is the sign,
+    bit j the parity of e_j.  v is the class's coordinates when x == 1."""
     v = int(n < 0)
     n = abs(n)
     for j, b in enumerate(base, 1):
@@ -156,7 +157,7 @@ def _vector(n: int, base: tuple[int, ...]) -> int:
             n //= b
             odd ^= 1
         v |= odd << j
-    return v
+    return v, n
 
 
 Rows = tuple[tuple[int, int], ...]  # (pivot bit, row) in reduced echelon form
@@ -179,7 +180,7 @@ def _add_row(rows: Rows, r: int) -> Rows:
 def _echelon(classes: Iterable[SquareClass], base: tuple[int, ...]) -> Rows:
     rows: Rows = ()
     for c in classes:
-        r = _reduce(_vector(c.rep, base), rows)
+        r = _reduce(_coordinates(c.rep, base)[0], rows)
         if r:
             rows = _add_row(rows, r)
     return rows
@@ -201,17 +202,19 @@ class ClassSubspace:
     the basis classes.  `basis` holds independent generators; `_base` is a
     coprime base of nonsquares over which every basis representative factors,
     and `_rows` the reduced echelon form of the basis coordinates over it.
+    `_product` caches the product of the base once membership needs it.
     Immutable: extend/compositum return new subspaces.  Equality is equality
     of spans.
     """
 
-    __slots__ = ("basis", "_base", "_rows")
+    __slots__ = ("basis", "_base", "_rows", "_product")
 
     def __init__(self, basis: tuple[SquareClass, ...] = (), base: tuple[int, ...] = (),
                  rows: Rows = ()):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_product", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassSubspace is immutable")
@@ -238,10 +241,18 @@ class ClassSubspace:
         # Elements only appended to the base are coprime to every old one, so
         # the basis has coordinate zero at each of them and the rows stand.
         rows = self._rows if base[: len(old)] == old else _echelon(self.basis, base)
-        return base, rows, _reduce(_vector(c.rep, base), rows)
+        return base, rows, _reduce(_coordinates(c.rep, base)[0], rows)
 
     def member(self, c: SquareClass) -> bool:
-        return not self._locate(c)[2]
+        v, x = _coordinates(c.rep, self._base)
+        if x != 1:
+            if self._product is None:
+                object.__setattr__(self, "_product", math.prod(self._base))
+            if math.gcd(x, self._product) != 1:
+                return not self._locate(c)[2]
+        # x is coprime to the base, so c is in the span iff c / x is and the
+        # class of x is trivial: coprime parts of a square are squares.
+        return _is_square(x) and not _reduce(v, self._rows)
 
     def extend(self, c: SquareClass) -> "ClassSubspace":
         base, rows, r = self._locate(c)
@@ -377,14 +388,14 @@ def vast_witness(L: ClassStream, F: ClassSubspace, depth: int) -> SquareClass:
 def cover_fiber_integral(h: RatPoly, c: Rational, F: ClassSubspace) -> bool:
     """Whether the fiber of y^2 = h(t) above t = c is integral over the
     multiquadratic field modeled by F: h(c) nonzero and a nonsquare there."""
-    # With c = a/b and L the lcm of the denominators of h, the integer
-    # n = sum (L h_i) a^i b^(d-i) is h(c) L b^d, so h(c) = 0 iff n = 0 and h(c)
+    # With c = a/b and L h = sum k_i t^i integral, the integer
+    # n = sum k_i a^i b^(d-i) is h(c) L b^d, so h(c) = 0 iff n = 0 and h(c)
     # lies in the class of n L b^(d mod 2).
     a, b = c.numerator, c.denominator
-    L = math.lcm(*(x.denominator for x in h.coeffs))
+    ks, L = h.cleared()
     n, bp = 0, 1
-    for x in reversed(h.coeffs):
-        n = n * a + x.numerator * (L // x.denominator) * bp
+    for k in reversed(ks):
+        n = n * a + k * bp
         bp *= b
     if n == 0:
         return False

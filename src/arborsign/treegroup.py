@@ -201,6 +201,8 @@ def group_order(d: int, k: int) -> int:
         raise ValueError("arity must be >= 2")
     if k < 0:
         raise ValueError("depth must be >= 0")
+    if k == 0:
+        return 1
     return math.factorial(d) ** ((d**k - 1) // (d - 1))
 
 

@@ -18,6 +18,13 @@ def run_cli(capsys, *argv):
     return code, payload, captured.err
 
 
+def cli_process(*argv):
+    """Run the CLI in a fresh interpreter; inputs that used to hang get 10 s."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arborsign.__file__)))
+    return subprocess.run([sys.executable, "-m", "arborsign.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+
+
 @pytest.fixture(scope="module")
 def trace_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("traces") / "t3.json"
@@ -142,6 +149,12 @@ class TestSimulateVerifyAudit:
     def test_audit_bad_level_exit_2(self, capsys, trace_file):
         assert run_cli(capsys, "audit", "--trace", str(trace_file), "--level", "-1")[0] == 2
 
+    def test_audit_level_past_stream_levels_exit_2(self, trace_file):
+        """--level 40 used to run on past 10 s."""
+        for level in ("25", "40"):
+            proc = cli_process("audit", "--trace", str(trace_file), "--level", level)
+            assert proc.returncode == 2 and "--level" in proc.stderr
+
     def test_audit_non_squarefree_final_kernel_exit_2(self, capsys, trace_file, tmp_path):
         data = json.loads(trace_file.read_text())
         data["final"]["F"] = [4]
@@ -159,6 +172,28 @@ class TestSimulateVerifyAudit:
         code, payload, err = run_cli(capsys, "verify", "--trace", str(bad))
         assert code == 2
         assert payload is None and "height" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("depth_checked", 0), ("depth_checked", -3), ("depth_checked", 1000),
+        ("n", 0), ("n", 100000),
+    ])
+    @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]])
+    def test_stream_level_out_of_range_exit_2(self, trace_file, tmp_path, field, value, command):
+        """Levels below 1 used to end in a traceback, and deep ones in a hang."""
+        data = json.loads(trace_file.read_text())
+        data["steps"][1]["vast"][field] = value
+        bad = tmp_path / "bad_vast.json"
+        bad.write_text(json.dumps(data))
+        proc = cli_process(*command, "--trace", str(bad))
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "vast" in proc.stderr
+
+    @pytest.mark.parametrize("depth", ["0", "25", "1000"])
+    def test_simulate_depth_out_of_range_exit_2(self, tmp_path, depth):
+        out = tmp_path / "never.json"
+        proc = cli_process("simulate", "--steps", "1", "--depth", depth, "--out", str(out))
+        assert proc.returncode == 2 and proc.stdout == "" and "--depth" in proc.stderr
+        assert not out.exists()
 
 
 class TestVastWitness:
@@ -207,12 +242,23 @@ class TestGroupOrder:
     def test_order_past_digit_limit_exit_3(self, arity, depth):
         """Orders of more than 4300 digits cannot be printed as JSON ints; the
         decision comes before the power is computed, so it is quick."""
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arborsign.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-m", "arborsign.cli", "group-order",
-             "--arity", str(arity), "--depth", str(depth)],
-            capture_output=True, text=True, env=env, timeout=10,
-        )
+        proc = cli_process("group-order", "--arity", str(arity), "--depth", str(depth))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_depth_0_of_any_arity(self, capsys):
+        code, payload, _ = run_cli(capsys, "group-order", "--arity", "10000", "--depth", "0")
+        assert code == 0
+        assert payload["order"] == 1
+        assert payload["ambient_supernatural"].endswith("9973^inf")
+
+    @pytest.mark.parametrize("arity", [10001, 10**15])
+    @pytest.mark.parametrize("depth", [0, 3])
+    def test_arity_past_cap_exit_3(self, arity, depth):
+        """--arity 10^15 --depth 0 used to hang on 10^15! and a primality scan
+        up to 10^15."""
+        proc = cli_process("group-order", "--arity", str(arity), "--depth", str(depth))
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1

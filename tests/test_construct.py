@@ -1,9 +1,12 @@
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from arborsign.construct import (
+    MAX_STREAM_LEVEL,
     ConstructionAborted,
     ConstructionState,
     ConstructionTrace,
@@ -22,6 +25,7 @@ from arborsign.construct import (
     _unpair,
 )
 from arborsign.exactpoly import RatPoly
+from arborsign.sqclass import ClassSubspace, SquareClass, class_of, cover_fiber_integral
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +80,13 @@ class TestEnumerations:
         all10 = list(rationals_by_height(10))
         assert len(all10) == len(set(all10))
 
+    def test_resumed_enumeration_is_a_suffix(self):
+        full = list(rationals_by_height(30))
+        for i, q in enumerate(full):
+            assert list(rationals_by_height(30, q)) == full[i + 1:]
+        assert list(rationals_by_height(30, 31)) == []
+        assert list(rationals_by_height(30, Fraction(-5, 31))) == []
+
 
 class TestStep:
     def test_first_step_record(self):
@@ -104,6 +115,16 @@ class TestStep:
             run(1, 5, 1)
         assert isinstance(exc.value.cause, PointSearchExhausted)
         assert exc.value.trace.steps == ()
+
+    @pytest.mark.parametrize("n, digest", [
+        (10, "98649a252afe2b824c7c5a6e2ebbae1752311417d123c11eb182819f2f88b63f"),
+        (20, "37f6e831af1bc5909e784e80b7fd34899f7b930453c53f6dbf8295b0bff8c498"),
+    ])
+    def test_trace_bytes_pinned(self, n, digest):
+        """Every cover recurs at least twice in 20 steps, so the resumed point
+        search is pinned along with the rest of the trace."""
+        blob = json.dumps(run(n, 5, 1000).to_json()).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_run_validation(self):
         with pytest.raises(ValueError):
@@ -152,6 +173,12 @@ class TestTraceSerialization:
             (("params", "height"), 0),
             (("params", "height"), 1.5),
             (("retries",), ["abc"]),
+            (("steps", 1, "vast", "n"), 0),
+            (("steps", 1, "vast", "n"), MAX_STREAM_LEVEL - 3),  # depth 5: one level over
+            (("steps", 1, "vast", "n"), 100000),
+            (("steps", 1, "vast", "depth_checked"), 0),
+            (("steps", 1, "vast", "depth_checked"), -3),
+            (("steps", 1, "vast", "depth_checked"), 1000),
         ],
     )
     def test_rejects_bad_final_params_retries(self, trace3, path, value):
@@ -162,6 +189,13 @@ class TestTraceSerialization:
         node[path[-1]] = value
         with pytest.raises(TraceFormatError):
             ConstructionTrace.from_json(data)
+
+    def test_accepts_deepest_stream_level(self, trace3):
+        data = trace3.to_json()
+        vast = data["steps"][1]["vast"]
+        vast["depth_checked"] = MAX_STREAM_LEVEL - vast["n"] + 1
+        trace = ConstructionTrace.from_json(data)
+        assert trace.steps[1].depth_checked == vast["depth_checked"]
 
     def test_rejects_bad_rational(self, trace3):
         data = trace3.to_json()
@@ -219,6 +253,87 @@ class TestVerify:
         data["final"]["F"] = data["final"]["F"][:-1] + [97]
         bad = ConstructionTrace.from_json(data)
         assert any(v.startswith("(final)") for v in verify_trace(bad))
+
+
+def full_scan_entries(trace):
+    """The (2_i) entries of verify_trace, from a scan of every rational in the
+    height order at every step."""
+    steps, height = trace.steps, trace.params["height"]
+    fields = [ClassSubspace()]
+    for rec in steps:
+        fields.append(fields[-1].extend(SquareClass.from_kernel(rec.witness_kernel)))
+    out, fibers = [], []
+    for i, rec in enumerate(steps, start=1):
+        v = rec.cover_h(rec.point)
+        if v == 0:
+            out.append(f"(2_{i}): fiber above the recorded point is degenerate")
+        fibers.append(class_of(v) if v else None)
+    for i, rec in enumerate(steps, start=1):
+        over = ClassSubspace.span([fb for fb in fibers[: i - 1] if fb is not None])
+        over = fields[i] + over
+        prior = [s.point for s in steps[: i - 1]]
+        reached = False
+        for q in rationals_by_height(height):
+            if q in prior:
+                continue
+            eligible = cover_fiber_integral(rec.cover_h, q, over)
+            if q == rec.point:
+                reached = True
+                if not eligible:
+                    out.append(f"(2_{i}): recorded point is not integral")
+                break
+            if eligible:
+                out.append(f"(2_{i}): point {q} was eligible before {rec.point}")
+                break
+        if not reached and not any(v.startswith(f"(2_{i})") for v in out):
+            out.append(f"(2_{i}): recorded point not reached in the height ordering")
+        for j, fb in enumerate(fibers[:i], start=1):
+            if fb is not None and fields[i].member(fb):
+                out.append(f"(2_{i}): fiber class of step {j} fell into the field")
+    return out
+
+
+@pytest.fixture(scope="module")
+def trace20():
+    return run(20, 5, 1000)
+
+
+class TestVerifyResume:
+    """verify_trace resumes each point scan after the last passed scan of the
+    same cover; its (2_i) entries must equal those of full scans."""
+
+    def mutants(self, trace, count, seed):
+        rng = random.Random(seed)
+        low = list(rationals_by_height(8))
+        n = len(trace.steps)
+        for _ in range(count):
+            points = [rec.point for rec in trace.steps]
+            i, j = rng.sample(range(n), 2)
+            kind = rng.randrange(4)
+            if kind == 0:  # shift by a small rational
+                points[i] += Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+            elif kind == 1:  # copy another step's point
+                points[i] = points[j]
+            elif kind == 2:  # swap two points
+                points[i], points[j] = points[j], points[i]
+            else:  # a low point, before the resume point of most covers
+                points[i] = rng.choice(low)
+            data = trace.to_json()
+            for rec, q in zip(data["steps"], points):
+                rec["point"] = f"{q.numerator}/{q.denominator}"
+            yield ConstructionTrace.from_json(data)
+
+    def test_valid_trace(self, trace20):
+        assert full_scan_entries(trace20) == [] == verify_trace(trace20)
+
+    def test_mutated_points_match_full_scans(self, trace20):
+        found = 0
+        for bad in self.mutants(trace20, 16, seed=6):
+            expected = full_scan_entries(bad)
+            got = [v for v in verify_trace(bad) if v.startswith("(2_")]
+            assert got == expected
+            found += bool(expected)
+        assert found == 16  # every mutant breaks some (2_i)
 
 
 class TestAudit:

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from arborsign import exactpoly, primes
 from arborsign.construct import VastEnumeration
@@ -389,6 +389,35 @@ class TestFactorFree:
             assert (V + W).dim == rank(vv + wv)
             assert disjoint_over(V, W, B) == (meet == rank(bv))
             assert (V == W) == (rank(vv) == rank(wv) == rank(vv + wv))
+
+
+P = BIG_PRIMES
+ELEMENTS = st.tuples(
+    st.sampled_from([1, -1]),
+    st.dictionaries(st.sampled_from(COORDS), st.integers(1, 3), max_size=3),
+)
+
+
+class TestMember:
+    """member() reads the coordinates in one pass and decides at once when the
+    cofactor is coprime to the base; otherwise it refines the base."""
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(ELEMENTS, max_size=4), ELEMENTS, st.sampled_from([1, 2, *P[:3]]))
+    # the candidate shares only part of the composite base element P0 P1
+    @example([(1, {P[0]: 1, P[1]: 1})], (1, {P[0]: 1}), 1)
+    @example([(1, {P[0]: 1, P[1]: 1}), (-1, {P[2]: 1})], (-1, {P[1]: 1, P[2]: 1}), 1)
+    # b = P0 P1^2 divides c = b (P0 P1)^2 twice and leaves the nonsquare P0
+    @example([(1, {P[0]: 1, P[1]: 2})], (1, {P[0]: 3, P[1]: 4}), 1)
+    # a split base, a negative candidate and a square multiple
+    @example([(1, {P[0]: 1, P[1]: 1}), (1, {P[0]: 1})], (1, {P[1]: 1}), P[2])
+    @example([(-1, {P[3]: 3})], (-1, {P[3]: 1}), P[0])
+    @example([(-1, {P[3]: 3})], (-1, {}), 2)
+    def test_matches_oracle(self, no_factoring, gens, c, square):
+        V = ClassSubspace.span(class_of(value(*g)) for g in gens)
+        vecs = [prime_vector(*g) for g in gens]
+        in_span = rank(vecs + [prime_vector(*c)]) == rank(vecs)
+        assert V.member(class_of(value(*c) * square**2)) == in_span
 
 
 def test_orbit_stream_disjointness_needs_no_factoring(monkeypatch):

@@ -164,6 +164,13 @@ class TestOrders:
         assert group_order(2, 3) == 128
         assert group_order(3, 2) == 1296
 
+    def test_depth_0_computes_no_factorial(self, monkeypatch):
+        def refuse(d):
+            raise AssertionError(f"factorial({d}) computed")
+
+        monkeypatch.setattr(math, "factorial", refuse)
+        assert group_order(10**15, 0) == 1
+
     def test_group_order_matches_enumeration(self):
         for d, k in [(2, 1), (2, 2), (3, 1)]:
             assert sum(1 for _ in all_portraits(d, k)) == group_order(d, k)
