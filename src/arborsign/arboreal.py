@@ -11,11 +11,10 @@ never computed.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from . import treegroup
-from .exactpoly import BadPrime, RatPoly, discriminant, factor_degrees_mod_p, iterate
+from .exactpoly import BadPrime, RatPoly, compose, factor_degrees_mod_p, iterate, resultant
 from .primes import next_prime
 from .sqclass import ClassStream, ClassSubspace, SquareClass, class_of
 
@@ -37,50 +36,53 @@ class NoGoodPrimes(Exception):
 # Discriminant classes of iterates
 # ---------------------------------------------------------------------------
 
-def _pure_quadratic_shift(f: RatPoly) -> Fraction | None:
-    """c if f = x^2 + c, else None (the fast-path form)."""
-    if f.degree == 2 and f.coeff(2) == 1 and f.coeff(1) == 0:
-        return f.coeff(0)
-    return None
+@lru_cache(maxsize=1024)
+def _critical_orbit(f: RatPoly, n: int) -> tuple[RatPoly, SquareClass]:
+    """(R_n, class of disc(f^(on))), where R_n = f^(on) mod f'.
 
-
-@lru_cache(maxsize=None)
-def _critical_orbit(c: Fraction, n: int) -> Fraction:
-    """f^(on)(0) for f = x^2 + c."""
+    Raises Inseparable at the first level m <= n with disc(f^(om)) = 0.
+    """
+    fp = f.derivative()
     if n == 0:
-        return Fraction(0)
-    v = _critical_orbit(c, n - 1)
-    return v * v + c
+        return RatPoly.x() % fp, SquareClass.trivial()
+    R, prev = _critical_orbit(f, n - 1)
+    R = compose(f, R) % fp
+    res = resultant(fp, R)
+    if res == 0:
+        raise Inseparable(n)
+    d = f.degree
+    c = class_of(_level_sign(d, n) * f.lc * fp.lc ** ((d**n - R.degree) % 2) * res)
+    return R, (c * prev if d % 2 else c)
+
+
+def _level_sign(d: int, n: int) -> int:
+    """s_n = (-1)^(D(D-1)/2 + d E(E-1)/2) for D = d^n, E = d^(n-1)."""
+    D, E = d**n, d ** (n - 1)
+    return -1 if (D * (D - 1) // 2 + d * (E * (E - 1) // 2)) % 2 else 1
 
 
 def disc_class(f: RatPoly, n: int) -> SquareClass:
-    """Square class of disc(f^(on)).
+    """Square class of disc(f^(on)), read off the critical orbit.
 
-    For f = x^2 + c the class is read off the critical orbit: for n >= 2,
-    disc(f^(on)) = 2^(2^n) * f^(on)(0) * disc(f^(o(n-1)))^2, so its square
-    class equals that of f^(on)(0).  Other polynomials go through the generic
-    resultant-based discriminant.
+    With a = lc f, D = d^n and E = d^(n-1), writing f^(on) = f^(o(n-1)) o f
+    in disc = (-1)^(D(D-1)/2) Res(F, F') / lc F gives
+
+        disc(f^(on)) = s_n * a^(d E (E-1) - 1) * disc(f^(o(n-1)))^d * Res(f', f^(on)),
+        s_n = (-1)^(D(D-1)/2 + d E(E-1)/2),  disc(f^(o0)) = 1,
+
+    and Res(f', f^(on)) = lc(f')^(D - deg R_n) * Res(f', R_n) for
+    R_n = f^(on) mod f', iterated as R_n = f(R_(n-1)) mod f' in Q[x]/(f')
+    (Aitken, Hajir & Maire, IMRN 2005; Jones, J. LMS 2008).  Up to squares
+    disc(f^(on)) is s_n * a * lc(f')^(D - deg R_n) * Res(f', R_n), times the
+    class of disc(f^(o(n-1))) when d is odd; it is zero iff
+    disc(f^(o(n-1))) = 0 or Res(f', R_n) = 0.  For x^2 + c the class is that
+    of f^(on)(0), and of -c at n = 1.
     """
     if f.degree < 2:
         raise ValueError("need deg f >= 2")
     if n < 1:
         raise ValueError("level must be >= 1")
-    c = _pure_quadratic_shift(f)
-    if c is not None:
-        for m in range(1, n + 1):
-            if _critical_orbit(c, m) == 0:
-                raise Inseparable(m)
-        if n == 1:
-            return class_of(-4 * c)
-        return class_of(_critical_orbit(c, n))
-    d = discriminant(iterate(f, n))
-    if d == 0:
-        # locate the first inseparable level for a precise report
-        for m in range(1, n + 1):
-            if discriminant(iterate(f, m)) == 0:
-                raise Inseparable(m)
-        raise Inseparable(n)
-    return class_of(d)
+    return _critical_orbit(f, n)[1]
 
 
 class DiscClassSequence:
@@ -114,6 +116,8 @@ def disc_class_sequence(f: RatPoly, N: int) -> DiscClassSequence:
 
 def disc_stream(f: RatPoly, n: int) -> ClassStream:
     """Stream of disc(f^(om)) classes for m >= n; element i is level n + i."""
+    if f.degree < 2:
+        raise ValueError("need deg f >= 2")
     if n < 1:
         raise ValueError("start level must be >= 1")
     return ClassStream(f"disc:{f}:{n}", lambda i: disc_class(f, n + i))
@@ -157,8 +161,7 @@ def splitting_degree_lower_bound(f: RatPoly, k: int, prime_budget: int) -> int:
     """
     if prime_budget < 1:
         raise ValueError("prime budget must be >= 1")
-    for m in range(1, k + 1):
-        disc_class(f, m)  # raises Inseparable on a degenerate level
+    disc_class(f, k)  # raises Inseparable on a degenerate level
     fk = iterate(f, k)
     bound = 1
     good = 0

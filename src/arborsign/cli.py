@@ -72,8 +72,8 @@ def _emit(payload: dict, meta: bool) -> None:
 
 def _cmd_disc_seq(args) -> tuple[int, dict]:
     f = _parse_poly(args.poly)
-    if args.levels < 1:
-        raise InputError("--levels must be >= 1")
+    if not 1 <= args.levels <= MAX_STREAM_LEVEL:
+        raise InputError(f"--levels must be in 1..{MAX_STREAM_LEVEL}")
     if f.degree < 2:
         raise InputError("need a polynomial of degree >= 2")
     base = _parse_base(args.base)
@@ -173,6 +173,11 @@ def _cmd_vast_witness(args) -> tuple[int, dict]:
         stream = stream_from_name(args.stream)
     except (ValueError, ParseError) as exc:
         raise InputError(f"bad stream {args.stream!r}: {exc}") from exc
+    if stream.name.startswith("disc:"):
+        # disc_stream names itself disc:<poly>:<n> and reads levels n..n+depth-1
+        if int(stream.name.rsplit(":", 1)[1]) + args.depth - 1 > MAX_STREAM_LEVEL:
+            raise InputError(f"stream levels past {MAX_STREAM_LEVEL}: "
+                             f"start level + --depth - 1 must be <= {MAX_STREAM_LEVEL}")
     base = _parse_base(args.base)
     try:
         w = vast_witness(stream, base, args.depth)

@@ -30,7 +30,7 @@ from .sqclass import (
     intersection_dim,
     vast_witness,
 )
-from .supernat import sn_from_integer
+from .supernat import SupernaturalNumber
 
 SCHEMA_VERSION = 1
 DEFAULT_WINDOW = 64
@@ -410,7 +410,7 @@ class ConstructionTrace:
             "final": {
                 "F": list(self.final_kernels),
                 "dim": self.dim,
-                "supernatural_degree": str(sn_from_integer(2**self.dim)),
+                "supernatural_degree": str(SupernaturalNumber({2: self.dim})),
             },
         }
 
@@ -418,8 +418,9 @@ class ConstructionTrace:
     def from_json(cls, data: dict) -> "ConstructionTrace":
         """Parse a trace; raises TraceFormatError on malformed data.  Besides
         the shape it checks what the verifier needs to end: each step's stream
-        is read from level vast.n to vast.n + vast.depth_checked - 1, which
-        must lie in 1..MAX_STREAM_LEVEL."""
+        polynomial has degree >= 2, and its stream is read from level vast.n
+        to vast.n + vast.depth_checked - 1, which must lie in
+        1..MAX_STREAM_LEVEL."""
         if not isinstance(data, dict):
             raise TraceFormatError("trace must be a JSON object")
         if data.get("schema") != SCHEMA_VERSION:
@@ -442,6 +443,8 @@ class ConstructionTrace:
         if type(height) is not int or height < 1:
             raise TraceFormatError(f"params.height {height!r} is not a positive integer")
         for s in steps:
+            if s.vast_poly.degree < 2:
+                raise TraceFormatError(f"step {s.m}: vast.poly must have degree >= 2")
             if s.vast_n < 1 or s.depth_checked < 1:
                 raise TraceFormatError(f"step {s.m}: vast.n and vast.depth_checked must be >= 1")
             if s.vast_n + s.depth_checked - 1 > MAX_STREAM_LEVEL:

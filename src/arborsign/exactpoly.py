@@ -45,7 +45,7 @@ class RatPoly:
     __slots__ = ("coeffs", "_cleared")
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -129,6 +129,17 @@ class RatPoly:
                     out[i + j] += a * b
         return RatPoly(out)
 
+    def __mod__(self, m: "RatPoly") -> "RatPoly":
+        """Remainder of the division by a nonzero m."""
+        r = list(self.coeffs)
+        dm = m.degree
+        inv = 1 / m.lc
+        while len(r) > dm:
+            q = r.pop() * inv
+            shift = len(r) - dm
+            r[shift:] = [c - q * b for c, b in zip(r[shift:], m.coeffs)]
+        return RatPoly(r)
+
     def scale(self, q: Rational) -> "RatPoly":
         return RatPoly(c * q for c in self.coeffs)
 
@@ -174,7 +185,8 @@ def compose(g: RatPoly, f: RatPoly) -> RatPoly:
     """g after f: returns the polynomial g(f(x))."""
     acc = RatPoly()
     for c in reversed(g.coeffs):
-        acc = acc * f + RatPoly.constant(c)
+        acc = acc * f
+        acc = RatPoly((acc.coeff(0) + c, *acc.coeffs[1:]))
     return acc
 
 
@@ -193,12 +205,6 @@ def iterate(f: RatPoly, k: int) -> RatPoly:
 # ---------------------------------------------------------------------------
 # Resultants and discriminants
 # ---------------------------------------------------------------------------
-
-def _int_clear(f: RatPoly) -> tuple[list[int], int]:
-    """Return (integer coefficient list, multiplier L) with L*f integral."""
-    ks, L = f.cleared()
-    return list(ks), L
-
 
 def _content(cs: Sequence[int]) -> int:
     g = 0
@@ -227,7 +233,7 @@ def _prem(A: list[int], B: list[int]) -> list[int]:
     return A
 
 
-def _int_resultant(F: list[int], G: list[int]) -> int:
+def _int_resultant(F: Sequence[int], G: Sequence[int]) -> int:
     """Resultant of integer polynomials by the subresultant PRS
     (Cohen, Alg. 3.3.7).  Assumes both nonzero."""
     if len(F) - 1 < len(G) - 1:
@@ -268,8 +274,8 @@ def resultant(f: RatPoly, g: RatPoly) -> Fraction:
         return Fraction(0)
     if f.degree == 0 and g.degree == 0:
         return Fraction(1)
-    F, Lf = _int_clear(f)
-    G, Lg = _int_clear(g)
+    F, Lf = f.cleared()
+    G, Lg = g.cleared()
     r = _int_resultant(F, G)
     return Fraction(r, Lf**g.degree * Lg**f.degree)
 
@@ -287,7 +293,7 @@ def discriminant(f: RatPoly) -> Fraction:
 # Squarefree kernels
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _squarefree_part(n: int) -> tuple[int, tuple[int, ...]]:
     """(kernel, odd-exponent primes) of a positive integer."""
     odd = tuple(p for p, e in primes.factorint(n).items() if e % 2 == 1)

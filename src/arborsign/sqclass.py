@@ -297,18 +297,6 @@ class ClassSubspace:
         return "span{" + ", ".join(str(k) for k in self.kernels()) + "}"
 
 
-def member(c: SquareClass, V: ClassSubspace) -> bool:
-    return V.member(c)
-
-
-def extend(V: ClassSubspace, c: SquareClass) -> ClassSubspace:
-    return V.extend(c)
-
-
-def compositum(V: ClassSubspace, W: ClassSubspace) -> ClassSubspace:
-    return V.compositum(W)
-
-
 def intersection_dim(V: ClassSubspace, W: ClassSubspace) -> int:
     return V.dim + W.dim - V.compositum(W).dim
 

@@ -109,14 +109,3 @@ class SupernaturalNumber:
     def __repr__(self) -> str:
         return f"SupernaturalNumber({self._exps!r})"
 
-
-def sn_mul(a: SupernaturalNumber, b: SupernaturalNumber) -> SupernaturalNumber:
-    return a * b
-
-
-def sn_divides(a: SupernaturalNumber, b: SupernaturalNumber) -> bool:
-    return a.divides(b)
-
-
-def sn_from_integer(n: int) -> SupernaturalNumber:
-    return SupernaturalNumber.from_integer(n)

@@ -58,10 +58,14 @@ def _check_perm(p: Perm, d: int) -> Perm:
 
 def internal_addresses(d: int, k: int) -> Iterator[str]:
     """All internal-vertex addresses: digit strings of length < k."""
-    digits = "".join(str(i) for i in range(d))
     for length in range(k):
-        for tup in product(digits, repeat=length):
-            yield "".join(tup)
+        yield from _addresses_at_depth(d, length)
+
+
+def _addresses_at_depth(d: int, j: int) -> Iterator[str]:
+    """Addresses of the d^j vertices at depth j: digit strings of length j."""
+    digits = "".join(str(i) for i in range(d))
+    return map("".join, product(digits, repeat=j))
 
 
 class Portrait:
@@ -182,12 +186,6 @@ def sign_level(g: Portrait, n: int) -> int:
             for addr in _addresses_at_depth(g.d, j):
                 sign *= perm_sign(g.labels[addr])
     return sign
-
-
-def _addresses_at_depth(d: int, j: int) -> Iterator[str]:
-    digits = "".join(str(i) for i in range(d))
-    for tup in product(digits, repeat=j):
-        yield "".join(tup)
 
 
 def sign_vector(g: Portrait) -> tuple[int, ...]:

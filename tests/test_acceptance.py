@@ -34,7 +34,7 @@ from arborsign.construct import (
 )
 from arborsign.exactpoly import RatPoly, discriminant, iterate
 from arborsign.sqclass import ClassSubspace
-from arborsign.supernat import INF, SupernaturalNumber, sn_divides, sn_from_integer
+from arborsign.supernat import INF, SupernaturalNumber
 from arborsign.treegroup import (
     all_portraits,
     compose,
@@ -248,7 +248,7 @@ def test_criterion_07_construction_round_trip(capsys, artifacts):
         assert artifacts["run_seconds"] < 60
         assert artifacts["violations"] == []
         assert artifacts["trace"].dim == 10
-        assert sn_divides(sn_from_integer(2**10), SupernaturalNumber({2: INF}))
+        assert SupernaturalNumber.from_integer(2**10).divides(SupernaturalNumber({2: INF}))
 
 
 def _mutations(trace, rng):

@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arborsign.arboreal import (
     Inseparable,
     NoGoodPrimes,
+    _level_sign,
     disc_class,
     disc_class_sequence,
     disc_stream,
@@ -13,8 +15,8 @@ from arborsign.arboreal import (
     killed_signs,
     splitting_degree_lower_bound,
 )
-from arborsign.exactpoly import RatPoly, discriminant, iterate, squarefree_kernel
-from arborsign.sqclass import ClassSubspace
+from arborsign.exactpoly import RatPoly, discriminant, iterate, resultant, squarefree_kernel
+from arborsign.sqclass import ClassSubspace, class_of
 from arborsign.treegroup import group_order
 
 X2M3 = RatPoly.parse("x^2 - 3")
@@ -38,9 +40,19 @@ class TestDiscClass:
         for n in (1, 2, 3):
             assert disc_class(f, n).kernel == squarefree_kernel(discriminant(iterate(f, n)))
 
+    def test_quartic_with_short_remainder(self):
+        # f mod f' = -15/4 x - 1 has degree d - 3, so lc(f')^(d - deg R_1) is an odd power
+        f = RatPoly.parse("-5*x^4 - 5*x - 1")
+        assert [disc_class(f, n).kernel for n in (1, 2)] == [-15595, 89746729297277105]
+        for n in (1, 2):
+            assert disc_class(f, n) == class_of(discriminant(iterate(f, n)))
+
     def test_cubic(self):
         f = RatPoly.parse("x^3 - 2")
         assert disc_class(f, 1).kernel == squarefree_kernel(-108)
+        # odd degree: each level carries the class of the level below
+        for n in (2, 3):
+            assert disc_class(f, n) == class_of(discriminant(iterate(f, n)))
 
     def test_inseparable_levels(self):
         with pytest.raises(Inseparable) as exc:
@@ -71,6 +83,64 @@ class TestDiscClass:
             disc_class_sequence(X2M3, 0)
 
 
+def _generic_class(f, n):
+    """Class of disc(f^(on)) from the composed iterate, or the first inseparable level."""
+    for m in range(1, n + 1):
+        d = discriminant(iterate(f, m))
+        if d == 0:
+            return m
+    return class_of(d)
+
+
+_RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+# deepest level at which the composed iterate's discriminant takes about 1 s
+_GENERIC_DEPTH = {2: 4, 3: 3}
+
+
+@st.composite
+def _polys(draw):
+    d = draw(st.integers(2, 6))
+    coeffs = draw(st.lists(_RATIONALS, min_size=d, max_size=d))
+    return RatPoly([*coeffs, draw(_RATIONALS.filter(bool))])
+
+
+class TestCriticalOrbitIdentity:
+    @settings(max_examples=80, deadline=None)
+    @given(_polys(), st.data())
+    def test_agrees_with_generic_discriminant(self, f, data):
+        n = data.draw(st.integers(1, _GENERIC_DEPTH.get(f.degree, 2)))
+        expected = _generic_class(f, n)
+        if isinstance(expected, int):
+            with pytest.raises(Inseparable) as exc:
+                disc_class(f, n)
+            assert exc.value.level == expected
+        else:
+            assert disc_class(f, n) == expected
+
+    def test_level_signs_pinned(self):
+        table = {d: [_level_sign(d, n) for n in (1, 2, 3)] for d in range(2, 7)}
+        assert table == {
+            2: [-1, 1, 1], 3: [-1, -1, -1], 4: [1, 1, 1], 5: [1, 1, 1], 6: [-1, 1, 1],
+        }
+
+    @pytest.mark.parametrize("poly, depth", [
+        ("3*x^2 - x + 1/2", 3), ("-2*x^3 + x^2 - 3", 2), ("x^4 + 2*x - 1", 2),
+        ("1/2*x^5 - x^3 + 1", 2), ("x^6 - x + 3", 2),
+    ])
+    def test_exact_identity(self, poly, depth):
+        """disc(f^(on)) = s_n a^(dE(E-1)-1) disc(f^(o(n-1)))^d Res(f', f^(on)),
+        exactly, with E = d^(n-1)."""
+        f = RatPoly.parse(poly)
+        d, a = f.degree, f.lc
+        prev = 1
+        for n in range(1, depth + 1):
+            E = d ** (n - 1)
+            disc = discriminant(iterate(f, n))
+            res = resultant(f.derivative(), iterate(f, n))
+            assert disc == _level_sign(d, n) * a ** (d * E * (E - 1) - 1) * prev**d * res
+            prev = disc
+
+
 class TestDiscStream:
     def test_offsets(self):
         s = disc_stream(X2P1, 2)
@@ -80,6 +150,11 @@ class TestDiscStream:
     def test_start_level_validated(self):
         with pytest.raises(ValueError):
             disc_stream(X2P1, 0)
+
+    @pytest.mark.parametrize("poly", ["x + 1", "3"])
+    def test_degree_validated(self, poly):
+        with pytest.raises(ValueError):
+            disc_stream(RatPoly.parse(poly), 1)
 
 
 class TestSubextension:

@@ -59,6 +59,12 @@ class TestDiscSeq:
     def test_bad_levels_exit_2(self, capsys):
         assert run_cli(capsys, "disc-seq", "--poly", "x^2-3", "--levels", "0")[0] == 2
 
+    @pytest.mark.parametrize("levels", ["25", "40"])
+    def test_levels_past_stream_levels_exit_2(self, levels):
+        """--levels 25 used to run past 10 s building a 2^24-bit orbit value."""
+        proc = cli_process("disc-seq", "--poly", "x^2+2", "--levels", levels)
+        assert proc.returncode == 2 and proc.stdout == "" and "--levels" in proc.stderr
+
     def test_meta_flag(self, capsys):
         code, payload, _ = run_cli(
             capsys, "--meta", "disc-seq", "--poly", "x^2-3", "--levels", "1"
@@ -188,6 +194,30 @@ class TestSimulateVerifyAudit:
         assert proc.returncode == 2
         assert proc.stdout == "" and "vast" in proc.stderr
 
+    @pytest.mark.parametrize("poly", ["x + 1", "3"])
+    @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]])
+    def test_stream_polynomial_of_degree_below_2_exit_2(self, trace_file, tmp_path, poly,
+                                                        command):
+        """Such a step used to end in a ValueError traceback under exit 1."""
+        data = json.loads(trace_file.read_text())
+        data["steps"][1]["vast"]["poly"] = poly
+        bad = tmp_path / "bad_poly.json"
+        bad.write_text(json.dumps(data))
+        proc = cli_process(*command, "--trace", str(bad))
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "vast.poly" in proc.stderr
+
+    def test_verify_cubic_stream_finds_violations(self, trace_file, tmp_path):
+        """A cubic stream read at levels 3..7 used to take the composed
+        iterate's discriminant, past 30 s."""
+        data = json.loads(trace_file.read_text())
+        data["steps"][0]["vast"].update(poly="x^3 + x + 1", n=3)
+        bad = tmp_path / "cubic.json"
+        bad.write_text(json.dumps(data))
+        proc = cli_process("verify", "--trace", str(bad))
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["violations"]
+
     @pytest.mark.parametrize("depth", ["0", "25", "1000"])
     def test_simulate_depth_out_of_range_exit_2(self, tmp_path, depth):
         out = tmp_path / "never.json"
@@ -220,6 +250,24 @@ class TestVastWitness:
 
     def test_unknown_stream_exit_2(self, capsys):
         assert run_cli(capsys, "vast-witness", "--stream", "???", "--depth", "3")[0] == 2
+
+    @pytest.mark.parametrize("stream", ["disc:x+1:1", "disc:3:1"])
+    def test_stream_polynomial_of_degree_below_2_exit_2(self, stream):
+        proc = cli_process("vast-witness", "--stream", stream, "--depth", "3")
+        assert proc.returncode == 2 and proc.stdout == "" and "deg" in proc.stderr
+
+    @pytest.mark.parametrize("stream, depth", [
+        ("disc:x^2+2:40", "1"), ("disc:x^2+2:21", "5"), ("disc:x^2+2:1", "25"),
+    ])
+    def test_stream_levels_past_bound_exit_2(self, stream, depth):
+        """disc:x^2+2:40 used to build a 2^39-bit orbit value."""
+        proc = cli_process("vast-witness", "--stream", stream, "--depth", depth)
+        assert proc.returncode == 2 and proc.stdout == "" and "24" in proc.stderr
+
+    def test_stream_at_deepest_level(self, capsys):
+        code, payload, _ = run_cli(
+            capsys, "vast-witness", "--stream", "disc:x^3+x+1:3", "--depth", "2")
+        assert code == 0 and payload["depth"] == 2
 
 
 class TestGroupOrder:

@@ -179,6 +179,8 @@ class TestTraceSerialization:
             (("steps", 1, "vast", "depth_checked"), 0),
             (("steps", 1, "vast", "depth_checked"), -3),
             (("steps", 1, "vast", "depth_checked"), 1000),
+            (("steps", 1, "vast", "poly"), "x + 1"),
+            (("steps", 1, "vast", "poly"), "3"),
         ],
     )
     def test_rejects_bad_final_params_retries(self, trace3, path, value):

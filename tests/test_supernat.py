@@ -3,7 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from arborsign.supernat import INF, SupernaturalNumber, sn_divides, sn_from_integer, sn_mul
+from arborsign.supernat import INF, SupernaturalNumber
+
+from_integer = SupernaturalNumber.from_integer
 
 
 def trial_factor(n):
@@ -48,13 +50,13 @@ class TestConstruction:
 
     @pytest.mark.parametrize("n", [1, 2, 12, 360, 13824, 2**20 * 3**7])
     def test_from_integer_matches_trial_division(self, n):
-        assert sn_from_integer(n).exponents == trial_factor(n)
+        assert from_integer(n).exponents == trial_factor(n)
 
     def test_from_integer_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            sn_from_integer(0)
+            from_integer(0)
         with pytest.raises(ValueError):
-            sn_from_integer(-6)
+            from_integer(-6)
 
 
 class TestArithmetic:
@@ -66,28 +68,28 @@ class TestArithmetic:
     def test_inf_absorbs(self):
         a = SupernaturalNumber({2: INF})
         b = SupernaturalNumber({2: 7})
-        assert sn_mul(a, b) == a
-        assert sn_mul(a, a) == a
+        assert a * b == a
+        assert a * a == a
 
     def test_divides(self):
-        assert sn_divides(sn_from_integer(12), sn_from_integer(360))
-        assert not sn_divides(sn_from_integer(7), sn_from_integer(360))
-        assert sn_divides(sn_from_integer(2**10), SupernaturalNumber({2: INF}))
-        assert not sn_divides(SupernaturalNumber({2: INF}), sn_from_integer(2**10))
-        assert sn_divides(SupernaturalNumber({2: INF}), SupernaturalNumber({2: INF, 3: 1}))
+        assert from_integer(12).divides(from_integer(360))
+        assert not from_integer(7).divides(from_integer(360))
+        assert from_integer(2**10).divides(SupernaturalNumber({2: INF}))
+        assert not SupernaturalNumber({2: INF}).divides(from_integer(2**10))
+        assert SupernaturalNumber({2: INF}).divides(SupernaturalNumber({2: INF, 3: 1}))
 
     def test_one_divides_everything(self):
         one = SupernaturalNumber.one()
-        assert sn_divides(one, sn_from_integer(77))
-        assert sn_mul(one, sn_from_integer(77)) == sn_from_integer(77)
+        assert one.divides(from_integer(77))
+        assert one * from_integer(77) == from_integer(77)
 
     @given(st.integers(1, 10**6), st.integers(1, 10**6))
     def test_mul_matches_integer_multiplication(self, a, b):
-        assert sn_mul(sn_from_integer(a), sn_from_integer(b)) == sn_from_integer(a * b)
+        assert from_integer(a) * from_integer(b) == from_integer(a * b)
 
     @given(st.integers(1, 10**4), st.integers(1, 10**4))
     def test_divides_matches_integers(self, a, b):
-        assert sn_divides(sn_from_integer(a), sn_from_integer(b)) == (b % a == 0)
+        assert from_integer(a).divides(from_integer(b)) == (b % a == 0)
 
 
 class TestTextFormat:
@@ -114,5 +116,5 @@ class TestTextFormat:
             SupernaturalNumber.parse(text)
 
     def test_hash_consistent(self):
-        assert hash(sn_from_integer(12)) == hash(SupernaturalNumber({2: 2, 3: 1}))
-        assert len({sn_from_integer(12), SupernaturalNumber({3: 1, 2: 2})}) == 1
+        assert hash(from_integer(12)) == hash(SupernaturalNumber({2: 2, 3: 1}))
+        assert len({from_integer(12), SupernaturalNumber({3: 1, 2: 2})}) == 1

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from arborsign.supernat import INF
+from arborsign.supernat import INF, SupernaturalNumber
 from arborsign.treegroup import (
     LevelOutOfRange,
     Portrait,
@@ -185,8 +185,6 @@ class TestOrders:
         assert aut_order_supernatural(6).exponents == {2: INF, 3: INF, 5: INF}
 
     def test_finite_orders_divide_supernatural(self):
-        from arborsign.supernat import sn_divides, sn_from_integer
-
         amb = aut_order_supernatural(3)
         for k in range(1, 4):
-            assert sn_divides(sn_from_integer(group_order(3, k)), amb)
+            assert SupernaturalNumber.from_integer(group_order(3, k)).divides(amb)
