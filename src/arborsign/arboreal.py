@@ -158,11 +158,20 @@ def splitting_degree_lower_bound(f: RatPoly, k: int, prime_budget: int) -> int:
     Scans the first `prime_budget` primes; each good prime contributes the lcm
     of its factor degrees (the Frobenius order, which divides the splitting
     degree), and contributions merge by lcm.  Monotone in the budget.
+
+    At a good prime every level of the tree is squarefree, so Frobenius acts
+    on the roots as an element of Aut T_k(d), whose order divides the
+    exponent lcm(1..d)^k of the group: an element's order is the lcm, over
+    the cycles of its top permutation, of the cycle length c <= d times the
+    order of the product of the c subtree labels along the cycle.  Once the
+    bound reaches the exponent no further prime can raise it, and the scan
+    stops.
     """
     if prime_budget < 1:
         raise ValueError("prime budget must be >= 1")
     disc_class(f, k)  # raises Inseparable on a degenerate level
     fk = iterate(f, k)
+    exponent = math.lcm(*range(1, f.degree + 1)) ** k
     bound = 1
     good = 0
     p = 2
@@ -174,6 +183,8 @@ def splitting_degree_lower_bound(f: RatPoly, k: int, prime_budget: int) -> int:
         else:
             good += 1
             bound = math.lcm(bound, pattern.lcm())
+            if bound == exponent:
+                break
         p = next_prime(p)
     if good == 0:
         raise NoGoodPrimes(f"no good prime among the first {prime_budget}")

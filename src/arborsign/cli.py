@@ -40,6 +40,9 @@ MAX_ORDER_DIGITS = 4300
 # group-order lists every prime <= arity in the ambient order (1229 primes at
 # this cap); at depth >= 1 the order itself passes MAX_ORDER_DIGITS from arity 1559.
 MAX_ARITY = 10_000
+# index-report composes the level-k iterate, of degree d^k, and scans it mod
+# each prime; at degree 2^10 that already takes seconds per prime.
+MAX_ITERATE_DEGREE = 512
 
 
 class InputError(ValueError):
@@ -96,6 +99,13 @@ def _cmd_index_report(args) -> tuple[int, dict]:
     if f.degree < 2:
         raise InputError("need a polynomial of degree >= 2")
     base = _parse_base(args.base)
+    degree = 1
+    for _ in range(args.level):  # stops within 10 rounds, as f.degree >= 2
+        degree *= f.degree
+        if degree > MAX_ITERATE_DEGREE:
+            print(f"error: the level-{args.level} iterate has degree {f.degree}^{args.level}, "
+                  f"above {MAX_ITERATE_DEGREE}", file=sys.stderr)
+            return RESOURCE, {}
     cert = index_report(f, base, args.level, args.n, args.primes)
     code = FINDING if cert.verdict.startswith("REFUTES") else OK
     return code, cert.to_json()

@@ -365,49 +365,66 @@ def _gf_divexact(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _gf_trim(q)
 
 
+# Array typecodes whose items are exactly w bits, by w; a residue packed into
+# such slots converts to and from an array in one C-level call.
+_TYPECODES = {8 * array(t).itemsize: t for t in ("Q", "I")}
+
+
 class _FrobeniusMap:
     """h -> h^p on GF(p)[x]/(f), for a monic f of degree n >= 2.
 
     The map is GF(p)-linear, h^p = sum h_j * x^(j*p), so it is applied as a
-    matrix whose rows x^(j*p) mod f are computed once.  Residues are packed
-    for Kronecker substitution: coefficient i sits in bits [i*w, (i+1)*w) of
-    one int, so a product of residues is one big-int multiply and a sum of
-    scalar multiples of residues is int arithmetic.  A w-bit slot holds
-    n*(p-1)^2 + p, which bounds every slot of such a product and of such a
-    sum of n terms (plus one residue); with w = 64 (every p below about
-    2^32/sqrt(n)) a pack or unpack is one C-level array conversion.  Residues
-    are exchanged as lists of n coefficients in [0, p).
+    matrix whose rows x^(j*p) mod f are computed once: row j + 1 is row j
+    times x^p, a combination of the columns x^(i+p) mod f, each of which is
+    the one before it shifted up by one and folded back mod f.  Residues are
+    packed for Kronecker substitution: coefficient i sits in bits
+    [i*w, (i+1)*w) of one int, so a product of residues is one big-int
+    multiply and a sum of scalar multiples of residues is int arithmetic.  A
+    w-bit slot holds n*(p-1)^2 + p, which bounds every slot of such a product
+    and of such a sum of n terms (plus one residue).  w is 32 while that bound
+    is below 2^32 (every p below about 2^16/sqrt(n)), else a multiple of 64
+    (64 for every p below about 2^32/sqrt(n)); with w = 32 or 64 a pack or
+    unpack is one C-level array conversion.  Residues are exchanged as lists
+    of n coefficients in [0, p).
     """
 
     def __init__(self, f: Sequence[int], p: int):
         n = len(f) - 1
         self.n, self.p = n, p
-        self.width = 64 * -(-(n * (p - 1) ** 2 + p).bit_length() // 64)
-        self.native = self.width == 64 and sys.byteorder == "little"
+        bits = (n * (p - 1) ** 2 + p).bit_length()
+        self.width = 32 if bits <= 32 else 64 * -(-bits // 64)
+        self.typecode = _TYPECODES.get(self.width) if sys.byteorder == "little" else None
         # x^(n+j) mod f for 0 <= j <= n-2: x^n = -(f - x^n), then shift.
-        row = [-c % p for c in f[:-1]]
-        table = [row]
+        self.top = [-c % p for c in f[:-1]]
+        table = [self.top]
         for _ in range(n - 2):
-            top = row[-1]
-            row = [(c + top * t) % p for c, t in zip([0, *row[:-1]], table[0])]
-            table.append(row)
+            table.append(self._times_x(table[-1]))
         self.table = [self._pack(r) for r in table]
-        xp = [0, 1]  # x^p by square-and-multiply
+        xp = [0, 1] + [0] * (n - 2)  # x^p by square-and-multiply
         for bit in bin(p)[3:]:
             xp = self._mul(xp, xp)
             if bit == "1":
-                xp = self._reduce([0, *xp])
-        self.rows, row = [1], [1]  # the packed 1 is 1
+                xp = self._times_x(xp)
+        columns = [xp]
         for _ in range(n - 1):
-            row = self._mul(row, xp)
+            columns.append(self._times_x(columns[-1]))
+        columns = [self._pack(c) for c in columns]
+        self.rows, row = [1, self._pack(xp)], xp  # the packed 1 is 1
+        for _ in range(n - 2):
+            row = self._unpack(sum(map(mul, row, columns)), n)
             self.rows.append(self._pack(row))
 
     def __call__(self, h: Sequence[int]) -> list[int]:
         return self._unpack(sum(map(mul, h, self.rows)), self.n)
 
+    def _times_x(self, r: Sequence[int]) -> list[int]:
+        """x * r mod f, for a residue r of n coefficients."""
+        p, hi = self.p, r[-1]
+        return [(c + hi * t) % p for c, t in zip([0, *r[:-1]], self.top)]
+
     def _pack(self, cs: Sequence[int]) -> int:
-        if self.native:
-            return int.from_bytes(array("Q", cs).tobytes(), "little")
+        if self.typecode:
+            return int.from_bytes(array(self.typecode, cs).tobytes(), "little")
         size = self.width // 8
         return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in cs), "little")
 
@@ -416,8 +433,8 @@ class _FrobeniusMap:
         p = self.p
         size = self.width // 8
         raw = v.to_bytes(slots * size, "little")
-        if self.native:
-            return [c % p for c in memoryview(raw).cast("Q").tolist()]
+        if self.typecode:
+            return [c % p for c in memoryview(raw).cast(self.typecode).tolist()]
         return [int.from_bytes(raw[i : i + size], "little") % p for i in range(0, len(raw), size)]
 
     def _reduce(self, cs: Sequence[int]) -> list[int]:
@@ -467,10 +484,19 @@ def reduce_mod_p(f: RatPoly, p: int) -> list[int]:
 def factor_degrees_mod_p(f: RatPoly, p: int) -> FactorDegreePattern:
     """Degrees of the irreducible factors of f mod p, for good primes p.
 
-    Uses distinct-degree factorization: for i = 1, 2, ... the gcd of
-    x^(p^i) - x with the unfactored part collects exactly the irreducible
-    factors of degree i.  Raises BadPrime when f mod p is not defined or not
-    squarefree (equivalently, disc f = 0 mod p).
+    The Frobenius map h -> h^p is applied to x until it returns to x, which
+    happens after L steps, L the lcm of the factor degrees (the order of
+    Frobenius on the roots), since f mod p divides x^(p^L) - x.  Every degree
+    divides L, so the gcd of x^(p^e) - x with the unfactored part is taken
+    only at the proper divisors e of L, in ascending order, and collects
+    exactly the factors of degree e.  Once 2e exceeds the unfactored degree
+    what is left is irreducible; after the last divisor it is a product of
+    factors of degree L.  A walk that has not returned after deg f steps
+    falls back to distinct-degree factorization, a gcd at every e, over the
+    steps it took (it needs those up to deg f / 2).  Every iterate of a
+    quadratic returns in time: its L is a power of 2, at most the degree.
+    Raises BadPrime when f mod p is not defined or not squarefree
+    (equivalently, disc f = 0 mod p).
     """
     if f.degree < 1:
         raise ValueError("need a nonconstant polynomial")
@@ -480,23 +506,38 @@ def factor_degrees_mod_p(f: RatPoly, p: int) -> FactorDegreePattern:
     deriv = _gf_trim([i * c % p for i, c in enumerate(fbar)][1:])
     if not deriv or len(_gf_gcd(fbar, deriv, p)) != 1:
         raise BadPrime(f"{p} divides the discriminant")
-    if len(fbar) == 2:
+    n = len(fbar) - 1
+    if n == 1:
         return FactorDegreePattern((1,), p)
     frobenius = _FrobeniusMap(fbar, p)
+    x = [0, 1] + [0] * (n - 2)
+    hs = [x]  # x^(p^e) mod fbar for e <= n/2, the only e a gcd is taken at
+    h = x
+    for order in range(1, n + 1):
+        h = frobenius(h)
+        if h == x:
+            steps = [e for e in range(1, order // 2 + 1) if order % e == 0]
+            break
+        if 2 * order <= n:
+            hs.append(h)
+    else:
+        order, steps = None, range(1, n // 2 + 1)
     degrees: list[int] = []
     g = fbar
-    h = [0, 1]  # x, then x^(p^i) mod fbar
-    i = 0
-    while len(g) - 1 > 0:
-        i += 1
-        if 2 * i > len(g) - 1:
-            degrees.append(len(g) - 1)  # remaining part is irreducible
+    for e in steps:
+        if 2 * e > len(g) - 1:
             break
-        h = frobenius(h)
+        h = hs[e]
         d = _gf_gcd(_gf_trim([h[0], (h[1] - 1) % p, *h[2:]]), g, p)
         if len(d) > 1:
-            degrees.extend([i] * ((len(d) - 1) // i))
+            degrees.extend([e] * ((len(d) - 1) // e))
             g = _gf_divexact(g, d, p)
+    else:
+        if order is not None:  # every factor left has degree L
+            degrees.extend([order] * ((len(g) - 1) // order))
+            g = [1]
+    if len(g) > 1:
+        degrees.append(len(g) - 1)  # the unfactored part is irreducible
     return FactorDegreePattern(tuple(degrees), p)
 
 

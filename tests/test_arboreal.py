@@ -1,8 +1,10 @@
 import math
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
+from arborsign import arboreal
 from arborsign.arboreal import (
     Inseparable,
     NoGoodPrimes,
@@ -15,9 +17,17 @@ from arborsign.arboreal import (
     killed_signs,
     splitting_degree_lower_bound,
 )
-from arborsign.exactpoly import RatPoly, discriminant, iterate, resultant, squarefree_kernel
+from arborsign.exactpoly import (
+    BadPrime,
+    RatPoly,
+    discriminant,
+    factor_degrees_mod_p,
+    iterate,
+    resultant,
+    squarefree_kernel,
+)
 from arborsign.sqclass import ClassSubspace, class_of
-from arborsign.treegroup import group_order
+from arborsign.treegroup import all_portraits, group_order, leaf_permutation
 
 X2M3 = RatPoly.parse("x^2 - 3")
 X2P1 = RatPoly.parse("x^2 + 1")
@@ -98,8 +108,8 @@ _GENERIC_DEPTH = {2: 4, 3: 3}
 
 
 @st.composite
-def _polys(draw):
-    d = draw(st.integers(2, 6))
+def _polys(draw, max_degree=6):
+    d = draw(st.integers(2, max_degree))
     coeffs = draw(st.lists(_RATIONALS, min_size=d, max_size=d))
     return RatPoly([*coeffs, draw(_RATIONALS.filter(bool))])
 
@@ -225,6 +235,70 @@ class TestSplittingDegree:
         # the heaviest index-report shapes of the benchmark's certify mix;
         # the same bounds come from sympy's gf_factor_sqf over these primes
         assert splitting_degree_lower_bound(RatPoly.parse(poly), level, budget) == bound
+
+    @pytest.mark.parametrize("d, k", [(2, 3), (3, 2)])
+    def test_exponent_of_aut_t(self, d, k):
+        """lcm(1..d)^k, where the scan stops, is the lcm of the orders of all
+        elements of Aut T_k(d), by exhaustion over the portraits."""
+        orders = {_order(leaf_permutation(g, k)) for g in all_portraits(d, k)}
+        assert math.lcm(*orders) == math.lcm(*range(1, d + 1)) ** k
+
+    @settings(max_examples=40, deadline=None)
+    @given(_polys(max_degree=4), st.integers(1, 3), st.integers(1, 12))
+    def test_agrees_with_the_full_scan(self, f, k, budget):
+        try:
+            expected = _full_scan_bound(f, k, budget)
+        except Inseparable:
+            with pytest.raises(Inseparable):
+                splitting_degree_lower_bound(f, k, budget)
+            return
+        if expected is None:
+            with pytest.raises(NoGoodPrimes):
+                splitting_degree_lower_bound(f, k, budget)
+        else:
+            assert splitting_degree_lower_bound(f, k, budget) == expected
+
+    @pytest.mark.parametrize("poly, bound, calls", [("x^2 - 13", 64, 5), ("x^2 + 14", 32, 30)])
+    def test_scan_stops_at_the_exponent(self, monkeypatch, poly, bound, calls):
+        # x^2 - 13 reaches 2^6 = 64 at the fifth prime; x^2 + 14 stays at 32
+        seen = []
+
+        def counted(f, p):
+            seen.append(p)
+            return factor_degrees_mod_p(f, p)
+
+        monkeypatch.setattr(arboreal, "factor_degrees_mod_p", counted)
+        assert splitting_degree_lower_bound(RatPoly.parse(poly), 6, 30) == bound
+        assert len(seen) == calls
+
+
+def _order(perm):
+    """Order of a permutation given as a tuple of images."""
+    order, seen = 1, set()
+    for start in range(len(perm)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i, length = perm[i], length + 1
+        order = math.lcm(order, length or 1)
+    return order
+
+
+def _full_scan_bound(f, k, budget):
+    """lcm of the Frobenius orders at every good prime of the budget, with no
+    early stop; None when no prime is good.  Raises Inseparable as the scan
+    does."""
+    disc_class(f, k)
+    fk = iterate(f, k)
+    bound, good, p = 1, False, 2
+    for _ in range(budget):
+        try:
+            bound = math.lcm(bound, factor_degrees_mod_p(fk, p).lcm())
+            good = True
+        except BadPrime:
+            pass
+        p = sympy.nextprime(p)
+    return bound if good else None
 
 
 class TestIndexReport:

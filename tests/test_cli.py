@@ -104,6 +104,27 @@ class TestIndexReport:
             capsys, "index-report", "--poly", "x^2+1", "--level", "0", "--n", "1"
         )[0] == 2
 
+    @pytest.mark.parametrize("poly, level", [("x^2+1", 9), ("x^3-x+1", 5)])
+    def test_iterate_at_the_degree_cap_runs(self, poly, level):
+        """Degrees 512 and 243, within MAX_ITERATE_DEGREE."""
+        proc = cli_process("index-report", "--poly", poly, "--level", str(level),
+                           "--n", "2", "--primes", "3")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["level"] == level
+
+    @pytest.mark.parametrize(
+        "poly, level", [("x^2+1", 10), ("x^2+1", 30), ("x^3-x+1", 6), ("x^513+1", 1),
+                        ("x^2+1", 10**18)],
+    )
+    def test_iterate_past_the_degree_cap_exit_3(self, poly, level):
+        """--level 30 used to compose an iterate of degree 2^30 and a 2^30-bit
+        group order; the cap is decided from d and k alone."""
+        proc = cli_process("index-report", "--poly", poly, "--level", str(level),
+                           "--n", "2", "--primes", "3")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+
 
 class TestSimulateVerifyAudit:
     def test_simulate_summary(self, capsys, tmp_path):

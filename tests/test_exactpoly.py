@@ -4,8 +4,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor_sqf, gf_sqf_p
+from sympy.polys.galoistools import gf_factor_sqf, gf_irreducible_p, gf_mul, gf_sqf_p
 
 from arborsign.exactpoly import (
     BadPrime,
@@ -385,11 +386,16 @@ class TestFactorDegrees:
 
     @pytest.mark.parametrize(
         "poly, level, stride",
-        [("x^2 - 8", 4, 7), ("x^3 + x^2 + 2", 3, 7), ("x^2 - 2*x - 1", 5, 7), ("x^2 - 8", 6, 15)],
+        [("x^2 - 8", 4, 7), ("x^3 + x^2 + 2", 3, 7), ("x^2 - 2*x - 1", 5, 7), ("x^2 - 8", 6, 15),
+         ("x^3 + x + 1", 3, 3), ("x^3 - 2*x + 5", 3, 3), ("x^5 - x - 1", 2, 3),
+         ("x^6 + x + 1", 2, 3)],
     )
     def test_sympy_oracle_on_iterates(self, poly, level, stride):
         # degrees 16, 27, 32 and 64, the sizes certify scans, at primes up
-        # to the 100th (541); bad primes are exactly the non-squarefree ones
+        # to the 100th (541); bad primes are exactly the non-squarefree ones.
+        # The last four reach Frobenius orders with many divisors, up to 72
+        # at degree 27 and 120 and 180 at degrees 25 and 36, on both sides
+        # of the degree, where the order walk gives way to a gcd per step
         f = iterate(RatPoly.parse(poly), level)
         coeffs = [int(c) for c in reversed(f.coeffs)]  # monic, integral
         checked = 0
@@ -403,6 +409,37 @@ class TestFactorDegrees:
             assert factor_degrees_mod_p(f, p).degrees == expected
             checked += 1
         assert checked >= 5
+
+    @pytest.mark.parametrize(
+        "p, degrees",
+        [
+            (7, (1, 1, 1)),  # order 1: no gcd at all
+            (5, (7,)),  # irreducible: one gcd, at e = 1
+            (3, (2, 2, 2)),  # order 2: three factors of the order
+            (5, (1, 2, 3, 6, 6)),  # order 6: two factors of the order
+            (7, (1, 1, 2, 3)),  # order 6: the cubic is left when 2 * 3 > 3
+            (11, (2, 4, 3, 6)),  # order 12: the sextic is left when 2 * 6 > 6
+            (3, (3, 4)),  # order 12 > 7: a gcd per step
+            (13, (2, 3, 5)),  # order 30 > 10: a gcd per step
+        ],
+    )
+    def test_each_way_the_scan_ends(self, p, degrees):
+        """Products of distinct irreducibles of the given degrees mod p; the
+        comments name the branch of factor_degrees_mod_p that finishes."""
+        factors, seen = [], set()
+        for m in degrees:
+            for tail in product(range(p), repeat=m):
+                g = [1, *tail]  # high to low, as galoistools keeps them
+                if tuple(g) not in seen and gf_irreducible_p(g, p, ZZ):
+                    seen.add(tuple(g))
+                    factors.append(g)
+                    break
+        fl = [1]
+        for g in factors:
+            fl = gf_mul(fl, g, p, ZZ)
+        f = RatPoly(reversed(fl))
+        assert sorted(len(g) - 1 for g in gf_factor_sqf(fl, p, ZZ)[1]) == sorted(degrees)
+        assert factor_degrees_mod_p(f, p).degrees == tuple(sorted(degrees))
 
     def test_sympy_oracle_at_word_size_primes(self):
         # primes on both sides of the largest ones whose residue products fit
@@ -440,19 +477,54 @@ class TestFactorDegrees:
         # residues with every coefficient p - 1 fill each slot of their
         # product and of the Frobenius sum to n*(p-1)^2; with
         # f = 1 + x + ... + x^n, x^n mod f has every coefficient p - 1 too
+        _check_full_slots(n, p)
+
+    @pytest.mark.parametrize(
+        "n, p, width",
+        [
+            (2, 46337, 32),
+            (2, 46349, 64),
+            (16, 16381, 32),
+            (16, 16411, 64),
+            (27, 12613, 32),
+            (27, 12619, 64),
+            (64, 8191, 32),
+            (64, 8209, 64),
+        ],
+    )
+    def test_packed_arithmetic_at_the_32_bit_slot_bound(self, n, p, width):
+        # the largest prime with n*(p-1)^2 + p < 2^32, which packs into
+        # 32-bit slots, and the smallest prime past it, which takes 64
         from arborsign.exactpoly import _FrobeniusMap
 
-        f = [1] * (n + 1)
-        frobenius = _FrobeniusMap(f, p)
-        top = [p - 1] * n
-        assert _trimmed(frobenius._mul(top, top)) == _oracle_mulmod(top, top, f, p)
-        power, base, e = [1], top, p
-        while e:
-            if e & 1:
-                power = _oracle_mulmod(power, base, f, p)
-            base = _oracle_mulmod(base, base, f, p)
-            e >>= 1
-        assert _trimmed(frobenius(top)) == power
+        lo, hi = (p, sympy.nextprime(p)) if width == 32 else (sympy.prevprime(p), p)
+        assert n * (lo - 1) ** 2 + lo < 2**32 <= n * (hi - 1) ** 2 + hi
+        assert _FrobeniusMap([1] * (n + 1), p).width == width
+        _check_full_slots(n, p)
+        rng = random.Random(p)
+        coeffs = [rng.randrange(p) for _ in range(n)] + [1]
+        fl = list(reversed(coeffs))
+        if gf_sqf_p(fl, p, ZZ):
+            expected = tuple(sorted(len(g) - 1 for g in gf_factor_sqf(fl, p, ZZ)[1]))
+            assert factor_degrees_mod_p(RatPoly(coeffs), p).degrees == expected
+
+
+def _check_full_slots(n, p):
+    """Products and Frobenius images of a residue whose every coefficient is
+    p - 1, mod f = 1 + x + ... + x^n, against the schoolbook oracle."""
+    from arborsign.exactpoly import _FrobeniusMap
+
+    f = [1] * (n + 1)
+    frobenius = _FrobeniusMap(f, p)
+    top = [p - 1] * n
+    assert _trimmed(frobenius._mul(top, top)) == _oracle_mulmod(top, top, f, p)
+    power, base, e = [1], top, p
+    while e:
+        if e & 1:
+            power = _oracle_mulmod(power, base, f, p)
+        base = _oracle_mulmod(base, base, f, p)
+        e >>= 1
+    assert _trimmed(frobenius(top)) == power
 
 
 # ---------------------------------------------------------------------------
