@@ -133,7 +133,6 @@ def _cmd_simulate(args) -> tuple[int, dict]:
     return OK, {
         "steps": len(trace.steps),
         "dim": trace.dim,
-        "final": list(trace.final_kernels),
         "retries": len(trace.retries),
         "out": args.out,
     }
@@ -151,7 +150,7 @@ def _load_trace(path: str) -> ConstructionTrace:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read trace: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past the digit limit
         raise InputError(f"trace is not valid JSON: {exc}") from exc
     try:
         return ConstructionTrace.from_json(data)

@@ -4,8 +4,9 @@ The engine builds a tower of quadratic extensions of Q, one generator per
 step, driven by two fixed countable enumerations: quadratic covers y^2 = h(t)
 of the line (each listed infinitely often) and truncated discriminant-class
 streams of quadratic polynomials standing in for vast extensions.  Every step
-records what was chosen and which conditions were checked; traces are
-replayable bit-for-bit and can be re-verified independently of the engine.
+records what was chosen, with its witness class as an integer in it, never a
+factored kernel; traces are replayable bit-for-bit and can be re-verified
+independently of the engine.
 
 Truncation honesty: a disjointness test against a stream inspects only
 `depth` generators and is recorded as such; finite prefixes never certify
@@ -30,9 +31,8 @@ from .sqclass import (
     intersection_dim,
     vast_witness,
 )
-from .supernat import SupernaturalNumber
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_WINDOW = 64
 MAX_RETRIES = 6
 _SPEC_RESOLVE_CAP = 512  # enumeration scan limit when re-resolving a recorded spec
@@ -297,36 +297,31 @@ class ConstructionState:
         return cls(0, ClassSubspace(), (), frozenset(), depth)
 
 
-_CHECK_NAMES = ("c1", "c2", "c3", "c4", "c5")
-
-
 class StepRecord:
     """One step of a trace.  Immutable; equal when every field is equal."""
 
-    __slots__ = ("m", "witness_kernel", "cover_id", "cover_h", "point", "vast_poly",
-                 "vast_n", "depth_checked", "checks")
+    __slots__ = ("m", "witness", "cover_id", "cover_h", "point", "vast_poly",
+                 "vast_n", "depth_checked")
 
     def __init__(
         self,
         m: int,
-        witness_kernel: int,
+        witness: int,
         cover_id: int,
         cover_h: RatPoly,
         point: Fraction,
         vast_poly: RatPoly,
         vast_n: int,
         depth_checked: int,
-        checks: tuple[bool, bool, bool, bool, bool],
     ):
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "witness_kernel", witness_kernel)
+        object.__setattr__(self, "witness", witness)  # an integer of the witness class
         object.__setattr__(self, "cover_id", cover_id)
         object.__setattr__(self, "cover_h", cover_h)
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "vast_poly", vast_poly)
         object.__setattr__(self, "vast_n", vast_n)
         object.__setattr__(self, "depth_checked", depth_checked)
-        object.__setattr__(self, "checks", checks)
 
     def __setattr__(self, name, value):
         raise AttributeError("StepRecord is immutable")
@@ -339,7 +334,7 @@ class StepRecord:
     def to_json(self) -> dict:
         return {
             "m": self.m,
-            "witness_kernel": self.witness_kernel,
+            "witness": self.witness,
             "cover": {"id": self.cover_id, "h": str(self.cover_h)},
             "point": _frac_str(self.point),
             "vast": {
@@ -347,42 +342,41 @@ class StepRecord:
                 "n": self.vast_n,
                 "depth_checked": self.depth_checked,
             },
-            "checks": dict(zip(_CHECK_NAMES, self.checks)),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "StepRecord":
         try:
             return cls(
-                m=int(data["m"]),
-                witness_kernel=int(data["witness_kernel"]),
-                cover_id=int(data["cover"]["id"]),
+                m=_json_int(data["m"], "m"),
+                witness=_json_int(data["witness"], "witness", nonzero=True),
+                cover_id=_json_int(data["cover"]["id"], "cover.id"),
                 cover_h=RatPoly.parse(data["cover"]["h"]),
                 point=_frac_parse(data["point"]),
                 vast_poly=RatPoly.parse(data["vast"]["poly"]),
-                vast_n=int(data["vast"]["n"]),
-                depth_checked=int(data["vast"]["depth_checked"]),
-                checks=tuple(bool(data["checks"][n]) for n in _CHECK_NAMES),
+                vast_n=_json_int(data["vast"]["n"], "vast.n"),
+                depth_checked=_json_int(data["vast"]["depth_checked"], "vast.depth_checked"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"malformed step record: {exc}") from exc
 
 
 class ConstructionTrace:
-    """A run's steps, final field and parameters.  Immutable; equal when
+    """A run's steps, final field and parameters.  The final field is recorded
+    as the steps' witness integers, which span it.  Immutable; equal when
     every field is equal."""
 
-    __slots__ = ("steps", "final_kernels", "params", "retries")
+    __slots__ = ("steps", "final", "params", "retries")
 
     def __init__(
         self,
         steps: tuple[StepRecord, ...],
-        final_kernels: tuple[int, ...],
+        final: tuple[int, ...],
         params: dict,
         retries: tuple[dict, ...] = (),
     ):
         object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "final_kernels", final_kernels)
+        object.__setattr__(self, "final", final)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "retries", retries)
 
@@ -396,10 +390,10 @@ class ConstructionTrace:
 
     @property
     def dim(self) -> int:
-        return len(self.final_kernels)
+        return len(self.final)
 
     def final_subspace(self) -> ClassSubspace:
-        return ClassSubspace.from_kernels(self.final_kernels)
+        return ClassSubspace.span(SquareClass(w) for w in self.final)
 
     def to_json(self) -> dict:
         return {
@@ -407,38 +401,32 @@ class ConstructionTrace:
             "params": dict(self.params),
             "steps": [s.to_json() for s in self.steps],
             "retries": [dict(r) for r in self.retries],
-            "final": {
-                "F": list(self.final_kernels),
-                "dim": self.dim,
-                "supernatural_degree": str(SupernaturalNumber({2: self.dim})),
-            },
+            "final": {"F": list(self.final), "dim": self.dim},
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "ConstructionTrace":
         """Parse a trace; raises TraceFormatError on malformed data.  Besides
-        the shape it checks what the verifier needs to end: each step's stream
-        polynomial has degree >= 2, and its stream is read from level vast.n
-        to vast.n + vast.depth_checked - 1, which must lie in
-        1..MAX_STREAM_LEVEL."""
+        the shape it checks that every count and class is a JSON integer, that
+        each witness is nonzero and each final.F entry a nonzero nonsquare,
+        and what the verifier needs to end: each step's stream polynomial has
+        degree >= 2, and its stream is read from level vast.n to
+        vast.n + vast.depth_checked - 1, which must lie in 1..MAX_STREAM_LEVEL."""
         if not isinstance(data, dict):
             raise TraceFormatError("trace must be a JSON object")
         if data.get("schema") != SCHEMA_VERSION:
             raise TraceFormatError(f"unsupported schema {data.get('schema')!r}")
         try:
             steps = tuple(StepRecord.from_json(s) for s in data["steps"])
-            final = tuple(data["final"]["F"])
+            final = tuple(_json_int(w, f"final.F[{j}]", nonzero=True)
+                          for j, w in enumerate(data["final"]["F"]))
             params = dict(data["params"])
             retries = tuple(dict(r) for r in data.get("retries", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"malformed trace: {exc}") from exc
-        for k in final:
-            if type(k) is not int:
-                raise TraceFormatError(f"final.F kernel {k!r} is not an integer")
-            try:
-                SquareClass.from_kernel(k)
-            except ValueError as exc:
-                raise TraceFormatError(f"bad final.F kernel: {exc}") from exc
+        for j, w in enumerate(final):
+            if SquareClass(w).is_trivial:
+                raise TraceFormatError(f"final.F[{j}] is a perfect square: its class is trivial")
         height = params.get("height")
         if type(height) is not int or height < 1:
             raise TraceFormatError(f"params.height {height!r} is not a positive integer")
@@ -451,6 +439,15 @@ class ConstructionTrace:
                 raise TraceFormatError(
                     f"step {s.m}: vast.n + vast.depth_checked - 1 exceeds {MAX_STREAM_LEVEL}")
         return cls(steps, final, params, retries)
+
+
+def _json_int(value: object, name: str, nonzero: bool = False) -> int:
+    """`value` itself if it is a JSON integer (not a bool, float or string)."""
+    if type(value) is not int:
+        raise TraceFormatError(f"{name} must be an integer")
+    if nonzero and value == 0:
+        raise TraceFormatError(f"{name} must be nonzero: zero has no square class")
+    return value
 
 
 def _frac_str(q: Fraction) -> str:
@@ -536,14 +533,13 @@ def step(
     fiber = class_of(h(point))
     record = StepRecord(
         m=m,
-        witness_kernel=w.kernel,
+        witness=w.rep,
         cover_id=cover.entry,
         cover_h=h,
         point=point,
         vast_poly=spec.f,
         vast_n=spec.n,
         depth_checked=state.depth,
-        checks=(True, True, True, True, True),
     )
     new_state = ConstructionState(
         m=m,
@@ -583,15 +579,16 @@ def run(
     cur_window = window
     budget = max_retries
 
-    def partial() -> ConstructionTrace:
-        return ConstructionTrace(tuple(steps), tuple(state.F.kernels()), params, tuple(retries))
+    def trace() -> ConstructionTrace:
+        return ConstructionTrace(tuple(steps), tuple(rec.witness for rec in steps), params,
+                                 tuple(retries))
 
     while state.m < N:
         try:
             state2, rec = step(state, B, A, height=height, window=cur_window)
         except DepthExhausted as exc:
             if budget == 0:
-                raise ConstructionAborted(partial(), exc)
+                raise ConstructionAborted(trace(), exc)
             budget -= 1
             retries.append(
                 {"step": state.m + 1, "reason": "depth_exhausted",
@@ -602,7 +599,7 @@ def run(
             continue
         except NoEligibleVastSpec as exc:
             if budget == 0:
-                raise ConstructionAborted(partial(), exc)
+                raise ConstructionAborted(trace(), exc)
             budget -= 1
             retries.append(
                 {"step": state.m + 1, "reason": "window_exhausted",
@@ -611,10 +608,10 @@ def run(
             cur_window *= 2
             continue
         except (PointSearchExhausted, Inseparable) as exc:
-            raise ConstructionAborted(partial(), exc)
+            raise ConstructionAborted(trace(), exc)
         state = state2
         steps.append(rec)
-    return ConstructionTrace(tuple(steps), tuple(state.F.kernels()), params, tuple(retries))
+    return trace()
 
 
 # ---------------------------------------------------------------------------
@@ -634,27 +631,22 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
 
     Returns a list of violation descriptions, each naming the first condition
     (1_m)..(5_m) it breaks; an empty list means the trace is valid.  The
-    checks re-derive every selection from the default enumerations rather
-    than trusting the engine's recorded flags.
+    checks re-derive every selection from the default enumerations.  No
+    description prints a witness: a wrong one is located by the stream
+    level of the class expected in its place.
     """
     out: list[str] = []
     B, A = default_enumerations()
-    height = int(trace.params.get("height", 0)) or 10**6
+    height = trace.params["height"]
 
     # reconstruct the field tower from the recorded witnesses
     fields: list[ClassSubspace] = [ClassSubspace()]
-    witnesses: list[SquareClass | None] = []
-    for i, rec in enumerate(trace.steps, start=1):
+    witnesses = [SquareClass(rec.witness) for rec in trace.steps]
+    for i, (rec, w) in enumerate(zip(trace.steps, witnesses), start=1):
         if rec.m != i:
             out.append(f"(schema): step {i} is labeled m={rec.m}")
-        try:
-            w = SquareClass.from_kernel(rec.witness_kernel)
-        except ValueError as exc:
-            out.append(f"(5_{i}): bad witness kernel: {exc}")
-            w = None
-        witnesses.append(w)
-        fields.append(fields[-1].extend(w) if w is not None else fields[-1])
-        if w is not None and fields[-1].dim != fields[-2].dim + 1:
+        fields.append(fields[-1].extend(w))
+        if fields[-1].dim != fields[-2].dim + 1:
             out.append(f"(5_{i}): witness does not enlarge the field")
 
     # recompute fiber classes
@@ -708,20 +700,19 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
             used_indices.add(idx)
 
         # (5_m) witness is the first stream class outside the compositum
-        w = witnesses[i - 1]
-        if w is not None:
-            M = F_prev
-            for fb in fibers[: i - 1]:
-                if fb is not None:
-                    M = M.extend(fb)
-            try:
-                expected = vast_witness(disc_stream(rec.vast_poly, rec.vast_n), M,
-                                        rec.depth_checked)
-                if expected != w:
-                    out.append(f"(5_{i}): witness {w.kernel} is not the first "
-                               f"eligible stream class (expected {expected.kernel})")
-            except (DepthExhausted, Inseparable) as exc:
-                out.append(f"(5_{i}): no witness reachable in the recorded stream: {exc}")
+        M = F_prev
+        for fb in fibers[: i - 1]:
+            if fb is not None:
+                M = M.extend(fb)
+        try:
+            stream = disc_stream(rec.vast_poly, rec.vast_n)
+            expected = vast_witness(stream, M, rec.depth_checked)
+            if expected != witnesses[i - 1]:
+                level = rec.vast_n + stream.prefix(rec.depth_checked).index(expected)
+                out.append(f"(5_{i}): witness is not the first eligible stream class, "
+                           f"the one at level {level} of the recorded stream")
+        except (DepthExhausted, Inseparable) as exc:
+            out.append(f"(5_{i}): no witness reachable in the recorded stream: {exc}")
 
         # (2_m) integrality: recorded point is the first eligible fresh point
         integral_over = F_cur
@@ -761,13 +752,8 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
             if fb is not None and fields[i].member(fb):
                 out.append(f"(2_{i}): fiber class of step {j} fell into the field")
 
-        for name, flag in zip(_CHECK_NAMES, rec.checks):
-            if not flag:
-                out.append(f"({name[1]}_{i}): recorded check flag is false")
-
     # final section consistency
-    n = len(trace.steps)
-    if tuple(trace.final_kernels) != tuple(fields[n].kernels()):
+    if trace.final != tuple(rec.witness for rec in trace.steps):
         out.append("(final): recorded field does not match the witness tower")
     return out
 

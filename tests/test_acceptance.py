@@ -266,10 +266,13 @@ def _mutations(trace, rng):
                 continue
             step["point"] = new
         elif kind == "witness":
+            # a new integer in the recorded class would be the same witness
             new = rng.choice([7, -7, 11, 13, -13, 17, 19, 23, -1, 2, 3])
-            if new == step["witness_kernel"]:
+            product = new * step["witness"]
+            if product > 0 and math.isqrt(product) ** 2 == product:
                 continue
-            step["witness_kernel"] = new
+            step["witness"] = new
+            data["final"]["F"][i] = new  # so that only (5_m) and its consequences catch it
         elif kind == "cover":
             if rng.random() < 0.5:
                 step["cover"]["id"] += rng.choice([-1, 1, 5])

@@ -133,10 +133,10 @@ class TestSimulateVerifyAudit:
             capsys, "simulate", "--steps", "1", "--height", "100", "--out", str(out)
         )
         assert code == 0
-        assert payload["steps"] == 1 and payload["dim"] == 1
+        assert payload == {"steps": 1, "dim": 1, "retries": 0, "out": str(out)}
         data = json.loads(out.read_text())
-        assert data["schema"] == 1
-        assert data["final"]["F"] == [-1]
+        assert data["schema"] == 2
+        assert data["final"] == {"F": [-1], "dim": 1}
 
     def test_simulate_abort_exit_3_with_partial_trace(self, capsys, tmp_path):
         out = tmp_path / "abort.json"
@@ -189,7 +189,29 @@ class TestSimulateVerifyAudit:
         bad.write_text(json.dumps(data))
         code, payload, err = run_cli(capsys, "audit", "--trace", str(bad), "--level", "2")
         assert code == 2
-        assert payload is None and "squarefree" in err
+        assert payload is None and "perfect square" in err
+
+    @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]])
+    def test_schema_1_trace_exit_2(self, trace_file, tmp_path, command):
+        data = json.loads(trace_file.read_text())
+        data["schema"] = 1
+        old = tmp_path / "schema1.json"
+        old.write_text(json.dumps(data))
+        proc = cli_process(*command, "--trace", str(old))
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "unsupported schema 1" in proc.stderr
+
+    def test_integer_past_the_digit_limit_exit_2(self, trace_file, tmp_path):
+        """json.load refuses integers of more than 4300 digits with a
+        ValueError; it used to escape as a traceback under exit 1."""
+        text = trace_file.read_text()
+        assert text.count('"witness": -1,') == 1
+        bad = tmp_path / "huge.json"
+        bad.write_text(text.replace('"witness": -1,', '"witness": ' + "7" * 5000 + ","))
+        proc = cli_process("verify", "--trace", str(bad))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "4300" in proc.stderr
 
     def test_verify_non_integer_height_exit_2(self, capsys, trace_file, tmp_path):
         data = json.loads(trace_file.read_text())

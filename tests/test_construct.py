@@ -24,6 +24,7 @@ from arborsign.construct import (
     verify_trace,
     _unpair,
 )
+from arborsign import exactpoly, primes
 from arborsign.exactpoly import RatPoly
 from arborsign.sqclass import ClassSubspace, SquareClass, class_of, cover_fiber_integral
 
@@ -94,11 +95,10 @@ class TestStep:
         state, rec = step(ConstructionState.initial(5), B, A, height=100)
         assert rec.to_json() == {
             "m": 1,
-            "witness_kernel": -1,
+            "witness": -1,
             "cover": {"id": 1, "h": "x"},
             "point": "2/1",
             "vast": {"poly": "x^2 + 1", "n": 1, "depth_checked": 5},
-            "checks": {"c1": True, "c2": True, "c3": True, "c4": True, "c5": True},
         }
         assert state.F.kernels() == [-1]
         assert state.m == 1
@@ -117,8 +117,10 @@ class TestStep:
         assert exc.value.trace.steps == ()
 
     @pytest.mark.parametrize("n, digest", [
-        (10, "98649a252afe2b824c7c5a6e2ebbae1752311417d123c11eb182819f2f88b63f"),
-        (20, "37f6e831af1bc5909e784e80b7fd34899f7b930453c53f6dbf8295b0bff8c498"),
+        pytest.param(10, "af97fde6fa80bdc243fe058046c9fcf83bce351fb09e5407b63c94c86bdadfdc",
+                     id="10"),
+        pytest.param(20, "14ba90fe4e7b3782f01cb41dbff2796642ba174b8fac15f71d2e68af81905143",
+                     id="20"),
     ])
     def test_trace_bytes_pinned(self, n, digest):
         """Every cover recurs at least twice in 20 steps, so the resumed point
@@ -145,8 +147,10 @@ class TestTraceSerialization:
         b = json.dumps(run(3, 5, 100).to_json(), sort_keys=True)
         assert a == b
 
-    def test_supernatural_degree_field(self, trace3):
-        assert trace3.to_json()["final"]["supernatural_degree"] == "2^3"
+    def test_schema_2_fields(self, trace3):
+        data = trace3.to_json()
+        assert data["schema"] == 2
+        assert data["final"] == {"F": [rec.witness for rec in trace3.steps], "dim": 3}
 
     def test_rejects_wrong_schema(self, trace3):
         data = trace3.to_json()
@@ -181,6 +185,19 @@ class TestTraceSerialization:
             (("steps", 1, "vast", "depth_checked"), 1000),
             (("steps", 1, "vast", "poly"), "x + 1"),
             (("steps", 1, "vast", "poly"), "3"),
+            (("final", "F"), [9]),
+            (("final", "F"), [-1, 1.5]),
+            (("steps", 1, "m"), "2"),
+            (("steps", 1, "m"), 2.0),
+            (("steps", 1, "witness"), 0),
+            (("steps", 1, "witness"), "5"),
+            (("steps", 1, "witness"), True),
+            (("steps", 1, "cover", "id"), 1.7),
+            (("steps", 1, "cover", "id"), "2"),
+            (("steps", 1, "vast", "n"), True),
+            (("steps", 1, "vast", "n"), 1.0),
+            (("steps", 1, "vast", "depth_checked"), "5"),
+            (("steps", 1), {"m": 2, "witness_kernel": 5}),
         ],
     )
     def test_rejects_bad_final_params_retries(self, trace3, path, value):
@@ -241,14 +258,19 @@ class TestVerify:
         assert any(v.startswith("(4_1)") or v.startswith("(5_1)") for v in verify_trace(bad))
 
     def test_wrong_witness_violates_5m(self, trace3):
-        bad = mutate(trace3, steps__0__witness_kernel=7)
-        assert any(v.startswith("(5_1)") for v in verify_trace(bad))
+        bad = mutate(trace3, steps__0__witness=7)
+        found = [v for v in verify_trace(bad) if v.startswith("(5_1)")]
+        assert found == ["(5_1): witness is not the first eligible stream class, "
+                         "the one at level 1 of the recorded stream"]
 
-    def test_false_check_flag_reported(self, trace3):
-        checks = dict(trace3.to_json()["steps"][0]["checks"])
-        checks["c2"] = False
-        bad = mutate(trace3, steps__0__checks=checks)
-        assert any("check flag" in v for v in verify_trace(bad))
+    def test_witness_in_the_same_class_passes(self, trace3):
+        """A witness is any integer of its class; the recorded one is the
+        engine's representative, so a square multiple verifies too."""
+        data = trace3.to_json()
+        for rec in data["steps"]:
+            rec["witness"] *= 9
+        data["final"]["F"] = [rec["witness"] for rec in data["steps"]]
+        assert verify_trace(ConstructionTrace.from_json(data)) == []
 
     def test_tampered_final_field_reported(self, trace3):
         data = trace3.to_json()
@@ -263,7 +285,7 @@ def full_scan_entries(trace):
     steps, height = trace.steps, trace.params["height"]
     fields = [ClassSubspace()]
     for rec in steps:
-        fields.append(fields[-1].extend(SquareClass.from_kernel(rec.witness_kernel)))
+        fields.append(fields[-1].extend(SquareClass(rec.witness)))
     out, fibers = [], []
     for i, rec in enumerate(steps, start=1):
         v = rec.cover_h(rec.point)
@@ -336,6 +358,25 @@ class TestVerifyResume:
             assert got == expected
             found += bool(expected)
         assert found == 16  # every mutant breaks some (2_i)
+
+
+def test_thirty_steps_factor_nothing(monkeypatch):
+    """Schema 2 records witnesses as the integers the engine holds, so no
+    stage of the pipeline factors: under schema 1 the 336-bit witness of a
+    30-step run alone took about 100 s of factoring."""
+
+    def refuse(n):
+        raise AssertionError(f"factorint called on a {n.bit_length()}-bit integer")
+
+    exactpoly._squarefree_part.cache_clear()
+    monkeypatch.setattr(primes, "factorint", refuse)
+    trace = run(30, 5, 1000)
+    again = ConstructionTrace.from_json(json.loads(json.dumps(trace.to_json())))
+    assert again == trace
+    assert verify_trace(again) == []
+    report = counterexample_audit(again, assigned_polynomials(again), 2)
+    assert report["final_dim"] == 30
+    assert max(w.bit_length() for w in trace.final) == 336
 
 
 class TestAudit:
