@@ -139,9 +139,12 @@ def _cmd_simulate(args) -> tuple[int, dict]:
 
 
 def _write_trace(trace: ConstructionTrace, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(trace.to_json(), fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(trace.to_json(), fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write trace: {exc}") from exc
 
 
 def _load_trace(path: str) -> ConstructionTrace:

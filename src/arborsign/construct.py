@@ -45,7 +45,12 @@ MAX_STREAM_LEVEL = 24
 
 class NoEligibleVastSpec(RuntimeError):
     """No enumeration entry in the inspected window passed the truncated
-    disjointness test; retry with a larger window."""
+    disjointness test; retry with a larger window.  `met` holds the entries
+    the scan found not disjoint from F."""
+
+    def __init__(self, message: str, met: frozenset[int]):
+        super().__init__(message)
+        self.met = met
 
 
 class PointSearchExhausted(RuntimeError):
@@ -258,35 +263,44 @@ def rationals_by_height(max_height: int, after: Rational | None = None) -> Itera
 # ---------------------------------------------------------------------------
 
 class PointRecord:
-    __slots__ = ("step", "cover", "c", "fiber")
+    __slots__ = ("step", "cover", "c")
 
-    def __init__(self, step: int, cover: CoverSpec, c: Fraction, fiber: SquareClass):
+    def __init__(self, step: int, cover: CoverSpec, c: Fraction):
         object.__setattr__(self, "step", step)
         object.__setattr__(self, "cover", cover)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "fiber", fiber)
 
     def __setattr__(self, name, value):
         raise AttributeError("PointRecord is immutable")
 
 
 class ConstructionState:
-    """What the induction has built after m steps.  Immutable."""
+    """What the induction has built after m steps.  Immutable.
 
-    __slots__ = ("m", "F", "points", "used", "depth")
+    F only gains classes and the truncation depth never drops, so the state
+    also carries what later steps reuse: M, the span of F and every recorded
+    fiber class, and `met`, the vast entries whose truncated subspace was
+    shown not disjoint from F, which stay so at every later step.
+    """
+
+    __slots__ = ("m", "F", "M", "points", "used", "met", "depth")
 
     def __init__(
         self,
         m: int,
         F: ClassSubspace,
+        M: ClassSubspace,
         points: tuple[PointRecord, ...],
         used: frozenset[int],
+        met: frozenset[int],
         depth: int,
     ):
         object.__setattr__(self, "m", m)  # completed steps; dim F == m
         object.__setattr__(self, "F", F)
+        object.__setattr__(self, "M", M)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "used", used)  # vast entries assigned so far
+        object.__setattr__(self, "met", met)
         object.__setattr__(self, "depth", depth)
 
     def __setattr__(self, name, value):
@@ -294,7 +308,7 @@ class ConstructionState:
 
     @classmethod
     def initial(cls, depth: int) -> "ConstructionState":
-        return cls(0, ClassSubspace(), (), frozenset(), depth)
+        return cls(0, ClassSubspace(), ClassSubspace(), (), frozenset(), frozenset(), depth)
 
 
 class StepRecord:
@@ -468,25 +482,22 @@ def _frac_parse(text: str) -> Fraction:
 def _select_vast(
     A: VastEnumeration,
     F: ClassSubspace,
-    used: frozenset[int],
+    skip: frozenset[int],
     depth: int,
     window: int,
-) -> VastSpec:
-    """First unused enumeration entry whose depth-truncated subspace is
-    disjoint from F over Q."""
+) -> tuple[VastSpec, frozenset[int]]:
+    """First enumeration entry outside `skip` whose depth-truncated subspace
+    is disjoint from F over Q, and the entries found not disjoint before it."""
+    met: set[int] = set()
     for j in range(1, window + 1):
-        if j in used:
+        if j in skip:
             continue
         spec = A.entry(j)
-        if disjoint_over(spec.subspace(depth), F, ClassSubspace()):
-            return spec
-    raise NoEligibleVastSpec(f"no eligible stream among the first {window} entries")
-
-
-def _with_fibers(V: ClassSubspace, points: Sequence[PointRecord]) -> ClassSubspace:
-    for pt in points:
-        V = V.extend(pt.fiber)
-    return V
+        if disjoint_over(F, spec.subspace(depth), ClassSubspace()):
+            return spec, frozenset(met)
+        met.add(j)
+    raise NoEligibleVastSpec(f"no eligible stream among the first {window} entries",
+                             frozenset(met))
 
 
 def step(
@@ -505,14 +516,11 @@ def step(
     the smallest fresh specialization point whose fiber stays integral.
     """
     m = state.m + 1
-    F = state.F
-    spec = _select_vast(A, F, state.used, state.depth, window)
-    M = _with_fibers(F, state.points)
-    w = vast_witness(spec.stream(), M, state.depth)
-    F2 = F.extend(w)
+    spec, met = _select_vast(A, state.F, state.used | state.met, state.depth, window)
+    w = vast_witness(spec.stream(), state.M, state.depth)
+    integral_over = state.M.extend(w)
     cover = B.entry(m)
     h = cover.h
-    integral_over = _with_fibers(F2, state.points)
     prior_points = {(pt.c.numerator, pt.c.denominator) for pt in state.points}
     # Spans only grow, so every rational the last step with this cover skipped
     # is still ineligible, and that step's point is now a prior point.
@@ -522,15 +530,11 @@ def step(
             after = (pt.c.numerator, pt.c.denominator)
     point = None
     for num, den in _pairs_by_height(height, after):
-        if (num, den) in prior_points:
-            continue
-        q = Fraction(num, den)
-        if cover_fiber_integral(h, q, integral_over):
-            point = q
+        if (num, den) not in prior_points and cover_fiber_integral(h, num, den, integral_over):
+            point = Fraction(num, den)
             break
     if point is None:
         raise PointSearchExhausted(f"no point of height <= {height}")
-    fiber = class_of(h(point))
     record = StepRecord(
         m=m,
         witness=w.rep,
@@ -543,9 +547,11 @@ def step(
     )
     new_state = ConstructionState(
         m=m,
-        F=F2,
-        points=state.points + (PointRecord(m, cover, point, fiber),),
+        F=state.F.extend(w),
+        M=integral_over.extend(class_of(h(point))),
+        points=state.points + (PointRecord(m, cover, point),),
         used=state.used | {spec.index},
+        met=state.met | met,
         depth=state.depth,
     )
     return new_state, record
@@ -594,8 +600,8 @@ def run(
                 {"step": state.m + 1, "reason": "depth_exhausted",
                  "depth": state.depth, "new_depth": state.depth * 2}
             )
-            state = ConstructionState(state.m, state.F, state.points, state.used,
-                                      state.depth * 2)
+            state = ConstructionState(state.m, state.F, state.M, state.points, state.used,
+                                      state.met, state.depth * 2)
             continue
         except NoEligibleVastSpec as exc:
             if budget == 0:
@@ -606,6 +612,8 @@ def run(
                  "window": cur_window, "new_window": cur_window * 2}
             )
             cur_window *= 2
+            state = ConstructionState(state.m, state.F, state.M, state.points, state.used,
+                                      state.met | exc.met, state.depth)
             continue
         except (PointSearchExhausted, Inseparable) as exc:
             raise ConstructionAborted(trace(), exc)
@@ -662,8 +670,12 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
     points = [(rec.point.numerator, rec.point.denominator) for rec in trace.steps]
     passed: dict[RatPoly, tuple[int, int]] = {}  # cover -> point of its last passed scan
     used_indices: set[int] = set()
+    # entry -> least depth at which it was found not disjoint from an earlier
+    # field; it stays so over every later field at that depth or deeper
+    met: dict[int, int] = {}
+    M = ClassSubspace()  # the field before step i with every earlier fiber class
     for i, rec in enumerate(trace.steps, start=1):
-        F_prev, F_cur = fields[i - 1], fields[i]
+        F_prev = fields[i - 1]
 
         # (1_m) distinct points
         for j in range(i - 1):
@@ -685,25 +697,22 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
         else:
             try:
                 spec = A.entry(idx)
-                if not disjoint_over(spec.subspace(rec.depth_checked), F_prev, ClassSubspace()):
+                if not disjoint_over(F_prev, spec.subspace(rec.depth_checked), ClassSubspace()):
                     out.append(f"(4_{i}): recorded stream is not disjoint at depth "
                                f"{rec.depth_checked}")
                 for j in range(1, idx):
-                    if j in used_indices:
+                    if j in used_indices or (j in met and met[j] <= rec.depth_checked):
                         continue
                     early = A.entry(j)
-                    if disjoint_over(early.subspace(rec.depth_checked), F_prev, ClassSubspace()):
+                    if disjoint_over(F_prev, early.subspace(rec.depth_checked), ClassSubspace()):
                         out.append(f"(4_{i}): entry {j} was eligible before entry {idx}")
                         break
+                    met[j] = rec.depth_checked
             except Inseparable as exc:
                 out.append(f"(4_{i}): stream hit an inseparable iterate: {exc}")
             used_indices.add(idx)
 
         # (5_m) witness is the first stream class outside the compositum
-        M = F_prev
-        for fb in fibers[: i - 1]:
-            if fb is not None:
-                M = M.extend(fb)
         try:
             stream = disc_stream(rec.vast_poly, rec.vast_n)
             expected = vast_witness(stream, M, rec.depth_checked)
@@ -715,10 +724,7 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
             out.append(f"(5_{i}): no witness reachable in the recorded stream: {exc}")
 
         # (2_m) integrality: recorded point is the first eligible fresh point
-        integral_over = F_cur
-        for fb in fibers[: i - 1]:
-            if fb is not None:
-                integral_over = integral_over.extend(fb)
+        integral_over = M.extend(witnesses[i - 1])
         target = points[i - 1]
         prior = set(points[: i - 1])
         # A passed scan of an earlier step with this cover found every rational
@@ -732,8 +738,7 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
         for num, den in _pairs_by_height(height, after):
             if (num, den) in prior:
                 continue
-            q = Fraction(num, den)
-            eligible = cover_fiber_integral(rec.cover_h, q, integral_over)
+            eligible = cover_fiber_integral(rec.cover_h, num, den, integral_over)
             if (num, den) == target:
                 reached = True
                 if eligible:
@@ -742,7 +747,7 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
                     out.append(f"(2_{i}): recorded point is not integral")
                 break
             if eligible:
-                out.append(f"(2_{i}): point {q} was eligible before {rec.point}")
+                out.append(f"(2_{i}): point {Fraction(num, den)} was eligible before {rec.point}")
                 break
         if not reached and not any(v.startswith(f"(2_{i})") for v in out):
             out.append(f"(2_{i}): recorded point not reached in the height ordering")
@@ -751,6 +756,7 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
         for j, fb in enumerate(fibers[:i], start=1):
             if fb is not None and fields[i].member(fb):
                 out.append(f"(2_{i}): fiber class of step {j} fell into the field")
+        M = integral_over if fibers[i - 1] is None else integral_over.extend(fibers[i - 1])
 
     # final section consistency
     if trace.final != tuple(rec.witness for rec in trace.steps):

@@ -145,42 +145,59 @@ def _refine(base: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _coordinates(n: int, base: tuple[int, ...]) -> tuple[int, int]:
+def _by_size(base: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(element, coordinate bit) for each element of a base, smallest first;
+    the element base[j-1] has bit 1 << j."""
+    return tuple(sorted((b, 1 << j) for j, b in enumerate(base, 1)))
+
+
+def _coordinates(n: int, order: tuple[tuple[int, int], ...]) -> tuple[int, int]:
     """(v, x): n = sign * x * prod base[j-1]^e_j with x > 0 divisible by no
     base element, and v the bit mask of the class of n / x: bit 0 is the sign,
-    bit j the parity of e_j.  v is the class's coordinates when x == 1."""
+    bit j the parity of e_j.  v is the class's coordinates when x == 1.
+
+    `order` is `_by_size(base)`.  What is left of n only shrinks, so the walk
+    stops at the first element larger than it: no later one divides it."""
     v = int(n < 0)
     n = abs(n)
-    for j, b in enumerate(base, 1):
-        odd = 0
+    for b, bit in order:
+        if b > n:
+            break
         while n % b == 0:
             n //= b
-            odd ^= 1
-        v |= odd << j
+            v ^= bit
     return v, n
 
 
-Rows = tuple[tuple[int, int], ...]  # (pivot bit, row) in reduced echelon form
+Rows = dict[int, int]  # pivot bit -> row, in reduced echelon form; never mutated
 
 
 def _reduce(v: int, rows: Rows) -> int:
-    # each pivot bit occurs in its own row only, so one pass in any order works
-    for pivot, row in rows:
-        if v & pivot:
-            v ^= row
-    return v
+    # Each pivot bit occurs in its own row only, so v reduces by the rows of
+    # the pivot bits set in v itself: the walk is over v's bits, not the rows.
+    r = v
+    while v:
+        bit = v & -v
+        v ^= bit
+        row = rows.get(bit)
+        if row is not None:
+            r ^= row
+    return r
 
 
 def _add_row(rows: Rows, r: int) -> Rows:
-    """Append a nonzero vector already reduced by `rows`, keeping reduced form."""
+    """Add a nonzero vector already reduced by `rows`, keeping reduced form."""
     p = r & -r
-    return tuple((q, row ^ r if row & p else row) for q, row in rows) + ((p, r),)
+    out = {q: row ^ r if row & p else row for q, row in rows.items()}
+    out[p] = r
+    return out
 
 
 def _echelon(classes: Iterable[SquareClass], base: tuple[int, ...]) -> Rows:
-    rows: Rows = ()
+    order = _by_size(base)
+    rows: Rows = {}
     for c in classes:
-        r = _reduce(_coordinates(c.rep, base)[0], rows)
+        r = _reduce(_coordinates(c.rep, order)[0], rows)
         if r:
             rows = _add_row(rows, r)
     return rows
@@ -202,18 +219,19 @@ class ClassSubspace:
     the basis classes.  `basis` holds independent generators; `_base` is a
     coprime base of nonsquares over which every basis representative factors,
     and `_rows` the reduced echelon form of the basis coordinates over it.
-    `_product` caches the product of the base once membership needs it.
-    Immutable: extend/compositum return new subspaces.  Equality is equality
-    of spans.
+    `_order` caches the base in increasing size (`_by_size`), and `_product`
+    its product, once membership needs them.  Immutable: extend/compositum
+    return new subspaces.  Equality is equality of spans.
     """
 
-    __slots__ = ("basis", "_base", "_rows", "_product")
+    __slots__ = ("basis", "_base", "_rows", "_order", "_product")
 
     def __init__(self, basis: tuple[SquareClass, ...] = (), base: tuple[int, ...] = (),
-                 rows: Rows = ()):
+                 rows: Rows | None = None):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_rows", {} if rows is None else rows)
+        object.__setattr__(self, "_order", None)
         object.__setattr__(self, "_product", None)
 
     def __setattr__(self, name, value):
@@ -234,28 +252,36 @@ class ClassSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def _locate(self, c: SquareClass) -> tuple[tuple[int, ...], Rows, int]:
-        """The base refined by c, the basis rows over it, and c's reduced vector."""
+    def _locate(self, rep: int) -> tuple[tuple[int, ...], Rows, int]:
+        """The base refined by rep, the basis rows over it, and the reduced
+        vector of rep's class."""
         old = self._base
-        base = _refine(old, abs(c.rep))
+        base = _refine(old, abs(rep))
         # Elements only appended to the base are coprime to every old one, so
         # the basis has coordinate zero at each of them and the rows stand.
         rows = self._rows if base[: len(old)] == old else _echelon(self.basis, base)
-        return base, rows, _reduce(_coordinates(c.rep, base)[0], rows)
+        return base, rows, _reduce(_coordinates(rep, _by_size(base))[0], rows)
 
     def member(self, c: SquareClass) -> bool:
-        v, x = _coordinates(c.rep, self._base)
+        return self._member(c.rep)
+
+    def _member(self, rep: int) -> bool:
+        """Whether the class of the nonzero integer rep lies in the span."""
+        if self._order is None:
+            object.__setattr__(self, "_order", _by_size(self._base))
+        v, x = _coordinates(rep, self._order)
         if x != 1:
             if self._product is None:
                 object.__setattr__(self, "_product", math.prod(self._base))
             if math.gcd(x, self._product) != 1:
-                return not self._locate(c)[2]
-        # x is coprime to the base, so c is in the span iff c / x is and the
-        # class of x is trivial: coprime parts of a square are squares.
+                return not self._locate(rep)[2]
+        # x is coprime to the base, so the class is in the span iff that of
+        # rep / x is and the class of x is trivial: coprime parts of a square
+        # are squares.
         return _is_square(x) and not _reduce(v, self._rows)
 
     def extend(self, c: SquareClass) -> "ClassSubspace":
-        base, rows, r = self._locate(c)
+        base, rows, r = self._locate(c.rep)
         if not r:
             return self
         return ClassSubspace(self.basis + (c,), base, _add_row(rows, r))
@@ -373,18 +399,18 @@ def vast_witness(L: ClassStream, F: ClassSubspace, depth: int) -> SquareClass:
     raise DepthExhausted(f"no witness among the first {depth} elements of {L.name}")
 
 
-def cover_fiber_integral(h: RatPoly, c: Rational, F: ClassSubspace) -> bool:
-    """Whether the fiber of y^2 = h(t) above t = c is integral over the
-    multiquadratic field modeled by F: h(c) nonzero and a nonsquare there."""
-    # With c = a/b and L h = sum k_i t^i integral, the integer
-    # n = sum k_i a^i b^(d-i) is h(c) L b^d, so h(c) = 0 iff n = 0 and h(c)
-    # lies in the class of n L b^(d mod 2).
-    a, b = c.numerator, c.denominator
+def cover_fiber_integral(h: RatPoly, num: int, den: int, F: ClassSubspace) -> bool:
+    """Whether the fiber of y^2 = h(t) above t = num/den (den nonzero) is
+    integral over the multiquadratic field modeled by F: h(num/den) nonzero
+    and a nonsquare there."""
+    # With L h = sum k_i t^i integral, the integer n = sum k_i num^i den^(d-i)
+    # is h(num/den) L den^d, so h(num/den) = 0 iff n = 0 and h(num/den) lies
+    # in the class of n L den^(d mod 2).
     ks, L = h.cleared()
     n, bp = 0, 1
     for k in reversed(ks):
-        n = n * a + k * bp
-        bp *= b
+        n = n * num + k * bp
+        bp *= den
     if n == 0:
         return False
-    return not F.member(SquareClass(n * L * (b if h.degree % 2 else 1)))
+    return not F._member(n * L * (den if h.degree % 2 else 1))

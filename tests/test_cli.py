@@ -145,6 +145,15 @@ class TestSimulateVerifyAudit:
         assert code == 3
         assert json.loads(out.read_text())["steps"] == []
 
+    @pytest.mark.parametrize("height", ["100", "1"], ids=["completed", "aborted"])
+    def test_simulate_unwritable_out_exit_2(self, capsys, tmp_path, height):
+        out = tmp_path / "missing" / "t.json"
+        code, payload, err = run_cli(
+            capsys, "simulate", "--steps", "1", "--height", height, "--out", str(out)
+        )
+        assert code == 2 and payload is None
+        assert err.startswith("error: cannot write trace:") and err.count("\n") == 1
+
     def test_verify_clean(self, capsys, trace_file):
         code, payload, _ = run_cli(capsys, "verify", "--trace", str(trace_file))
         assert code == 0

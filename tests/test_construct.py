@@ -15,6 +15,7 @@ from arborsign.construct import (
     StepRecord,
     TraceFormatError,
     VastEnumeration,
+    VastSpec,
     assigned_polynomials,
     counterexample_audit,
     default_enumerations,
@@ -24,9 +25,15 @@ from arborsign.construct import (
     verify_trace,
     _unpair,
 )
-from arborsign import exactpoly, primes
+from arborsign import construct, exactpoly, primes
 from arborsign.exactpoly import RatPoly
-from arborsign.sqclass import ClassSubspace, SquareClass, class_of, cover_fiber_integral
+from arborsign.sqclass import (
+    ClassSubspace,
+    SquareClass,
+    class_of,
+    cover_fiber_integral,
+    disjoint_over,
+)
 
 
 @pytest.fixture(scope="module")
@@ -121,12 +128,20 @@ class TestStep:
                      id="10"),
         pytest.param(20, "14ba90fe4e7b3782f01cb41dbff2796642ba174b8fac15f71d2e68af81905143",
                      id="20"),
+        pytest.param(30, "f17bbf5ee55f40480168f0222b67722e8ae6d97327054e994703d31d06d98697",
+                     id="30"),
+        pytest.param(50, "c9552f7cee26dfeeb65d5444d3751f87e3901e8ca90b37846a9ab9444d4f5cc1",
+                     id="50"),
     ])
     def test_trace_bytes_pinned(self, n, digest):
         """Every cover recurs at least twice in 20 steps, so the resumed point
-        search is pinned along with the rest of the trace."""
-        blob = json.dumps(run(n, 5, 1000).to_json()).encode()
+        search is pinned along with the rest of the trace.  The 50-step run
+        doubles its window at step 42, so the entries a step skips as already
+        shown not disjoint from F are pinned across a retry too."""
+        trace = run(n, 5, 1000)
+        blob = json.dumps(trace.to_json()).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
+        assert verify_trace(trace) == []
 
     def test_run_validation(self):
         with pytest.raises(ValueError):
@@ -300,7 +315,7 @@ def full_scan_entries(trace):
         for q in rationals_by_height(height):
             if q in prior:
                 continue
-            eligible = cover_fiber_integral(rec.cover_h, q, over)
+            eligible = cover_fiber_integral(rec.cover_h, q.numerator, q.denominator, over)
             if q == rec.point:
                 reached = True
                 if not eligible:
@@ -358,6 +373,88 @@ class TestVerifyResume:
             assert got == expected
             found += bool(expected)
         assert found == 16  # every mutant breaks some (2_i)
+
+
+def entry_indices(trace):
+    """The enumeration entry of each step's stream."""
+    A = VastEnumeration()
+    index = {(A.entry(j).f, A.entry(j).n): j for j in range(1, 129)}
+    return [index[(rec.vast_poly, rec.vast_n)] for rec in trace.steps]
+
+
+def full_scan_vast_entries(trace):
+    """The "(4_i): entry j was eligible before entry idx" entries of
+    verify_trace, from a test of every unused earlier entry at every step."""
+    A = VastEnumeration()
+    F, used, out = ClassSubspace(), set(), []
+    for i, (rec, idx) in enumerate(zip(trace.steps, entry_indices(trace)), start=1):
+        for j in range(1, idx):
+            if j not in used and disjoint_over(
+                    F, A.entry(j).subspace(rec.depth_checked), ClassSubspace()):
+                out.append(f"(4_{i}): entry {j} was eligible before entry {idx}")
+                break
+        used.add(idx)
+        F = F.extend(SquareClass(rec.witness))
+    return out
+
+
+def eligible_before(violations):
+    return [v for v in violations if "was eligible before entry" in v]
+
+
+class TestVastSkip:
+    """An entry whose truncated subspace meets F meets every larger field at
+    that depth or deeper, so the engine and verify_trace skip it from then
+    on; the skip must never hide an eligible entry."""
+
+    def test_later_entry_than_the_first_eligible_reported(self, trace20):
+        A = VastEnumeration()
+        recorded = entry_indices(trace20)
+        for i in (4, 12, 20):
+            idx = recorded[i - 1]
+            later = next(j for j in range(idx + 1, 129) if j not in recorded)
+            spec = A.entry(later)
+            bad = mutate(trace20, **{f"steps__{i - 1}__vast": {
+                "poly": str(spec.f), "n": spec.n, "depth_checked": 5}})
+            got = eligible_before(verify_trace(bad))
+            assert got == full_scan_vast_entries(bad)
+            assert f"(4_{i}): entry {idx} was eligible before entry {later}" in got
+
+    def test_depth_drop_retests_entries_met_deeper(self, trace20):
+        # Step 4 records entry 7, so the verifier finds entry 5 not disjoint
+        # from the field of three steps at depth 5.  At depth 1 it is disjoint
+        # from the field of nine steps, and entry 17 comes after it.
+        A = VastEnumeration()
+        F3 = ClassSubspace.span(SquareClass(rec.witness) for rec in trace20.steps[:3])
+        recorded = entry_indices(trace20)
+        assert (recorded[3], recorded[9]) == (7, 17)
+        assert not disjoint_over(F3, A.entry(5).subspace(5), ClassSubspace())
+        data = trace20.to_json()
+        for rec in data["steps"][9:]:
+            rec["vast"]["depth_checked"] = 1
+        bad = ConstructionTrace.from_json(data)
+        got = eligible_before(verify_trace(bad))
+        assert got == full_scan_vast_entries(bad)
+        assert got[0] == "(4_10): entry 5 was eligible before entry 17"
+
+    def test_engine_tests_each_entry_once_per_depth(self, monkeypatch):
+        """Without the skip, run(9) makes 35 disjointness tests; with it, no
+        (entry, depth) is tested twice."""
+        tested, calls = [], []
+        subspace, disjoint = VastSpec.subspace, construct.disjoint_over
+
+        def spy_subspace(spec, depth):
+            tested.append((spec.index, depth))
+            return subspace(spec, depth)
+
+        def spy_disjoint(*args):
+            calls.append(args)
+            return disjoint(*args)
+
+        monkeypatch.setattr(VastSpec, "subspace", spy_subspace)
+        monkeypatch.setattr(construct, "disjoint_over", spy_disjoint)
+        run(9, 5, 1000)
+        assert len(calls) == len(tested) == len(set(tested))
 
 
 def test_thirty_steps_factor_nothing(monkeypatch):

@@ -184,15 +184,15 @@ class TestCoverFiber:
     def test_integral_point(self):
         h = RatPoly.parse("x")
         F = ClassSubspace.from_kernels([-1])
-        assert cover_fiber_integral(h, 2, F)
-        assert not cover_fiber_integral(h, 1, F)  # square fiber
-        assert not cover_fiber_integral(h, -1, F)  # class in F
-        assert not cover_fiber_integral(h, 0, F)  # degenerate
+        assert cover_fiber_integral(h, 2, 1, F)
+        assert not cover_fiber_integral(h, 1, 1, F)  # square fiber
+        assert not cover_fiber_integral(h, -1, 1, F)  # class in F
+        assert not cover_fiber_integral(h, 0, 1, F)  # degenerate
 
     def test_rational_point(self):
         h = RatPoly.parse("x^2 + 1")
         F = ClassSubspace()
-        assert cover_fiber_integral(h, Fraction(1, 2), F)  # 5/4, class 5
+        assert cover_fiber_integral(h, 1, 2, F)  # 5/4, class 5
 
     @given(
         st.lists(st.fractions(-9, 9, max_denominator=6), min_size=1, max_size=5),
@@ -209,9 +209,10 @@ class TestCoverFiber:
         if at_root:
             h = h * RatPoly((-q, 1))
         F = ClassSubspace.span(class_of(k) for k in kernels)
-        v = h(Fraction(q))
+        q = Fraction(q)
+        v = h(q)
         expected = v != 0 and class_of(v) not in brute_span(list(F.basis))
-        assert cover_fiber_integral(h, q, F) == expected
+        assert cover_fiber_integral(h, q.numerator, q.denominator, F) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +419,45 @@ class TestMember:
         vecs = [prime_vector(*g) for g in gens]
         in_span = rank(vecs + [prime_vector(*c)]) == rank(vecs)
         assert V.member(class_of(value(*c) * square**2)) == in_span
+
+
+SIZED_COORDS = (2, 3, 5, 7, 11, 13, P[0], P[1])
+
+
+def sized_vector(sign, fac):
+    """Oracle coordinates over SIZED_COORDS, as prime_vector over COORDS."""
+    v = int(sign < 0)
+    for p, e in fac.items():
+        v ^= (e % 2) << (1 + SIZED_COORDS.index(p))
+    return v
+
+
+class TestSizeOrderedWalk:
+    """A small candidate, such as a point's fiber value, over a base holding
+    small primes and products with 80-bit primes: the walk stops at the
+    first base element larger than what is left of the candidate."""
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(st.tuples(st.sampled_from([1, -1]),
+                           st.dictionaries(st.sampled_from(SIZED_COORDS), st.integers(1, 3),
+                                           min_size=1, max_size=3)),
+                 max_size=5),
+        st.sampled_from([1, -1]),
+        st.dictionaries(st.sampled_from(SIZED_COORDS[:6]), st.integers(1, 3), max_size=4),
+    )
+    # the composite base element 3 P0 shares 3 with the candidate 15, so
+    # membership refines the base; 2 is smaller than the candidate
+    @example([(1, {3: 1, P[0]: 1}), (1, {2: 1})], 1, {3: 1, 5: 1})
+    @example([(1, {3: 1, P[0]: 1}), (-1, {5: 1})], -1, {3: 1, 5: 1})
+    # 2 and 5 divide the candidate out down to 7, smaller than P1
+    @example([(1, {2: 1}), (1, {5: 1}), (1, {P[1]: 1})], 1, {2: 1, 5: 2, 7: 1})
+    @example([(1, {2: 1}), (1, {7: 1}), (1, {P[1]: 1})], 1, {2: 3, 7: 1})
+    def test_matches_oracle(self, no_factoring, gens, sign, fac):
+        V = ClassSubspace.span(class_of(value(*g)) for g in gens)
+        vecs = [sized_vector(*g) for g in gens]
+        in_span = rank(vecs + [sized_vector(sign, fac)]) == rank(vecs)
+        assert V.member(class_of(value(sign, fac))) == in_span
 
 
 def test_orbit_stream_disjointness_needs_no_factoring(monkeypatch):
