@@ -14,9 +14,9 @@ import math
 from functools import lru_cache
 
 from . import treegroup
-from .exactpoly import BadPrime, RatPoly, compose, factor_degrees_mod_p, iterate, resultant
+from .exactpoly import BadPrime, RatPoly, _int_resultant, _prem, factor_degrees_mod_p, iterate
 from .primes import next_prime
-from .sqclass import ClassStream, ClassSubspace, SquareClass, class_of
+from .sqclass import ClassStream, ClassSubspace, SquareClass
 
 
 class Inseparable(Exception):
@@ -37,22 +37,65 @@ class NoGoodPrimes(Exception):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1024)
-def _critical_orbit(f: RatPoly, n: int) -> tuple[RatPoly, SquareClass]:
-    """(R_n, class of disc(f^(on))), where R_n = f^(on) mod f'.
+def _critical_orbit(f: RatPoly, n: int) -> tuple[tuple[int, ...], int, SquareClass]:
+    """(P, D, class of disc(f^(on))), where R_n = f^(on) mod f' = P / D for an
+    integer polynomial P (low to high, trimmed) and an integer D > 0 coprime
+    to the content of P.
+
+    With L f = F and L f' = g integral (L from f.cleared()), R_n is the
+    remainder of f(R_(n-1)) = A / (L D^d), A = sum F_i P^i D^(d-i), by g: the
+    pseudo-remainder of A by g over lc(g)^k L D^d, k = deg A - deg g + 1 (no
+    reduction and k = 0 when deg A < deg g).  Res(f', P/D) is
+    L^(-deg P) D^(1-d) Res(g, P), so with e = d^n - deg R_n the class of
+    s_n * lc(f) * lc(f')^e * Res(f', R_n) is that of the integer
+    s_n * F_d * lc(g)^e * Res(g, P), times L D when d is even.
 
     Raises Inseparable at the first level m <= n with disc(f^(om)) = 0.
     """
-    fp = f.derivative()
+    F, L = f.cleared()
+    g = [i * c for i, c in enumerate(F)][1:]
     if n == 0:
-        return RatPoly.x() % fp, SquareClass.trivial()
-    R, prev = _critical_orbit(f, n - 1)
-    R = compose(f, R) % fp
-    res = resultant(fp, R)
+        P, D = _remainder([0, 1], 1, g)
+        return P, D, SquareClass.trivial()
+    P, D, prev = _critical_orbit(f, n - 1)
+    A, Dk = [F[-1]], 1
+    for c in reversed(F[:-1]):  # Horner's rule on the numerators
+        Dk *= D
+        A = _int_mul(A, P)
+        A[0] += c * Dk
+    P, D = _remainder(A, L * Dk, g)
+    res = _int_resultant(g, P) if P else 0
     if res == 0:
         raise Inseparable(n)
     d = f.degree
-    c = class_of(_level_sign(d, n) * f.lc * fp.lc ** ((d**n - R.degree) % 2) * res)
-    return R, (c * prev if d % 2 else c)
+    e = (d - len(P) + 1) % 2  # d^n - deg P, mod 2
+    rep = _level_sign(d, n) * F[-1] * g[-1] ** e * res
+    if d % 2:
+        return P, D, SquareClass(rep) * prev
+    return P, D, SquareClass(rep * L * D)
+
+
+def _int_mul(a: list[int], b: tuple[int, ...]) -> list[int]:
+    """Product of integer polynomials, for a nonempty; all zeros when b is empty."""
+    out = [0] * max(len(a) + len(b) - 1, 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _remainder(A: list[int], D: int, g: list[int]) -> tuple[tuple[int, ...], int]:
+    """(A / D) mod g as (P, D') in lowest terms, with D' > 0."""
+    while A and A[-1] == 0:
+        A.pop()
+    k = len(A) - len(g) + 1
+    if k > 0:
+        A, D = _prem(A, g), D * g[-1] ** k
+    c = math.gcd(D, *A)
+    if D < 0:
+        c = -c
+    return tuple(a // c for a in A), D // c
 
 
 def _level_sign(d: int, n: int) -> int:
@@ -71,8 +114,9 @@ def disc_class(f: RatPoly, n: int) -> SquareClass:
         s_n = (-1)^(D(D-1)/2 + d E(E-1)/2),  disc(f^(o0)) = 1,
 
     and Res(f', f^(on)) = lc(f')^(D - deg R_n) * Res(f', R_n) for
-    R_n = f^(on) mod f', iterated as R_n = f(R_(n-1)) mod f' in Q[x]/(f')
-    (Aitken, Hajir & Maire, IMRN 2005; Jones, J. LMS 2008).  Up to squares
+    R_n = f^(on) mod f', iterated on integers as R_n = f(R_(n-1)) mod f' in
+    Q[x]/(f') (see _critical_orbit; Aitken, Hajir & Maire, IMRN 2005; Jones,
+    J. LMS 2008).  Up to squares
     disc(f^(on)) is s_n * a * lc(f')^(D - deg R_n) * Res(f', R_n), times the
     class of disc(f^(o(n-1))) when d is odd; it is zero iff
     disc(f^(o(n-1))) = 0 or Res(f', R_n) = 0.  For x^2 + c the class is that
@@ -82,7 +126,7 @@ def disc_class(f: RatPoly, n: int) -> SquareClass:
         raise ValueError("need deg f >= 2")
     if n < 1:
         raise ValueError("level must be >= 1")
-    return _critical_orbit(f, n)[1]
+    return _critical_orbit(f, n)[2]
 
 
 class DiscClassSequence:

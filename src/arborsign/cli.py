@@ -2,15 +2,19 @@
 
 Exit codes: 0 success, 1 semantic finding (violation, refutation,
 inseparability), 2 input error, 3 resource bound exceeded.  stdout carries
-valid JSON exactly for codes 0 and 1; diagnostics go to stderr.
+valid JSON exactly for codes 0 and 1; diagnostics go to stderr.  A usage
+error (unknown command or option, missing or malformed value) raises
+SystemExit(2) from `main` after printing the usage line to stderr; -h prints
+help to stdout and raises SystemExit(0).
 """
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from . import __version__
 from .arboreal import (
@@ -119,32 +123,44 @@ def _cmd_simulate(args) -> tuple[int, dict]:
         raise InputError(f"--depth must be in 1..{MAX_STREAM_LEVEL}")
     if args.height < 1:
         raise InputError("--height must be >= 1")
+    if os.path.isdir(args.out):
+        raise InputError(f"cannot write trace: {args.out!r} is a directory")
+    # The trace goes to a sibling file, created before the run so that a path
+    # that cannot be written fails at once, and renamed onto --out once it is
+    # complete, so that no failure leaves a truncated trace.
+    tmp = f"{args.out}.{os.getpid()}.tmp"
     try:
-        trace = run(args.steps, args.depth, args.height)
-    except ConstructionAborted as exc:
-        _write_trace(exc.trace, args.out)
-        print(f"aborted: {exc.cause}", file=sys.stderr)
-        return RESOURCE, {
-            "completed_steps": len(exc.trace.steps),
-            "error": str(exc.cause),
-            "out": args.out,
-        }
-    _write_trace(trace, args.out)
+        open(tmp, "x").close()
+    except OSError as exc:
+        raise InputError(f"cannot write trace: {exc}") from exc
+    try:
+        try:
+            trace, aborted = run(args.steps, args.depth, args.height), None
+        except ConstructionAborted as exc:
+            trace, aborted = exc.trace, exc.cause
+        try:
+            text = json.dumps(trace.to_json(), indent=2) + "\n"
+        except ValueError as exc:  # an integer past the int -> str digit limit
+            print(f"error: cannot serialize trace: {exc}", file=sys.stderr)
+            return RESOURCE, {}
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, args.out)
+        except OSError as exc:
+            raise InputError(f"cannot write trace: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    if aborted is not None:
+        print(f"aborted: {aborted}", file=sys.stderr)
+        return RESOURCE, {}
     return OK, {
         "steps": len(trace.steps),
         "dim": trace.dim,
         "retries": len(trace.retries),
         "out": args.out,
     }
-
-
-def _write_trace(trace: ConstructionTrace, path: str) -> None:
-    try:
-        with open(path, "w") as fh:
-            json.dump(trace.to_json(), fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise InputError(f"cannot write trace: {exc}") from exc
 
 
 def _load_trace(path: str) -> ConstructionTrace:
@@ -240,63 +256,144 @@ def _cmd_group_order(args) -> tuple[int, dict]:
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="arborsign",
-        description="Exact sign data of arboreal Galois truncations, square-class "
-        "towers, and the inductive construction simulator.",
-    )
-    parser.add_argument("--meta", action="store_true", help="include tool metadata in the payload")
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()
 
-    p = sub.add_parser("disc-seq", help="discriminant class sequence of iterates")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--base", default="")
-    p.set_defaults(handler=_cmd_disc_seq)
+# Subcommand -> (handler, help, {option: (type, default)}); an option whose
+# default is REQUIRED must be given.  Every option takes one value.
+COMMANDS = {
+    "disc-seq": (_cmd_disc_seq, "discriminant class sequence of iterates", {
+        "poly": (str, REQUIRED), "levels": (int, REQUIRED), "base": (str, "")}),
+    "index-report": (_cmd_index_report, "finite-level index certificate", {
+        "poly": (str, REQUIRED), "base": (str, ""), "level": (int, REQUIRED),
+        "n": (int, REQUIRED), "primes": (int, 50)}),
+    "simulate": (_cmd_simulate, "run the inductive construction", {
+        "steps": (int, REQUIRED), "depth": (int, 5), "height": (int, 1000),
+        "out": (str, REQUIRED)}),
+    "verify": (_cmd_verify, "re-check a construction trace", {
+        "trace": (str, REQUIRED)}),
+    "audit": (_cmd_audit, "killed-sign audit of a trace", {
+        "trace": (str, REQUIRED), "level": (int, REQUIRED)}),
+    "vast-witness": (_cmd_vast_witness, "first stream class outside a span", {
+        "stream": (str, REQUIRED), "base": (str, ""), "depth": (int, REQUIRED)}),
+    "group-order": (_cmd_group_order, "order of the depth-k tree automorphism group", {
+        "arity": (int, REQUIRED), "depth": (int, REQUIRED)}),
+}
 
-    p = sub.add_parser("index-report", help="finite-level index certificate")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--base", default="")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--primes", type=int, default=50)
-    p.set_defaults(handler=_cmd_index_report)
 
-    p = sub.add_parser("simulate", help="run the inductive construction")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--height", type=int, default=1000)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_simulate)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: arborsign [-h] [--meta] COMMAND [OPTION VALUE]..."
+    words = [f"--{name} {name.upper()}" if default is REQUIRED else f"[--{name} {name.upper()}]"
+             for name, (_, default) in COMMANDS[command][2].items()]
+    return " ".join(["usage: arborsign", command, "[-h]", *words])
 
-    p = sub.add_parser("verify", help="re-check a construction trace")
-    p.add_argument("--trace", required=True)
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("audit", help="killed-sign audit of a trace")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.set_defaults(handler=_cmd_audit)
+def _print_help(command: str | None):
+    """Print the help of the CLI or of one command to stdout, and exit 0."""
+    lines = [_usage(command), ""]
+    if command is None:
+        lines += ["Exact sign data of arboreal Galois truncations, square-class towers, "
+                  "and the inductive construction simulator.", "", "commands:"]
+        lines += [f"  {name:14s}{help_}" for name, (_, help_, _) in COMMANDS.items()]
+        lines += ["", "options:", f"  {'-h, --help':14s}show this help and exit",
+                  f"  {'--meta':14s}include tool metadata in the payload",
+                  "", "Run 'arborsign COMMAND -h' for the options of a command."]
+    else:
+        options = COMMANDS[command][2]
+        flags = {name: f"--{name} {name.upper()}" for name in options}
+        width = max(len(flag) for flag in flags.values()) + 2
+        lines += [COMMANDS[command][1], "", "options:",
+                  f"  {'-h, --help':{width}}show this help and exit"]
+        for name, (type_, default) in options.items():
+            kind = "integer" if type_ is int else "text"
+            note = "required" if default is REQUIRED else f"default {default!r}"
+            lines.append(f"  {flags[name]:{width}}{kind}, {note}")
+        lines += ["", "An option is given as --name VALUE or --name=VALUE; any unique prefix "
+                  "of its name will do."]
+    print("\n".join(lines))
+    raise SystemExit(OK)
 
-    p = sub.add_parser("vast-witness", help="first stream class outside a span")
-    p.add_argument("--stream", required=True)
-    p.add_argument("--base", default="")
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(handler=_cmd_vast_witness)
 
-    p = sub.add_parser("group-order", help="order of the depth-k tree automorphism group")
-    p.add_argument("--arity", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(handler=_cmd_group_order)
-    return parser
+def _fail(command: str | None, message: str):
+    """Print the usage line and `message` to stderr, and exit 2."""
+    print(_usage(command), file=sys.stderr)
+    print(f"arborsign{' ' + command if command else ''}: error: {message}", file=sys.stderr)
+    raise SystemExit(INPUT_ERROR)
+
+
+def _match(command: str | None, word: str, names) -> str:
+    """The option name that `word` (without its leading --) names exactly or
+    as a unique prefix."""
+    if word in names:
+        return word
+    hits = [name for name in names if word and name.startswith(word)]
+    if len(hits) == 1:
+        return hits[0]
+    if hits:
+        _fail(command, f"ambiguous option: --{word} could match "
+                       + ", ".join(f"--{h}" for h in hits))
+    _fail(command, f"unrecognized option: --{word}")
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Read `[--meta] COMMAND [--option VALUE | --option=VALUE]...` against
+    COMMANDS.  An option's value is the next argument unless that starts with
+    "--"; a repeated option keeps its last value."""
+    argv = list(argv)
+    meta, i = False, 0
+    while i < len(argv) and argv[i].startswith("-"):
+        arg = argv[i]
+        if arg == "-h":
+            _print_help(None)
+        if not arg.startswith("--"):
+            _fail(None, f"unrecognized option: {arg}")
+        word, eq, _ = arg[2:].partition("=")
+        if _match(None, word, ["help", "meta"]) == "help":
+            _print_help(None)
+        if eq:
+            _fail(None, "--meta takes no value")
+        meta, i = True, i + 1
+    if i == len(argv):
+        _fail(None, "missing COMMAND; one of " + ", ".join(COMMANDS))
+    command = argv[i]
+    if command not in COMMANDS:
+        _fail(None, f"unknown command {command!r}; choose from " + ", ".join(COMMANDS))
+    options = COMMANDS[command][2]
+    values = {}
+    i += 1
+    while i < len(argv):
+        arg = argv[i]
+        if arg == "-h":
+            _print_help(command)
+        if not arg.startswith("--"):
+            _fail(command, f"unrecognized argument: {arg}")
+        word, eq, text = arg[2:].partition("=")
+        name = _match(command, word, [*options, "help"])
+        if name == "help":
+            _print_help(command)
+        if not eq:
+            i += 1
+            if i == len(argv) or argv[i].startswith("--"):
+                _fail(command, f"option --{name} expects a value")
+            text = argv[i]
+        type_ = options[name][0]
+        try:
+            values[name] = type_(text)
+        except ValueError:
+            _fail(command, f"option --{name}: not an integer: {text!r}")
+        i += 1
+    missing = [f"--{name}" for name, (_, default) in options.items()
+               if default is REQUIRED and name not in values]
+    if missing:
+        _fail(command, "missing required option " + ", ".join(missing))
+    defaults = {name: default for name, (_, default) in options.items()}
+    return SimpleNamespace(meta=meta, command=command, **{**defaults, **values})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        code, payload = args.handler(args)
+        code, payload = COMMANDS[args.command][0](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -129,17 +129,6 @@ class RatPoly:
                     out[i + j] += a * b
         return RatPoly(out)
 
-    def __mod__(self, m: "RatPoly") -> "RatPoly":
-        """Remainder of the division by a nonzero m."""
-        r = list(self.coeffs)
-        dm = m.degree
-        inv = 1 / m.lc
-        while len(r) > dm:
-            q = r.pop() * inv
-            shift = len(r) - dm
-            r[shift:] = [c - q * b for c, b in zip(r[shift:], m.coeffs)]
-        return RatPoly(r)
-
     def scale(self, q: Rational) -> "RatPoly":
         return RatPoly(c * q for c in self.coeffs)
 

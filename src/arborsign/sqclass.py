@@ -393,7 +393,10 @@ def vast_witness(L: ClassStream, F: ClassSubspace, depth: int) -> SquareClass:
     The vastness hypothesis guarantees such a class exists at some depth;
     DepthExhausted only reports that this truncation was too short.
     """
-    for c in L.prefix(depth):
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    for i in range(depth):  # element by element: a witness ends the scan
+        c = L.at(i)
         if not F.member(c):
             return c
     raise DepthExhausted(f"no witness among the first {depth} elements of {L.name}")

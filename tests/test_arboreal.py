@@ -71,6 +71,10 @@ class TestDiscClass:
         with pytest.raises(Inseparable) as exc:
             disc_class(RatPoly.parse("x^2 - 1"), 3)  # orbit -1, 0: dies at level 2
         assert exc.value.level == 2
+        with pytest.raises(Inseparable) as exc:
+            # R_1 = -2/9 x is nonzero, but shares the root 0 with f'
+            disc_class(RatPoly.parse("x^3 + x^2"), 2)
+        assert exc.value.level == 1
 
     def test_sequence_at_level(self):
         seq = disc_class_sequence(X2M3, 3)

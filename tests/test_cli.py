@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import arborsign
-from arborsign.cli import main
+from arborsign import cli
+from arborsign.cli import COMMANDS, main, parse_args
+from arborsign.construct import ConstructionAborted, ConstructionTrace
 from arborsign.treegroup import group_order
 
 
@@ -134,6 +136,7 @@ class TestSimulateVerifyAudit:
         )
         assert code == 0
         assert payload == {"steps": 1, "dim": 1, "retries": 0, "out": str(out)}
+        assert os.listdir(tmp_path) == ["t1.json"]  # the temporary file is renamed away
         data = json.loads(out.read_text())
         assert data["schema"] == 2
         assert data["final"] == {"F": [-1], "dim": 1}
@@ -153,6 +156,41 @@ class TestSimulateVerifyAudit:
         )
         assert code == 2 and payload is None
         assert err.startswith("error: cannot write trace:") and err.count("\n") == 1
+
+    def test_simulate_unwritable_out_fails_before_run(self, capsys, tmp_path, monkeypatch):
+        """An unwritable --out used to be found only after the whole run."""
+        def never(*args):
+            raise AssertionError("run was called")
+
+        monkeypatch.setattr(cli, "run", never)
+        for out in (tmp_path / "missing" / "t.json", tmp_path):
+            code, payload, err = run_cli(capsys, "simulate", "--steps", "50", "--out", str(out))
+            assert code == 2 and payload is None
+            assert err.startswith("error: cannot write trace:") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("aborted", [False, True], ids=["completed", "aborted"])
+    def test_simulate_unserializable_trace_exit_3(self, capsys, tmp_path, monkeypatch,
+                                                  trace_file, aborted):
+        """A witness past the 4300-digit int -> str limit, which towers reach
+        from step 86, used to end in a traceback under exit 1 and leave a
+        truncated trace file."""
+        data = json.loads(trace_file.read_text())
+        huge = 7**5201  # 4396 digits, and not a square
+        data["steps"][0]["witness"] = data["final"]["F"][0] = huge
+        trace = ConstructionTrace.from_json(data)
+
+        def fake_run(*args):
+            if aborted:
+                raise ConstructionAborted(trace, RuntimeError("window exhausted"))
+            return trace
+
+        monkeypatch.setattr(cli, "run", fake_run)
+        out = tmp_path / "t.json"
+        code, payload, err = run_cli(capsys, "simulate", "--steps", "3", "--out", str(out))
+        assert code == 3 and payload is None
+        assert err.startswith("error: cannot serialize trace:") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
 
     def test_verify_clean(self, capsys, trace_file):
         code, payload, _ = run_cli(capsys, "verify", "--trace", str(trace_file))
@@ -316,6 +354,14 @@ class TestVastWitness:
         proc = cli_process("vast-witness", "--stream", stream, "--depth", depth)
         assert proc.returncode == 2 and proc.stdout == "" and "24" in proc.stderr
 
+    def test_primes_stream_stops_at_the_witness(self):
+        """The whole depth-element prefix used to be built before the scan:
+        past 30 s at depth 10^6, although the witness 5 is the third element."""
+        proc = cli_process("vast-witness", "--stream", "primes", "--depth", "1000000",
+                           "--base=2,3")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["witness"] == 5
+
     def test_stream_at_deepest_level(self, capsys):
         code, payload, _ = run_cli(
             capsys, "vast-witness", "--stream", "disc:x^3+x+1:3", "--depth", "2")
@@ -390,3 +436,159 @@ class TestArgparseContract:
             main(["disc-seq"])
         capsys.readouterr()
         assert exc.value.code == 2
+
+
+# A valid argv tail per subcommand, as (option, value) pairs; --base values
+# start with "-" on purpose.
+VALID = {
+    "disc-seq": [("poly", "x^2-3"), ("levels", "2"), ("base", "-1")],
+    "index-report": [("poly", "x^2-3"), ("base", "3"), ("level", "1"), ("n", "1"),
+                     ("primes", "10")],
+    "simulate": [("steps", "1"), ("depth", "5"), ("height", "100"), ("out", "t.json")],
+    "verify": [("trace", "t.json")],
+    "audit": [("trace", "t.json"), ("level", "2")],
+    "vast-witness": [("stream", "primes"), ("base", "-1,2"), ("depth", "10")],
+    "group-order": [("arity", "2"), ("depth", "3")],
+}
+
+
+def spaced(pairs):
+    return [word for name, value in pairs for word in (f"--{name}", value)]
+
+
+def joined(pairs):
+    return [f"--{name}={value}" for name, value in pairs]
+
+
+def shortest_prefix(name, names):
+    for k in range(1, len(name) + 1):
+        if name in names and sum(n.startswith(name[:k]) for n in names) == 1:
+            return name[:k]
+    return name
+
+
+def usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    return captured.err
+
+
+class TestParser:
+    def test_table_covers_every_command(self):
+        assert set(VALID) == set(COMMANDS)
+
+    @pytest.mark.parametrize("command", VALID)
+    def test_space_and_equals_forms(self, command):
+        args = parse_args([command, *spaced(VALID[command])])
+        assert args == parse_args([command, *joined(VALID[command])])
+        assert args.command == command and args.meta is False
+        options = COMMANDS[command][2]
+        for name, value in VALID[command]:
+            assert getattr(args, name) == options[name][0](value)
+
+    @pytest.mark.parametrize("command", VALID)
+    def test_defaults_fill_optional_options(self, command):
+        options = COMMANDS[command][2]
+        required = [(n, v) for n, v in VALID[command] if options[n][1] is cli.REQUIRED]
+        args = parse_args([command, *spaced(required)])
+        for name, (_, default) in options.items():
+            if default is not cli.REQUIRED:
+                assert getattr(args, name) == default
+
+    @pytest.mark.parametrize("command", VALID)
+    def test_unique_prefixes(self, command):
+        names = [*COMMANDS[command][2], "help"]
+        short = [(shortest_prefix(n, names), v) for n, v in VALID[command]]
+        assert parse_args([command, *spaced(short)]) == parse_args(
+            [command, *spaced(VALID[command])])
+        assert parse_args([command, *joined(short)]) == parse_args(
+            [command, *spaced(VALID[command])])
+
+    def test_ambiguous_prefix_exit_2(self, capsys):
+        err = usage_error(capsys, ["index-report", "--p", "x^2+1", "--level", "1", "--n", "1"])
+        assert "--p" in err and "--poly" in err and "--primes" in err
+
+    @pytest.mark.parametrize("base", [["--base", "-1"], ["--base=-1,2"], ["--base", "-1,2"]])
+    def test_negative_base(self, capsys, base):
+        code, payload, _ = run_cli(capsys, "disc-seq", "--poly", "x^2+1", "--levels", "2", *base)
+        assert code == 0
+        assert payload["subspace"] == [-1, 2]
+
+    @pytest.mark.parametrize("command", VALID)
+    def test_repeated_option_takes_the_last_value(self, command):
+        name, value = VALID[command][0]
+        args = parse_args([command, f"--{name}", "7", *spaced(VALID[command])])
+        assert getattr(args, name) == COMMANDS[command][2][name][0](value)
+        args = parse_args([command, *spaced(VALID[command]), f"--{name}=7"])
+        assert getattr(args, name) == COMMANDS[command][2][name][0]("7")
+
+    @pytest.mark.parametrize("command", VALID)
+    def test_unknown_option_exit_2(self, capsys, command):
+        err = usage_error(capsys, [command, *spaced(VALID[command]), "--bogus", "1"])
+        assert "--bogus" in err
+
+    @pytest.mark.parametrize("command", VALID)
+    def test_stray_argument_exit_2(self, capsys, command):
+        err = usage_error(capsys, [command, *spaced(VALID[command]), "extra"])
+        assert "extra" in err
+
+    @pytest.mark.parametrize("command", VALID)
+    def test_missing_value_exit_2(self, capsys, command):
+        pairs = VALID[command]
+        name = pairs[-1][0]
+        err = usage_error(capsys, [command, *spaced(pairs), f"--{name}"])
+        assert f"--{name}" in err
+        if len(pairs) > 1:  # a value that starts with "--" is the next option
+            err = usage_error(capsys, [command, f"--{pairs[0][0]}", *spaced(pairs[1:])])
+            assert f"--{pairs[0][0]}" in err
+
+    @pytest.mark.parametrize("command", VALID)
+    def test_missing_required_exit_2(self, capsys, command):
+        options = COMMANDS[command][2]
+        for name, _ in VALID[command]:
+            if options[name][1] is cli.REQUIRED:
+                rest = [(n, v) for n, v in VALID[command] if n != name]
+                err = usage_error(capsys, [command, *spaced(rest)])
+                assert f"--{name}" in err
+
+    @pytest.mark.parametrize("command", [c for c in VALID if c != "verify"])
+    def test_non_integer_exit_2(self, capsys, command):
+        options = COMMANDS[command][2]
+        for name, _ in VALID[command]:
+            if options[name][0] is int:
+                for bad in ("x", "1.5", ""):
+                    pairs = [(n, bad if n == name else v) for n, v in VALID[command]]
+                    err = usage_error(capsys, [command, *joined(pairs)])
+                    assert f"--{name}" in err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--meta", "-h"]])
+    def test_root_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 0 and captured.err == ""
+        assert captured.out.startswith("usage: arborsign")
+        assert all(command in captured.out for command in COMMANDS)
+
+    @pytest.mark.parametrize("command", VALID)
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_command_help(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *spaced(VALID[command][:1]), flag])
+        captured = capsys.readouterr()
+        assert exc.value.code == 0 and captured.err == ""
+        assert captured.out.startswith(f"usage: arborsign {command}")
+        assert all(f"--{name}" in captured.out for name in COMMANDS[command][2])
+
+    def test_meta_only_before_the_command(self, capsys):
+        argv = ["disc-seq", "--poly", "x^2-3", "--levels", "1"]
+        assert run_cli(capsys, "--meta", *argv)[1]["meta"]["tool"] == "arborsign"
+        assert "--meta" in usage_error(capsys, [*argv, "--meta"])
+
+    @pytest.mark.parametrize("argv", [[], ["--meta"], ["--bogus", "disc-seq"], ["-x"],
+                                      ["--meta=1", "disc-seq"]])
+    def test_root_usage_errors_exit_2(self, capsys, argv):
+        assert usage_error(capsys, argv).startswith("usage: arborsign")

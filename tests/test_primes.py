@@ -151,22 +151,35 @@ class TestFactorint:
                 primes.factorint(n)
 
 
+@pytest.fixture(scope="module")
+def trace3(tmp_path_factory):
+    """A 3-step trace for the verify and audit rows, written in process."""
+    from arborsign.cli import main
+
+    path = tmp_path_factory.mktemp("trace") / "t3.json"
+    assert main(["simulate", "--steps", "3", "--height", "100", "--out", str(path)]) == 0
+    return path
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["disc-seq", "--poly", "x^2-3", "--levels", "2"],
         ["simulate", "--steps", "3", "--height", "100", "--out", "{tmp}/t3.json"],
         ["index-report", "--poly", "x^2-7", "--level", "3", "--n", "32", "--primes", "40"],
+        ["verify", "--trace", "{trace}"],
+        ["audit", "--trace", "{trace}", "--level", "2"],
     ],
 )
-def test_cli_runs_without_sympy(argv, tmp_path):
+def test_cli_runs_without_sympy(argv, tmp_path, trace3):
     """A cold CLI process never imports sympy (or numpy or mpmath) on these
     inputs; sympy's import dominated the start-up time.  Nor does it import
-    dataclasses or inspect, which cost more than the program's own modules.
-    index-report runs the Frobenius scan."""
+    dataclasses or inspect, which cost more than the program's own modules,
+    or argparse, gettext and locale, which the CLI's own option table
+    replaces.  index-report runs the Frobenius scan."""
     paths = [os.path.dirname(os.path.dirname(arborsign.__file__)), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    argv = [a.format(tmp=tmp_path) for a in argv]
+    argv = [a.format(tmp=tmp_path, trace=trace3) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "arborsign.cli", *argv],
         capture_output=True,
@@ -178,5 +191,6 @@ def test_cli_runs_without_sympy(argv, tmp_path):
     assert proc.returncode == 0, proc.stderr
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
     assert "arborsign.primes" in imported
-    refused = ("sympy", "numpy", "mpmath", "dataclasses", "inspect")
+    refused = ("sympy", "numpy", "mpmath", "dataclasses", "inspect", "argparse", "gettext",
+               "locale")
     assert not [m for m in imported if m.split(".")[0] in refused]
