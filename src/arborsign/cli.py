@@ -6,9 +6,17 @@ valid JSON exactly for codes 0 and 1; diagnostics go to stderr.  A usage
 error (unknown command or option, missing or malformed value) raises
 SystemExit(2) from `main` after printing the usage line to stderr; -h prints
 help to stdout and raises SystemExit(0).
+
+`main` is the in-process API.  A process enters through `entry`, which runs
+`main`, flushes stdout and freezes the heap before it exits, so that the
+interpreter's last garbage collection has nothing to scan.  When the reader
+of stdout goes away, the process still exits with the command's code and
+prints nothing to stderr.
 """
 from __future__ import annotations
 
+import errno
+import gc
 import json
 import math
 import os
@@ -53,6 +61,23 @@ class InputError(ValueError):
     pass
 
 
+class StdoutClosed(BrokenPipeError):
+    """The reader of stdout went away while a command that exits with `code`
+    wrote its output."""
+
+    def __init__(self, code: int):
+        super().__init__(errno.EPIPE, os.strerror(errno.EPIPE))
+        self.code = code
+
+
+def _write(text: str, code: int) -> None:
+    """Write `text` to stdout for a command that exits with `code`."""
+    try:
+        sys.stdout.write(text)
+    except BrokenPipeError as exc:
+        raise StdoutClosed(code) from exc
+
+
 def _parse_base(text: str | None) -> ClassSubspace:
     if not text:
         return ClassSubspace()
@@ -70,11 +95,10 @@ def _parse_poly(text: str) -> RatPoly:
         raise InputError(f"bad polynomial {text!r}: {exc}") from exc
 
 
-def _emit(payload: dict, meta: bool) -> None:
+def _emit(payload: dict, meta: bool, code: int) -> None:
     if meta:
         payload = {**payload, "meta": {"tool": "arborsign", "version": __version__}}
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write(json.dumps(payload, indent=2) + "\n", code)
 
 
 def _cmd_disc_seq(args) -> tuple[int, dict]:
@@ -111,7 +135,7 @@ def _cmd_index_report(args) -> tuple[int, dict]:
                   f"above {MAX_ITERATE_DEGREE}", file=sys.stderr)
             return RESOURCE, {}
     cert = index_report(f, base, args.level, args.n, args.primes)
-    code = FINDING if cert.verdict.startswith("REFUTES") else OK
+    code = FINDING if cert.verdict.startswith(("REFUTES", "INSEPARABLE")) else OK
     return code, cert.to_json()
 
 
@@ -310,7 +334,7 @@ def _print_help(command: str | None):
             lines.append(f"  {flags[name]:{width}}{kind}, {note}")
         lines += ["", "An option is given as --name VALUE or --name=VALUE; any unique prefix "
                   "of its name will do."]
-    print("\n".join(lines))
+    _write("\n".join(lines) + "\n", OK)
     raise SystemExit(OK)
 
 
@@ -401,9 +425,31 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return RESOURCE
     if code in (OK, FINDING):
-        _emit(payload, args.meta)
+        _emit(payload, args.meta, code)
     return code
 
 
+def entry() -> None:
+    """Run `main` on the process's arguments, flush stdout and exit with
+    main's code.  The heap is frozen first (`gc.freeze`), so that the garbage
+    collection at shutdown scans nothing: the operating system frees that
+    memory anyway.  Buffered output, `atexit` handlers and module teardown
+    still run as usual.  If the reader of stdout went away, stdout is pointed
+    at os.devnull so that the flush at shutdown cannot fail again (see the
+    note on SIGPIPE in the documentation of `signal`)."""
+    try:
+        code = main()
+    except SystemExit as exc:  # -h, or a usage error
+        code = exc.code
+    except StdoutClosed as exc:
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -377,10 +377,11 @@ class StepRecord:
 
 class ConstructionTrace:
     """A run's steps, final field and parameters.  The final field is recorded
-    as the steps' witness integers, which span it.  Immutable; equal when
-    every field is equal."""
+    as the steps' witness integers, which span it, and its dimension `dim`,
+    which is len(final) unless a parsed trace records another.  Immutable;
+    equal when every field is equal."""
 
-    __slots__ = ("steps", "final", "params", "retries")
+    __slots__ = ("steps", "final", "params", "retries", "dim")
 
     def __init__(
         self,
@@ -388,11 +389,13 @@ class ConstructionTrace:
         final: tuple[int, ...],
         params: dict,
         retries: tuple[dict, ...] = (),
+        dim: int | None = None,
     ):
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "final", final)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "retries", retries)
+        object.__setattr__(self, "dim", len(final) if dim is None else dim)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConstructionTrace is immutable")
@@ -401,10 +404,6 @@ class ConstructionTrace:
         if not isinstance(other, ConstructionTrace):
             return NotImplemented
         return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    @property
-    def dim(self) -> int:
-        return len(self.final)
 
     def final_subspace(self) -> ClassSubspace:
         return ClassSubspace.span(SquareClass(w) for w in self.final)
@@ -434,6 +433,7 @@ class ConstructionTrace:
             steps = tuple(StepRecord.from_json(s) for s in data["steps"])
             final = tuple(_json_int(w, f"final.F[{j}]", nonzero=True)
                           for j, w in enumerate(data["final"]["F"]))
+            dim = _json_int(data["final"]["dim"], "final.dim")
             params = dict(data["params"])
             retries = tuple(dict(r) for r in data.get("retries", []))
         except (KeyError, TypeError, ValueError) as exc:
@@ -452,7 +452,7 @@ class ConstructionTrace:
             if s.vast_n + s.depth_checked - 1 > MAX_STREAM_LEVEL:
                 raise TraceFormatError(
                     f"step {s.m}: vast.n + vast.depth_checked - 1 exceeds {MAX_STREAM_LEVEL}")
-        return cls(steps, final, params, retries)
+        return cls(steps, final, params, retries, dim)
 
 
 def _json_int(value: object, name: str, nonzero: bool = False) -> int:
@@ -761,6 +761,9 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
     # final section consistency
     if trace.final != tuple(rec.witness for rec in trace.steps):
         out.append("(final): recorded field does not match the witness tower")
+    if trace.dim != len(trace.final):
+        out.append(f"(final): recorded dim {trace.dim} is not the number of witnesses, "
+                   f"{len(trace.final)}")
     return out
 
 
@@ -801,7 +804,7 @@ def counterexample_audit(trace: ConstructionTrace, polys: Sequence[RatPoly], k: 
                 "intersection_dim": intersection_dim(F, disc_span),
             }
         )
-    return {"level": k, "final_dim": trace.dim, "polynomials": entries}
+    return {"level": k, "final_dim": len(trace.final), "polynomials": entries}
 
 
 def assigned_polynomials(trace: ConstructionTrace) -> list[RatPoly]:

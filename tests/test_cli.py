@@ -1,6 +1,9 @@
+import gc
+import importlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -20,11 +23,17 @@ def run_cli(capsys, *argv):
     return code, payload, captured.err
 
 
-def cli_process(*argv):
-    """Run the CLI in a fresh interpreter; inputs that used to hang get 10 s."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arborsign.__file__)))
-    return subprocess.run([sys.executable, "-m", "arborsign.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=10)
+def cli_env(**extra):
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arborsign.__file__)),
+                **extra)
+
+
+def cli_process(*argv, **options):
+    """Run the CLI in a fresh interpreter; inputs that used to hang get 10 s.
+    `options` override those of subprocess.run."""
+    options = {"capture_output": True, "text": True, "env": cli_env(), "timeout": 10,
+               **options}
+    return subprocess.run([sys.executable, "-m", "arborsign.cli", *argv], **options)
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +101,13 @@ class TestIndexReport:
         )
         assert code == 0
         assert payload["degree_lower_bound"] == 2
+
+    def test_inseparable_exit_1(self, capsys):
+        code, payload, _ = run_cli(
+            capsys, "index-report", "--poly", "x^2", "--level", "2", "--n", "1",
+        )
+        assert code == 1
+        assert payload["verdict"] == "INSEPARABLE"
 
     def test_no_good_primes_exit_3(self, capsys):
         code, payload, err = run_cli(
@@ -205,6 +221,16 @@ class TestSimulateVerifyAudit:
         code, payload, _ = run_cli(capsys, "verify", "--trace", str(bad))
         assert code == 1
         assert any(v.startswith("(2_1)") for v in payload["violations"])
+
+    def test_verify_tampered_dim(self, capsys, trace_file, tmp_path):
+        data = json.loads(trace_file.read_text())
+        data["final"]["dim"] = 1
+        bad = tmp_path / "bad_dim.json"
+        bad.write_text(json.dumps(data))
+        code, payload, _ = run_cli(capsys, "verify", "--trace", str(bad))
+        assert code == 1
+        assert payload == {"violations": [
+            "(final): recorded dim 1 is not the number of witnesses, 3"]}
 
     def test_verify_truncated_file_exit_2(self, capsys, trace_file, tmp_path):
         bad = tmp_path / "trunc.json"
@@ -592,3 +618,68 @@ class TestParser:
                                       ["--meta=1", "disc-seq"]])
     def test_root_usage_errors_exit_2(self, capsys, argv):
         assert usage_error(capsys, argv).startswith("usage: arborsign")
+
+
+class TestProcessEntry:
+    """`python -m arborsign.cli` and the `arborsign` script run `cli.entry`,
+    which freezes the heap before the process exits; `main` does not."""
+
+    def test_main_leaves_the_heap_unfrozen(self, capsys):
+        assert run_cli(capsys, "group-order", "--arity", "2", "--depth", "1")[0] == 0
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("argv, code", [
+        (["group-order", "--arity", "2", "--depth", "1"], 0),
+        (["index-report", "--poly", "x^2", "--level", "2", "--n", "1"], 1),
+        (["group-order", "--arity", "1"], 2),
+    ])
+    def test_module_run_freezes_the_heap(self, argv, code):
+        script = ("import gc, runpy, sys\n"
+                  f"sys.argv = ['arborsign', *{argv!r}]\n"
+                  "try:\n"
+                  "    runpy.run_module('arborsign.cli', run_name='__main__')\n"
+                  "except SystemExit as exc:\n"
+                  "    print(gc.get_freeze_count(), exc.code, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=cli_env(), timeout=10)
+        frozen, exit_code = proc.stderr.splitlines()[-1].split()
+        assert int(frozen) > 0
+        assert int(exit_code) == code
+
+    def test_script_runs_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.dirname(cli.__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["arborsign"]
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.entry
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_process_matches_main(self, capsys, trace_file, tmp_path, monkeypatch, command):
+        shutil.copy(trace_file, tmp_path / "t.json")
+        monkeypatch.chdir(tmp_path)
+        argv = [command, *spaced(VALID[command])]
+        code = main(argv)
+        out = capsys.readouterr().out
+        proc = cli_process(*argv, text=False, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (code, out.encode())
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize("argv, code, read", [
+        # 6.6 kB of output, more than the pipe holds: the write outlives the reader
+        (["group-order", "--arity", "1500", "--depth", "1"], 0, 1),
+        (["index-report", "--poly", "x^2", "--level", "2", "--n", "1"], 1, 0),
+        (["-h"], 0, 0),
+    ])
+    def test_closed_stdout_pipe(self, argv, code, read, unbuffered):
+        fcntl = pytest.importorskip("fcntl")
+        r, w = os.pipe()
+        if hasattr(fcntl, "F_SETPIPE_SZ"):
+            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+        proc = subprocess.Popen([sys.executable, "-m", "arborsign.cli", *argv], stdout=w,
+                                stderr=subprocess.PIPE, env=cli_env(PYTHONUNBUFFERED=unbuffered))
+        os.close(w)
+        with os.fdopen(r, "rb") as reader:
+            assert len(reader.read(read)) == read
+        _, err = proc.communicate(timeout=10)
+        assert (proc.returncode, err) == (code, b"")

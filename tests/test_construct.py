@@ -188,6 +188,7 @@ class TestTraceSerialization:
             (("final", "F"), [0]),
             (("final", "F"), ["3"]),
             (("final", "F"), [True]),
+            (("final", "dim"), "3"),
             (("params", "height"), "abc"),
             (("params", "height"), 0),
             (("params", "height"), 1.5),
@@ -292,6 +293,11 @@ class TestVerify:
         data["final"]["F"] = data["final"]["F"][:-1] + [97]
         bad = ConstructionTrace.from_json(data)
         assert any(v.startswith("(final)") for v in verify_trace(bad))
+
+    def test_tampered_final_dim_reported(self, trace3):
+        bad = mutate(trace3, final__dim=1)
+        assert verify_trace(bad) == ["(final): recorded dim 1 is not the number of witnesses, 3"]
+        assert counterexample_audit(bad, assigned_polynomials(bad), 2)["final_dim"] == 3
 
 
 def full_scan_entries(trace):
