@@ -188,7 +188,6 @@ class TestTraceSerialization:
             (("final", "F"), [0]),
             (("final", "F"), ["3"]),
             (("final", "F"), [True]),
-            (("final", "dim"), "3"),
             (("params", "height"), "abc"),
             (("params", "height"), 0),
             (("params", "height"), 1.5),
@@ -214,6 +213,7 @@ class TestTraceSerialization:
             (("steps", 1, "vast", "n"), 1.0),
             (("steps", 1, "vast", "depth_checked"), "5"),
             (("steps", 1), {"m": 2, "witness_kernel": 5}),
+            (("final", "dim"), "3"),
         ],
     )
     def test_rejects_bad_final_params_retries(self, trace3, path, value):
