@@ -13,8 +13,15 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from . import treegroup
-from .exactpoly import BadPrime, RatPoly, _int_resultant, _prem, factor_degrees_mod_p, iterate
+from .exactpoly import (
+    BadPrime,
+    RatPoly,
+    _horner,
+    _int_resultant,
+    _prem,
+    factor_degrees_mod_p,
+    iterate,
+)
 from .primes import next_prime
 from .sqclass import ClassStream, ClassSubspace, SquareClass
 
@@ -42,7 +49,7 @@ def _critical_orbit(f: RatPoly, n: int) -> tuple[tuple[int, ...], int, SquareCla
     integer polynomial P (low to high, trimmed) and an integer D > 0 coprime
     to the content of P.
 
-    With L f = F and L f' = g integral (L from f.cleared()), R_n is the
+    With L f = F and L f' = g integral (F = f.nums, L = f.den), R_n is the
     remainder of f(R_(n-1)) = A / (L D^d), A = sum F_i P^i D^(d-i), by g: the
     pseudo-remainder of A by g over lc(g)^k L D^d, k = deg A - deg g + 1 (no
     reduction and k = 0 when deg A < deg g).  Res(f', P/D) is
@@ -52,17 +59,13 @@ def _critical_orbit(f: RatPoly, n: int) -> tuple[tuple[int, ...], int, SquareCla
 
     Raises Inseparable at the first level m <= n with disc(f^(om)) = 0.
     """
-    F, L = f.cleared()
+    F, L = f.nums, f.den
     g = [i * c for i, c in enumerate(F)][1:]
     if n == 0:
         P, D = _remainder([0, 1], 1, g)
         return P, D, SquareClass.trivial()
     P, D, prev = _critical_orbit(f, n - 1)
-    A, Dk = [F[-1]], 1
-    for c in reversed(F[:-1]):  # Horner's rule on the numerators
-        Dk *= D
-        A = _int_mul(A, P)
-        A[0] += c * Dk
+    A, Dk = _horner(F, P, D)
     P, D = _remainder(A, L * Dk, g)
     res = _int_resultant(g, P) if P else 0
     if res == 0:
@@ -73,16 +76,6 @@ def _critical_orbit(f: RatPoly, n: int) -> tuple[tuple[int, ...], int, SquareCla
     if d % 2:
         return P, D, SquareClass(rep) * prev
     return P, D, SquareClass(rep * L * D)
-
-
-def _int_mul(a: list[int], b: tuple[int, ...]) -> list[int]:
-    """Product of integer polynomials, for a nonempty; all zeros when b is empty."""
-    out = [0] * max(len(a) + len(b) - 1, 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _remainder(A: list[int], D: int, g: list[int]) -> tuple[tuple[int, ...], int]:
@@ -297,7 +290,10 @@ def index_report(
         raise ValueError("level must be >= 1")
     if n < 1:
         raise ValueError("index bound must be >= 1")
-    order = treegroup.group_order(f.degree, k)
+    # deferred: of all commands only this one and group-order load treegroup
+    from .treegroup import group_order
+
+    order = group_order(f.degree, k)
     try:
         killed = killed_signs(f, F, k)
     except Inseparable:

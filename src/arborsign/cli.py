@@ -44,7 +44,6 @@ from .construct import (
 )
 from .exactpoly import ParseError, RatPoly
 from .sqclass import ClassSubspace, DepthExhausted, stream_from_name, vast_witness
-from .treegroup import aut_order_supernatural, group_order
 
 OK, FINDING, INPUT_ERROR, RESOURCE = 0, 1, 2, 3
 # The interpreter's default limit on the digits of an int it converts to text.
@@ -272,6 +271,9 @@ def _cmd_group_order(args) -> tuple[int, dict]:
         print(f"error: |Aut T_{args.depth}({args.arity})| has more than "
               f"{MAX_ORDER_DIGITS} digits", file=sys.stderr)
         return RESOURCE, {}
+    # deferred: of all commands only this one and index-report load treegroup
+    from .treegroup import aut_order_supernatural, group_order
+
     return OK, {
         "arity": args.arity,
         "depth": args.depth,

@@ -15,19 +15,19 @@ infinite disjointness.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
 
 from .arboreal import Inseparable, disc_class, disc_stream, killed_signs
-from .exactpoly import RatPoly, Rational
+from .exactpoly import RatPoly
 from .sqclass import (
     ClassStream,
     ClassSubspace,
     DepthExhausted,
     SquareClass,
-    class_of,
     cover_fiber_integral,
     disjoint_over,
+    fiber_rep,
     intersection_dim,
     vast_witness,
 )
@@ -208,13 +208,16 @@ def default_enumerations() -> tuple[CoverEnumeration, VastEnumeration]:
     return CoverEnumeration(), VastEnumeration()
 
 
+# A point, a rational t = num/den, is the pair (num, den) in lowest terms
+# with den > 0, everywhere in this module.
+
 def _height_key(num: int, den: int) -> tuple[int, int, int, bool]:
-    """Position of num/den, in lowest terms with den > 0, in the height order."""
+    """Position of the point (num, den) in the height order."""
     return max(abs(num), den), den, abs(num), num < 0
 
 
 def _pairs_at_height(h: int) -> Iterator[tuple[int, int]]:
-    """The (num, den) in lowest terms with max(|num|, den) = h, in order."""
+    """The points (num, den) with max(|num|, den) = h, in order."""
     if h == 1:
         yield 0, 1
         yield 1, 1
@@ -230,12 +233,13 @@ def _pairs_at_height(h: int) -> Iterator[tuple[int, int]]:
             yield -num, h
 
 
-def _pairs_by_height(
+def rationals_by_height(
     max_height: int, after: tuple[int, int] | None = None
 ) -> Iterator[tuple[int, int]]:
-    """(numerator, denominator) of each rational of `rationals_by_height`, in
-    its order; with `after` = (num, den) in lowest terms, only those that
-    follow num/den."""
+    """Deterministic enumeration of the points of height max(|num|, den) at
+    most max_height, by height, then denominator, then |num| with the
+    positive value first.  With the point `after`, the enumeration resumes
+    right after it."""
     h = 1
     if after is not None:
         h = max(abs(after[0]), after[1])
@@ -249,26 +253,17 @@ def _pairs_by_height(
         yield from _pairs_at_height(h)
 
 
-def rationals_by_height(max_height: int, after: Rational | None = None) -> Iterator[Fraction]:
-    """Deterministic enumeration of Q by height max(|num|, den), then
-    denominator, then |num| with the positive value first.  With `after`, the
-    enumeration resumes right after that rational."""
-    start = None if after is None else (after.numerator, after.denominator)
-    for num, den in _pairs_by_height(max_height, start):
-        yield Fraction(num, den)
-
-
 # ---------------------------------------------------------------------------
 # State, records, trace
 # ---------------------------------------------------------------------------
 
 class PointRecord:
-    __slots__ = ("step", "cover", "c")
+    __slots__ = ("step", "cover", "point")
 
-    def __init__(self, step: int, cover: CoverSpec, c: Fraction):
+    def __init__(self, step: int, cover: CoverSpec, point: tuple[int, int]):
         object.__setattr__(self, "step", step)
         object.__setattr__(self, "cover", cover)
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "point", point)
 
     def __setattr__(self, name, value):
         raise AttributeError("PointRecord is immutable")
@@ -323,7 +318,7 @@ class StepRecord:
         witness: int,
         cover_id: int,
         cover_h: RatPoly,
-        point: Fraction,
+        point: tuple[int, int],
         vast_poly: RatPoly,
         vast_n: int,
         depth_checked: int,
@@ -350,7 +345,7 @@ class StepRecord:
             "m": self.m,
             "witness": self.witness,
             "cover": {"id": self.cover_id, "h": str(self.cover_h)},
-            "point": _frac_str(self.point),
+            "point": "%d/%d" % self.point,
             "vast": {
                 "poly": str(self.vast_poly),
                 "n": self.vast_n,
@@ -366,7 +361,7 @@ class StepRecord:
                 witness=_json_int(data["witness"], "witness", nonzero=True),
                 cover_id=_json_int(data["cover"]["id"], "cover.id"),
                 cover_h=RatPoly.parse(data["cover"]["h"]),
-                point=_frac_parse(data["point"]),
+                point=_point_parse(data["point"]),
                 vast_poly=RatPoly.parse(data["vast"]["poly"]),
                 vast_n=_json_int(data["vast"]["n"], "vast.n"),
                 depth_checked=_json_int(data["vast"]["depth_checked"], "vast.depth_checked"),
@@ -464,15 +459,32 @@ def _json_int(value: object, name: str, nonzero: bool = False) -> int:
     return value
 
 
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+_POINT_TEXT = re.compile(r"-?[0-9]+/[0-9]+")  # the form to_json writes
 
 
-def _frac_parse(text: str) -> Fraction:
+def _point_parse(text: str) -> tuple[int, int]:
+    """The point a trace's text names.  Any text `fractions.Fraction` reads
+    ("2/4", " 3 ", "1.5") is read as it reads it; only text other than
+    to_json's "num/den" imports it."""
     try:
-        return Fraction(text)
+        if type(text) is str and _POINT_TEXT.fullmatch(text):
+            num, den = map(int, text.split("/"))
+            if den == 0:
+                raise ZeroDivisionError(text)
+            g = math.gcd(num, den)
+            return num // g, den // g
+        from fractions import Fraction
+
+        q = Fraction(text)
+        return q.numerator, q.denominator
     except (ValueError, ZeroDivisionError) as exc:
         raise TraceFormatError(f"bad rational {text!r}") from exc
+
+
+def _point_str(point: tuple[int, int]) -> str:
+    """A point as str(Fraction) writes it: "3/4", or "3" for an integer."""
+    num, den = point
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 # ---------------------------------------------------------------------------
@@ -521,17 +533,17 @@ def step(
     integral_over = state.M.extend(w)
     cover = B.entry(m)
     h = cover.h
-    prior_points = {(pt.c.numerator, pt.c.denominator) for pt in state.points}
+    prior_points = {pt.point for pt in state.points}
     # Spans only grow, so every rational the last step with this cover skipped
     # is still ineligible, and that step's point is now a prior point.
     after = None
     for pt in state.points:
         if pt.cover.h == h:
-            after = (pt.c.numerator, pt.c.denominator)
+            after = pt.point
     point = None
-    for num, den in _pairs_by_height(height, after):
-        if (num, den) not in prior_points and cover_fiber_integral(h, num, den, integral_over):
-            point = Fraction(num, den)
+    for candidate in rationals_by_height(height, after):
+        if candidate not in prior_points and cover_fiber_integral(h, *candidate, integral_over):
+            point = candidate
             break
     if point is None:
         raise PointSearchExhausted(f"no point of height <= {height}")
@@ -548,7 +560,7 @@ def step(
     new_state = ConstructionState(
         m=m,
         F=state.F.extend(w),
-        M=integral_over.extend(class_of(h(point))),
+        M=integral_over.extend(SquareClass(fiber_rep(h, *point))),
         points=state.points + (PointRecord(m, cover, point),),
         used=state.used | {spec.index},
         met=state.met | met,
@@ -660,14 +672,29 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
     # recompute fiber classes
     fibers: list[SquareClass | None] = []
     for i, rec in enumerate(trace.steps, start=1):
-        v = rec.cover_h(rec.point)
+        v = fiber_rep(rec.cover_h, *rec.point)
         if v == 0:
             out.append(f"(2_{i}): fiber above the recorded point is degenerate")
             fibers.append(None)
         else:
-            fibers.append(class_of(v))
+            fibers.append(SquareClass(v))
 
-    points = [(rec.point.numerator, rec.point.denominator) for rec in trace.steps]
+    # The fields are nested, so a fiber class in the field of step i stays in
+    # every later one: each is tested against the last field, and on a hit
+    # bisected for the first step whose field holds it.
+    fell_at: dict[int, int] = {}  # step j -> first step i >= j with fiber j in field i
+    for j, fb in enumerate(fibers, start=1):
+        if fb is not None and fields[-1].member(fb):
+            lo, hi = j, len(fibers)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if fields[mid].member(fb):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            fell_at[j] = lo
+
+    points = [rec.point for rec in trace.steps]
     passed: dict[RatPoly, tuple[int, int]] = {}  # cover -> point of its last passed scan
     used_indices: set[int] = set()
     # entry -> least depth at which it was found not disjoint from an earlier
@@ -735,11 +762,11 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
         if after is not None and _height_key(*target) <= _height_key(*after):
             after = None
         reached = False
-        for num, den in _pairs_by_height(height, after):
-            if (num, den) in prior:
+        for candidate in rationals_by_height(height, after):
+            if candidate in prior:
                 continue
-            eligible = cover_fiber_integral(rec.cover_h, num, den, integral_over)
-            if (num, den) == target:
+            eligible = cover_fiber_integral(rec.cover_h, *candidate, integral_over)
+            if candidate == target:
                 reached = True
                 if eligible:
                     passed[rec.cover_h] = target
@@ -747,14 +774,15 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
                     out.append(f"(2_{i}): recorded point is not integral")
                 break
             if eligible:
-                out.append(f"(2_{i}): point {Fraction(num, den)} was eligible before {rec.point}")
+                out.append(f"(2_{i}): point {_point_str(candidate)} was eligible before "
+                           f"{_point_str(target)}")
                 break
         if not reached and not any(v.startswith(f"(2_{i})") for v in out):
             out.append(f"(2_{i}): recorded point not reached in the height ordering")
 
         # (2_m) persistence: all fiber classes stay outside every later field
-        for j, fb in enumerate(fibers[:i], start=1):
-            if fb is not None and fields[i].member(fb):
+        for j, first in fell_at.items():
+            if first <= i:
                 out.append(f"(2_{i}): fiber class of step {j} fell into the field")
         M = integral_over if fibers[i - 1] is None else integral_over.extend(fibers[i - 1])
 

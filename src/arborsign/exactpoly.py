@@ -13,13 +13,10 @@ import re
 import sys
 from array import array
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from . import primes
-
-Rational = Fraction | int
 
 
 class ParseError(ValueError):
@@ -38,18 +35,35 @@ class BadPrime(ValueError):
 class RatPoly:
     """Univariate polynomial with exact rational coefficients.
 
-    Coefficients are stored low-to-high with a nonzero leading coefficient
-    (empty tuple for the zero polynomial).  Instances are immutable.
+    Kept in its unique normal form: integer numerators `nums`, low to high
+    with a nonzero last one (empty for the zero polynomial), over one
+    denominator `den` > 0 coprime to their content (1 for the zero
+    polynomial).  The coefficient of x^i is nums[i] / den, and `den` is the
+    lcm of the coefficients' denominators.  Instances are immutable.
     """
 
-    __slots__ = ("coeffs", "_cleared")
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_cleared", None)
+    def __init__(self, coeffs: Iterable = ()):
+        """From coefficients low to high: ints, Fractions or anything else
+        with `numerator` and `denominator`."""
+        cs = list(coeffs)
+        den = math.lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, nums: list[int], den: int) -> None:
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        object.__setattr__(self, "nums", tuple(n // g for n in nums) if g > 1 else tuple(nums))
+        object.__setattr__(self, "den", den // g)
+
+    @classmethod
+    def _of(cls, nums: list[int], den: int) -> "RatPoly":
+        """sum(nums[i] x^i) / den for den > 0; consumes `nums`."""
+        f = object.__new__(cls)
+        f._set(nums, den)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
@@ -61,7 +75,7 @@ class RatPoly:
         return cls()
 
     @classmethod
-    def constant(cls, q: Rational) -> "RatPoly":
+    def constant(cls, q) -> "RatPoly":
         return cls((q,))
 
     @classmethod
@@ -77,71 +91,46 @@ class RatPoly:
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def lc(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    def cleared(self) -> tuple[tuple[int, ...], int]:
-        """(integer coefficients of L*self from low to high, L), where L is the
-        lcm of the coefficient denominators.  Computed once per polynomial."""
-        if self._cleared is None:
-            L = math.lcm(*(c.denominator for c in self.coeffs)) if self.coeffs else 1
-            ks = tuple(c.numerator * (L // c.denominator) for c in self.coeffs)
-            object.__setattr__(self, "_cleared", (ks, L))
-        return self._cleared
-
-    def __call__(self, q: Rational) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * q + c
-        return acc
+        return not self.nums
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly(self.coeff(i) + other.coeff(i) for i in range(n))
+        den = math.lcm(self.den, other.den)
+        out = [0] * max(len(self.nums), len(other.nums))
+        for f in (self, other):
+            m = den // f.den
+            for i, k in enumerate(f.nums):
+                out[i] += k * m
+        return RatPoly._of(out, den)
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly(-c for c in self.coeffs)
+        return RatPoly._of([-k for k in self.nums], self.den)
 
     def __sub__(self, other: "RatPoly") -> "RatPoly":
         return self + (-other)
 
     def __mul__(self, other: "RatPoly") -> "RatPoly":
-        if self.is_zero or other.is_zero:
-            return RatPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RatPoly(out)
+        return RatPoly._of(_int_mul(self.nums, other.nums), self.den * other.den)
 
-    def scale(self, q: Rational) -> "RatPoly":
-        return RatPoly(c * q for c in self.coeffs)
+    def scale(self, q) -> "RatPoly":
+        """q times self, for an int or Fraction q."""
+        return RatPoly._of([k * q.numerator for k in self.nums], self.den * q.denominator)
 
     def derivative(self) -> "RatPoly":
-        return RatPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return RatPoly._of([i * k for i, k in enumerate(self.nums)][1:], self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     # -- rendering ---------------------------------------------------------
 
@@ -150,33 +139,56 @@ class RatPoly:
             return "0"
         parts: list[str] = []
         for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if c == 0:
+            k = self.nums[i]
+            if k == 0:
                 continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
+            g = math.gcd(k, self.den)
+            num, den = abs(k) // g, self.den // g
+            mag = str(num) if den == 1 else f"{num}/{den}"
             if i == 0:
-                body = str(mag)
+                body = mag
             else:
                 xpow = "x" if i == 1 else f"x^{i}"
-                body = xpow if mag == 1 else f"{mag}*{xpow}"
+                body = xpow if mag == "1" else f"{mag}*{xpow}"
             if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
+                parts.append(body if k > 0 else f"-{body}")
             else:
-                parts.append(f" {sign} {body}")
+                parts.append(f" {'+' if k > 0 else '-'} {body}")
         return "".join(parts)
 
     def __repr__(self) -> str:
         return f"RatPoly.parse({str(self)!r})"
 
 
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of integer polynomials, low to high and untrimmed; at least
+    one coefficient, all of them zero when a or b is empty."""
+    out = [0] * max(len(a) + len(b) - 1, 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _horner(G: Sequence[int], P: Sequence[int], D: int) -> tuple[list[int], int]:
+    """(A, D^k) with sum G[i] (P/D)^i = A / D^k, for integer polynomials G
+    of degree k >= 0 and P and an integer D != 0: Horner's rule on
+    numerators.  A is untrimmed."""
+    A, Dk = [G[-1]], 1
+    for c in reversed(G[:-1]):
+        Dk *= D
+        A = _int_mul(A, P)
+        A[0] += c * Dk
+    return A, Dk
+
+
 def compose(g: RatPoly, f: RatPoly) -> RatPoly:
     """g after f: returns the polynomial g(f(x))."""
-    acc = RatPoly()
-    for c in reversed(g.coeffs):
-        acc = acc * f
-        acc = RatPoly((acc.coeff(0) + c, *acc.coeffs[1:]))
-    return acc
+    if g.is_zero:
+        return g
+    A, Dk = _horner(g.nums, f.nums, f.den)
+    return RatPoly._of(A, g.den * Dk)
 
 
 def iterate(f: RatPoly, k: int) -> RatPoly:
@@ -255,27 +267,30 @@ def _int_resultant(F: Sequence[int], G: Sequence[int]) -> int:
     return s * t * h
 
 
-def resultant(f: RatPoly, g: RatPoly) -> Fraction:
-    """Res(f, g) = lc(f)^(deg g) * prod g(alpha) over the roots alpha of f."""
+def resultant(f: RatPoly, g: RatPoly) -> "Fraction":
+    """Res(f, g) = lc(f)^(deg g) * prod g(alpha) over the roots alpha of f.
+
+    No command of the CLI takes a resultant: discriminant classes come from
+    the critical orbit on integers.  `fractions` is imported here only."""
+    from fractions import Fraction
+
     if f.is_zero and g.is_zero:
         raise ValueError("resultant of two zero polynomials is undefined")
     if f.is_zero or g.is_zero:
         return Fraction(0)
     if f.degree == 0 and g.degree == 0:
         return Fraction(1)
-    F, Lf = f.cleared()
-    G, Lg = g.cleared()
-    r = _int_resultant(F, G)
-    return Fraction(r, Lf**g.degree * Lg**f.degree)
+    r = _int_resultant(f.nums, g.nums)
+    return Fraction(r, f.den**g.degree * g.den**f.degree)
 
 
-def discriminant(f: RatPoly) -> Fraction:
+def discriminant(f: RatPoly) -> "Fraction":
     """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f).  Zero means inseparable."""
     n = f.degree
     if n < 1:
         raise ValueError("discriminant requires degree >= 1")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.lc
+    return sign * resultant(f, f.derivative()) * f.den / f.nums[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +304,19 @@ def _squarefree_part(n: int) -> tuple[int, tuple[int, ...]]:
     return math.prod(odd), odd
 
 
-def squarefree_kernel(q: Rational) -> int:
-    """The unique squarefree integer s (sign included) with q/s a rational square."""
+def squarefree_kernel(q) -> int:
+    """The unique squarefree integer s (sign included) with q/s a rational
+    square, for a nonzero int or Fraction q."""
     return squarefree_kernel_support(q)[0]
 
 
-def squarefree_kernel_support(q: Rational) -> tuple[int, tuple[int, ...]]:
+def squarefree_kernel_support(q) -> tuple[int, tuple[int, ...]]:
     """As squarefree_kernel, but also returns the primes dividing the kernel."""
-    q = Fraction(q)
-    if q == 0:
+    n = q.numerator * q.denominator  # q times the square den^2
+    if n == 0:
         raise ValueError("zero has no square class")
-    # q and num*den differ by the square den^2.
-    k, odd = _squarefree_part(abs(q.numerator * q.denominator))
-    return (k if q > 0 else -k), odd
+    k, odd = _squarefree_part(abs(n))
+    return (k if n > 0 else -k), odd
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +474,13 @@ class FactorDegreePattern:
 
 
 def reduce_mod_p(f: RatPoly, p: int) -> list[int]:
-    """Coefficients of f mod p; BadPrime if p divides a denominator or lc(f)."""
-    out = []
-    for c in f.coeffs:
-        if c.denominator % p == 0:
-            raise BadPrime(f"{p} divides a coefficient denominator")
-        out.append(c.numerator * pow(c.denominator, -1, p) % p)
+    """Coefficients of f mod p; BadPrime if p divides a denominator or lc(f).
+    f.den is the lcm of the coefficient denominators, so a prime divides one
+    of them iff it divides f.den."""
+    if f.den % p == 0:
+        raise BadPrime(f"{p} divides a coefficient denominator")
+    inv = pow(f.den, -1, p)
+    out = [k * inv % p for k in f.nums]
     if out and out[-1] == 0:
         raise BadPrime(f"{p} divides the leading coefficient")
     return out
@@ -534,6 +550,9 @@ def factor_degrees_mod_p(f: RatPoly, p: int) -> FactorDegreePattern:
 # Parser for the CLI polynomial grammar
 # ---------------------------------------------------------------------------
 
+# Largest exponent the parser accepts: a term x^e allocates e + 1 coefficients.
+MAX_EXPONENT = 10_000
+
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([x^*/+-]))")
 
 
@@ -552,11 +571,19 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _literal(token: tuple[str, str, int]) -> int:
+    try:
+        return int(token[1])
+    except ValueError:  # more digits than the interpreter converts to an int
+        raise ParseError(f"integer literal of {len(token[1])} digits is too long",
+                         token[2]) from None
+
+
 def _parse_poly(text: str) -> RatPoly:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial", 0)
-    result = RatPoly()
+    terms: list[tuple[int, int, int]] = []  # (power, signed numerator, denominator)
     i = 0
     first = True
     while i < len(tokens):
@@ -573,21 +600,19 @@ def _parse_poly(text: str) -> RatPoly:
         first = False
         if i >= len(tokens):
             raise ParseError("dangling sign", tokens[-1][2])
-        coef = Fraction(sign)
+        num, den = sign, 1
         have_coef = False
         if tokens[i][0] == "num":
-            num = int(tokens[i][1])
+            num *= _literal(tokens[i])
             i += 1
-            den = 1
             if i < len(tokens) and tokens[i][:2] == ("sym", "/"):
                 i += 1
                 if i >= len(tokens) or tokens[i][0] != "num":
                     raise ParseError("expected denominator", tokens[i - 1][2])
-                den = int(tokens[i][1])
+                den = _literal(tokens[i])
                 if den == 0:
                     raise ParseError("zero denominator", tokens[i][2])
                 i += 1
-            coef *= Fraction(num, den)
             have_coef = True
             if i < len(tokens) and tokens[i][:2] == ("sym", "*"):
                 i += 1
@@ -602,11 +627,17 @@ def _parse_poly(text: str) -> RatPoly:
                 if i >= len(tokens) or tokens[i][0] != "num":
                     pos = tokens[i][2] if i < len(tokens) else tokens[-1][2] + 1
                     raise ParseError("expected integer exponent", pos)
-                power = int(tokens[i][1])
+                power = _literal(tokens[i])
+                if power > MAX_EXPONENT:
+                    raise ParseError(f"exponent above {MAX_EXPONENT}", tokens[i][2])
                 i += 1
         elif not have_coef:
             raise ParseError("expected term", tokens[i][2])
-        result = result + RatPoly([0] * power + [coef])
+        terms.append((power, num, den))
         if i < len(tokens) and not (tokens[i][0] == "sym" and tokens[i][1] in "+-"):
             raise ParseError(f"unexpected token {tokens[i][1]!r}", tokens[i][2])
-    return result
+    den = math.lcm(*(d for _, _, d in terms))
+    nums = [0] * (max(power for power, _, _ in terms) + 1)
+    for power, num, d in terms:
+        nums[power] += num * (den // d)
+    return RatPoly._of(nums, den)

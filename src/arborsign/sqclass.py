@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from fractions import Fraction
 
-from .exactpoly import RatPoly, Rational, squarefree_kernel_support
+from .exactpoly import RatPoly, squarefree_kernel_support
 from .primes import next_prime
 
 
@@ -104,11 +103,9 @@ class SquareClass:
         return str(self.kernel)
 
 
-def class_of(q: Rational) -> SquareClass:
-    """The square class of a nonzero rational."""
-    q = Fraction(q)
-    # q and num*den differ by the square den^2.
-    return SquareClass(q.numerator * q.denominator)
+def class_of(q) -> SquareClass:
+    """The square class of a nonzero rational, an int or a Fraction."""
+    return SquareClass(q.numerator * q.denominator)  # q times the square den^2
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +399,21 @@ def vast_witness(L: ClassStream, F: ClassSubspace, depth: int) -> SquareClass:
     raise DepthExhausted(f"no witness among the first {depth} elements of {L.name}")
 
 
+def fiber_rep(h: RatPoly, num: int, den: int) -> int:
+    """An integer in the square class of h(num/den), for den nonzero; 0 iff
+    h(num/den) = 0."""
+    # With h = sum k_i t^i / L, the integer n = sum k_i num^i den^(d-i) is
+    # h(num/den) L den^d, so h(num/den) lies in the class of n L den^(d mod 2).
+    n, bp = 0, 1
+    for k in reversed(h.nums):
+        n = n * num + k * bp
+        bp *= den
+    return n * h.den * (den if h.degree % 2 else 1)
+
+
 def cover_fiber_integral(h: RatPoly, num: int, den: int, F: ClassSubspace) -> bool:
     """Whether the fiber of y^2 = h(t) above t = num/den (den nonzero) is
     integral over the multiquadratic field modeled by F: h(num/den) nonzero
     and a nonsquare there."""
-    # With L h = sum k_i t^i integral, the integer n = sum k_i num^i den^(d-i)
-    # is h(num/den) L den^d, so h(num/den) = 0 iff n = 0 and h(num/den) lies
-    # in the class of n L den^(d mod 2).
-    ks, L = h.cleared()
-    n, bp = 0, 1
-    for k in reversed(ks):
-        n = n * num + k * bp
-        bp *= den
-    if n == 0:
-        return False
-    return not F._member(n * L * (den if h.degree % 2 else 1))
+    rep = fiber_rep(h, num, den)
+    return rep != 0 and not F._member(rep)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -145,7 +146,7 @@ class TestCriticalOrbitIdentity:
         """disc(f^(on)) = s_n a^(dE(E-1)-1) disc(f^(o(n-1)))^d Res(f', f^(on)),
         exactly, with E = d^(n-1)."""
         f = RatPoly.parse(poly)
-        d, a = f.degree, f.lc
+        d, a = f.degree, Fraction(f.nums[-1], f.den)
         prev = 1
         for n in range(1, depth + 1):
             E = d ** (n - 1)

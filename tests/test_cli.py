@@ -222,6 +222,41 @@ class TestSimulateVerifyAudit:
         assert code == 1
         assert any(v.startswith("(2_1)") for v in payload["violations"])
 
+    @pytest.mark.parametrize("text", ["2", " 2/1 ", "4/2", "+2/1", "2.0", "2_0/1_0"])
+    def test_verify_point_text_forms(self, capsys, trace_file, tmp_path, text):
+        """Every text fractions.Fraction reads as the recorded point names it."""
+        data = json.loads(trace_file.read_text())
+        assert data["steps"][0]["point"] == "2/1"
+        data["steps"][0]["point"] = text
+        other = tmp_path / "forms.json"
+        other.write_text(json.dumps(data))
+        assert run_cli(capsys, "verify", "--trace", str(other))[:2] == (0, {"violations": []})
+
+    @pytest.mark.parametrize("text, message", [
+        ("3/1", "(2_1): point 2 was eligible before 3"),
+        ("7/2", "(2_1): point 2 was eligible before 7/2"),
+        ("-14/4", "(2_1): point 2 was eligible before -7/2"),
+    ])
+    def test_verify_late_point_names_the_eligible_one(self, capsys, trace_file, tmp_path,
+                                                      text, message):
+        data = json.loads(trace_file.read_text())
+        data["steps"][0]["point"] = text
+        bad = tmp_path / "late.json"
+        bad.write_text(json.dumps(data))
+        code, payload, _ = run_cli(capsys, "verify", "--trace", str(bad))
+        assert code == 1 and message in payload["violations"]
+
+    @pytest.mark.parametrize("text", ["1/0", "3/-4", "1/2/3", "x", ""])
+    def test_verify_bad_point_text_exit_2(self, trace_file, tmp_path, text):
+        data = json.loads(trace_file.read_text())
+        data["steps"][0]["point"] = text
+        bad = tmp_path / "bad_point.json"
+        bad.write_text(json.dumps(data))
+        proc = cli_process("verify", "--trace", str(bad))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "bad rational" in proc.stderr
+
     def test_verify_tampered_dim(self, capsys, trace_file, tmp_path):
         data = json.loads(trace_file.read_text())
         data["final"]["dim"] = 1
@@ -448,6 +483,49 @@ class TestGroupOrder:
                 assert (code, payload) == (3, None)
             else:
                 assert code == 0 and payload["order"] == group_order(d, k)
+
+
+NINES = "9" * 5000  # past the interpreter's 4300-digit limit on int()
+
+
+class TestPolynomialBounds:
+    """A literal past the digit limit used to escape the parser as a plain
+    ValueError, a traceback under exit 1, and an exponent had no bound:
+    x^1000000 took seconds and x^100000000 exhausted memory."""
+
+    @pytest.mark.parametrize("argv", [
+        ["disc-seq", "--poly", "x^2+" + NINES, "--levels", "1"],
+        ["disc-seq", "--poly", "x^2+1/" + NINES, "--levels", "1"],
+        ["index-report", "--poly", "x^" + NINES, "--level", "1", "--n", "2"],
+        ["disc-seq", "--poly", "x^100000000+1", "--levels", "1"],
+        ["index-report", "--poly", "x^10001+1", "--level", "1", "--n", "2"],
+        ["vast-witness", "--stream", "disc:x^100000000+1:1", "--depth", "1"],
+        ["vast-witness", "--stream", f"disc:{NINES}*x^2+1:1", "--depth", "1"],
+    ], ids=["constant", "denominator", "exponent-digits", "exponent", "exponent-index-report",
+            "stream-exponent", "stream-coefficient"])
+    def test_oversized_polynomial_exit_2(self, argv):
+        proc = cli_process(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "position" in proc.stderr
+
+    @pytest.mark.parametrize("field, value", [
+        (("cover", "h"), "x^100000000"),
+        (("cover", "h"), "x + " + NINES),
+        (("vast", "poly"), "x^2 + " + NINES),
+        (("vast", "poly"), "x^100000000 + 1"),
+    ], ids=["cover-exponent", "cover-constant", "vast-constant", "vast-exponent"])
+    @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]])
+    def test_oversized_trace_polynomial_exit_2(self, trace_file, tmp_path, field, value,
+                                               command):
+        data = json.loads(trace_file.read_text())
+        data["steps"][1][field[0]][field[1]] = value
+        bad = tmp_path / "oversized.json"
+        bad.write_text(json.dumps(data))
+        proc = cli_process(*command, "--trace", str(bad))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "position" in proc.stderr
 
 
 class TestArgparseContract:

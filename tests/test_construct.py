@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from arborsign.construct import (
     MAX_STREAM_LEVEL,
@@ -61,15 +62,17 @@ class TestEnumerations:
 
         for j in range(1, 80):
             h = B.entry(j).h
-            assert h.lc == 1 and 1 <= h.degree <= 2
+            assert h.den == h.nums[-1] == 1 and 1 <= h.degree <= 2
             assert discriminant(h) != 0 if h.degree == 2 else True
 
     def test_vast_entries_skip_finite_orbits(self):
         A = VastEnumeration()
-        cs = {A.entry(j).f.coeff(0) for j in range(1, 40)}
+        fs = [A.entry(j).f for j in range(1, 40)]
+        assert all(f.den == 1 and f.nums[1:] == (0, 1) for f in fs)
+        cs = {f.nums[0] for f in fs}
         # 0, -1, -2 have finite critical orbits and must never appear
-        assert not cs & {Fraction(0), Fraction(-1), Fraction(-2)}
-        assert Fraction(1) in cs and Fraction(2) in cs and Fraction(-3) in cs
+        assert not cs & {0, -1, -2}
+        assert 1 in cs and 2 in cs and -3 in cs
 
     def test_entries_one_based(self):
         B, A = default_enumerations()
@@ -80,10 +83,7 @@ class TestEnumerations:
 
     def test_rationals_by_height_order(self):
         got = list(rationals_by_height(2))
-        assert got == [
-            Fraction(0), Fraction(1), Fraction(-1),
-            Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(-1, 2),
-        ]
+        assert got == [(0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1), (1, 2), (-1, 2)]
         # no duplicates at any height
         all10 = list(rationals_by_height(10))
         assert len(all10) == len(set(all10))
@@ -92,8 +92,13 @@ class TestEnumerations:
         full = list(rationals_by_height(30))
         for i, q in enumerate(full):
             assert list(rationals_by_height(30, q)) == full[i + 1:]
-        assert list(rationals_by_height(30, 31)) == []
-        assert list(rationals_by_height(30, Fraction(-5, 31))) == []
+        assert list(rationals_by_height(30, (31, 1))) == []
+        assert list(rationals_by_height(30, (-5, 31))) == []
+
+    def test_points_in_lowest_terms(self):
+        for num, den in rationals_by_height(30):
+            q = Fraction(num, den)
+            assert (q.numerator, q.denominator) == (num, den)
 
 
 class TestStep:
@@ -238,6 +243,36 @@ class TestTraceSerialization:
         with pytest.raises(TraceFormatError):
             ConstructionTrace.from_json(data)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.builds("{}{}/{}".format, st.sampled_from(["", "-", "+"]),
+                  st.integers(0, 10**30), st.integers(-3, 10**30)),
+        st.from_regex(r"\s?[-+]?[0-9_]{0,4}(\.[0-9_]{0,3})?([eE][-+]?[0-9]{1,2})?"
+                      r"(\s?/\s?[-+]?[0-9_]{0,4})?\s?", fullmatch=True),
+        st.text(alphabet="0123456789-+/. _", max_size=10),
+    ))
+    @example("2/4")
+    @example("3")
+    @example("1.5")
+    @example(" 3/4 ")
+    @example("-0/7")
+    @example("007/014")
+    @example("\u0663/\u0664")
+    @example("1/0")
+    @example("3/-4")
+    @example("1/2/3")
+    @example("1" * 4301 + "/1")
+    def test_point_text_read_as_fraction_reads_it(self, text):
+        """A trace's point text means what fractions.Fraction(text) means,
+        and text Fraction rejects is a format error."""
+        try:
+            q = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(TraceFormatError):
+                construct._point_parse(text)
+        else:
+            assert construct._point_parse(text) == (q.numerator, q.denominator)
+
 
 def mutate(trace, **changes):
     data = trace.to_json()
@@ -300,35 +335,43 @@ class TestVerify:
         assert counterexample_audit(bad, assigned_polynomials(bad), 2)["final_dim"] == 3
 
 
+def value(h, q):
+    """h(q) over Fraction: the oracle for the engine's integer fiber values."""
+    return sum(Fraction(k, h.den) * q**i for i, k in enumerate(h.nums))
+
+
 def full_scan_entries(trace):
     """The (2_i) entries of verify_trace, from a scan of every rational in the
-    height order at every step."""
+    height order at every step, and a test of every fiber class against every
+    later field."""
     steps, height = trace.steps, trace.params["height"]
     fields = [ClassSubspace()]
     for rec in steps:
         fields.append(fields[-1].extend(SquareClass(rec.witness)))
     out, fibers = [], []
     for i, rec in enumerate(steps, start=1):
-        v = rec.cover_h(rec.point)
+        v = value(rec.cover_h, Fraction(*rec.point))
         if v == 0:
             out.append(f"(2_{i}): fiber above the recorded point is degenerate")
         fibers.append(class_of(v) if v else None)
     for i, rec in enumerate(steps, start=1):
         over = ClassSubspace.span([fb for fb in fibers[: i - 1] if fb is not None])
         over = fields[i] + over
-        prior = [s.point for s in steps[: i - 1]]
+        point = Fraction(*rec.point)
+        prior = [Fraction(*s.point) for s in steps[: i - 1]]
         reached = False
-        for q in rationals_by_height(height):
+        for num, den in rationals_by_height(height):
+            q = Fraction(num, den)
             if q in prior:
                 continue
-            eligible = cover_fiber_integral(rec.cover_h, q.numerator, q.denominator, over)
-            if q == rec.point:
+            eligible = cover_fiber_integral(rec.cover_h, num, den, over)
+            if q == point:
                 reached = True
                 if not eligible:
                     out.append(f"(2_{i}): recorded point is not integral")
                 break
             if eligible:
-                out.append(f"(2_{i}): point {q} was eligible before {rec.point}")
+                out.append(f"(2_{i}): point {q} was eligible before {point}")
                 break
         if not reached and not any(v.startswith(f"(2_{i})") for v in out):
             out.append(f"(2_{i}): recorded point not reached in the height ordering")
@@ -349,10 +392,10 @@ class TestVerifyResume:
 
     def mutants(self, trace, count, seed):
         rng = random.Random(seed)
-        low = list(rationals_by_height(8))
+        low = [Fraction(*p) for p in rationals_by_height(8)]
         n = len(trace.steps)
         for _ in range(count):
-            points = [rec.point for rec in trace.steps]
+            points = [Fraction(*rec.point) for rec in trace.steps]
             i, j = rng.sample(range(n), 2)
             kind = rng.randrange(4)
             if kind == 0:  # shift by a small rational
@@ -379,6 +422,22 @@ class TestVerifyResume:
             assert got == expected
             found += bool(expected)
         assert found == 16  # every mutant breaks some (2_i)
+
+
+class TestVerifyPersistence:
+    """verify_trace tests each fiber class once against the last field and
+    bisects for the first field that holds it; its entries must equal those
+    of a test against every field."""
+
+    @pytest.mark.parametrize("j, i", [(3, 8), (1, 20), (19, 20)])
+    def test_fiber_pulled_into_the_field_repeats_at_every_later_step(self, trace20, j, i):
+        rec = trace20.steps[j - 1]
+        v = value(rec.cover_h, Fraction(*rec.point))
+        bad = mutate(trace20, **{f"steps__{i - 1}__witness": v.numerator * v.denominator})
+        got = [line for line in verify_trace(bad) if line.startswith("(2_")]
+        assert got == full_scan_entries(bad)
+        line = f"fiber class of step {j} fell into the field"
+        assert [v for v in got if v.endswith(line)] == [f"(2_{k}): {line}" for k in range(i, 21)]
 
 
 def entry_indices(trace):

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor_sqf, gf_irreducible_p, gf_mul, gf_sqf_p
 
@@ -17,6 +18,7 @@ from arborsign.exactpoly import (
     discriminant,
     factor_degrees_mod_p,
     iterate,
+    reduce_mod_p,
     resultant,
     squarefree_kernel,
     squarefree_kernel_support,
@@ -30,10 +32,24 @@ FIRST_100_PRIMES = [p for p in range(2, 542) if all(p % q for q in range(2, math
 # ---------------------------------------------------------------------------
 
 
+def coeffs(f: RatPoly) -> list[Fraction]:
+    """The coefficients of f, low to high, as Fractions."""
+    return [Fraction(k, f.den) for k in f.nums]
+
+
+def value(f: RatPoly, q) -> Fraction:
+    """f(q) by Horner's rule over Fraction."""
+    acc = Fraction(0)
+    for c in reversed(coeffs(f)):
+        acc = acc * q + c
+    return acc
+
+
 def sylvester_resultant(f: RatPoly, g: RatPoly) -> Fraction:
     """Res(f, g) as the determinant of the Sylvester matrix, by Gaussian
     elimination over Fraction."""
     m, n = f.degree, g.degree
+    fc, gc = coeffs(f), coeffs(g)
     N = m + n
     if N == 0:
         return Fraction(1)
@@ -41,12 +57,12 @@ def sylvester_resultant(f: RatPoly, g: RatPoly) -> Fraction:
     for i in range(n):
         row = [Fraction(0)] * N
         for j in range(m + 1):
-            row[i + j] = f.coeff(m - j)
+            row[i + j] = fc[m - j]
         rows.append(row)
     for i in range(m):
         row = [Fraction(0)] * N
         for j in range(n + 1):
-            row[i + j] = g.coeff(n - j)
+            row[i + j] = gc[n - j]
         rows.append(row)
     det = Fraction(1)
     for col in range(N):
@@ -69,7 +85,7 @@ def sylvester_resultant(f: RatPoly, g: RatPoly) -> Fraction:
 def sylvester_discriminant(f: RatPoly) -> Fraction:
     n = f.degree
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * sylvester_resultant(f, f.derivative()) / f.lc
+    return sign * sylvester_resultant(f, f.derivative()) / coeffs(f)[-1]
 
 
 def _oracle_divmod_p(a, b, p):
@@ -156,19 +172,24 @@ class TestRatPolyBasics:
         assert RatPoly.constant(5).degree == 0
         assert RatPoly.x().degree == 1
 
-    def test_lc_of_zero_raises(self):
-        with pytest.raises(ValueError):
-            RatPoly.zero().lc
+    def test_zero_normal_form(self):
+        assert (RatPoly.zero().nums, RatPoly.zero().den) == ((), 1)
+        assert RatPoly((Fraction(0, 5), 0)) == RatPoly.zero()
 
     def test_evaluation(self):
         f = RatPoly.parse("x^2 - 3")
-        assert f(2) == 1
-        assert f(Fraction(1, 2)) == Fraction(-11, 4)
+        assert value(f, 2) == 1
+        assert value(f, Fraction(1, 2)) == Fraction(-11, 4)
+        g = RatPoly((Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)))
+        assert (g.nums, g.den) == ((6, -8, 15), 12)
+        assert value(g, 2) == Fraction(1, 2) - Fraction(4, 3) + 5
 
     def test_immutable(self):
         f = RatPoly.x()
         with pytest.raises(AttributeError):
-            f.coeffs = ()
+            f.nums = ()
+        with pytest.raises(AttributeError):
+            f.den = 2
 
     def test_arithmetic(self):
         f = RatPoly.parse("x^2 + 1")
@@ -210,7 +231,7 @@ class TestComposeIterate:
             f = random_poly(rng, 4, fractions=True)
             g = random_poly(rng, 4, fractions=True)
             q = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-            assert compose(f, g)(q) == f(g(q))
+            assert value(compose(f, g), q) == value(f, value(g, q))
 
     def test_iterate(self):
         f = RatPoly.parse("x^2 - 3")
@@ -387,10 +408,10 @@ class TestFactorDegrees:
         # at degree 27 and 120 and 180 at degrees 25 and 36, on both sides
         # of the degree, where the order walk gives way to a gcd per step
         f = iterate(RatPoly.parse(poly), level)
-        coeffs = [int(c) for c in reversed(f.coeffs)]  # monic, integral
+        assert f.den == f.nums[-1] == 1  # monic, integral
         checked = 0
         for p in FIRST_100_PRIMES[::stride] + [541]:
-            fl = [c % p for c in coeffs]
+            fl = [c % p for c in reversed(f.nums)]
             if not gf_sqf_p(fl, p, ZZ):
                 with pytest.raises(BadPrime):
                     factor_degrees_mod_p(f, p)
@@ -554,3 +575,164 @@ class TestParser:
         with pytest.raises(ParseError) as exc:
             RatPoly.parse("x^^2")
         assert exc.value.position == 2
+
+    def test_exponent_bound(self):
+        assert RatPoly.parse("x^10000 - 1").degree == 10000
+        with pytest.raises(ParseError) as exc:
+            RatPoly.parse("x + x^10001")
+        assert exc.value.position == 6
+
+    @pytest.mark.parametrize("text, position", [
+        ("x^2 + " + "9" * 5000, 6), ("1/" + "7" * 4301 + "*x", 2), ("x^" + "1" * 4400, 2),
+    ])
+    def test_literal_past_the_digit_limit(self, text, position):
+        with pytest.raises(ParseError) as exc:
+            RatPoly.parse(text)
+        assert exc.value.position == position
+
+
+# ---------------------------------------------------------------------------
+# The integer normal form against a Fraction-coefficient oracle
+# ---------------------------------------------------------------------------
+
+
+class FracPoly:
+    """Oracle: a polynomial as a tuple of Fraction coefficients, low to high
+    and trimmed, with schoolbook arithmetic on them."""
+
+    def __init__(self, cs):
+        cs = [Fraction(c) for c in cs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.cs = tuple(cs)
+
+    def at(self, i):
+        return self.cs[i] if i < len(self.cs) else Fraction(0)
+
+    def __add__(self, other):
+        return FracPoly(self.at(i) + other.at(i)
+                        for i in range(max(len(self.cs), len(other.cs))))
+
+    def __sub__(self, other):
+        return FracPoly(self.at(i) - other.at(i)
+                        for i in range(max(len(self.cs), len(other.cs))))
+
+    def __mul__(self, other):
+        out = [Fraction(0)] * (len(self.cs) + len(other.cs))
+        for i, a in enumerate(self.cs):
+            for j, b in enumerate(other.cs):
+                out[i + j] += a * b
+        return FracPoly(out)
+
+    def scale(self, q):
+        return FracPoly(c * q for c in self.cs)
+
+    def derivative(self):
+        return FracPoly([i * c for i, c in enumerate(self.cs)][1:])
+
+    def compose(self, f):
+        acc = FracPoly(())
+        for c in reversed(self.cs):
+            acc = acc * f + FracPoly((c,))
+        return acc
+
+    def __str__(self):
+        parts = []
+        for i in range(len(self.cs) - 1, -1, -1):
+            c = self.cs[i]
+            if c == 0:
+                continue
+            mag = abs(c)
+            xpow = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+            body = str(mag) if i == 0 else xpow if mag == 1 else f"{mag}*{xpow}"
+            if parts:
+                parts.append(f" {'-' if c < 0 else '+'} {body}")
+            else:
+                parts.append(f"-{body}" if c < 0 else body)
+        return "".join(parts) or "0"
+
+    def reduce_mod_p(self, p):
+        out = []
+        for c in self.cs:
+            if c.denominator % p == 0:
+                raise BadPrime(f"{p} divides a coefficient denominator")
+            out.append(c.numerator * pow(c.denominator, -1, p) % p)
+        if out and out[-1] == 0:
+            raise BadPrime(f"{p} divides the leading coefficient")
+        return out
+
+
+def as_oracle(f: RatPoly) -> FracPoly:
+    return FracPoly(coeffs(f))
+
+
+_FRACTIONS = st.one_of(
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+    st.fractions(max_denominator=10**30),
+    st.integers(-(10**40), 10**40),
+)
+_COEFFS = st.lists(_FRACTIONS, max_size=6)
+
+
+class TestIntegerNormalForm:
+    """RatPoly keeps integer numerators over one denominator; every result
+    must be the oracle's, in the unique normal form."""
+
+    @staticmethod
+    def check(f: RatPoly, expected: FracPoly):
+        assert f.den > 0 and math.gcd(f.den, *f.nums) == 1
+        assert not f.nums or f.nums[-1] != 0
+        assert as_oracle(f).cs == expected.cs
+
+    @settings(max_examples=200, deadline=None)
+    @given(_COEFFS, _COEFFS, _FRACTIONS)
+    def test_ring_operations(self, a, b, q):
+        f, g = RatPoly(a), RatPoly(b)
+        F, G = FracPoly(a), FracPoly(b)
+        self.check(f, F)
+        self.check(f + g, F + G)
+        self.check(f - g, F - G)
+        self.check(f * g, F * G)
+        self.check(f.scale(q), F.scale(Fraction(q)))
+        self.check(f.derivative(), F.derivative())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_FRACTIONS, max_size=4), st.lists(_FRACTIONS, max_size=4),
+           st.integers(0, 3))
+    def test_compose_and_iterate(self, a, b, k):
+        f, g = RatPoly(a), RatPoly(b)
+        self.check(compose(f, g), FracPoly(a).compose(FracPoly(b)))
+        if g.degree >= 1 and g.degree ** k <= 27:
+            expected = FracPoly((0, 1))
+            for _ in range(k):
+                expected = FracPoly(b).compose(expected)
+            self.check(iterate(g, k), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_COEFFS, _COEFFS)
+    def test_str_parse_eq_hash(self, a, b):
+        f, g = RatPoly(a), RatPoly(b)
+        assert str(f) == str(FracPoly(a))
+        assert RatPoly.parse(str(f)) == f
+        same = FracPoly(a).cs == FracPoly(b).cs
+        assert (f == g) == same
+        if same:
+            assert hash(f) == hash(g)
+        # the same polynomial from ints, Fractions and a sum of parts is equal
+        # and hashes equal
+        parts = RatPoly()
+        for i, c in enumerate(a):
+            parts = parts + RatPoly([0] * i + [c])
+        assert parts == f and hash(parts) == hash(f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_COEFFS, st.sampled_from([2, 3, 5, 7, 11, 13, 10**9 + 7]))
+    def test_reduce_mod_p(self, a, p):
+        try:
+            expected = FracPoly(a).reduce_mod_p(p)
+        except BadPrime as exc:
+            with pytest.raises(BadPrime) as got:
+                reduce_mod_p(RatPoly(a), p)
+            assert str(got.value) == str(exc)
+        else:
+            assert reduce_mod_p(RatPoly(a), p) == expected

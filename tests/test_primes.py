@@ -169,6 +169,8 @@ def trace3(tmp_path_factory):
         ["index-report", "--poly", "x^2-7", "--level", "3", "--n", "32", "--primes", "40"],
         ["verify", "--trace", "{trace}"],
         ["audit", "--trace", "{trace}", "--level", "2"],
+        ["vast-witness", "--stream", "disc:x^2+1:1", "--depth", "3", "--base", "-1"],
+        ["group-order", "--arity", "3", "--depth", "2"],
     ],
 )
 def test_cli_runs_without_sympy(argv, tmp_path, trace3):
@@ -176,7 +178,10 @@ def test_cli_runs_without_sympy(argv, tmp_path, trace3):
     inputs; sympy's import dominated the start-up time.  Nor does it import
     dataclasses or inspect, which cost more than the program's own modules,
     or argparse, gettext and locale, which the CLI's own option table
-    replaces.  index-report runs the Frobenius scan."""
+    replaces, or fractions, which also loads decimal and numbers: rationals
+    are integer numerators over a denominator.  Only index-report and
+    group-order import treegroup and supernat.  index-report runs the
+    Frobenius scan."""
     paths = [os.path.dirname(os.path.dirname(arborsign.__file__)), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     argv = [a.format(tmp=tmp_path, trace=trace3) for a in argv]
@@ -192,5 +197,7 @@ def test_cli_runs_without_sympy(argv, tmp_path, trace3):
     imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
     assert "arborsign.primes" in imported
     refused = ("sympy", "numpy", "mpmath", "dataclasses", "inspect", "argparse", "gettext",
-               "locale")
+               "locale", "fractions", "decimal", "numbers")
     assert not [m for m in imported if m.split(".")[0] in refused]
+    if argv[0] not in ("index-report", "group-order"):
+        assert not {"arborsign.treegroup", "arborsign.supernat"} & set(imported)

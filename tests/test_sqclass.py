@@ -19,6 +19,7 @@ from arborsign.sqclass import (
     class_of,
     cover_fiber_integral,
     disjoint_over,
+    fiber_rep,
     intersection_dim,
     primes_stream,
     stream_from_name,
@@ -210,9 +211,23 @@ class TestCoverFiber:
             h = h * RatPoly((-q, 1))
         F = ClassSubspace.span(class_of(k) for k in kernels)
         q = Fraction(q)
-        v = h(q)
+        v = sum(Fraction(k, h.den) * q**i for i, k in enumerate(h.nums))
         expected = v != 0 and class_of(v) not in brute_span(list(F.basis))
         assert cover_fiber_integral(h, q.numerator, q.denominator, F) == expected
+
+    @given(
+        st.lists(st.fractions(-9, 9, max_denominator=6), min_size=1, max_size=5),
+        st.fractions(-20, 20, max_denominator=15),
+    )
+    def test_fiber_rep_lies_in_the_class_of_the_value(self, coeffs, q):
+        """The engine's fiber classes: the integer is in the class of h(q),
+        at points of every denominator and under h of either parity."""
+        h = RatPoly(coeffs)
+        v = sum(Fraction(k, h.den) * q**i for i, k in enumerate(h.nums))
+        rep = fiber_rep(h, q.numerator, q.denominator)
+        assert (rep == 0) == (v == 0)
+        if v:
+            assert SquareClass(rep) == class_of(v)
 
 
 # ---------------------------------------------------------------------------
