@@ -8,15 +8,14 @@ SystemExit(2) from `main` after printing the usage line to stderr; -h prints
 help to stdout and raises SystemExit(0).
 
 `main` is the in-process API.  A process enters through `entry`, which runs
-`main`, flushes stdout and freezes the heap before it exits, so that the
-interpreter's last garbage collection has nothing to scan.  When the reader
-of stdout goes away, the process still exits with the command's code and
-prints nothing to stderr.
+`main`, flushes stdout and stderr and ends the process with `os._exit`, so
+that the interpreter's shutdown (finalization, module teardown, `atexit`
+handlers) is skipped.  When the reader of stdout goes away, the process
+still exits with the command's code and prints nothing to stderr.
 """
 from __future__ import annotations
 
 import errno
-import gc
 import json
 import math
 import os
@@ -432,25 +431,31 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    """Run `main` on the process's arguments, flush stdout and exit with
-    main's code.  The heap is frozen first (`gc.freeze`), so that the garbage
-    collection at shutdown scans nothing: the operating system frees that
-    memory anyway.  Buffered output, `atexit` handlers and module teardown
-    still run as usual.  If the reader of stdout went away, stdout is pointed
-    at os.devnull so that the flush at shutdown cannot fail again (see the
-    note on SIGPIPE in the documentation of `signal`)."""
+    """Run `main` on the process's arguments, flush stdout and stderr and end
+    the process with main's code through `os._exit`.
+
+    `os._exit` skips the interpreter's shutdown: no finalizers, no module
+    teardown and no `atexit` handlers, also none that an importer of this
+    module registered.  Nothing of the CLI needs them once its output is
+    flushed.  A flush that finds the reader gone is ignored.  Under a tracer
+    or profiler (`sys.gettrace()` or `sys.getprofile()` set: cProfile,
+    coverage, a debugger) the process exits through `sys.exit` instead, so
+    that their exit-time output is still written.  In-process callers use
+    `main`, which returns the code."""
     try:
         code = main()
     except SystemExit as exc:  # -h, or a usage error
         code = exc.code
     except StdoutClosed as exc:
         code = exc.code
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    gc.freeze()
-    sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            pass
+    if sys.gettrace() or sys.getprofile():
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

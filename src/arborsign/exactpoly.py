@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from array import array
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from operator import mul
@@ -369,11 +368,6 @@ def _gf_divexact(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _gf_trim(q)
 
 
-# Array typecodes whose items are exactly w bits, by w; a residue packed into
-# such slots converts to and from an array in one C-level call.
-_TYPECODES = {8 * array(t).itemsize: t for t in ("Q", "I")}
-
-
 class _FrobeniusMap:
     """h -> h^p on GF(p)[x]/(f), for a monic f of degree n >= 2.
 
@@ -393,11 +387,17 @@ class _FrobeniusMap:
     """
 
     def __init__(self, f: Sequence[int], p: int):
+        from array import array  # here, not at module level: the scan is its only user
+
         n = len(f) - 1
         self.n, self.p = n, p
         bits = (n * (p - 1) ** 2 + p).bit_length()
         self.width = 32 if bits <= 32 else 64 * -(-bits // 64)
-        self.typecode = _TYPECODES.get(self.width) if sys.byteorder == "little" else None
+        # Array typecodes whose items are exactly w bits, by w; a residue packed
+        # into such slots converts to and from an array in one C-level call.
+        typecodes = {8 * array(t).itemsize: t for t in ("Q", "I")}
+        self.typecode = typecodes.get(self.width) if sys.byteorder == "little" else None
+        self.array = array
         # x^(n+j) mod f for 0 <= j <= n-2: x^n = -(f - x^n), then shift.
         self.top = [-c % p for c in f[:-1]]
         table = [self.top]
@@ -428,7 +428,7 @@ class _FrobeniusMap:
 
     def _pack(self, cs: Sequence[int]) -> int:
         if self.typecode:
-            return int.from_bytes(array(self.typecode, cs).tobytes(), "little")
+            return int.from_bytes(self.array(self.typecode, cs).tobytes(), "little")
         size = self.width // 8
         return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in cs), "little")
 

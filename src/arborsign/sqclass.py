@@ -263,19 +263,42 @@ class ClassSubspace:
         return self._member(c.rep)
 
     def _member(self, rep: int) -> bool:
-        """Whether the class of the nonzero integer rep lies in the span."""
-        if self._order is None:
-            object.__setattr__(self, "_order", _by_size(self._base))
-        v, x = _coordinates(rep, self._order)
+        """Whether the class of the nonzero integer rep lies in the span.
+
+        One body for the point scan, which calls it once per candidate: the
+        walk of `_coordinates`, the square test of the cofactor and a
+        reduction by the rows as in `_reduce`."""
+        order = self._order
+        if order is None:
+            order = _by_size(self._base)
+            object.__setattr__(self, "_order", order)
+        v, x = int(rep < 0), abs(rep)
+        for b, bit in order:
+            if b > x:
+                break
+            while x % b == 0:
+                x //= b
+                v ^= bit
         if x != 1:
             if self._product is None:
                 object.__setattr__(self, "_product", math.prod(self._base))
             if math.gcd(x, self._product) != 1:
                 return not self._locate(rep)[2]
-        # x is coprime to the base, so the class is in the span iff that of
-        # rep / x is and the class of x is trivial: coprime parts of a square
-        # are squares.
-        return _is_square(x) and not _reduce(v, self._rows)
+            # x is coprime to the base, so the class is in the span iff that
+            # of rep / x is and the class of x is trivial: coprime parts of a
+            # square are squares.
+            if math.isqrt(x) ** 2 != x:
+                return False
+        # Rows have distinct pivots, each the row's lowest bit, so the lowest
+        # bit of v is cleared only by the row with that pivot; without one, v
+        # is not in the span.
+        rows = self._rows
+        while v:
+            row = rows.get(v & -v)
+            if row is None:
+                return False
+            v ^= row
+        return True
 
     def extend(self, c: SquareClass) -> "ClassSubspace":
         base, rows, r = self._locate(c.rep)
@@ -408,7 +431,7 @@ def fiber_rep(h: RatPoly, num: int, den: int) -> int:
     for k in reversed(h.nums):
         n = n * num + k * bp
         bp *= den
-    return n * h.den * (den if h.degree % 2 else 1)
+    return n * h.den * (1 if len(h.nums) % 2 else den)
 
 
 def cover_fiber_integral(h: RatPoly, num: int, den: int, F: ClassSubspace) -> bool:

@@ -698,31 +698,80 @@ class TestParser:
         assert usage_error(capsys, argv).startswith("usage: arborsign")
 
 
+# (argv, main's exit code): one of each code
+EXIT_CODES = [
+    (["group-order", "--arity", "2", "--depth", "1"], 0),
+    (["index-report", "--poly", "x^2", "--level", "2", "--n", "1"], 1),
+    (["group-order", "--arity", "1"], 2),
+    (["group-order", "--arity", "2", "--depth", "14"], 3),
+]
+
+
+def main_outcome(capsys, argv):
+    """(exit code, stdout, stderr) of `main` in process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
 class TestProcessEntry:
     """`python -m arborsign.cli` and the `arborsign` script run `cli.entry`,
-    which freezes the heap before the process exits; `main` does not."""
+    which flushes stdout and stderr and ends the process with `os._exit`,
+    skipping the interpreter's shutdown, unless a tracer or profiler is set;
+    `main` does neither."""
 
     def test_main_leaves_the_heap_unfrozen(self, capsys):
         assert run_cli(capsys, "group-order", "--arity", "2", "--depth", "1")[0] == 0
         assert gc.get_freeze_count() == 0
 
-    @pytest.mark.parametrize("argv, code", [
-        (["group-order", "--arity", "2", "--depth", "1"], 0),
-        (["index-report", "--poly", "x^2", "--level", "2", "--n", "1"], 1),
-        (["group-order", "--arity", "1"], 2),
-    ])
-    def test_module_run_freezes_the_heap(self, argv, code):
-        script = ("import gc, runpy, sys\n"
+    @pytest.mark.parametrize("traced", [False, True])
+    @pytest.mark.parametrize("argv, code", EXIT_CODES)
+    def test_module_run_skips_atexit(self, argv, code, traced):
+        """An atexit handler registered before the module runs never runs:
+        the process ends in `os._exit`, with main's code.  Under a trace
+        function the process exits through sys.exit, which runs it."""
+        script = ("import atexit, runpy, sys\n"
+                  "atexit.register(print, 'atexit handler ran', file=sys.stderr)\n"
                   f"sys.argv = ['arborsign', *{argv!r}]\n"
-                  "try:\n"
-                  "    runpy.run_module('arborsign.cli', run_name='__main__')\n"
-                  "except SystemExit as exc:\n"
-                  "    print(gc.get_freeze_count(), exc.code, file=sys.stderr)\n")
+                  f"if {traced}:\n"
+                  "    sys.settrace(lambda *event: None)\n"
+                  "runpy.run_module('arborsign.cli', run_name='__main__')\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=cli_env(), timeout=10)
-        frozen, exit_code = proc.stderr.splitlines()[-1].split()
-        assert int(frozen) > 0
-        assert int(exit_code) == code
+        assert proc.returncode == code
+        assert ("atexit handler ran" in proc.stderr) == traced
+
+    @pytest.mark.parametrize("argv, code", [
+        *EXIT_CODES,
+        # 6.9 kB, less than the 8 kB stdout buffer: written only by the flush
+        (["group-order", "--arity", "1558", "--depth", "1"], 0),
+    ])
+    def test_output_to_files_is_flushed(self, capsys, tmp_path, argv, code):
+        """Regular files get block-buffered stdout (PYTHONUNBUFFERED unset),
+        which only the flush before `os._exit` writes out."""
+        expected = main_outcome(capsys, argv)
+        assert expected[0] == code
+        with open(tmp_path / "out", "wb") as out, open(tmp_path / "err", "wb") as err:
+            proc = subprocess.run([sys.executable, "-m", "arborsign.cli", *argv], stdout=out,
+                                  stderr=err, env=cli_env(PYTHONUNBUFFERED=""), timeout=10)
+        written = ((tmp_path / "out").read_text(), (tmp_path / "err").read_text())
+        assert (proc.returncode, *written) == expected
+
+    @pytest.mark.parametrize("argv", [EXIT_CODES[0][0], EXIT_CODES[3][0]])
+    def test_profiler_output_is_written(self, tmp_path, argv):
+        """Under cProfile the process exits through sys.exit, so the profile
+        is written at exit.  cProfile's runner catches that SystemExit, so the
+        process exits 0 whatever main's code."""
+        pstats = pytest.importorskip("pstats")
+        profile = tmp_path / "P"
+        proc = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(profile),
+                               "-m", "arborsign.cli", *argv],
+                              capture_output=True, env=cli_env(), timeout=30)
+        assert proc.returncode == 0
+        assert pstats.Stats(str(profile)).total_calls > 0
 
     def test_script_runs_the_entry(self):
         tomllib = pytest.importorskip("tomllib")

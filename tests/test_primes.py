@@ -181,7 +181,7 @@ def test_cli_runs_without_sympy(argv, tmp_path, trace3):
     replaces, or fractions, which also loads decimal and numbers: rationals
     are integer numerators over a denominator.  Only index-report and
     group-order import treegroup and supernat.  index-report runs the
-    Frobenius scan."""
+    Frobenius scan, the only user of array, which no other command loads."""
     paths = [os.path.dirname(os.path.dirname(arborsign.__file__)), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     argv = [a.format(tmp=tmp_path, trace=trace3) for a in argv]
@@ -201,3 +201,4 @@ def test_cli_runs_without_sympy(argv, tmp_path, trace3):
     assert not [m for m in imported if m.split(".")[0] in refused]
     if argv[0] not in ("index-report", "group-order"):
         assert not {"arborsign.treegroup", "arborsign.supernat"} & set(imported)
+    assert ("array" in imported) == (argv[0] == "index-report")

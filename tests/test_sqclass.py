@@ -21,6 +21,10 @@ from arborsign.sqclass import (
     disjoint_over,
     fiber_rep,
     intersection_dim,
+    _by_size,
+    _coordinates,
+    _is_square,
+    _reduce,
     primes_stream,
     stream_from_name,
     vast_witness,
@@ -37,6 +41,16 @@ def brute_span(classes):
                 acc = acc * c
             out.add(acc)
     return out
+
+
+def composed_member(V, rep):
+    """Membership of the class of rep composed from the reference kernels
+    `_coordinates`, `_is_square` and `_reduce`, refining through `_locate`
+    when the cofactor shares a factor with the base."""
+    v, x = _coordinates(rep, _by_size(V._base))
+    if math.gcd(x, math.prod(V._base)) != 1:
+        return not V._locate(rep)[2]
+    return _is_square(x) and not _reduce(v, V._rows)
 
 
 class TestSquareClass:
@@ -201,9 +215,28 @@ class TestCoverFiber:
         st.booleans(),
         st.lists(st.integers(-60, 60).filter(bool), max_size=4),
     )
+    # negative fibers of h of degree 0, inside and outside the span
+    @example([Fraction(-3)], 1, False, [3])
+    @example([Fraction(-1, 4)], Fraction(2, 3), False, [-1])
+    # the fibers 1 and -1, and a perfect square, 9/4
+    @example([0, 1], 1, False, [2])
+    @example([0, 1], -1, False, [-1, 2])
+    @example([0, 0, 1], Fraction(3, 2), False, [5])
+    # zero fibers at roots of h of degree 1 and 4
+    @example([Fraction(1, 2), 1], Fraction(-1, 2), False, [6])
+    @example([1, 0, Fraction(-1, 3), 2], Fraction(5, 7), True, [-1, 5])
+    # the composite base elements 6 and 35 share 3 and 5 with the fiber 15,
+    # which refines the base; the fiber 210 = 6 * 35 divides out over them
+    @example([0, 1], 15, False, [6, 35])
+    @example([0, 1], 210, False, [6, 35])
+    # degree 4 with rational coefficients: 6 divides the fiber -2^2 * 3 * 571
+    # once and leaves a factor 2 shared with it, which refines the base
+    @example([Fraction(1, 2), 0, 0, 0, Fraction(-3, 4)], Fraction(-5, 3), False, [-1, 6, 35])
     def test_matches_fraction_oracle(self, coeffs, q, at_root, kernels):
-        """Non-monic h with non-integer coefficients, of odd and even degree,
-        at points with denominators and at roots of h, over random spans."""
+        """Non-monic h with non-integer coefficients, of degree 0 to 4, at
+        points with denominators and at roots of h, over random spans; the
+        membership kernel also matches its composition from the reference
+        kernels."""
         h = RatPoly(coeffs)
         if h.is_zero:
             h = RatPoly.constant(coeffs[0] + 1)
@@ -214,6 +247,9 @@ class TestCoverFiber:
         v = sum(Fraction(k, h.den) * q**i for i, k in enumerate(h.nums))
         expected = v != 0 and class_of(v) not in brute_span(list(F.basis))
         assert cover_fiber_integral(h, q.numerator, q.denominator, F) == expected
+        rep = fiber_rep(h, q.numerator, q.denominator)
+        if rep:
+            assert F._member(rep) == composed_member(F, rep) == (not expected)
 
     @given(
         st.lists(st.fractions(-9, 9, max_denominator=6), min_size=1, max_size=5),
@@ -433,7 +469,8 @@ class TestMember:
         V = ClassSubspace.span(class_of(value(*g)) for g in gens)
         vecs = [prime_vector(*g) for g in gens]
         in_span = rank(vecs + [prime_vector(*c)]) == rank(vecs)
-        assert V.member(class_of(value(*c) * square**2)) == in_span
+        rep = value(*c) * square**2
+        assert V.member(class_of(rep)) == composed_member(V, rep) == in_span
 
 
 SIZED_COORDS = (2, 3, 5, 7, 11, 13, P[0], P[1])
@@ -468,11 +505,25 @@ class TestSizeOrderedWalk:
     # 2 and 5 divide the candidate out down to 7, smaller than P1
     @example([(1, {2: 1}), (1, {5: 1}), (1, {P[1]: 1})], 1, {2: 1, 5: 2, 7: 1})
     @example([(1, {2: 1}), (1, {7: 1}), (1, {P[1]: 1})], 1, {2: 3, 7: 1})
+    # the cofactor 7 is coprime to the base and not a square, while the
+    # class of 14 / 7 is in the span
+    @example([(1, {2: 1})], 1, {2: 1, 7: 1})
+    # -1 reduces by the row of -3 to 3, which has no row
+    @example([(-1, {3: 1})], -1, {})
+    # 6 reduces to zero by two rows; over the span of 10 and 15, 2 * 7^2
+    # reduces by the row of 10 to 5, which has no row
+    @example([(1, {2: 1}), (1, {3: 1})], 1, {2: 1, 3: 1})
+    @example([(1, {2: 1, 5: 1}), (1, {3: 1, 5: 1})], 1, {2: 1, 7: 2})
+    # perfect squares, and 1
+    @example([(1, {3: 1})], 1, {2: 2, 13: 2})
+    @example([], 1, {})
     def test_matches_oracle(self, no_factoring, gens, sign, fac):
+        """Also against membership composed from the reference kernels."""
         V = ClassSubspace.span(class_of(value(*g)) for g in gens)
         vecs = [sized_vector(*g) for g in gens]
         in_span = rank(vecs + [sized_vector(sign, fac)]) == rank(vecs)
-        assert V.member(class_of(value(sign, fac))) == in_span
+        rep = value(sign, fac)
+        assert V.member(class_of(rep)) == composed_member(V, rep) == in_span
 
 
 def test_orbit_stream_disjointness_needs_no_factoring(monkeypatch):
