@@ -257,18 +257,6 @@ def rationals_by_height(
 # State, records, trace
 # ---------------------------------------------------------------------------
 
-class PointRecord:
-    __slots__ = ("step", "cover", "point")
-
-    def __init__(self, step: int, cover: CoverSpec, point: tuple[int, int]):
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "cover", cover)
-        object.__setattr__(self, "point", point)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PointRecord is immutable")
-
-
 class ConstructionState:
     """What the induction has built after m steps.  Immutable.
 
@@ -285,7 +273,7 @@ class ConstructionState:
         m: int,
         F: ClassSubspace,
         M: ClassSubspace,
-        points: tuple[PointRecord, ...],
+        points: tuple[tuple[RatPoly, tuple[int, int]], ...],
         used: frozenset[int],
         met: frozenset[int],
         depth: int,
@@ -293,7 +281,7 @@ class ConstructionState:
         object.__setattr__(self, "m", m)  # completed steps; dim F == m
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "M", M)
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "points", points)  # (cover h, point) of each step
         object.__setattr__(self, "used", used)  # vast entries assigned so far
         object.__setattr__(self, "met", met)
         object.__setattr__(self, "depth", depth)
@@ -533,13 +521,13 @@ def step(
     integral_over = state.M.extend(w)
     cover = B.entry(m)
     h = cover.h
-    prior_points = {pt.point for pt in state.points}
+    prior_points = {pt for _, pt in state.points}
     # Spans only grow, so every rational the last step with this cover skipped
     # is still ineligible, and that step's point is now a prior point.
     after = None
-    for pt in state.points:
-        if pt.cover.h == h:
-            after = pt.point
+    for ph, pt in state.points:
+        if ph == h:
+            after = pt
     point = None
     for candidate in rationals_by_height(height, after):
         if candidate not in prior_points and cover_fiber_integral(h, *candidate, integral_over):
@@ -561,7 +549,7 @@ def step(
         m=m,
         F=state.F.extend(w),
         M=integral_over.extend(SquareClass(fiber_rep(h, *point))),
-        points=state.points + (PointRecord(m, cover, point),),
+        points=state.points + ((h, point),),
         used=state.used | {spec.index},
         met=state.met | met,
         depth=state.depth,

@@ -112,13 +112,16 @@ def class_of(q) -> SquareClass:
 # Coordinates over a coprime base
 # ---------------------------------------------------------------------------
 
-def _refine(base: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """A coprime base over which n > 0 and every element of `base` factor.
+def _refine(base: tuple[int, ...], product: int, n: int) -> tuple[tuple[int, ...], int]:
+    """A coprime base over which n > 0 and every element of `base` factor,
+    and its product, given `product`, that of `base`.
 
     `base` must be pairwise coprime with no element a perfect square; the
     result keeps both properties and equals `base` when n already factors
     over it.  Elements sharing a gcd are split until all are coprime; the
     product of all pending elements drops at every split, so this ends.
+    The product follows each removal and append, which costs less than
+    multiplying out the whole base again.
     """
     out = list(base)
     todo = [n]
@@ -133,13 +136,15 @@ def _refine(base: tuple[int, ...], n: int) -> tuple[int, ...]:
             g = math.gcd(x, b)
             if g > 1:
                 del out[i]
+                product //= b
                 todo += (g, b // g, x // g)
                 break
         else:
             while _is_square(x):
                 x = math.isqrt(x)
             out.append(x)
-    return tuple(out)
+            product *= x
+    return tuple(out), product
 
 
 def _by_size(base: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -190,16 +195,6 @@ def _add_row(rows: Rows, r: int) -> Rows:
     return out
 
 
-def _echelon(classes: Iterable[SquareClass], base: tuple[int, ...]) -> Rows:
-    order = _by_size(base)
-    rows: Rows = {}
-    for c in classes:
-        r = _reduce(_coordinates(c.rep, order)[0], rows)
-        if r:
-            rows = _add_row(rows, r)
-    return rows
-
-
 # A prime coordinate is -1 or a prime.  -1 sorts first, primes in increasing order.
 def _coord_key(c: int) -> tuple[int, int]:
     return (0, 0) if c == -1 else (1, c)
@@ -215,21 +210,27 @@ class ClassSubspace:
     Models the multiquadratic extension of Q generated by the square roots of
     the basis classes.  `basis` holds independent generators; `_base` is a
     coprime base of nonsquares over which every basis representative factors,
-    and `_rows` the reduced echelon form of the basis coordinates over it.
-    `_order` caches the base in increasing size (`_by_size`), and `_product`
-    its product, once membership needs them.  Immutable: extend/compositum
-    return new subspaces.  Equality is equality of spans.
+    `_rows` the reduced echelon form of the basis coordinates over it,
+    `_order` the base in increasing size (`_by_size`) and `_product` its
+    product.  A class is read by one walk, `_coordinates`, into its
+    coordinate bits and the cofactor the base leaves, and reduced by one
+    function, `_reduce`.  `extend` decides the refinement from the cofactor:
+    1 needs none; a cofactor coprime to the base appends its nonsquare root;
+    one that meets the base refines it by gcds and rebuilds the rows.
+    `member` decides at once unless the cofactor meets the base, and then
+    asks whether `extend` returns the subspace itself.  Immutable:
+    extend/compositum return new subspaces.  Equality is equality of spans.
     """
 
     __slots__ = ("basis", "_base", "_rows", "_order", "_product")
 
     def __init__(self, basis: tuple[SquareClass, ...] = (), base: tuple[int, ...] = (),
-                 rows: Rows | None = None):
+                 rows: Rows | None = None, product: int = 1):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_base", base)
         object.__setattr__(self, "_rows", {} if rows is None else rows)
-        object.__setattr__(self, "_order", None)
-        object.__setattr__(self, "_product", None)
+        object.__setattr__(self, "_order", _by_size(base))
+        object.__setattr__(self, "_product", product)  # math.prod(base)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassSubspace is immutable")
@@ -249,62 +250,50 @@ class ClassSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def _locate(self, rep: int) -> tuple[tuple[int, ...], Rows, int]:
-        """The base refined by rep, the basis rows over it, and the reduced
-        vector of rep's class."""
-        old = self._base
-        base = _refine(old, abs(rep))
-        # Elements only appended to the base are coprime to every old one, so
-        # the basis has coordinate zero at each of them and the rows stand.
-        rows = self._rows if base[: len(old)] == old else _echelon(self.basis, base)
-        return base, rows, _reduce(_coordinates(rep, _by_size(base))[0], rows)
-
     def member(self, c: SquareClass) -> bool:
         return self._member(c.rep)
 
     def _member(self, rep: int) -> bool:
-        """Whether the class of the nonzero integer rep lies in the span.
-
-        One body for the point scan, which calls it once per candidate: the
-        walk of `_coordinates`, the square test of the cofactor and a
-        reduction by the rows as in `_reduce`."""
-        order = self._order
-        if order is None:
-            order = _by_size(self._base)
-            object.__setattr__(self, "_order", order)
-        v, x = int(rep < 0), abs(rep)
-        for b, bit in order:
-            if b > x:
-                break
-            while x % b == 0:
-                x //= b
-                v ^= bit
+        """Whether the class of the nonzero integer rep lies in the span; the
+        point scan calls it once per candidate."""
+        v, x = _coordinates(rep, self._order)
         if x != 1:
-            if self._product is None:
-                object.__setattr__(self, "_product", math.prod(self._base))
             if math.gcd(x, self._product) != 1:
-                return not self._locate(rep)[2]
+                return self.extend(SquareClass(rep)) is self
             # x is coprime to the base, so the class is in the span iff that
             # of rep / x is and the class of x is trivial: coprime parts of a
             # square are squares.
             if math.isqrt(x) ** 2 != x:
                 return False
-        # Rows have distinct pivots, each the row's lowest bit, so the lowest
-        # bit of v is cleared only by the row with that pivot; without one, v
-        # is not in the span.
-        rows = self._rows
-        while v:
-            row = rows.get(v & -v)
-            if row is None:
-                return False
-            v ^= row
-        return True
+        return not _reduce(v, self._rows)
 
     def extend(self, c: SquareClass) -> "ClassSubspace":
-        base, rows, r = self._locate(c.rep)
+        base, rows, product = self._base, self._rows, self._product
+        v, x = _coordinates(c.rep, self._order)
+        if x != 1:
+            if math.gcd(x, product) == 1:
+                # A new base element, coprime to every old one: the basis has
+                # coordinate zero at it and the rows stand.  x is a power
+                # 2^k of its nonsquare root, odd only for k = 0.
+                odd = True
+                while _is_square(x):
+                    x = math.isqrt(x)
+                    odd = False
+                base += (x,)
+                product *= x
+                if odd:
+                    v ^= 1 << len(base)
+            else:
+                base, product = _refine(base, product, x)
+                order = _by_size(base)
+                rows = {}
+                for b in self.basis:  # independent, so each row is nonzero
+                    rows = _add_row(rows, _reduce(_coordinates(b.rep, order)[0], rows))
+                v = _coordinates(c.rep, order)[0]
+        r = _reduce(v, rows)
         if not r:
             return self
-        return ClassSubspace(self.basis + (c,), base, _add_row(rows, r))
+        return ClassSubspace(self.basis + (c,), base, _add_row(rows, r), product)
 
     def compositum(self, other: "ClassSubspace") -> "ClassSubspace":
         V = self

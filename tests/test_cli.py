@@ -1,4 +1,3 @@
-import gc
 import importlib
 import json
 import math
@@ -723,9 +722,18 @@ class TestProcessEntry:
     skipping the interpreter's shutdown, unless a tracer or profiler is set;
     `main` does neither."""
 
-    def test_main_leaves_the_heap_unfrozen(self, capsys):
-        assert run_cli(capsys, "group-order", "--arity", "2", "--depth", "1")[0] == 0
-        assert gc.get_freeze_count() == 0
+    def test_main_returns_each_code_in_process(self):
+        """`main` returns 0, 1, 2 and 3 to its caller, and the interpreter
+        carries on after each: a fresh one calls it four times, then prints."""
+        argvs = [EXIT_CODES[0][0], EXIT_CODES[1][0],
+                 ["group-order", "--arity", "1", "--depth", "1"], EXIT_CODES[3][0]]
+        script = ("from arborsign.cli import main\n"
+                  f"codes = [main(argv) for argv in {argvs!r}]\n"
+                  "print('carried on', codes)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=cli_env(), timeout=10)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "carried on [0, 1, 2, 3]"
 
     @pytest.mark.parametrize("traced", [False, True])
     @pytest.mark.parametrize("argv, code", EXIT_CODES)

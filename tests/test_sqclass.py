@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from arborsign import exactpoly, primes
+from arborsign import exactpoly, primes, sqclass
 from arborsign.construct import VastEnumeration
 from arborsign.exactpoly import RatPoly
 from arborsign.sqclass import (
@@ -21,10 +21,7 @@ from arborsign.sqclass import (
     disjoint_over,
     fiber_rep,
     intersection_dim,
-    _by_size,
-    _coordinates,
     _is_square,
-    _reduce,
     primes_stream,
     stream_from_name,
     vast_witness,
@@ -43,14 +40,36 @@ def brute_span(classes):
     return out
 
 
+def ref_coordinates(n, base):
+    """Reference for the base walk `sqclass._coordinates`: the same (v, x),
+    by dividing out every base element in the base's own order."""
+    v = int(n < 0)
+    n = abs(n)
+    for j, b in enumerate(base, 1):
+        while n % b == 0:
+            n //= b
+            v ^= 1 << j
+    return v, n
+
+
+def ref_reduce(v, rows):
+    """Reference for the reduction `sqclass._reduce`: v reduced by every row
+    whose pivot bit it has, in turn."""
+    for p, row in rows.items():
+        if v & p:
+            v ^= row
+    return v
+
+
 def composed_member(V, rep):
     """Membership of the class of rep composed from the reference kernels
-    `_coordinates`, `_is_square` and `_reduce`, refining through `_locate`
-    when the cofactor shares a factor with the base."""
-    v, x = _coordinates(rep, _by_size(V._base))
+    `ref_coordinates`, `_is_square` and `ref_reduce`; when the cofactor
+    shares a factor with the base, whether extending V by the class keeps
+    its dimension."""
+    v, x = ref_coordinates(rep, V._base)
     if math.gcd(x, math.prod(V._base)) != 1:
-        return not V._locate(rep)[2]
-    return _is_square(x) and not _reduce(v, V._rows)
+        return V.extend(SquareClass(rep)).dim == V.dim
+    return _is_square(x) and not ref_reduce(v, V._rows)
 
 
 class TestSquareClass:
@@ -410,12 +429,36 @@ class TestFactorFree:
             old = V._base
             V = V.extend(class_of(value(*g)))
             appended.append(V._base[: len(old)] == old)
+            assert V._product == math.prod(V._base)
             vecs.append(prime_vector(*g))
             assert V.dim == rank(vecs) == len(vecs)
             for x in probes:
                 in_span = rank(vecs + [prime_vector(*x)]) == rank(vecs)
                 assert V.member(class_of(value(*x))) == in_span
         assert appended == [True, True, True, False]
+
+    def test_refines_only_classes_that_meet_the_base(self, no_factoring, monkeypatch):
+        """Extending by a class whose cofactor is 1 or coprime to the base
+        needs no refinement; one that meets a base element refines once, and
+        membership of such a class leaves the subspace as it was."""
+        real, calls = sqclass._refine, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sqclass, "_refine", counted)
+        p = BIG_PRIMES
+        gens = [p[0] * p[1], p[2], -p[3] ** 3, p[4] * p[5] ** 2, p[6] ** 2, p[0] * p[1] * p[2]]
+        V = ClassSubspace.span(class_of(n) for n in gens)
+        assert (V.dim, len(calls)) == (4, 0)
+        base = V._base
+        assert V.member(class_of(p[0] ** 3 * p[1])) and V._base == base
+        assert not V.member(class_of(p[1] * p[2])) and V._base == base
+        assert len(calls) == 2
+        W = V.extend(class_of(p[0]))
+        assert len(calls) == 3 and len(W._base) == len(base) + 1
+        assert W.member(class_of(p[1])) and not W.member(class_of(p[5]))
 
     def test_span_ops_match_oracle(self, no_factoring):
         rng = random.Random(43)
