@@ -122,33 +122,11 @@ def disc_class(f: RatPoly, n: int) -> SquareClass:
     return _critical_orbit(f, n)[2]
 
 
-class DiscClassSequence:
-    """Classes of disc(f^(on)) for 1 <= n <= computed_to.  Immutable."""
-
-    __slots__ = ("poly", "classes", "computed_to")
-
-    def __init__(self, poly: RatPoly, classes: tuple[SquareClass, ...], computed_to: int):
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "computed_to", computed_to)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiscClassSequence is immutable")
-
-    def at_level(self, n: int) -> SquareClass:
-        if not 1 <= n <= self.computed_to:
-            raise ValueError(f"level {n} not computed")
-        return self.classes[n - 1]
-
-    def kernels(self) -> list[int]:
-        return [c.kernel for c in self.classes]
-
-
-def disc_class_sequence(f: RatPoly, N: int) -> DiscClassSequence:
+def disc_class_sequence(f: RatPoly, N: int) -> tuple[SquareClass, ...]:
+    """Classes of disc(f^(on)) for 1 <= n <= N."""
     if N < 1:
         raise ValueError("depth must be >= 1")
-    classes = tuple(disc_class(f, n) for n in range(1, N + 1))
-    return DiscClassSequence(f, classes, N)
+    return tuple(disc_class(f, n) for n in range(1, N + 1))
 
 
 def disc_stream(f: RatPoly, n: int) -> ClassStream:
@@ -214,12 +192,12 @@ def splitting_degree_lower_bound(f: RatPoly, k: int, prime_budget: int) -> int:
     p = 2
     for _ in range(prime_budget):
         try:
-            pattern = factor_degrees_mod_p(fk, p)
+            degrees = factor_degrees_mod_p(fk, p)
         except BadPrime:
             pass
         else:
             good += 1
-            bound = math.lcm(bound, pattern.lcm())
+            bound = math.lcm(bound, *degrees)
             if bound == exponent:
                 break
         p = next_prime(p)
@@ -228,55 +206,9 @@ def splitting_degree_lower_bound(f: RatPoly, k: int, prime_budget: int) -> int:
     return bound
 
 
-class IndexCertificate:
-    """One-sided evidence about the index of the arboreal image at level k.
-
-    Instances are immutable.
-    """
-
-    __slots__ = ("poly", "base", "level", "killed", "index_lower_bound",
-                 "degree_lower_bound", "group_order", "verdict")
-
-    def __init__(
-        self,
-        poly: RatPoly,
-        base: ClassSubspace,
-        level: int,
-        killed: frozenset[int],
-        index_lower_bound: int,
-        degree_lower_bound: int | None,
-        group_order: int,
-        verdict: str,
-    ):
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "killed", killed)
-        object.__setattr__(self, "index_lower_bound", index_lower_bound)
-        object.__setattr__(self, "degree_lower_bound", degree_lower_bound)
-        object.__setattr__(self, "group_order", group_order)
-        object.__setattr__(self, "verdict", verdict)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IndexCertificate is immutable")
-
-    def to_json(self) -> dict:
-        return {
-            "poly": str(self.poly),
-            "base": self.base.kernels(),
-            "level": self.level,
-            "killed": sorted(self.killed),
-            "index_lower_bound": self.index_lower_bound,
-            "degree_lower_bound": self.degree_lower_bound,
-            "group_order": self.group_order,
-            "verdict": self.verdict,
-        }
-
-
-def index_report(
-    f: RatPoly, F: ClassSubspace, k: int, n: int, prime_budget: int
-) -> IndexCertificate:
-    """Test the level-k truncation of "image has index at most n".
+def index_report(f: RatPoly, F: ClassSubspace, k: int, n: int, prime_budget: int) -> dict:
+    """Test the level-k truncation of "image has index at most n"; the
+    report's JSON payload.
 
     REFUTES_INDEX_AT_MOST(n) when the killed signs already force index
     2^|killed| > n.  CONSISTENT when dlb * n >= |Aut T_k(d)| * 2^dim F, where
@@ -284,7 +216,8 @@ def index_report(
     field K_k over Q: the image over the field F models has order
     [F K_k : F] = [K_k : F ∩ K_k] >= dlb / 2^dim F, so CONSISTENT asserts
     that the level-k image over F has index at most n in Aut T_k(d).
-    UNKNOWN otherwise (both bounds are reported).
+    UNKNOWN otherwise (both bounds are reported).  INSEPARABLE, with no
+    degree bound, when a level up to k is inseparable.
     """
     if k < 1:
         raise ValueError("level must be >= 1")
@@ -297,13 +230,22 @@ def index_report(
     try:
         killed = killed_signs(f, F, k)
     except Inseparable:
-        return IndexCertificate(f, F, k, frozenset(), 1, None, order, "INSEPARABLE")
-    ilb = 2 ** len(killed)
-    dlb = splitting_degree_lower_bound(f, k, prime_budget)
-    if ilb > n:
-        verdict = f"REFUTES_INDEX_AT_MOST({n})"
-    elif dlb * n >= order * 2**F.dim:
-        verdict = "CONSISTENT"
+        killed, dlb, verdict = frozenset(), None, "INSEPARABLE"
     else:
-        verdict = "UNKNOWN"
-    return IndexCertificate(f, F, k, killed, ilb, dlb, order, verdict)
+        dlb = splitting_degree_lower_bound(f, k, prime_budget)
+        if 2 ** len(killed) > n:
+            verdict = f"REFUTES_INDEX_AT_MOST({n})"
+        elif dlb * n >= order * 2**F.dim:
+            verdict = "CONSISTENT"
+        else:
+            verdict = "UNKNOWN"
+    return {
+        "poly": str(f),
+        "base": F.kernels(),
+        "level": k,
+        "killed": sorted(killed),
+        "index_lower_bound": 2 ** len(killed),
+        "degree_lower_bound": dlb,
+        "group_order": order,
+        "verdict": verdict,
+    }

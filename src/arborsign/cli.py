@@ -36,7 +36,6 @@ from .construct import (
     ConstructionAborted,
     ConstructionTrace,
     TraceFormatError,
-    assigned_polynomials,
     counterexample_audit,
     run,
     verify_trace,
@@ -107,11 +106,11 @@ def _cmd_disc_seq(args) -> tuple[int, dict]:
         raise InputError("need a polynomial of degree >= 2")
     base = _parse_base(args.base)
     try:
-        seq = disc_class_sequence(f, args.levels)
+        classes = disc_class_sequence(f, args.levels)
         subspace = discriminant_subextension(f, base, 1, args.levels)
     except Inseparable as exc:
         return FINDING, {"inseparable": exc.level}
-    return OK, {"classes": seq.kernels(), "subspace": subspace.kernels()}
+    return OK, {"classes": [c.kernel for c in classes], "subspace": subspace.kernels()}
 
 
 def _cmd_index_report(args) -> tuple[int, dict]:
@@ -132,9 +131,9 @@ def _cmd_index_report(args) -> tuple[int, dict]:
             print(f"error: the level-{args.level} iterate has degree {f.degree}^{args.level}, "
                   f"above {MAX_ITERATE_DEGREE}", file=sys.stderr)
             return RESOURCE, {}
-    cert = index_report(f, base, args.level, args.n, args.primes)
-    code = FINDING if cert.verdict.startswith(("REFUTES", "INSEPARABLE")) else OK
-    return code, cert.to_json()
+    report = index_report(f, base, args.level, args.n, args.primes)
+    code = FINDING if report["verdict"].startswith(("REFUTES", "INSEPARABLE")) else OK
+    return code, report
 
 
 def _cmd_simulate(args) -> tuple[int, dict]:
@@ -145,6 +144,8 @@ def _cmd_simulate(args) -> tuple[int, dict]:
         raise InputError(f"--depth must be in 1..{MAX_STREAM_LEVEL}")
     if args.height < 1:
         raise InputError("--height must be >= 1")
+    if not args.out:
+        raise InputError("cannot write trace: --out is empty")
     if os.path.isdir(args.out):
         raise InputError(f"cannot write trace: {args.out!r} is a directory")
     # The trace goes to a sibling file, created before the run so that a path
@@ -210,7 +211,7 @@ def _cmd_audit(args) -> tuple[int, dict]:
         raise InputError(f"--level must be in 1..{MAX_STREAM_LEVEL}")
     trace = _load_trace(args.trace)
     try:
-        report = counterexample_audit(trace, assigned_polynomials(trace), args.level)
+        report = counterexample_audit(trace, args.level)
     except Inseparable as exc:
         return FINDING, {"inseparable": exc.level}
     return OK, report

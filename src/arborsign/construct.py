@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 from .arboreal import Inseparable, disc_class, disc_stream, killed_signs
 from .exactpoly import RatPoly
@@ -83,21 +83,6 @@ def _unpair(j0: int) -> tuple[int, int]:
     return t, s - t
 
 
-class CoverSpec:
-    """Entry of the cover list: y^2 = h(t) with its position bookkeeping."""
-
-    __slots__ = ("entry", "grid_index", "repetition", "h")
-
-    def __init__(self, entry: int, grid_index: int, repetition: int, h: RatPoly):
-        object.__setattr__(self, "entry", entry)  # 1-based position in the list (the JSON "id")
-        object.__setattr__(self, "grid_index", grid_index)
-        object.__setattr__(self, "repetition", repetition)
-        object.__setattr__(self, "h", h)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoverSpec is immutable")
-
-
 class VastSpec:
     """Entry of the vast list: the n-th discriminant-class stream of f, a
     stream over Q."""
@@ -152,11 +137,11 @@ class CoverEnumeration:
             self._grid.append(next(self._gen))
         return self._grid[i]
 
-    def entry(self, j: int) -> CoverSpec:
+    def entry(self, j: int) -> RatPoly:
+        """The cover polynomial h of entry j (1-based); j is the JSON "id"."""
         if j < 1:
             raise ValueError("entries are 1-based")
-        gi, rep = _unpair(j - 1)
-        return CoverSpec(j, gi, rep, self._grid_at(gi))
+        return self._grid_at(_unpair(j - 1)[0])
 
 
 class VastEnumeration:
@@ -202,10 +187,6 @@ class VastEnumeration:
             raise ValueError("entries are 1-based")
         ci, u = _unpair(j - 1)
         return VastSpec(j, RatPoly((self._c_at(ci), 0, 1)), u + 1)
-
-
-def default_enumerations() -> tuple[CoverEnumeration, VastEnumeration]:
-    return CoverEnumeration(), VastEnumeration()
 
 
 # A point, a rational t = num/den, is the pair (num, den) in lowest terms
@@ -258,7 +239,7 @@ def rationals_by_height(
 # ---------------------------------------------------------------------------
 
 class ConstructionState:
-    """What the induction has built after m steps.  Immutable.
+    """What the induction has built after len(points) steps.  Immutable.
 
     F only gains classes and the truncation depth never drops, so the state
     also carries what later steps reuse: M, the span of F and every recorded
@@ -266,11 +247,10 @@ class ConstructionState:
     shown not disjoint from F, which stay so at every later step.
     """
 
-    __slots__ = ("m", "F", "M", "points", "used", "met", "depth")
+    __slots__ = ("F", "M", "points", "used", "met", "depth")
 
     def __init__(
         self,
-        m: int,
         F: ClassSubspace,
         M: ClassSubspace,
         points: tuple[tuple[RatPoly, tuple[int, int]], ...],
@@ -278,10 +258,9 @@ class ConstructionState:
         met: frozenset[int],
         depth: int,
     ):
-        object.__setattr__(self, "m", m)  # completed steps; dim F == m
-        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "F", F)  # dim F == len(points)
         object.__setattr__(self, "M", M)
-        object.__setattr__(self, "points", points)  # (cover h, point) of each step
+        object.__setattr__(self, "points", points)  # (cover h, point) of each completed step
         object.__setattr__(self, "used", used)  # vast entries assigned so far
         object.__setattr__(self, "met", met)
         object.__setattr__(self, "depth", depth)
@@ -291,7 +270,7 @@ class ConstructionState:
 
     @classmethod
     def initial(cls, depth: int) -> "ConstructionState":
-        return cls(0, ClassSubspace(), ClassSubspace(), (), frozenset(), frozenset(), depth)
+        return cls(ClassSubspace(), ClassSubspace(), (), frozenset(), frozenset(), depth)
 
 
 class StepRecord:
@@ -493,7 +472,7 @@ def _select_vast(
         if j in skip:
             continue
         spec = A.entry(j)
-        if disjoint_over(F, spec.subspace(depth), ClassSubspace()):
+        if disjoint_over(F, spec.subspace(depth)):
             return spec, frozenset(met)
         met.add(j)
     raise NoEligibleVastSpec(f"no eligible stream among the first {window} entries",
@@ -515,12 +494,11 @@ def step(
     with all recorded fiber classes, consumes the next cover entry, and picks
     the smallest fresh specialization point whose fiber stays integral.
     """
-    m = state.m + 1
+    m = len(state.points) + 1
     spec, met = _select_vast(A, state.F, state.used | state.met, state.depth, window)
     w = vast_witness(spec.stream(), state.M, state.depth)
     integral_over = state.M.extend(w)
-    cover = B.entry(m)
-    h = cover.h
+    h = B.entry(m)
     prior_points = {pt for _, pt in state.points}
     # Spans only grow, so every rational the last step with this cover skipped
     # is still ineligible, and that step's point is now a prior point.
@@ -538,7 +516,7 @@ def step(
     record = StepRecord(
         m=m,
         witness=w.rep,
-        cover_id=cover.entry,
+        cover_id=m,
         cover_h=h,
         point=point,
         vast_poly=spec.f,
@@ -546,7 +524,6 @@ def step(
         depth_checked=state.depth,
     )
     new_state = ConstructionState(
-        m=m,
         F=state.F.extend(w),
         M=integral_over.extend(SquareClass(fiber_rep(h, *point))),
         points=state.points + ((h, point),),
@@ -557,19 +534,12 @@ def step(
     return new_state, record
 
 
-def run(
-    N: int,
-    depth: int,
-    height: int,
-    *,
-    window: int = DEFAULT_WINDOW,
-    max_retries: int = MAX_RETRIES,
-) -> ConstructionTrace:
+def run(N: int, depth: int, height: int) -> ConstructionTrace:
     """Run N steps from scratch, deepening truncations on demand.
 
     DepthExhausted doubles the stream truncation depth and NoEligibleVastSpec
-    doubles the enumeration window, each a bounded number of times; every
-    retry is recorded.  Other failures abort with the partial trace attached.
+    doubles the enumeration window, from DEFAULT_WINDOW, at most MAX_RETRIES
+    times in all; every retry is recorded.  Other failures abort with the partial trace attached.
     """
     if N < 1:
         raise ValueError("need at least one step")
@@ -577,19 +547,19 @@ def run(
         raise ValueError("depth must be >= 1")
     if height < 1:
         raise ValueError("height must be >= 1")
-    B, A = default_enumerations()
-    params = {"steps": N, "depth": depth, "height": height, "window": window}
+    B, A = CoverEnumeration(), VastEnumeration()
+    params = {"steps": N, "depth": depth, "height": height, "window": DEFAULT_WINDOW}
     state = ConstructionState.initial(depth)
     steps: list[StepRecord] = []
     retries: list[dict] = []
-    cur_window = window
-    budget = max_retries
+    cur_window = DEFAULT_WINDOW
+    budget = MAX_RETRIES
 
     def trace() -> ConstructionTrace:
         return ConstructionTrace(tuple(steps), tuple(rec.witness for rec in steps), params,
                                  tuple(retries))
 
-    while state.m < N:
+    while len(steps) < N:
         try:
             state2, rec = step(state, B, A, height=height, window=cur_window)
         except DepthExhausted as exc:
@@ -597,22 +567,22 @@ def run(
                 raise ConstructionAborted(trace(), exc)
             budget -= 1
             retries.append(
-                {"step": state.m + 1, "reason": "depth_exhausted",
+                {"step": len(steps) + 1, "reason": "depth_exhausted",
                  "depth": state.depth, "new_depth": state.depth * 2}
             )
-            state = ConstructionState(state.m, state.F, state.M, state.points, state.used,
-                                      state.met, state.depth * 2)
+            state = ConstructionState(state.F, state.M, state.points, state.used, state.met,
+                                      state.depth * 2)
             continue
         except NoEligibleVastSpec as exc:
             if budget == 0:
                 raise ConstructionAborted(trace(), exc)
             budget -= 1
             retries.append(
-                {"step": state.m + 1, "reason": "window_exhausted",
+                {"step": len(steps) + 1, "reason": "window_exhausted",
                  "window": cur_window, "new_window": cur_window * 2}
             )
             cur_window *= 2
-            state = ConstructionState(state.m, state.F, state.M, state.points, state.used,
+            state = ConstructionState(state.F, state.M, state.points, state.used,
                                       state.met | exc.met, state.depth)
             continue
         except (PointSearchExhausted, Inseparable) as exc:
@@ -644,7 +614,7 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
     level of the class expected in its place.
     """
     out: list[str] = []
-    B, A = default_enumerations()
+    B, A = CoverEnumeration(), VastEnumeration()
     height = trace.params["height"]
 
     # reconstruct the field tower from the recorded witnesses
@@ -699,8 +669,7 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
                 break
 
         # (3_m) cover is the next enumeration entry
-        cover = B.entry(i)
-        if rec.cover_id != cover.entry or rec.cover_h != cover.h:
+        if rec.cover_id != i or rec.cover_h != B.entry(i):
             out.append(f"(3_{i}): cover is not enumeration entry {i}")
 
         # (4_m) vast spec is the first eligible unused entry
@@ -712,14 +681,14 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
         else:
             try:
                 spec = A.entry(idx)
-                if not disjoint_over(F_prev, spec.subspace(rec.depth_checked), ClassSubspace()):
+                if not disjoint_over(F_prev, spec.subspace(rec.depth_checked)):
                     out.append(f"(4_{i}): recorded stream is not disjoint at depth "
                                f"{rec.depth_checked}")
                 for j in range(1, idx):
                     if j in used_indices or (j in met and met[j] <= rec.depth_checked):
                         continue
                     early = A.entry(j)
-                    if disjoint_over(F_prev, early.subspace(rec.depth_checked), ClassSubspace()):
+                    if disjoint_over(F_prev, early.subspace(rec.depth_checked)):
                         out.append(f"(4_{i}): entry {j} was eligible before entry {idx}")
                         break
                     met[j] = rec.depth_checked
@@ -787,24 +756,21 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
 # Counterexample audit
 # ---------------------------------------------------------------------------
 
-def counterexample_audit(trace: ConstructionTrace, polys: Sequence[RatPoly], k: int) -> dict:
-    """Killed-sign report for each polynomial against the final field.
+def counterexample_audit(trace: ConstructionTrace, k: int) -> dict:
+    """Killed-sign report for each polynomial whose stream was assigned during
+    the run, in first-use order, against the final field.
 
-    For every polynomial whose stream was assigned during the run: the killed
-    levels over the final field, the implied index lower bound, and the
-    dimension of the intersection of the final field with the span of the
-    polynomial's disc classes (the finite proxy for a nontrivial intersection
-    with every discriminant subextension).
+    For each: the killed levels over the final field, the implied index lower
+    bound, and the dimension of the intersection of the final field with the
+    span of the polynomial's disc classes (the finite proxy for a nontrivial
+    intersection with every discriminant subextension).
     """
     if k < 1:
         raise ValueError("level must be >= 1")
     F = trace.final_subspace()
     entries = []
-    for f in polys:
+    for f in assigned_polynomials(trace):
         assigned = [rec for rec in trace.steps if rec.vast_poly == f]
-        if not assigned:
-            entries.append({"poly": str(f), "assigned": False, "unprocessed": True})
-            continue
         depth_needed = max(rec.vast_n + rec.depth_checked - 1 for rec in assigned)
         K = max(k, depth_needed)
         killed = killed_signs(f, F, K)

@@ -303,14 +303,10 @@ def _squarefree_part(n: int) -> tuple[int, tuple[int, ...]]:
     return math.prod(odd), odd
 
 
-def squarefree_kernel(q) -> int:
-    """The unique squarefree integer s (sign included) with q/s a rational
-    square, for a nonzero int or Fraction q."""
-    return squarefree_kernel_support(q)[0]
-
-
 def squarefree_kernel_support(q) -> tuple[int, tuple[int, ...]]:
-    """As squarefree_kernel, but also returns the primes dividing the kernel."""
+    """(s, primes): the unique squarefree integer s (sign included) with q/s
+    a rational square, for a nonzero int or Fraction q, and the primes
+    dividing s."""
     n = q.numerator * q.denominator  # q times the square den^2
     if n == 0:
         raise ValueError("zero has no square class")
@@ -454,25 +450,6 @@ class _FrobeniusMap:
 # Factor degrees mod p
 # ---------------------------------------------------------------------------
 
-class FactorDegreePattern:
-    """Multiset of degrees of the irreducible factors of a reduction mod p.
-
-    Instances are immutable.
-    """
-
-    __slots__ = ("degrees", "prime")
-
-    def __init__(self, degrees: Iterable[int], prime: int):
-        object.__setattr__(self, "degrees", tuple(sorted(degrees)))  # with multiplicity
-        object.__setattr__(self, "prime", prime)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FactorDegreePattern is immutable")
-
-    def lcm(self) -> int:
-        return math.lcm(*self.degrees)
-
-
 def reduce_mod_p(f: RatPoly, p: int) -> list[int]:
     """Coefficients of f mod p; BadPrime if p divides a denominator or lc(f).
     f.den is the lcm of the coefficient denominators, so a prime divides one
@@ -486,8 +463,9 @@ def reduce_mod_p(f: RatPoly, p: int) -> list[int]:
     return out
 
 
-def factor_degrees_mod_p(f: RatPoly, p: int) -> FactorDegreePattern:
-    """Degrees of the irreducible factors of f mod p, for good primes p.
+def factor_degrees_mod_p(f: RatPoly, p: int) -> tuple[int, ...]:
+    """Degrees of the irreducible factors of f mod p, for good primes p,
+    sorted and with multiplicity.
 
     The Frobenius map h -> h^p is applied to x until it returns to x, which
     happens after L steps, L the lcm of the factor degrees (the order of
@@ -513,7 +491,7 @@ def factor_degrees_mod_p(f: RatPoly, p: int) -> FactorDegreePattern:
         raise BadPrime(f"{p} divides the discriminant")
     n = len(fbar) - 1
     if n == 1:
-        return FactorDegreePattern((1,), p)
+        return (1,)
     frobenius = _FrobeniusMap(fbar, p)
     x = [0, 1] + [0] * (n - 2)
     hs = [x]  # x^(p^e) mod fbar for e <= n/2, the only e a gcd is taken at
@@ -543,7 +521,7 @@ def factor_degrees_mod_p(f: RatPoly, p: int) -> FactorDegreePattern:
             g = [1]
     if len(g) > 1:
         degrees.append(len(g) - 1)  # the unfactored part is irreducible
-    return FactorDegreePattern(tuple(degrees), p)
+    return tuple(sorted(degrees))
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,6 @@ from .exactpoly import RatPoly, squarefree_kernel_support
 from .primes import next_prime
 
 
-class BaseNotContained(ValueError):
-    """disjoint_over called with a base not contained in both subspaces."""
-
-
 class DepthExhausted(RuntimeError):
     """Every inspected stream element lay in the given span; retry deeper."""
 
@@ -301,8 +297,6 @@ class ClassSubspace:
             V = V.extend(c)
         return V
 
-    __add__ = compositum
-
     def contains(self, other: "ClassSubspace") -> bool:
         return all(self.member(c) for c in other.basis)
 
@@ -336,15 +330,13 @@ def intersection_dim(V: ClassSubspace, W: ClassSubspace) -> int:
     return V.dim + W.dim - V.compositum(W).dim
 
 
-def disjoint_over(V: ClassSubspace, W: ClassSubspace, B: ClassSubspace) -> bool:
-    """True iff the spans V and W intersect exactly in B.
+def disjoint_over(V: ClassSubspace, W: ClassSubspace) -> bool:
+    """True iff the spans V and W intersect trivially.
 
-    For the exponent-2 abelian extensions modeled here, trivial intersection
-    over the base coincides with linear disjointness.
+    For the exponent-2 abelian extensions of Q modeled here, trivial
+    intersection coincides with linear disjointness over Q.
     """
-    if not (V.contains(B) and W.contains(B)):
-        raise BaseNotContained("base subspace is not contained in both operands")
-    return intersection_dim(V, W) == B.dim
+    return intersection_dim(V, W) == 0
 
 
 class ClassStream:

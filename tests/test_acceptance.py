@@ -27,7 +27,6 @@ from arborsign.arboreal import (
 )
 from arborsign.construct import (
     ConstructionTrace,
-    assigned_polynomials,
     counterexample_audit,
     run,
     verify_trace,
@@ -76,8 +75,8 @@ def build_artifacts():
 
     t0 = time.perf_counter()
     seqs = {
-        "x^2 - 3": disc_class_sequence(X2M3, 4).kernels(),
-        "x^2 + 1": disc_class_sequence(X2P1, 4).kernels(),
+        "x^2 - 3": [c.kernel for c in disc_class_sequence(X2M3, 4)],
+        "x^2 + 1": [c.kernel for c in disc_class_sequence(X2P1, 4)],
     }
     seq_seconds = time.perf_counter() - t0
 
@@ -86,15 +85,11 @@ def build_artifacts():
         "level2_primes50": splitting_degree_lower_bound(X2P1, 2, 50),
     }
     certs = {
-        "refute_level1": index_report(
-            X2M3, ClassSubspace.from_kernels([3]), 1, 1, 10
-        ).to_json(),
-        "refute_level2": index_report(
-            X2M3, ClassSubspace.from_kernels([3, 6]), 2, 1, 10
-        ).to_json(),
+        "refute_level1": index_report(X2M3, ClassSubspace.from_kernels([3]), 1, 1, 10),
+        "refute_level2": index_report(X2M3, ClassSubspace.from_kernels([3, 6]), 2, 1, 10),
     }
     violations = verify_trace(trace)
-    audit = counterexample_audit(trace, assigned_polynomials(trace), 2)
+    audit = counterexample_audit(trace, 2)
     blob = json.dumps(
         {
             "disc_sequences": seqs,
@@ -193,8 +188,8 @@ def test_criterion_03_discriminant_oracles(capsys):
 
 def test_criterion_04_iterate_disc_sequences(capsys, artifacts):
     with reported(capsys, 4, "disc sequences [3,6] / [-1,2]; depth 4 < 10 s, refactored"):
-        assert disc_class_sequence(X2M3, 2).kernels() == [3, 6]
-        assert disc_class_sequence(X2P1, 2).kernels() == [-1, 2]
+        assert [c.kernel for c in disc_class_sequence(X2M3, 2)] == [3, 6]
+        assert [c.kernel for c in disc_class_sequence(X2P1, 2)] == [-1, 2]
         assert artifacts["seq_seconds"] < 10
         for f in (X2M3, X2P1):
             for n in range(1, 5):
@@ -226,21 +221,21 @@ def test_criterion_05_degree_bound_truncation(capsys):
         exponent = max(element_order(g) for g in all_portraits(2, 2))
         assert exponent == 4
         assert level2 <= exponent < group_order(2, 2)
-        cert = index_report(X2P1, ClassSubspace(), 2, 1, 50)
-        assert cert.verdict == "UNKNOWN"
-        assert cert.degree_lower_bound == 4 and cert.group_order == 8
+        report = index_report(X2P1, ClassSubspace(), 2, 1, 50)
+        assert report["verdict"] == "UNKNOWN"
+        assert report["degree_lower_bound"] == 4 and report["group_order"] == 8
 
 
 def test_criterion_06_nonsurjectivity_mechanism(capsys):
     with reported(capsys, 6, "killed signs refute index 1 at level 1; bound 4 at level 2"):
         cert1 = index_report(X2M3, ClassSubspace.from_kernels([3]), 1, 1, 10)
-        assert cert1.verdict == "REFUTES_INDEX_AT_MOST(1)"
-        assert sorted(cert1.killed) == [1]
-        assert cert1.index_lower_bound == 2
+        assert cert1["verdict"] == "REFUTES_INDEX_AT_MOST(1)"
+        assert sorted(cert1["killed"]) == [1]
+        assert cert1["index_lower_bound"] == 2
         cert2 = index_report(X2M3, ClassSubspace.from_kernels([3, 6]), 2, 1, 10)
-        assert sorted(cert2.killed) == [1, 2]
-        assert cert2.index_lower_bound == 4
-        assert cert2.verdict == "REFUTES_INDEX_AT_MOST(1)"
+        assert sorted(cert2["killed"]) == [1, 2]
+        assert cert2["index_lower_bound"] == 4
+        assert cert2["verdict"] == "REFUTES_INDEX_AT_MOST(1)"
 
 
 def test_criterion_07_construction_round_trip(capsys, artifacts):

@@ -173,12 +173,14 @@ class TestSimulateVerifyAudit:
         assert err.startswith("error: cannot write trace:") and err.count("\n") == 1
 
     def test_simulate_unwritable_out_fails_before_run(self, capsys, tmp_path, monkeypatch):
-        """An unwritable --out used to be found only after the whole run."""
+        """An unwritable --out used to be found only after the whole run; an
+        empty one still was, after a temporary file in the cwd."""
         def never(*args):
             raise AssertionError("run was called")
 
         monkeypatch.setattr(cli, "run", never)
-        for out in (tmp_path / "missing" / "t.json", tmp_path):
+        monkeypatch.chdir(tmp_path)
+        for out in (tmp_path / "missing" / "t.json", tmp_path, ""):
             code, payload, err = run_cli(capsys, "simulate", "--steps", "50", "--out", str(out))
             assert code == 2 and payload is None
             assert err.startswith("error: cannot write trace:") and err.count("\n") == 1

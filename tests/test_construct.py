@@ -19,7 +19,6 @@ from arborsign.construct import (
     VastSpec,
     assigned_polynomials,
     counterexample_audit,
-    default_enumerations,
     rationals_by_height,
     run,
     step,
@@ -50,18 +49,20 @@ class TestEnumerations:
 
     def test_cover_entries_repeat_each_grid_polynomial(self):
         B = CoverEnumeration()
-        first = B.entry(1)
-        assert first.h == RatPoly.parse("x") and first.repetition == 0
-        # the same grid polynomial recurs with increasing repetition counts
-        reps = [e.repetition for e in (B.entry(j) for j in range(1, 60)) if e.grid_index == 0]
-        assert reps == list(range(len(reps))) and len(reps) >= 3
+        x = RatPoly.parse("x")
+        assert B.entry(1) == x
+        # the first grid polynomial recurs at every entry whose diagonal pair
+        # starts with grid index 0
+        recurs = [j for j in range(1, 60) if B.entry(j) == x]
+        assert recurs == [j for j in range(1, 60) if _unpair(j - 1)[0] == 0]
+        assert len(recurs) >= 3
 
     def test_cover_grid_is_squarefree(self):
         B = CoverEnumeration()
         from arborsign.exactpoly import discriminant
 
         for j in range(1, 80):
-            h = B.entry(j).h
+            h = B.entry(j)
             assert h.den == h.nums[-1] == 1 and 1 <= h.degree <= 2
             assert discriminant(h) != 0 if h.degree == 2 else True
 
@@ -75,7 +76,7 @@ class TestEnumerations:
         assert 1 in cs and 2 in cs and -3 in cs
 
     def test_entries_one_based(self):
-        B, A = default_enumerations()
+        B, A = CoverEnumeration(), VastEnumeration()
         with pytest.raises(ValueError):
             B.entry(0)
         with pytest.raises(ValueError):
@@ -103,7 +104,7 @@ class TestEnumerations:
 
 class TestStep:
     def test_first_step_record(self):
-        B, A = default_enumerations()
+        B, A = CoverEnumeration(), VastEnumeration()
         state, rec = step(ConstructionState.initial(5), B, A, height=100)
         assert rec.to_json() == {
             "m": 1,
@@ -113,7 +114,7 @@ class TestStep:
             "vast": {"poly": "x^2 + 1", "n": 1, "depth_checked": 5},
         }
         assert state.F.kernels() == [-1]
-        assert state.m == 1
+        assert len(state.points) == 1
 
     def test_growth_invariants(self, trace3):
         assert trace3.dim == 3
@@ -332,7 +333,7 @@ class TestVerify:
     def test_tampered_final_dim_reported(self, trace3):
         bad = mutate(trace3, final__dim=1)
         assert verify_trace(bad) == ["(final): recorded dim 1 is not the number of witnesses, 3"]
-        assert counterexample_audit(bad, assigned_polynomials(bad), 2)["final_dim"] == 3
+        assert counterexample_audit(bad, 2)["final_dim"] == 3
 
 
 def value(h, q):
@@ -356,7 +357,7 @@ def full_scan_entries(trace):
         fibers.append(class_of(v) if v else None)
     for i, rec in enumerate(steps, start=1):
         over = ClassSubspace.span([fb for fb in fibers[: i - 1] if fb is not None])
-        over = fields[i] + over
+        over = fields[i].compositum(over)
         point = Fraction(*rec.point)
         prior = [Fraction(*s.point) for s in steps[: i - 1]]
         reached = False
@@ -454,8 +455,7 @@ def full_scan_vast_entries(trace):
     F, used, out = ClassSubspace(), set(), []
     for i, (rec, idx) in enumerate(zip(trace.steps, entry_indices(trace)), start=1):
         for j in range(1, idx):
-            if j not in used and disjoint_over(
-                    F, A.entry(j).subspace(rec.depth_checked), ClassSubspace()):
+            if j not in used and disjoint_over(F, A.entry(j).subspace(rec.depth_checked)):
                 out.append(f"(4_{i}): entry {j} was eligible before entry {idx}")
                 break
         used.add(idx)
@@ -493,7 +493,7 @@ class TestVastSkip:
         F3 = ClassSubspace.span(SquareClass(rec.witness) for rec in trace20.steps[:3])
         recorded = entry_indices(trace20)
         assert (recorded[3], recorded[9]) == (7, 17)
-        assert not disjoint_over(F3, A.entry(5).subspace(5), ClassSubspace())
+        assert not disjoint_over(F3, A.entry(5).subspace(5))
         data = trace20.to_json()
         for rec in data["steps"][9:]:
             rec["vast"]["depth_checked"] = 1
@@ -536,7 +536,7 @@ def test_thirty_steps_factor_nothing(monkeypatch):
     again = ConstructionTrace.from_json(json.loads(json.dumps(trace.to_json())))
     assert again == trace
     assert verify_trace(again) == []
-    report = counterexample_audit(again, assigned_polynomials(again), 2)
+    report = counterexample_audit(again, 2)
     assert report["final_dim"] == 30
     assert max(w.bit_length() for w in trace.final) == 336
 
@@ -548,19 +548,16 @@ class TestAudit:
         assert len(polys) == len(set(polys))
 
     def test_report_shape(self, trace3):
-        report = counterexample_audit(trace3, assigned_polynomials(trace3), 2)
+        report = counterexample_audit(trace3, 2)
         assert report["level"] == 2
         assert report["final_dim"] == 3
+        assert [e["poly"] for e in report["polynomials"]] == [
+            str(f) for f in assigned_polynomials(trace3)]
         for entry in report["polynomials"]:
             assert entry["assigned"]
             assert entry["index_lower_bound"] == 2 ** len(entry["killed"])
             assert entry["intersection_dim"] >= 1
 
-    def test_unassigned_polynomial_flagged(self, trace3):
-        report = counterexample_audit(trace3, [RatPoly.parse("x^2 - 5")], 2)
-        entry = report["polynomials"][0]
-        assert entry == {"poly": "x^2 - 5", "assigned": False, "unprocessed": True}
-
     def test_level_validated(self, trace3):
         with pytest.raises(ValueError):
-            counterexample_audit(trace3, [], 0)
+            counterexample_audit(trace3, 0)

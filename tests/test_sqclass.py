@@ -11,7 +11,6 @@ from arborsign import exactpoly, primes, sqclass
 from arborsign.construct import VastEnumeration
 from arborsign.exactpoly import RatPoly
 from arborsign.sqclass import (
-    BaseNotContained,
     ClassStream,
     ClassSubspace,
     DepthExhausted,
@@ -141,7 +140,7 @@ class TestClassSubspace:
         for _ in range(60):
             V = ClassSubspace.from_kernels(rng.sample(pool, rng.randint(1, 4)))
             W = ClassSubspace.from_kernels(rng.sample(pool, rng.randint(1, 4)))
-            U = V + W
+            U = V.compositum(W)
             assert U.dim == V.dim + W.dim - intersection_dim(V, W)
             assert U.contains(V) and U.contains(W)
             assert intersection_dim(V, W) == intersection_dim(W, V)
@@ -156,29 +155,21 @@ class TestClassSubspace:
 class TestDisjointness:
     def test_spec_example(self):
         V = ClassSubspace.from_kernels([2, 6])
-        W = ClassSubspace.from_kernels([2, 3])
-        B = ClassSubspace.from_kernels([2])
-        # 6 = 2 * 3 lies in both spans, so they meet beyond span{2}
-        assert disjoint_over(V, W, B) is False
+        W = ClassSubspace.from_kernels([3, 7])
+        # 3 = 2 * 6 lies in both spans, though no generator is shared
+        assert disjoint_over(V, W) is False
 
     def test_disjoint_case(self):
         V = ClassSubspace.from_kernels([2, 5])
-        W = ClassSubspace.from_kernels([2, 7])
-        B = ClassSubspace.from_kernels([2])
-        assert disjoint_over(V, W, B) is True
-
-    def test_base_not_contained(self):
-        with pytest.raises(BaseNotContained):
-            disjoint_over(
-                ClassSubspace.from_kernels([2]),
-                ClassSubspace.from_kernels([3]),
-                ClassSubspace.from_kernels([5]),
-            )
+        W = ClassSubspace.from_kernels([3, 7, -1])
+        assert disjoint_over(V, W) is True
 
     def test_trivial_base(self):
+        # the spans meet in the trivial class only: disjoint over Q
         V = ClassSubspace.from_kernels([2])
         W = ClassSubspace.from_kernels([3])
-        assert disjoint_over(V, W, ClassSubspace())
+        assert disjoint_over(V, W)
+        assert not disjoint_over(V, V)
 
 
 class TestStreams:
@@ -466,13 +457,11 @@ class TestFactorFree:
             shared = [random_element(rng) for _ in range(rng.randint(0, 2))]
             v_gens = shared + [random_element(rng) for _ in range(rng.randint(0, 4))]
             w_gens = shared + [random_element(rng) for _ in range(rng.randint(0, 4))]
-            V, W, B = (
+            V, W = (
                 ClassSubspace.span(class_of(value(*x)) for x in gens)
-                for gens in (v_gens, w_gens, shared)
+                for gens in (v_gens, w_gens)
             )
-            vv, wv, bv = (
-                [prime_vector(*x) for x in gens] for gens in (v_gens, w_gens, shared)
-            )
+            vv, wv = ([prime_vector(*x) for x in gens] for gens in (v_gens, w_gens))
             assert V.dim == rank(vv)
             c = random_element(rng)
             cls = class_of(value(*c))
@@ -481,8 +470,8 @@ class TestFactorFree:
             assert V.extend(cls).dim == rank(vv + [prime_vector(*c)])
             meet = rank(vv) + rank(wv) - rank(vv + wv)
             assert intersection_dim(V, W) == meet
-            assert (V + W).dim == rank(vv + wv)
-            assert disjoint_over(V, W, B) == (meet == rank(bv))
+            assert V.compositum(W).dim == rank(vv + wv)
+            assert disjoint_over(V, W) == (meet == 0)
             assert (V == W) == (rank(vv) == rank(wv) == rank(vv + wv))
 
 
@@ -568,6 +557,18 @@ class TestSizeOrderedWalk:
         rep = value(sign, fac)
         assert V.member(class_of(rep)) == composed_member(V, rep) == in_span
 
+    def test_cofactor_below_a_base_element_it_meets(self):
+        """The base of span{12} is 12 itself.  The walk of 3 stops before 12
+        and leaves the cofactor 3, yet gcd(3, 12) = 3, and 3 is in the class
+        of 12.  A coprime test against only the base elements the walk saw
+        would find none and answer False."""
+        V = ClassSubspace.span([SquareClass(12)])
+        assert V._base == (12,)
+        assert sqclass._coordinates(3, V._order) == (0, 3)
+        assert V.member(SquareClass(3))
+        assert V._member(3)
+        assert V.extend(SquareClass(3)) is V
+
 
 def test_orbit_stream_disjointness_needs_no_factoring(monkeypatch):
     """Step 10 of run(10, 5, 1000) tests the stream x^2 + 2, n = 5 against the
@@ -585,4 +586,4 @@ def test_orbit_stream_disjointness_needs_no_factoring(monkeypatch):
     spec = VastEnumeration().entry(17)
     assert (str(spec.f), spec.n) == ("x^2 + 2", 5)
     F9 = ClassSubspace.from_kernels([-1, 5, 38, 26, 5403, 1086, 677, 1446, 458330])
-    assert disjoint_over(spec.subspace(5), F9, ClassSubspace()) is True
+    assert disjoint_over(spec.subspace(5), F9) is True

@@ -35,3 +35,15 @@ def test_tracer_binds_the_frobenius_scan(tmp_path):
     assert any(span[3] == "exactpoly.factor_degrees_mod_p" and span[2] >= 0
                and spans[span[2]][3] == "arboreal.splitting_degree_lower_bound"
                for span in spans)
+
+
+def test_tracer_binds_the_construction(tmp_path):
+    # construct.vast.tested counts disjoint_over spans whose parent is a step,
+    # and construct.audit.self_s reads the audit's span
+    record = _traced(tmp_path, "simulate", "--steps", "3", "--out", "t.json")
+    spans = record["spans"]
+    tests = [span for span in spans if span[3] == "sqclass.disjoint_over"]
+    assert tests and all(span[2] >= 0 and spans[span[2]][3] == "construct.step"
+                         for span in tests)
+    record = _traced(tmp_path, "audit", "--trace", "t.json", "--level", "2")
+    assert any(span[3] == "construct.counterexample_audit" for span in record["spans"])
