@@ -63,7 +63,7 @@ def _critical_orbit(f: RatPoly, n: int) -> tuple[tuple[int, ...], int, SquareCla
     g = [i * c for i, c in enumerate(F)][1:]
     if n == 0:
         P, D = _remainder([0, 1], 1, g)
-        return P, D, SquareClass.trivial()
+        return P, D, SquareClass(1)
     P, D, prev = _critical_orbit(f, n - 1)
     A, Dk = _horner(F, P, D)
     P, D = _remainder(A, L * Dk, g)

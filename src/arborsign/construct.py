@@ -429,12 +429,14 @@ def _json_int(value: object, name: str, nonzero: bool = False) -> int:
 _POINT_TEXT = re.compile(r"-?[0-9]+/[0-9]+")  # the form to_json writes
 
 
-def _point_parse(text: str) -> tuple[int, int]:
-    """The point a trace's text names.  Any text `fractions.Fraction` reads
-    ("2/4", " 3 ", "1.5") is read as it reads it; only text other than
-    to_json's "num/den" imports it."""
+def _point_parse(text: object) -> tuple[int, int]:
+    """The point a trace's text names; a point that is not a JSON string is
+    malformed.  Any text `fractions.Fraction` reads ("2/4", " 3 ", "1.5") is
+    read as it reads it; only text other than to_json's "num/den" imports it."""
+    if type(text) is not str:
+        raise TraceFormatError(f"bad rational {text!r}")
     try:
-        if type(text) is str and _POINT_TEXT.fullmatch(text):
+        if _POINT_TEXT.fullmatch(text):
             num, den = map(int, text.split("/"))
             if den == 0:
                 raise ZeroDivisionError(text)

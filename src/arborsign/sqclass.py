@@ -14,6 +14,7 @@ when asked for, for output.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Callable, Iterable
 
@@ -33,8 +34,8 @@ class SquareClass:
     """A rational square class, carried by a nonzero integer representative.
 
     Equality is square-class equality: a == b iff a.rep * b.rep is a square.
-    `kernel` and `support` factor the representative and are meant for output.
-    Instances are immutable.
+    `kernel` factors the representative and is meant for output.  Instances
+    are immutable.
     """
 
     __slots__ = ("rep",)
@@ -46,10 +47,6 @@ class SquareClass:
 
     def __setattr__(self, name, value):
         raise AttributeError("SquareClass is immutable")
-
-    @classmethod
-    def trivial(cls) -> "SquareClass":
-        return cls(1)
 
     @classmethod
     def from_kernel(cls, k: int) -> "SquareClass":
@@ -64,12 +61,6 @@ class SquareClass:
     def kernel(self) -> int:
         """The signed squarefree integer in the class."""
         return squarefree_kernel_support(self.rep)[0]
-
-    @property
-    def support(self) -> frozenset[int]:
-        """Coordinates with odd exponent: -1 and/or primes."""
-        k, primes = squarefree_kernel_support(self.rep)
-        return frozenset((-1, *primes) if k < 0 else primes)
 
     @property
     def is_trivial(self) -> bool:
@@ -108,19 +99,21 @@ def class_of(q) -> SquareClass:
 # Coordinates over a coprime base
 # ---------------------------------------------------------------------------
 
-def _refine(base: tuple[int, ...], product: int, n: int) -> tuple[tuple[int, ...], int]:
-    """A coprime base over which n > 0 and every element of `base` factor,
-    and its product, given `product`, that of `base`.
+Order = tuple[tuple[int, int], ...]  # (base element, coordinate bit), smallest first
 
-    `base` must be pairwise coprime with no element a perfect square; the
-    result keeps both properties and equals `base` when n already factors
-    over it.  Elements sharing a gcd are split until all are coprime; the
-    product of all pending elements drops at every split, so this ends.
-    The product follows each removal and append, which costs less than
-    multiplying out the whole base again.
+
+def _refine(x: int, met: list[int]) -> list[int]:
+    """A coprime base of nonsquares over which x > 1 and every element of
+    `met` factor.
+
+    `met` must be pairwise coprime with no element a perfect square.
+    Elements sharing a gcd are split until all are coprime; the product of
+    all pending elements drops at every split, so this ends.  A base element
+    coprime to x and to every element of `met` is coprime to every part, so
+    the parts replace `met` in a base and leave the rest of it as it is.
     """
-    out = list(base)
-    todo = [n]
+    out = list(met)
+    todo = [x]
     while todo:
         x = todo.pop()
         for b in out:
@@ -132,30 +125,30 @@ def _refine(base: tuple[int, ...], product: int, n: int) -> tuple[tuple[int, ...
             g = math.gcd(x, b)
             if g > 1:
                 del out[i]
-                product //= b
                 todo += (g, b // g, x // g)
                 break
         else:
             while _is_square(x):
                 x = math.isqrt(x)
             out.append(x)
-            product *= x
-    return tuple(out), product
+    return out
 
 
-def _by_size(base: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """(element, coordinate bit) for each element of a base, smallest first;
-    the element base[j-1] has bit 1 << j."""
-    return tuple(sorted((b, 1 << j) for j, b in enumerate(base, 1)))
+def _by_size(base: list[int]) -> Order:
+    """A refined base in size order, smallest first, numbered afresh: the
+    j-th smallest element has the coordinate bit 1 << j."""
+    return tuple((b, 1 << j) for j, b in enumerate(sorted(base), 1))
 
 
-def _coordinates(n: int, order: tuple[tuple[int, int], ...]) -> tuple[int, int]:
-    """(v, x): n = sign * x * prod base[j-1]^e_j with x > 0 divisible by no
-    base element, and v the bit mask of the class of n / x: bit 0 is the sign,
-    bit j the parity of e_j.  v is the class's coordinates when x == 1.
+def _coordinates(n: int, order: Order) -> tuple[int, int]:
+    """(v, x): n = sign * x * prod b^e_b over the base elements b, with x > 0
+    divisible by no base element, and v the bit mask of the class of n / x:
+    bit 0 is the sign, an element's bit the parity of its exponent.  v is
+    the class's coordinates when x == 1.
 
-    `order` is `_by_size(base)`.  What is left of n only shrinks, so the walk
-    stops at the first element larger than it: no later one divides it."""
+    `order` is the base in size order.  What is left of n only shrinks, so
+    the walk stops at the first element larger than it: no later one
+    divides it."""
     v = int(n < 0)
     n = abs(n)
     for b, bit in order:
@@ -184,49 +177,42 @@ def _reduce(v: int, rows: Rows) -> int:
 
 
 def _add_row(rows: Rows, r: int) -> Rows:
-    """Add a nonzero vector already reduced by `rows`, keeping reduced form."""
+    """Add a nonzero vector already reduced by `rows`, keeping reduced form;
+    its pivot is its lowest set bit."""
     p = r & -r
     out = {q: row ^ r if row & p else row for q, row in rows.items()}
     out[p] = r
     return out
 
 
-# A prime coordinate is -1 or a prime.  -1 sorts first, primes in increasing order.
-def _coord_key(c: int) -> tuple[int, int]:
-    return (0, 0) if c == -1 else (1, c)
-
-
-def _pivot(vec: frozenset[int]) -> int:
-    return min(vec, key=_coord_key)
-
-
 class ClassSubspace:
     """An F2-span of square classes.
 
     Models the multiquadratic extension of Q generated by the square roots of
-    the basis classes.  `basis` holds independent generators; `_base` is a
-    coprime base of nonsquares over which every basis representative factors,
-    `_rows` the reduced echelon form of the basis coordinates over it,
-    `_order` the base in increasing size (`_by_size`) and `_product` its
-    product.  A class is read by one walk, `_coordinates`, into its
+    the basis classes.  `basis` holds independent generators.  `_order` is a
+    coprime base of nonsquares over which every basis representative
+    factors, as (element, coordinate bit) pairs in increasing size with the
+    bits 1 << 1 ... 1 << len(_order); `_product` is the product of its
+    elements and `_rows` the reduced echelon form of the basis coordinates
+    over it.  A class is read by one walk, `_coordinates`, into its
     coordinate bits and the cofactor the base leaves, and reduced by one
     function, `_reduce`.  `extend` decides the refinement from the cofactor:
-    1 needs none; a cofactor coprime to the base appends its nonsquare root;
-    one that meets the base refines it by gcds and rebuilds the rows.
-    `member` decides at once unless the cofactor meets the base, and then
-    asks whether `extend` returns the subspace itself.  Immutable:
-    extend/compositum return new subspaces.  Equality is equality of spans.
+    1 needs none; a cofactor coprime to the base adds its nonsquare root in
+    size position with the next bit, and the rows stand; one that meets the
+    base refines only the elements it meets, renumbers the bits and rebuilds
+    the rows.  `member` decides at once unless the cofactor meets the base,
+    and then asks whether `extend` returns the subspace itself.  Immutable:
+    extend/compositum return new subspaces.
     """
 
-    __slots__ = ("basis", "_base", "_rows", "_order", "_product")
+    __slots__ = ("basis", "_order", "_rows", "_product")
 
-    def __init__(self, basis: tuple[SquareClass, ...] = (), base: tuple[int, ...] = (),
+    def __init__(self, basis: tuple[SquareClass, ...] = (), order: Order = (),
                  rows: Rows | None = None, product: int = 1):
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_rows", {} if rows is None else rows)
-        object.__setattr__(self, "_order", _by_size(base))
-        object.__setattr__(self, "_product", product)  # math.prod(base)
+        object.__setattr__(self, "_product", product)  # of the base elements
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassSubspace is immutable")
@@ -264,10 +250,11 @@ class ClassSubspace:
         return not _reduce(v, self._rows)
 
     def extend(self, c: SquareClass) -> "ClassSubspace":
-        base, rows, product = self._base, self._rows, self._product
-        v, x = _coordinates(c.rep, self._order)
+        order, rows, product = self._order, self._rows, self._product
+        v, x = _coordinates(c.rep, order)
         if x != 1:
-            if math.gcd(x, product) == 1:
+            g = math.gcd(x, product)
+            if g == 1:
                 # A new base element, coprime to every old one: the basis has
                 # coordinate zero at it and the rows stand.  x is a power
                 # 2^k of its nonsquare root, odd only for k = 0.
@@ -275,13 +262,23 @@ class ClassSubspace:
                 while _is_square(x):
                     x = math.isqrt(x)
                     odd = False
-                base += (x,)
+                bit = 1 << (len(order) + 1)
+                i = bisect.bisect(order, (x, bit))
+                order = (*order[:i], (x, bit), *order[i:])
                 product *= x
                 if odd:
-                    v ^= 1 << len(base)
+                    v ^= bit
             else:
-                base, product = _refine(base, product, x)
-                order = _by_size(base)
+                # x meets a base element b iff gcd(g, b) > 1, as every prime
+                # of both divides g.  Every element is tested: the walk may
+                # have stopped before one that x meets.  Only those met are
+                # refined.
+                kept, met = [], []
+                for b, _ in order:
+                    (met if math.gcd(g, b) > 1 else kept).append(b)
+                parts = _refine(x, met)
+                product = product // math.prod(met) * math.prod(parts)
+                order = _by_size(kept + parts)
                 rows = {}
                 for b in self.basis:  # independent, so each row is nonzero
                     rows = _add_row(rows, _reduce(_coordinates(b.rep, order)[0], rows))
@@ -289,7 +286,7 @@ class ClassSubspace:
         r = _reduce(v, rows)
         if not r:
             return self
-        return ClassSubspace(self.basis + (c,), base, _add_row(rows, r), product)
+        return ClassSubspace(self.basis + (c,), order, _add_row(rows, r), product)
 
     def compositum(self, other: "ClassSubspace") -> "ClassSubspace":
         V = self
@@ -300,30 +297,20 @@ class ClassSubspace:
     def contains(self, other: "ClassSubspace") -> bool:
         return all(self.member(c) for c in other.basis)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClassSubspace):
-            return NotImplemented
-        return self.dim == other.dim and self.contains(other)
-
-    def __hash__(self) -> int:
-        return hash(self.dim)
-
     def kernels(self) -> list[int]:
         """Sorted kernels of the reduced echelon basis over the coordinates
-        -1, 2, 3, 5, ...; the JSON encoding of the subspace.  Factors every
-        basis representative."""
-        vecs: list[frozenset[int]] = []
-        for c in self.basis:
-            r = c.support
-            for v in vecs:
-                if _pivot(v) in r:
-                    r ^= v
-            p = _pivot(r)
-            vecs = [v ^ r if p in v else v for v in vecs] + [r]
-        return sorted(math.prod(v) for v in vecs)
-
-    def __str__(self) -> str:
-        return "span{" + ", ".join(str(k) for k in self.kernels()) + "}"
+        -1, 2, 3, 5, ...; the JSON encoding of the subspace.  Bit 0 is -1,
+        then the primes in increasing order, so each pivot is the lowest
+        coordinate of its row.  Factors every basis representative."""
+        supports = [squarefree_kernel_support(c.rep) for c in self.basis]
+        coords = [-1, *sorted({p for _, primes in supports for p in primes})]
+        bit = {p: 1 << j for j, p in enumerate(coords)}
+        rows: Rows = {}
+        for k, primes in supports:  # independent, so each row is nonzero
+            v = int(k < 0) + sum(bit[p] for p in primes)
+            rows = _add_row(rows, _reduce(v, rows))
+        return sorted(math.prod(p for j, p in enumerate(coords) if r >> j & 1)
+                      for r in rows.values())
 
 
 def intersection_dim(V: ClassSubspace, W: ClassSubspace) -> int:

@@ -247,7 +247,8 @@ class TestSimulateVerifyAudit:
         code, payload, _ = run_cli(capsys, "verify", "--trace", str(bad))
         assert code == 1 and message in payload["violations"]
 
-    @pytest.mark.parametrize("text", ["1/0", "3/-4", "1/2/3", "x", ""])
+    # a point must be a JSON string: a number or literal is not read as one
+    @pytest.mark.parametrize("text", ["1/0", "3/-4", "1/2/3", "x", "", 2, 2.0, True, None])
     def test_verify_bad_point_text_exit_2(self, trace_file, tmp_path, text):
         data = json.loads(trace_file.read_text())
         data["steps"][0]["point"] = text

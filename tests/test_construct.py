@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,8 @@ class TestStep:
                      id="30"),
         pytest.param(50, "c9552f7cee26dfeeb65d5444d3751f87e3901e8ca90b37846a9ab9444d4f5cc1",
                      id="50"),
+        pytest.param(70, "5572f2d83b27fc7c9dc0c81477add9ed244ee500b63fc72e2059b94f64c0ef44",
+                     id="70"),
     ])
     def test_trace_bytes_pinned(self, n, digest):
         """Every cover recurs at least twice in 20 steps, so the resumed point
@@ -146,6 +149,22 @@ class TestStep:
         shown not disjoint from F are pinned across a retry too."""
         trace = run(n, 5, 1000)
         blob = json.dumps(trace.to_json()).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
+        assert verify_trace(trace) == []
+
+    @pytest.mark.slow
+    def test_trace_bytes_pinned_100(self):
+        """The 100-step tower, deselected by default (`pytest -m slow` runs
+        it).  Its trace holds integers past the default int-to-text limit
+        of 4,300 digits, which is lifted for the encoding only."""
+        trace = run(100, 5, 1000)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            blob = json.dumps(trace.to_json()).encode()
+        finally:
+            sys.set_int_max_str_digits(limit)
+        digest = "9271ffc02a15f5c434376ed701187b4eed8cfbc7643374a1a905f26d0363f2e8"
         assert hashlib.sha256(blob).hexdigest() == digest
         assert verify_trace(trace) == []
 

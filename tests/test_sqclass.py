@@ -8,8 +8,8 @@ import sympy
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from arborsign import exactpoly, primes, sqclass
-from arborsign.construct import VastEnumeration
-from arborsign.exactpoly import RatPoly
+from arborsign.construct import VastEnumeration, run, verify_trace
+from arborsign.exactpoly import RatPoly, squarefree_kernel_support
 from arborsign.sqclass import (
     ClassStream,
     ClassSubspace,
@@ -29,26 +29,74 @@ from arborsign.sqclass import (
 
 def brute_span(classes):
     """All products of subsets of the given classes: the actual F2-span."""
-    out = {SquareClass.trivial()}
+    out = {SquareClass(1)}
     for r in range(1, len(classes) + 1):
         for combo in combinations(classes, r):
-            acc = SquareClass.trivial()
+            acc = SquareClass(1)
             for c in combo:
                 acc = acc * c
             out.add(acc)
     return out
 
 
-def ref_coordinates(n, base):
+def ref_coordinates(n, order):
     """Reference for the base walk `sqclass._coordinates`: the same (v, x),
-    by dividing out every base element in the base's own order."""
+    by dividing out every base element, with no stop at the first element
+    larger than what is left."""
     v = int(n < 0)
     n = abs(n)
-    for j, b in enumerate(base, 1):
+    for b, bit in order:
         while n % b == 0:
             n //= b
-            v ^= 1 << j
+            v ^= bit
     return v, n
+
+
+def ref_kernels(V):
+    """Reference for `ClassSubspace.kernels`: the reduced echelon form of the
+    basis supports as sets of coordinates, -1 and the primes, each pivot the
+    smallest coordinate of its row."""
+    vecs = []
+    for c in V.basis:
+        fac = sympy.factorint(abs(c.rep))
+        r = frozenset([p for p, e in fac.items() if e % 2] + [-1] * (c.rep < 0))
+        for v in vecs:
+            if min(v) in r:
+                r ^= v
+        p = min(r)
+        vecs = [v ^ r if p in v else v for v in vecs] + [r]
+    return sorted(math.prod(v) for v in vecs)
+
+
+def check_structure(V):
+    """The invariants of a span's coprime base and echelon rows: the base in
+    size order with the bits 1 << 1 ... 1 << len, pairwise coprime
+    nonsquares above 1 with the stored product, over which every basis class
+    factors into the row span; each row keyed by its lowest bit, which no
+    other row has."""
+    elements = [b for b, _ in V._order]
+    assert elements == sorted(elements)
+    assert sorted(bit for _, bit in V._order) == [1 << j for j in range(1, len(elements) + 1)]
+    assert all(b > 1 and not _is_square(b) for b in elements)
+    assert all(math.gcd(a, b) == 1 for a, b in combinations(elements, 2))
+    assert V._product == math.prod(elements)
+    for p, row in V._rows.items():
+        assert p == row & -row
+        assert not any(other & p for q, other in V._rows.items() if q != p)
+        assert row < 2 << len(elements)
+    assert V.dim == len(V._rows)
+    for c in V.basis:
+        v, x = sqclass._coordinates(c.rep, V._order)
+        assert x == 1 and sqclass._reduce(v, V._rows) == 0
+
+
+def checked_span(classes):
+    """The span of the classes, extended one by one, checked after each."""
+    V = ClassSubspace()
+    for c in classes:
+        V = V.extend(c)
+        check_structure(V)
+    return V
 
 
 def ref_reduce(v, rows):
@@ -65,8 +113,8 @@ def composed_member(V, rep):
     `ref_coordinates`, `_is_square` and `ref_reduce`; when the cofactor
     shares a factor with the base, whether extending V by the class keeps
     its dimension."""
-    v, x = ref_coordinates(rep, V._base)
-    if math.gcd(x, math.prod(V._base)) != 1:
+    v, x = ref_coordinates(rep, V._order)
+    if any(math.gcd(x, b) > 1 for b, _ in V._order):
         return V.extend(SquareClass(rep)).dim == V.dim
     return _is_square(x) and not ref_reduce(v, V._rows)
 
@@ -90,8 +138,7 @@ class TestSquareClass:
             SquareClass.from_kernel(0)
 
     def test_support(self):
-        c = SquareClass.from_kernel(-30)
-        assert c.support == frozenset({-1, 2, 3, 5})
+        assert squarefree_kernel_support(-30) == (-30, (2, 3, 5))
 
     def test_group_law(self):
         rng = random.Random(3)
@@ -125,14 +172,34 @@ class TestClassSubspace:
 
     def test_extend_is_idempotent_on_members(self):
         V = ClassSubspace.from_kernels([2, 3])
-        assert V.extend(SquareClass.from_kernel(6)) == V
+        assert V.extend(SquareClass.from_kernel(6)) is V
         assert V.extend(SquareClass.from_kernel(5)).dim == 3
 
     def test_kernels_sorted_and_canonical(self):
         V = ClassSubspace.from_kernels([6, 10])
         W = ClassSubspace.from_kernels([10, 15])  # 15 = 6 * 10 in the class group
-        assert V == W
+        assert V.dim == W.dim and V.contains(W)
         assert V.kernels() == W.kernels()
+
+    def test_kernels_match_reference(self):
+        """Random spans of signed generators, square multiples of them and
+        products of earlier ones, against the frozenset echelon form."""
+        rng = random.Random(23)
+        small = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        for _ in range(300):
+            gens = []
+            for _ in range(rng.randint(0, 6)):
+                kind = rng.randrange(3)
+                if kind == 0 or not gens:
+                    rep = rng.choice([1, -1]) * math.prod(rng.sample(small, rng.randint(0, 4)))
+                elif kind == 1:
+                    rep = rng.choice(gens) * rng.choice(small) ** 2
+                else:
+                    rep = math.prod(rng.sample(gens, rng.randint(1, len(gens))))
+                gens.append(rep)
+            V = checked_span(SquareClass(rep) for rep in gens)
+            assert V.kernels() == ref_kernels(V)
+            assert ClassSubspace.from_kernels(V.kernels()).kernels() == V.kernels()
 
     def test_compositum_dim_formula(self):
         rng = random.Random(19)
@@ -417,10 +484,10 @@ class TestFactorFree:
         ]
         V, vecs, appended = ClassSubspace(), [], []
         for g in gens:
-            old = V._base
+            old = V._order
             V = V.extend(class_of(value(*g)))
-            appended.append(V._base[: len(old)] == old)
-            assert V._product == math.prod(V._base)
+            check_structure(V)
+            appended.append(set(old) <= set(V._order))
             vecs.append(prime_vector(*g))
             assert V.dim == rank(vecs) == len(vecs)
             for x in probes:
@@ -443,12 +510,12 @@ class TestFactorFree:
         gens = [p[0] * p[1], p[2], -p[3] ** 3, p[4] * p[5] ** 2, p[6] ** 2, p[0] * p[1] * p[2]]
         V = ClassSubspace.span(class_of(n) for n in gens)
         assert (V.dim, len(calls)) == (4, 0)
-        base = V._base
-        assert V.member(class_of(p[0] ** 3 * p[1])) and V._base == base
-        assert not V.member(class_of(p[1] * p[2])) and V._base == base
+        base = V._order
+        assert V.member(class_of(p[0] ** 3 * p[1])) and V._order == base
+        assert not V.member(class_of(p[1] * p[2])) and V._order == base
         assert len(calls) == 2
         W = V.extend(class_of(p[0]))
-        assert len(calls) == 3 and len(W._base) == len(base) + 1
+        assert len(calls) == 3 and len(W._order) == len(base) + 1
         assert W.member(class_of(p[1])) and not W.member(class_of(p[5]))
 
     def test_span_ops_match_oracle(self, no_factoring):
@@ -472,7 +539,8 @@ class TestFactorFree:
             assert intersection_dim(V, W) == meet
             assert V.compositum(W).dim == rank(vv + wv)
             assert disjoint_over(V, W) == (meet == 0)
-            assert (V == W) == (rank(vv) == rank(wv) == rank(vv + wv))
+            same = V.dim == W.dim and V.contains(W)
+            assert same == (rank(vv) == rank(wv) == rank(vv + wv))
 
 
 P = BIG_PRIMES
@@ -498,7 +566,7 @@ class TestMember:
     @example([(-1, {P[3]: 3})], (-1, {P[3]: 1}), P[0])
     @example([(-1, {P[3]: 3})], (-1, {}), 2)
     def test_matches_oracle(self, no_factoring, gens, c, square):
-        V = ClassSubspace.span(class_of(value(*g)) for g in gens)
+        V = checked_span(class_of(value(*g)) for g in gens)
         vecs = [prime_vector(*g) for g in gens]
         in_span = rank(vecs + [prime_vector(*c)]) == rank(vecs)
         rep = value(*c) * square**2
@@ -551,7 +619,7 @@ class TestSizeOrderedWalk:
     @example([], 1, {})
     def test_matches_oracle(self, no_factoring, gens, sign, fac):
         """Also against membership composed from the reference kernels."""
-        V = ClassSubspace.span(class_of(value(*g)) for g in gens)
+        V = checked_span(class_of(value(*g)) for g in gens)
         vecs = [sized_vector(*g) for g in gens]
         in_span = rank(vecs + [sized_vector(sign, fac)]) == rank(vecs)
         rep = value(sign, fac)
@@ -563,7 +631,7 @@ class TestSizeOrderedWalk:
         of 12.  A coprime test against only the base elements the walk saw
         would find none and answer False."""
         V = ClassSubspace.span([SquareClass(12)])
-        assert V._base == (12,)
+        assert V._order == ((12, 2),)
         assert sqclass._coordinates(3, V._order) == (0, 3)
         assert V.member(SquareClass(3))
         assert V._member(3)
@@ -587,3 +655,20 @@ def test_orbit_stream_disjointness_needs_no_factoring(monkeypatch):
     assert (str(spec.f), spec.n) == ("x^2 + 2", 5)
     F9 = ClassSubspace.from_kernels([-1, 5, 38, 26, 5403, 1086, 677, 1446, 458330])
     assert disjoint_over(spec.subspace(5), F9) is True
+
+
+def test_structure_over_a_tower(monkeypatch):
+    """Every span that run(10, 5, 1000) and its verification build, by the
+    engine, the verifier, stream subspaces and membership fallbacks, keeps
+    the structure's invariants."""
+    real, built = ClassSubspace.extend, []
+
+    def checked(V, c):
+        W = real(V, c)
+        check_structure(W)
+        built.append(len(W._order))
+        return W
+
+    monkeypatch.setattr(ClassSubspace, "extend", checked)
+    assert verify_trace(run(10, 5, 1000)) == []
+    assert len(built) > 100 and max(built) > 10
