@@ -1,7 +1,11 @@
 """Batch command-line surface; every pipeline, JSON out.
 
 Exit codes: 0 success, 1 semantic finding (violation, refutation,
-inseparability), 2 input error, 3 resource bound exceeded.  stdout carries
+inseparability), 2 input error, 3 resource bound exceeded: no good primes
+within `--primes`, an iterate past MAX_ITERATE_DEGREE, a group order past
+MAX_ORDER_DIGITS or an arity past MAX_ARITY, an exhausted stream depth, an
+aborted or unserializable construction, or a kernel that factoring cannot
+split within its rho budget (`primes.FactoringBudget`).  stdout carries
 valid JSON exactly for codes 0 and 1; diagnostics go to stderr.  A usage
 error (unknown command or option, missing or malformed value) raises
 SystemExit(2) from `main` after printing the usage line to stderr; -h prints
@@ -41,6 +45,7 @@ from .construct import (
     verify_trace,
 )
 from .exactpoly import ParseError, RatPoly
+from .primes import FactoringBudget
 from .sqclass import ClassSubspace, DepthExhausted, stream_from_name, vast_witness
 
 OK, FINDING, INPUT_ERROR, RESOURCE = 0, 1, 2, 3
@@ -423,7 +428,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except NoGoodPrimes as exc:
+    except (NoGoodPrimes, FactoringBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RESOURCE
     if code in (OK, FINDING):

@@ -780,7 +780,6 @@ def counterexample_audit(trace: ConstructionTrace, k: int) -> dict:
         entries.append(
             {
                 "poly": str(f),
-                "assigned": True,
                 "steps": [rec.m for rec in assigned],
                 "disc_depth": K,
                 "killed": sorted(killed),

@@ -306,7 +306,8 @@ def _squarefree_part(n: int) -> tuple[int, tuple[int, ...]]:
 def squarefree_kernel_support(q) -> tuple[int, tuple[int, ...]]:
     """(s, primes): the unique squarefree integer s (sign included) with q/s
     a rational square, for a nonzero int or Fraction q, and the primes
-    dividing s."""
+    dividing s.  Factors q's numerator and denominator, so it raises
+    primes.FactoringBudget on a composite beyond the rho budget."""
     n = q.numerator * q.denominator  # q times the square den^2
     if n == 0:
         raise ValueError("zero has no square class")

@@ -1,16 +1,17 @@
 """Primality and integer factoring, stdlib only.
 
 Every primality and factoring decision of the package goes through this
-module, so that a process that never meets a hard composite never imports
-sympy.
+module.  The program decides square classes without factoring; it factors
+only to print kernels (`disc-seq`, `vast-witness`, `index-report`'s base and
+`--base` parsing).
 
 - `is_prime`: trial division by the primes below 1000, then Miller-Rabin with
   the prime bases 2..41, which is deterministic below 3.317e24, then
   Baillie-PSW above that (a strong base-2 test and a strong Lucas test with
   Selfridge's parameters, as in sympy.isprime above 2^64).
 - `factorint`: trial division, then `is_prime`, then Pollard-Brent rho.  A
-  composite that rho does not split within `RHO_STEPS` steps is handed to
-  sympy.factorint, which is imported only then.
+  composite that rho does not split within `RHO_STEPS` steps raises
+  `FactoringBudget`, which the CLI reports with exit code 3.
 
 Critical-orbit values of x^2 + c form a rigid divisibility sequence, so their
 prime divisors are mostly small; trial division and rho split them at once.
@@ -38,10 +39,16 @@ _SMALL_PRIMES = _sieve(_TRIAL_BOUND)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
-# Rho iterations spent on one composite before sympy.factorint takes it over.
+# Rho iterations spent on one composite before `factorint` gives up on it.
 # A prime factor p is typically found after about sqrt(p) iterations, so this
-# splits off every factor up to about 36 bits.
+# splits off every factor up to about 36 bits; a composite whose prime factors
+# all lie beyond that raises FactoringBudget.
 RHO_STEPS = 1 << 18
+
+
+class FactoringBudget(ArithmeticError):
+    """A composite that Pollard-Brent rho did not split within RHO_STEPS.
+    Not a ValueError: the input was well formed, a resource bound was hit."""
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -169,7 +176,10 @@ def _rho_split(n: int) -> int | None:
 
 
 def factorint(n: int) -> dict[int, int]:
-    """Prime factorization {p: e} of a positive integer, in increasing p."""
+    """Prime factorization {p: e} of a positive integer, in increasing p.
+
+    Raises FactoringBudget when a composite cofactor has no prime factor
+    that rho finds within RHO_STEPS iterations."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n!r}")
     factors: dict[int, int] = {}
@@ -189,11 +199,8 @@ def factorint(n: int) -> dict[int, int]:
             factors[m] = factors.get(m, 0) + 1
             continue
         d = _rho_split(m)
-        if d is not None:
-            pending += [d, m // d]
-            continue
-        import sympy  # only for composites that rho could not split
-
-        for p, e in sympy.factorint(m).items():
-            factors[int(p)] = factors.get(int(p), 0) + int(e)
+        if d is None:
+            raise FactoringBudget(f"cannot factor a {m.bit_length()}-bit composite: "
+                                  f"rho found no factor within {RHO_STEPS} steps")
+        pending += [d, m // d]
     return dict(sorted(factors.items()))

@@ -59,7 +59,9 @@ class SquareClass:
 
     @property
     def kernel(self) -> int:
-        """The signed squarefree integer in the class."""
+        """The signed squarefree integer in the class.  Factors the
+        representative: raises primes.FactoringBudget when rho cannot split
+        it."""
         return squarefree_kernel_support(self.rep)[0]
 
     @property
@@ -301,7 +303,8 @@ class ClassSubspace:
         """Sorted kernels of the reduced echelon basis over the coordinates
         -1, 2, 3, 5, ...; the JSON encoding of the subspace.  Bit 0 is -1,
         then the primes in increasing order, so each pivot is the lowest
-        coordinate of its row.  Factors every basis representative."""
+        coordinate of its row.  Factors every basis representative, so it
+        raises primes.FactoringBudget when rho cannot split one."""
         supports = [squarefree_kernel_support(c.rep) for c in self.basis]
         coords = [-1, *sorted({p for _, primes in supports for p in primes})]
         bit = {p: 1 << j for j, p in enumerate(coords)}

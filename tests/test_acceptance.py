@@ -310,7 +310,7 @@ def test_criterion_09_audit_growth(capsys, artifacts):
     with reported(capsys, 9, "audit: every assigned poly intersects F_final, index >= 2"):
         report = artifacts["audit"]
         assert report["final_dim"] == 10
-        entries = [e for e in report["polynomials"] if e["assigned"]]
+        entries = report["polynomials"]  # one per assigned polynomial
         assert entries
         for entry in entries:
             assert entry["intersection_dim"] >= 1

@@ -431,6 +431,25 @@ class TestVastWitness:
         assert code == 0 and payload["depth"] == 2
 
 
+@pytest.mark.parametrize("argv, bits", [
+    (["disc-seq", "--poly", "x^2+2", "--levels", "9"], 142),
+    (["disc-seq", "--poly", "x^3+x+1", "--levels", "5"], 508),
+    (["vast-witness", "--stream", "disc:x^2+2:9", "--depth", "1"], 331),
+    (["index-report", "--poly", "x^2+1", "--level", "1", "--n", "1",
+      "--base", "1237940039299929012757878481"], 91),
+], ids=["disc-seq-quadratic", "disc-seq-cubic", "vast-witness", "index-report-base"])
+def test_factoring_budget_exit_3(argv, bits):
+    """Printing a kernel factors it.  A composite whose prime factors are all
+    beyond rho's budget used to go to sympy.factorint: 89 s for the first row
+    and past 30 s for the next two.  The --base kernel is well formed, so it
+    exits 3, not 2."""
+    proc = cli_process(*argv)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert f" {bits}-bit " in proc.stderr
+
+
 class TestGroupOrder:
     def test_values(self, capsys):
         code, payload, _ = run_cli(capsys, "group-order", "--arity", "2", "--depth", "3")

@@ -573,7 +573,6 @@ class TestAudit:
         assert [e["poly"] for e in report["polynomials"]] == [
             str(f) for f in assigned_polynomials(trace3)]
         for entry in report["polynomials"]:
-            assert entry["assigned"]
             assert entry["index_lower_bound"] == 2 ** len(entry["killed"])
             assert entry["intersection_dim"] >= 1
 

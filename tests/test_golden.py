@@ -31,7 +31,7 @@ QUERIES = {
 }
 
 PINS = {
-    "audit": "ffad97e566589176e349554b6b795671301b4d57054ca761c50408aa805db23f",  # exit 0
+    "audit": "16412527360fdeb43c9b9df390f149208db472f00525f72f9eab2dd5be0ae862",  # exit 0
     "disc-seq": "616d122d13ada4e824c3b5cf177aea86e4f970217d3fd8b01fd65b7a4404b172",  # exit 0
     "disc-seq-base": "a49e23fda1de54eeff2f88cf6f5f3746fb61280290da73c5dfcb4fe26d7250d8",  # exit 0
     "group-order": "7389b9c62679c8bea9b9382a8cac6f0951c9d197952def6da182cc0f5d68c811",  # exit 0

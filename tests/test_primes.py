@@ -39,6 +39,7 @@ PSEUDOPRIMES = [
 
 
 # a_9 = 2 * 19 * A9_P96 * A9_P236 for x^2 + 2, as sympy.factorint gives it
+# (in about 95 s on a 2-core host)
 A9_P96 = 52620199682331825683759180339
 A9_P236 = 66750716662090170276974222628466557246502370193449249855587545971364539
 
@@ -50,19 +51,8 @@ def critical_orbit_value(c: int, n: int) -> int:
     return a
 
 
-_sympy_factorint = sympy.factorint  # the oracle, kept from the fixtures' patches
-
-
 def oracle(n: int) -> dict[int, int]:
-    return {int(p): int(e) for p, e in sorted(_sympy_factorint(n).items())}
-
-
-@pytest.fixture
-def no_fallback(monkeypatch):
-    def refuse(n, *args, **kwargs):
-        raise AssertionError(f"fallback called on a {int(n).bit_length()}-bit integer")
-
-    monkeypatch.setattr(sympy, "factorint", refuse)
+    return {int(p): int(e) for p, e in sorted(sympy.factorint(n).items())}
 
 
 class TestIsPrime:
@@ -96,11 +86,11 @@ class TestIsPrime:
 
 
 class TestFactorint:
-    def test_small_integers(self, no_fallback):
+    def test_small_integers(self):
         for n in range(1, 3000):
             assert primes.factorint(n) == oracle(n)
 
-    def test_orbit_values(self, no_fallback):
+    def test_orbit_values(self):
         # every prime factor of these is below the rho budget
         for c in (-3, -2, -1, 1, 2, 3):
             for n in range(1, 8):
@@ -108,42 +98,28 @@ class TestFactorint:
                 if a:
                     assert primes.factorint(a) == oracle(a), (c, n)
 
-    def test_rho_splits_mid_size_factors(self, no_fallback):
+    def test_rho_splits_mid_size_factors(self):
         mid = [sympy.nextprime(2**b + 1000 * b) for b in (20, 24, 28, 31)]
         n = math.prod(mid) * BIG_PRIMES[-1] * 7**3
         assert primes.factorint(n) == {7: 3, **{p: 1 for p in mid}, BIG_PRIMES[-1]: 1}
 
-    def test_hard_composite_goes_to_sympy(self, monkeypatch):
+    def test_hard_composite_exceeds_the_budget(self):
+        """p * q has both prime factors past rho's reach (about 36 bits)."""
         p, q = sympy.nextprime(2**44 + 99), sympy.nextprime(2**46 + 77)
-        calls = []
-        real = sympy.factorint
+        assert (p * q).bit_length() == 91
+        with pytest.raises(primes.FactoringBudget, match=r"\b91-bit\b"):
+            primes.factorint(12 * p * q)
 
-        def recording(n, *args, **kwargs):
-            calls.append(n)
-            return real(n, *args, **kwargs)
-
-        monkeypatch.setattr(sympy, "factorint", recording)
-        assert primes.factorint(12 * p * q) == {2: 2, 3: 1, p: 1, q: 1}
-        assert calls == [p * q]
-
-    def test_a9_of_x2_plus_2_goes_to_sympy(self, monkeypatch):
-        """a_9 of x^2 + 2 is 2 * 19 * P96 * P236.  sympy.factorint needs about
-        95 s for P96 * P236 on a 2-core host, so its answer is pinned here and
-        checked by sympy.isprime and the product."""
+    def test_a9_of_x2_plus_2_exceeds_the_budget(self):
+        """a_9 of x^2 + 2 is 2 * 19 * P96 * P236, checked by sympy.isprime and
+        the product; rho splits off 2 and 19 and gives up on P96 * P236."""
         a9 = critical_orbit_value(2, 9)
         assert a9.bit_length() == 336
-        pinned = {A9_P96: 1, A9_P236: 1}
-        assert all(sympy.isprime(p) for p in pinned) and 2 * 19 * A9_P96 * A9_P236 == a9
-        calls = []
-
-        def pinned_factorint(n, *args, **kwargs):
-            calls.append(n)
-            assert n == A9_P96 * A9_P236
-            return pinned
-
-        monkeypatch.setattr(sympy, "factorint", pinned_factorint)
-        assert primes.factorint(a9) == {2: 1, 19: 1, A9_P96: 1, A9_P236: 1}
-        assert calls == [A9_P96 * A9_P236]
+        assert all(sympy.isprime(p) for p in (A9_P96, A9_P236))
+        assert 2 * 19 * A9_P96 * A9_P236 == a9
+        assert (A9_P96 * A9_P236).bit_length() == 331
+        with pytest.raises(primes.FactoringBudget, match=r"\b331-bit\b"):
+            primes.factorint(a9)
 
     def test_rejects_nonpositive(self):
         for n in (0, -1, -12):
@@ -174,14 +150,15 @@ def trace3(tmp_path_factory):
     ],
 )
 def test_cli_runs_without_sympy(argv, tmp_path, trace3):
-    """A cold CLI process never imports sympy (or numpy or mpmath) on these
-    inputs; sympy's import dominated the start-up time.  Nor does it import
-    dataclasses or inspect, which cost more than the program's own modules,
-    or argparse, gettext and locale, which the CLI's own option table
-    replaces, or fractions, which also loads decimal and numbers: rationals
-    are integer numerators over a denominator.  Only index-report and
-    group-order import treegroup and supernat.  index-report runs the
-    Frobenius scan, the only user of array, which no other command loads."""
+    """A cold CLI process never imports sympy (or numpy or mpmath): sympy is
+    a test oracle, not a dependency of the package, and its import would
+    dominate the start-up time.  Nor does it import dataclasses or inspect,
+    which cost more than the program's own modules, or argparse, gettext and
+    locale, which the CLI's own option table replaces, or fractions, which
+    also loads decimal and numbers: rationals are integer numerators over a
+    denominator.  Only index-report and group-order import treegroup and
+    supernat.  index-report runs the Frobenius scan, the only user of array,
+    which no other command loads."""
     paths = [os.path.dirname(os.path.dirname(arborsign.__file__)), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     argv = [a.format(tmp=tmp_path, trace=trace3) for a in argv]
