@@ -22,7 +22,7 @@ from .exactpoly import (
     factor_degrees_mod_p,
     iterate,
 )
-from .primes import next_prime
+from .primes import ResourceBound, next_prime
 from .sqclass import ClassStream, ClassSubspace, SquareClass
 
 
@@ -35,7 +35,7 @@ class Inseparable(Exception):
         self.level = level
 
 
-class NoGoodPrimes(Exception):
+class NoGoodPrimes(ResourceBound):
     """The inspected prime budget contained no prime of good reduction."""
 
 

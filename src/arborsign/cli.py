@@ -1,15 +1,19 @@
 """Batch command-line surface; every pipeline, JSON out.
 
-Exit codes: 0 success, 1 semantic finding (violation, refutation,
-inseparability), 2 input error, 3 resource bound exceeded: no good primes
-within `--primes`, an iterate past MAX_ITERATE_DEGREE, a group order past
-MAX_ORDER_DIGITS or an arity past MAX_ARITY, an exhausted stream depth, an
-aborted or unserializable construction, or a kernel that factoring cannot
-split within its rho budget (`primes.FactoringBudget`).  stdout carries
-valid JSON exactly for codes 0 and 1; diagnostics go to stderr.  A usage
-error (unknown command or option, missing or malformed value) raises
-SystemExit(2) from `main` after printing the usage line to stderr; -h prints
-help to stdout and raises SystemExit(0).
+Exit codes, decided in `main` alone from what a command returns or raises:
+0 success and 1 a semantic finding (a violation or a refutation; any
+`arboreal.Inseparable` becomes the finding {"inseparable": n}), each with its
+JSON payload on stdout; 2 bad input, an `InputError`, such as an integer
+option outside the bound its COMMANDS entry gives; 3 a resource bound hit on
+well-formed input, any `primes.ResourceBound`: no good primes within
+`--primes`, an exhausted stream depth, an aborted construction, a kernel that
+factoring cannot split within its budget, or one of this module's caps (an
+iterate past MAX_ITERATE_DEGREE, a group order past MAX_ORDER_DIGITS, an
+arity past MAX_ARITY, a trace past the int -> str digit limit).  Codes 2 and
+3 print one line `error: ...` to stderr and nothing to stdout.  A usage error
+(unknown command or option, missing or malformed value) raises SystemExit(2)
+from `main` after printing the usage line to stderr; -h prints help to stdout
+and raises SystemExit(0).
 
 `main` is the in-process API.  A process enters through `entry`, which runs
 `main`, flushes stdout and stderr and ends the process with `os._exit`, so
@@ -28,13 +32,7 @@ from collections.abc import Sequence
 from types import SimpleNamespace
 
 from . import __version__
-from .arboreal import (
-    Inseparable,
-    NoGoodPrimes,
-    disc_class_sequence,
-    discriminant_subextension,
-    index_report,
-)
+from .arboreal import Inseparable, disc_class_sequence, discriminant_subextension, index_report
 from .construct import (
     MAX_STREAM_LEVEL,
     ConstructionAborted,
@@ -45,8 +43,8 @@ from .construct import (
     verify_trace,
 )
 from .exactpoly import ParseError, RatPoly
-from .primes import FactoringBudget
-from .sqclass import ClassSubspace, DepthExhausted, stream_from_name, vast_witness
+from .primes import ResourceBound
+from .sqclass import ClassSubspace, stream_from_name, vast_witness
 
 OK, FINDING, INPUT_ERROR, RESOURCE = 0, 1, 2, 3
 # The interpreter's default limit on the digits of an int it converts to text.
@@ -91,71 +89,45 @@ def _parse_base(text: str | None) -> ClassSubspace:
 
 
 def _parse_poly(text: str) -> RatPoly:
+    """The polynomial `text` names, of degree >= 2."""
     try:
-        return RatPoly.parse(text)
+        f = RatPoly.parse(text)
     except ParseError as exc:
         raise InputError(f"bad polynomial {text!r}: {exc}") from exc
-
-
-def _emit(payload: dict, meta: bool, code: int) -> None:
-    if meta:
-        payload = {**payload, "meta": {"tool": "arborsign", "version": __version__}}
-    _write(json.dumps(payload, indent=2) + "\n", code)
+    if f.degree < 2:
+        raise InputError("need a polynomial of degree >= 2")
+    return f
 
 
 def _cmd_disc_seq(args) -> tuple[int, dict]:
     f = _parse_poly(args.poly)
-    if not 1 <= args.levels <= MAX_STREAM_LEVEL:
-        raise InputError(f"--levels must be in 1..{MAX_STREAM_LEVEL}")
-    if f.degree < 2:
-        raise InputError("need a polynomial of degree >= 2")
     base = _parse_base(args.base)
-    try:
-        classes = disc_class_sequence(f, args.levels)
-        subspace = discriminant_subextension(f, base, 1, args.levels)
-    except Inseparable as exc:
-        return FINDING, {"inseparable": exc.level}
+    classes = disc_class_sequence(f, args.levels)
+    subspace = discriminant_subextension(f, base, 1, args.levels)
     return OK, {"classes": [c.kernel for c in classes], "subspace": subspace.kernels()}
 
 
 def _cmd_index_report(args) -> tuple[int, dict]:
     f = _parse_poly(args.poly)
-    if args.level < 1:
-        raise InputError("--level must be >= 1")
-    if args.n < 1:
-        raise InputError("--n must be >= 1")
-    if args.primes < 1:
-        raise InputError("--primes must be >= 1")
-    if f.degree < 2:
-        raise InputError("need a polynomial of degree >= 2")
     base = _parse_base(args.base)
-    degree = 1
-    for _ in range(args.level):  # stops within 10 rounds, as f.degree >= 2
-        degree *= f.degree
-        if degree > MAX_ITERATE_DEGREE:
-            print(f"error: the level-{args.level} iterate has degree {f.degree}^{args.level}, "
-                  f"above {MAX_ITERATE_DEGREE}", file=sys.stderr)
-            return RESOURCE, {}
+    # d^k is past the cap from k = 10 on, as d >= 2
+    if f.degree ** min(args.level, 10) > MAX_ITERATE_DEGREE:
+        raise ResourceBound(f"the level-{args.level} iterate has degree {f.degree}^{args.level}, "
+                            f"above {MAX_ITERATE_DEGREE}")
     report = index_report(f, base, args.level, args.n, args.primes)
     code = FINDING if report["verdict"].startswith(("REFUTES", "INSEPARABLE")) else OK
     return code, report
 
 
 def _cmd_simulate(args) -> tuple[int, dict]:
-    if args.steps < 1:
-        raise InputError("--steps must be >= 1")
-    if not 1 <= args.depth <= MAX_STREAM_LEVEL:
-        # the first stream alone would be read past the level a trace may name
-        raise InputError(f"--depth must be in 1..{MAX_STREAM_LEVEL}")
-    if args.height < 1:
-        raise InputError("--height must be >= 1")
     if not args.out:
         raise InputError("cannot write trace: --out is empty")
     if os.path.isdir(args.out):
         raise InputError(f"cannot write trace: {args.out!r} is a directory")
     # The trace goes to a sibling file, created before the run so that a path
     # that cannot be written fails at once, and renamed onto --out once it is
-    # complete, so that no failure leaves a truncated trace.
+    # complete, so that no failure leaves a truncated trace.  An aborted run
+    # writes its partial trace before the abort is raised on.
     tmp = f"{args.out}.{os.getpid()}.tmp"
     try:
         open(tmp, "x").close()
@@ -165,12 +137,11 @@ def _cmd_simulate(args) -> tuple[int, dict]:
         try:
             trace, aborted = run(args.steps, args.depth, args.height), None
         except ConstructionAborted as exc:
-            trace, aborted = exc.trace, exc.cause
+            trace, aborted = exc.trace, exc
         try:
             text = json.dumps(trace.to_json(), indent=2) + "\n"
         except ValueError as exc:  # an integer past the int -> str digit limit
-            print(f"error: cannot serialize trace: {exc}", file=sys.stderr)
-            return RESOURCE, {}
+            raise ResourceBound(f"cannot serialize trace: {exc}") from exc
         try:
             with open(tmp, "w") as fh:
                 fh.write(text)
@@ -181,8 +152,7 @@ def _cmd_simulate(args) -> tuple[int, dict]:
         if os.path.exists(tmp):
             os.unlink(tmp)
     if aborted is not None:
-        print(f"aborted: {aborted}", file=sys.stderr)
-        return RESOURCE, {}
+        raise aborted
     return OK, {
         "steps": len(trace.steps),
         "dim": trace.dim,
@@ -212,19 +182,11 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 def _cmd_audit(args) -> tuple[int, dict]:
-    if not 1 <= args.level <= MAX_STREAM_LEVEL:
-        raise InputError(f"--level must be in 1..{MAX_STREAM_LEVEL}")
     trace = _load_trace(args.trace)
-    try:
-        report = counterexample_audit(trace, args.level)
-    except Inseparable as exc:
-        return FINDING, {"inseparable": exc.level}
-    return OK, report
+    return OK, counterexample_audit(trace, args.level)
 
 
 def _cmd_vast_witness(args) -> tuple[int, dict]:
-    if args.depth < 1:
-        raise InputError("--depth must be >= 1")
     try:
         stream = stream_from_name(args.stream)
     except (ValueError, ParseError) as exc:
@@ -235,13 +197,7 @@ def _cmd_vast_witness(args) -> tuple[int, dict]:
             raise InputError(f"stream levels past {MAX_STREAM_LEVEL}: "
                              f"start level + --depth - 1 must be <= {MAX_STREAM_LEVEL}")
     base = _parse_base(args.base)
-    try:
-        w = vast_witness(stream, base, args.depth)
-    except DepthExhausted as exc:
-        print(str(exc), file=sys.stderr)
-        return RESOURCE, {}
-    except Inseparable as exc:
-        return FINDING, {"inseparable": exc.level}
+    w = vast_witness(stream, base, args.depth)
     return OK, {"stream": args.stream, "depth": args.depth, "witness": w.kernel}
 
 
@@ -264,18 +220,12 @@ def _order_too_long(d: int, k: int) -> bool:
 
 
 def _cmd_group_order(args) -> tuple[int, dict]:
-    if args.arity < 2:
-        raise InputError("--arity must be >= 2")
-    if args.depth < 0:
-        raise InputError("--depth must be >= 0")
     if args.arity > MAX_ARITY:
-        print(f"error: --arity above {MAX_ARITY}: the ambient order lists every "
-              f"prime up to it", file=sys.stderr)
-        return RESOURCE, {}
+        raise ResourceBound(f"--arity above {MAX_ARITY}: the ambient order lists every "
+                            f"prime up to it")
     if _order_too_long(args.arity, args.depth):
-        print(f"error: |Aut T_{args.depth}({args.arity})| has more than "
-              f"{MAX_ORDER_DIGITS} digits", file=sys.stderr)
-        return RESOURCE, {}
+        raise ResourceBound(f"|Aut T_{args.depth}({args.arity})| has more than "
+                            f"{MAX_ORDER_DIGITS} digits")
     # deferred: of all commands only this one and index-report load treegroup
     from .treegroup import aut_order_supernatural, group_order
 
@@ -288,34 +238,44 @@ def _cmd_group_order(args) -> tuple[int, dict]:
 
 
 REQUIRED = object()
+TEXT = None  # the bound of an option whose value is text
+POSITIVE = (1, math.inf)
+LEVELS = (1, MAX_STREAM_LEVEL)  # a stream or a trace is read at most to this level
 
-# Subcommand -> (handler, help, {option: (type, default)}); an option whose
-# default is REQUIRED must be given.  Every option takes one value.
+# Subcommand -> (handler, help, {option: (default, bound)}).  An option whose
+# default is REQUIRED must be given.  An integer option's bound is the range
+# (low, high) its value must lie in, which `main` checks with exit code 2.
+# Every option takes one value.
 COMMANDS = {
     "disc-seq": (_cmd_disc_seq, "discriminant class sequence of iterates", {
-        "poly": (str, REQUIRED), "levels": (int, REQUIRED), "base": (str, "")}),
+        "poly": (REQUIRED, TEXT), "levels": (REQUIRED, LEVELS), "base": ("", TEXT)}),
     "index-report": (_cmd_index_report, "finite-level index certificate", {
-        "poly": (str, REQUIRED), "base": (str, ""), "level": (int, REQUIRED),
-        "n": (int, REQUIRED), "primes": (int, 50)}),
+        "poly": (REQUIRED, TEXT), "base": ("", TEXT), "level": (REQUIRED, POSITIVE),
+        "n": (REQUIRED, POSITIVE), "primes": (50, POSITIVE)}),
     "simulate": (_cmd_simulate, "run the inductive construction", {
-        "steps": (int, REQUIRED), "depth": (int, 5), "height": (int, 1000),
-        "out": (str, REQUIRED)}),
+        "steps": (REQUIRED, POSITIVE), "depth": (5, LEVELS), "height": (1000, POSITIVE),
+        "out": (REQUIRED, TEXT)}),
     "verify": (_cmd_verify, "re-check a construction trace", {
-        "trace": (str, REQUIRED)}),
+        "trace": (REQUIRED, TEXT)}),
     "audit": (_cmd_audit, "killed-sign audit of a trace", {
-        "trace": (str, REQUIRED), "level": (int, REQUIRED)}),
+        "trace": (REQUIRED, TEXT), "level": (REQUIRED, LEVELS)}),
     "vast-witness": (_cmd_vast_witness, "first stream class outside a span", {
-        "stream": (str, REQUIRED), "base": (str, ""), "depth": (int, REQUIRED)}),
+        "stream": (REQUIRED, TEXT), "base": ("", TEXT), "depth": (REQUIRED, POSITIVE)}),
     "group-order": (_cmd_group_order, "order of the depth-k tree automorphism group", {
-        "arity": (int, REQUIRED), "depth": (int, REQUIRED)}),
+        "arity": (REQUIRED, (2, math.inf)), "depth": (REQUIRED, (0, math.inf))}),
 }
+
+
+def _range(bound: tuple[int, float]) -> str:
+    low, high = bound
+    return f">= {low}" if high == math.inf else f"in {low}..{high}"
 
 
 def _usage(command: str | None) -> str:
     if command is None:
         return "usage: arborsign [-h] [--meta] COMMAND [OPTION VALUE]..."
     words = [f"--{name} {name.upper()}" if default is REQUIRED else f"[--{name} {name.upper()}]"
-             for name, (_, default) in COMMANDS[command][2].items()]
+             for name, (default, _) in COMMANDS[command][2].items()]
     return " ".join(["usage: arborsign", command, "[-h]", *words])
 
 
@@ -335,8 +295,8 @@ def _print_help(command: str | None):
         width = max(len(flag) for flag in flags.values()) + 2
         lines += [COMMANDS[command][1], "", "options:",
                   f"  {'-h, --help':{width}}show this help and exit"]
-        for name, (type_, default) in options.items():
-            kind = "integer" if type_ is int else "text"
+        for name, (default, bound) in options.items():
+            kind = "text" if bound is TEXT else f"integer {_range(bound)}"
             note = "required" if default is REQUIRED else f"default {default!r}"
             lines.append(f"  {flags[name]:{width}}{kind}, {note}")
         lines += ["", "An option is given as --name VALUE or --name=VALUE; any unique prefix "
@@ -407,32 +367,34 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
             if i == len(argv) or argv[i].startswith("--"):
                 _fail(command, f"option --{name} expects a value")
             text = argv[i]
-        type_ = options[name][0]
         try:
-            values[name] = type_(text)
+            values[name] = text if options[name][1] is TEXT else int(text)
         except ValueError:
             _fail(command, f"option --{name}: not an integer: {text!r}")
         i += 1
-    missing = [f"--{name}" for name, (_, default) in options.items()
+    missing = [f"--{name}" for name, (default, _) in options.items()
                if default is REQUIRED and name not in values]
     if missing:
         _fail(command, "missing required option " + ", ".join(missing))
-    defaults = {name: default for name, (_, default) in options.items()}
+    defaults = {name: default for name, (default, _) in options.items()}
     return SimpleNamespace(meta=meta, command=command, **{**defaults, **values})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
+        for name, (_, bound) in COMMANDS[args.command][2].items():
+            if bound is not TEXT and not bound[0] <= getattr(args, name) <= bound[1]:
+                raise InputError(f"--{name} must be {_range(bound)}")
         code, payload = COMMANDS[args.command][0](args)
-    except InputError as exc:
+    except Inseparable as exc:
+        code, payload = FINDING, {"inseparable": exc.level}
+    except (InputError, ResourceBound) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except (NoGoodPrimes, FactoringBudget) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RESOURCE
-    if code in (OK, FINDING):
-        _emit(payload, args.meta, code)
+        return INPUT_ERROR if isinstance(exc, InputError) else RESOURCE
+    if args.meta:
+        payload = {**payload, "meta": {"tool": "arborsign", "version": __version__}}
+    _write(json.dumps(payload, indent=2) + "\n", code)
     return code
 
 

@@ -20,6 +20,7 @@ from collections.abc import Iterator
 
 from .arboreal import Inseparable, disc_class, disc_stream, killed_signs
 from .exactpoly import RatPoly
+from .primes import ResourceBound
 from .sqclass import (
     ClassStream,
     ClassSubspace,
@@ -61,7 +62,7 @@ class TraceFormatError(ValueError):
     """Malformed or unsupported trace JSON."""
 
 
-class ConstructionAborted(RuntimeError):
+class ConstructionAborted(ResourceBound):
     """Terminal engine failure; carries the partial trace."""
 
     def __init__(self, trace: "ConstructionTrace", cause: Exception):

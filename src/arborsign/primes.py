@@ -10,8 +10,11 @@ only to print kernels (`disc-seq`, `vast-witness`, `index-report`'s base and
   Baillie-PSW above that (a strong base-2 test and a strong Lucas test with
   Selfridge's parameters, as in sympy.isprime above 2^64).
 - `factorint`: trial division, then `is_prime`, then Pollard-Brent rho.  A
-  composite that rho does not split within `RHO_STEPS` steps raises
-  `FactoringBudget`, which the CLI reports with exit code 3.
+  cofactor of more than `MAX_FACTOR_BITS` bits, or a composite that rho does
+  not split within `RHO_STEPS` steps, raises `FactoringBudget`.
+
+`ResourceBound` is the base of every error that means a resource bound was
+hit, not that the input was malformed; the CLI reports each with exit code 3.
 
 Critical-orbit values of x^2 + c form a rigid divisibility sequence, so their
 prime divisors are mostly small; trial division and rho split them at once.
@@ -45,10 +48,21 @@ _MR_BOUND = 3317044064679887385961981
 # all lie beyond that raises FactoringBudget.
 RHO_STEPS = 1 << 18
 
+# Bits of the largest cofactor that `factorint` tests for primality or hands
+# to rho.  A strong probable-prime test grows about cubically in the bit size
+# (4 ms at 1024 bits, 0.2 s at 4096, 12 s at 16384 on a 2-core host), and an
+# exhausted rho budget takes 3.4 s at 1024 bits and 12 s at 2048.
+MAX_FACTOR_BITS = 1024
 
-class FactoringBudget(ArithmeticError):
-    """A composite that Pollard-Brent rho did not split within RHO_STEPS.
-    Not a ValueError: the input was well formed, a resource bound was hit."""
+
+class ResourceBound(ArithmeticError):
+    """A resource bound was hit on well-formed input.  Not a ValueError, so
+    that no parser that maps ValueError to bad input can catch it."""
+
+
+class FactoringBudget(ResourceBound):
+    """A cofactor past MAX_FACTOR_BITS, or a composite that Pollard-Brent
+    rho did not split within RHO_STEPS."""
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -178,8 +192,9 @@ def _rho_split(n: int) -> int | None:
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of a positive integer, in increasing p.
 
-    Raises FactoringBudget when a composite cofactor has no prime factor
-    that rho finds within RHO_STEPS iterations."""
+    Raises FactoringBudget when a cofactor left by trial division has more
+    than MAX_FACTOR_BITS bits, or a composite one has no prime factor that
+    rho finds within RHO_STEPS iterations."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n!r}")
     factors: dict[int, int] = {}
@@ -195,6 +210,9 @@ def factorint(n: int) -> dict[int, int]:
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()
+        if m.bit_length() > MAX_FACTOR_BITS:
+            raise FactoringBudget(f"cannot factor a {m.bit_length()}-bit cofactor: "
+                                  f"above the {MAX_FACTOR_BITS}-bit bound")
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue

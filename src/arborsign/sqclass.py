@@ -19,10 +19,10 @@ import math
 from collections.abc import Callable, Iterable
 
 from .exactpoly import RatPoly, squarefree_kernel_support
-from .primes import next_prime
+from .primes import ResourceBound, next_prime
 
 
-class DepthExhausted(RuntimeError):
+class DepthExhausted(ResourceBound):
     """Every inspected stream element lay in the given span; retry deeper."""
 
 
@@ -60,8 +60,8 @@ class SquareClass:
     @property
     def kernel(self) -> int:
         """The signed squarefree integer in the class.  Factors the
-        representative: raises primes.FactoringBudget when rho cannot split
-        it."""
+        representative: raises primes.FactoringBudget when it is past
+        factoring's budget."""
         return squarefree_kernel_support(self.rep)[0]
 
     @property
@@ -304,7 +304,7 @@ class ClassSubspace:
         -1, 2, 3, 5, ...; the JSON encoding of the subspace.  Bit 0 is -1,
         then the primes in increasing order, so each pivot is the lowest
         coordinate of its row.  Factors every basis representative, so it
-        raises primes.FactoringBudget when rho cannot split one."""
+        raises primes.FactoringBudget when one is past factoring's budget."""
         supports = [squarefree_kernel_support(c.rep) for c in self.basis]
         coords = [-1, *sorted({p for _, primes in supports for p in primes})]
         bit = {p: 1 << j for j, p in enumerate(coords)}

@@ -12,6 +12,7 @@ import arborsign
 from arborsign import cli
 from arborsign.cli import COMMANDS, main, parse_args
 from arborsign.construct import ConstructionAborted, ConstructionTrace
+from arborsign.primes import ResourceBound
 from arborsign.treegroup import group_order
 
 
@@ -54,11 +55,6 @@ class TestDiscSeq:
         )
         assert code == 0
         assert payload["subspace"] == [-1, 2]
-
-    def test_inseparable_exit_1(self, capsys):
-        code, payload, _ = run_cli(capsys, "disc-seq", "--poly", "x^2", "--levels", "1")
-        assert code == 1
-        assert payload == {"inseparable": 1}
 
     def test_parse_error_exit_2(self, capsys):
         code, payload, err = run_cli(capsys, "disc-seq", "--poly", "x^^2", "--levels", "1")
@@ -107,14 +103,6 @@ class TestIndexReport:
         )
         assert code == 1
         assert payload["verdict"] == "INSEPARABLE"
-
-    def test_no_good_primes_exit_3(self, capsys):
-        code, payload, err = run_cli(
-            capsys, "index-report", "--poly", "x^2-3",
-            "--level", "1", "--n", "1", "--primes", "1",
-        )
-        assert code == 3
-        assert payload is None and err
 
     def test_level_zero_exit_2(self, capsys):
         assert run_cli(
@@ -394,13 +382,6 @@ class TestVastWitness:
         assert code == 0
         assert payload["witness"] == 2
 
-    def test_depth_exhausted_exit_3(self, capsys):
-        code, payload, err = run_cli(
-            capsys, "vast-witness", "--stream", "primes", "--base", "2,3,5", "--depth", "3"
-        )
-        assert code == 3
-        assert payload is None and err
-
     def test_unknown_stream_exit_2(self, capsys):
         assert run_cli(capsys, "vast-witness", "--stream", "???", "--depth", "3")[0] == 2
 
@@ -448,6 +429,86 @@ def test_factoring_budget_exit_3(argv, bits):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert f" {bits}-bit " in proc.stderr
+
+
+# A simulate whose run returns a trace with a witness past the 4300-digit
+# int -> str limit, as towers do from step 86.  argv: TRACE, then the CLI's.
+UNSERIALIZABLE = """\
+import json, sys
+from arborsign import cli
+from arborsign.construct import ConstructionTrace
+with open(sys.argv.pop(1)) as fh:
+    data = json.load(fh)
+data["steps"][0]["witness"] = data["final"]["F"][0] = 7**5201
+cli.run = lambda *args: ConstructionTrace.from_json(data)
+cli.entry()
+"""
+CLI = ["-m", "arborsign.cli"]
+
+# One row per cause of exit 3, each primes.ResourceBound subclass and each of
+# the CLI's own caps: (interpreter arguments, a fragment of the error line).
+# {tmp} is a fresh directory and {trace} a 3-step trace.
+RESOURCE_ROWS = {
+    "FactoringBudget-rho": ([*CLI, "index-report", "--poly", "x^2+1", "--level", "1", "--n", "1",
+                             "--base", "1237940039299929012757878481"], " 91-bit composite"),
+    "FactoringBudget-bits": ([*CLI, "vast-witness", "--stream", "disc:x^2+2:20", "--depth", "5"],
+                             " 687957-bit cofactor: above the 1024-bit bound"),
+    "NoGoodPrimes": ([*CLI, "index-report", "--poly", "x^2-3", "--level", "1", "--n", "1",
+                      "--primes", "1"], "no good prime among the first 1"),
+    "DepthExhausted": ([*CLI, "vast-witness", "--stream", "primes", "--base", "2,3,5",
+                        "--depth", "3"], "no witness among the first 3 elements"),
+    "ConstructionAborted": ([*CLI, "simulate", "--steps", "1", "--height", "1",
+                             "--out", "{tmp}/t.json"], "construction aborted: no point"),
+    "MAX_ITERATE_DEGREE": ([*CLI, "index-report", "--poly", "x^2+1", "--level", "10",
+                            "--n", "2"], "degree 2^10, above 512"),
+    "MAX_ARITY": ([*CLI, "group-order", "--arity", "10001", "--depth", "0"],
+                  "--arity above 10000"),
+    "MAX_ORDER_DIGITS": ([*CLI, "group-order", "--arity", "2", "--depth", "14"],
+                         "more than 4300 digits"),
+    "unserializable-trace": (["-c", UNSERIALIZABLE, "{trace}", "simulate", "--steps", "3",
+                              "--out", "{tmp}/t.json"], "cannot serialize trace: "),
+}
+
+# Commands that meet an inseparable iterate print this finding and exit 1.
+INSEPARABLE_ROWS = {
+    "disc-seq": ["disc-seq", "--poly", "x^2", "--levels", "1"],
+    "vast-witness": ["vast-witness", "--stream", "disc:x^2:1", "--depth", "3"],
+    "audit": ["audit", "--trace", "{trace}", "--level", "2"],
+}
+
+
+class TestExitContract:
+    """`main` alone maps what a command raises to an exit code, the same way
+    for every command; each row runs in a fresh process."""
+
+    def test_every_resource_bound_has_a_row(self):
+        """A new ResourceBound subclass needs its own row in RESOURCE_ROWS."""
+        names = {cls.__name__ for cls in ResourceBound.__subclasses__()}
+        assert {row.split("-")[0] for row in RESOURCE_ROWS} >= names
+        assert names == {"FactoringBudget", "NoGoodPrimes", "DepthExhausted",
+                         "ConstructionAborted"}
+
+    @pytest.mark.parametrize("row", RESOURCE_ROWS)
+    def test_resource_bound_exit_3(self, trace_file, tmp_path, row):
+        args, fragment = RESOURCE_ROWS[row]
+        args = [a.format(tmp=tmp_path, trace=trace_file) for a in args]
+        proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=cli_env(), timeout=10)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("row", INSEPARABLE_ROWS)
+    def test_inseparable_exit_1(self, trace_file, tmp_path, row):
+        data = json.loads(trace_file.read_text())
+        data["steps"][1]["vast"]["poly"] = "x^2"
+        trace = tmp_path / "inseparable.json"
+        trace.write_text(json.dumps(data))
+        proc = cli_process(*[a.format(trace=trace) for a in INSEPARABLE_ROWS[row]])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, '{\n  "inseparable": 1\n}\n', "")
 
 
 class TestGroupOrder:
@@ -577,6 +638,31 @@ VALID = {
 }
 
 
+# The bound of every integer option, as -h prints it and exit 2 names it.
+BOUNDS = {
+    "disc-seq": {"levels": "in 1..24"},
+    "index-report": {"level": ">= 1", "n": ">= 1", "primes": ">= 1"},
+    "simulate": {"steps": ">= 1", "depth": "in 1..24", "height": ">= 1"},
+    "verify": {},
+    "audit": {"level": "in 1..24"},
+    "vast-witness": {"depth": ">= 1"},
+    "group-order": {"arity": ">= 2", "depth": ">= 0"},
+}
+
+
+def outside(bound):
+    """The integers next to either end of a bound written "in a..b" or ">= a"."""
+    if bound.startswith(">= "):
+        return [int(bound[3:]) - 1]
+    low, high = map(int, bound[3:].split(".."))
+    return [low - 1, high + 1]
+
+
+def typed(command, name, text):
+    """The value parse_args reads from `text` for option --name."""
+    return text if COMMANDS[command][2][name][1] is cli.TEXT else int(text)
+
+
 def spaced(pairs):
     return [word for name, value in pairs for word in (f"--{name}", value)]
 
@@ -610,16 +696,15 @@ class TestParser:
         args = parse_args([command, *spaced(VALID[command])])
         assert args == parse_args([command, *joined(VALID[command])])
         assert args.command == command and args.meta is False
-        options = COMMANDS[command][2]
         for name, value in VALID[command]:
-            assert getattr(args, name) == options[name][0](value)
+            assert getattr(args, name) == typed(command, name, value)
 
     @pytest.mark.parametrize("command", VALID)
     def test_defaults_fill_optional_options(self, command):
         options = COMMANDS[command][2]
-        required = [(n, v) for n, v in VALID[command] if options[n][1] is cli.REQUIRED]
+        required = [(n, v) for n, v in VALID[command] if options[n][0] is cli.REQUIRED]
         args = parse_args([command, *spaced(required)])
-        for name, (_, default) in options.items():
+        for name, (default, _) in options.items():
             if default is not cli.REQUIRED:
                 assert getattr(args, name) == default
 
@@ -646,9 +731,9 @@ class TestParser:
     def test_repeated_option_takes_the_last_value(self, command):
         name, value = VALID[command][0]
         args = parse_args([command, f"--{name}", "7", *spaced(VALID[command])])
-        assert getattr(args, name) == COMMANDS[command][2][name][0](value)
+        assert getattr(args, name) == typed(command, name, value)
         args = parse_args([command, *spaced(VALID[command]), f"--{name}=7"])
-        assert getattr(args, name) == COMMANDS[command][2][name][0]("7")
+        assert getattr(args, name) == typed(command, name, "7")
 
     @pytest.mark.parametrize("command", VALID)
     def test_unknown_option_exit_2(self, capsys, command):
@@ -674,7 +759,7 @@ class TestParser:
     def test_missing_required_exit_2(self, capsys, command):
         options = COMMANDS[command][2]
         for name, _ in VALID[command]:
-            if options[name][1] is cli.REQUIRED:
+            if options[name][0] is cli.REQUIRED:
                 rest = [(n, v) for n, v in VALID[command] if n != name]
                 err = usage_error(capsys, [command, *spaced(rest)])
                 assert f"--{name}" in err
@@ -683,7 +768,7 @@ class TestParser:
     def test_non_integer_exit_2(self, capsys, command):
         options = COMMANDS[command][2]
         for name, _ in VALID[command]:
-            if options[name][0] is int:
+            if options[name][1] is not cli.TEXT:
                 for bad in ("x", "1.5", ""):
                     pairs = [(n, bad if n == name else v) for n, v in VALID[command]]
                     err = usage_error(capsys, [command, *joined(pairs)])
@@ -706,7 +791,23 @@ class TestParser:
         captured = capsys.readouterr()
         assert exc.value.code == 0 and captured.err == ""
         assert captured.out.startswith(f"usage: arborsign {command}")
-        assert all(f"--{name}" in captured.out for name in COMMANDS[command][2])
+        lines = captured.out.splitlines()
+        for name, (default, _) in COMMANDS[command][2].items():
+            [line] = [line for line in lines if line.startswith(f"  --{name} {name.upper()} ")]
+            kind = f"integer {BOUNDS[command][name]}" if name in BOUNDS[command] else "text"
+            note = "required" if default is cli.REQUIRED else f"default {default!r}"
+            assert line.endswith(f" {kind}, {note}")
+
+    @pytest.mark.parametrize("command, name", [(c, n) for c in BOUNDS for n in BOUNDS[c]])
+    def test_option_outside_its_bound_exit_2(self, capsys, tmp_path, monkeypatch, command,
+                                             name):
+        """The bound is checked before the command runs, with one error line."""
+        monkeypatch.chdir(tmp_path)
+        for value in outside(BOUNDS[command][name]):
+            argv = [command, *spaced({**dict(VALID[command]), name: str(value)}.items())]
+            assert main_outcome(capsys, argv) == (
+                2, "", f"error: --{name} must be {BOUNDS[command][name]}\n")
+        assert os.listdir(tmp_path) == []
 
     def test_meta_only_before_the_command(self, capsys):
         argv = ["disc-seq", "--poly", "x^2-3", "--levels", "1"]

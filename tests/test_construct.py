@@ -294,6 +294,49 @@ class TestTraceSerialization:
             assert construct._point_parse(text) == (q.numerator, q.denominator)
 
 
+# Any JSON value; integers stay within 64 bits, so that the square class of a
+# final.F entry never needs more than trial division and rho.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**64, 2**64)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=20),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=10,
+)
+
+
+def json_paths(node, path=()):
+    """The path of every node of a JSON document, the root's () first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from json_paths(child, (*path, key))
+
+
+class TestTraceFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_field_replaced_by_any_json(self, trace3, data):
+        """A valid trace with one node, the root included, replaced by any
+        JSON value is read or refused with TraceFormatError: no KeyError,
+        TypeError or AttributeError escapes."""
+        doc = trace3.to_json()
+        path = data.draw(st.sampled_from(list(json_paths(doc))), label="path")
+        value = data.draw(JSON_VALUES, label="value")
+        if not path:
+            doc = value
+        else:
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        try:
+            ConstructionTrace.from_json(doc)
+        except TraceFormatError:
+            pass
+
+
 def mutate(trace, **changes):
     data = trace.to_json()
     for path, value in changes.items():

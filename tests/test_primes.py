@@ -121,6 +121,27 @@ class TestFactorint:
         with pytest.raises(primes.FactoringBudget, match=r"\b331-bit\b"):
             primes.factorint(a9)
 
+    def test_cofactor_past_the_bit_bound_is_refused_before_any_test(self, monkeypatch):
+        """A cofactor of more than MAX_FACTOR_BITS bits is refused before it
+        reaches is_prime: a 687,957-bit orbit value of x^2 + 2 at level 20
+        used to hang in a strong probable-prime test."""
+        assert primes.MAX_FACTOR_BITS == 1024
+        n = 6 * 1009**103  # 1009 lies past trial division
+        assert (1009**103).bit_length() == 1028
+
+        def never(m):
+            raise AssertionError(f"is_prime({m.bit_length()} bits) was called")
+
+        monkeypatch.setattr(primes, "is_prime", never)
+        with pytest.raises(primes.FactoringBudget, match=r"\b1028-bit cofactor: above the "
+                                                         r"1024-bit bound"):
+            primes.factorint(n)
+
+    def test_cofactor_at_the_bit_bound_is_factored(self):
+        p = sympy.prevprime(2**1024)
+        assert primes.factorint(12 * p) == {2: 2, 3: 1, p: 1}
+        assert primes.factorint(1009**101) == {1009: 101}
+
     def test_rejects_nonpositive(self):
         for n in (0, -1, -12):
             with pytest.raises(ValueError):
