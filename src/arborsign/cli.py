@@ -15,6 +15,11 @@ arity past MAX_ARITY, a trace past the int -> str digit limit).  Codes 2 and
 from `main` after printing the usage line to stderr; -h prints help to stdout
 and raises SystemExit(0).
 
+`vast-witness --stream` names a stream as `primes` or `disc:<poly>:<n>`, the
+discriminant classes of the iterates of <poly> from level n on, with n in
+decimal digits.  `_parse_stream` is the one reader of that grammar; any other
+text exits 2.
+
 `main` is the in-process API.  A process enters through `entry`, which runs
 `main`, flushes stdout and stderr and ends the process with `os._exit`, so
 that the interpreter's shutdown (finalization, module teardown, `atexit`
@@ -32,7 +37,13 @@ from collections.abc import Sequence
 from types import SimpleNamespace
 
 from . import __version__
-from .arboreal import Inseparable, disc_class_sequence, discriminant_subextension, index_report
+from .arboreal import (
+    Inseparable,
+    disc_class_sequence,
+    disc_stream,
+    discriminant_subextension,
+    index_report,
+)
 from .construct import (
     MAX_STREAM_LEVEL,
     ConstructionAborted,
@@ -44,7 +55,7 @@ from .construct import (
 )
 from .exactpoly import ParseError, RatPoly
 from .primes import ResourceBound
-from .sqclass import ClassSubspace, stream_from_name, vast_witness
+from .sqclass import ClassStream, ClassSubspace, primes_stream, vast_witness
 
 OK, FINDING, INPUT_ERROR, RESOURCE = 0, 1, 2, 3
 # The interpreter's default limit on the digits of an int it converts to text.
@@ -186,16 +197,29 @@ def _cmd_audit(args) -> tuple[int, dict]:
     return OK, counterexample_audit(trace, args.level)
 
 
+def _parse_stream(text: str, depth: int) -> ClassStream:
+    """The stream `text` names: "primes", or "disc:<poly>:<n>", the
+    discriminant classes of the iterates of <poly> from level n on, with n in
+    decimal digits.  Its first `depth` elements end at level n + depth - 1,
+    which must be at most MAX_STREAM_LEVEL."""
+    if text == "primes":
+        return primes_stream()
+    parts = text.split(":")
+    if len(parts) != 3 or parts[0] != "disc" or not (parts[2].isascii() and parts[2].isdigit()):
+        raise InputError(f"bad stream {text!r}: not primes or disc:<poly>:<n>, n decimal")
+    f = _parse_poly(parts[1])
+    digits = parts[2].lstrip("0")
+    n = int(digits or "0") if len(digits) < 4 else math.inf  # past the bound unconverted
+    if n < 1:
+        raise InputError(f"bad stream {text!r}: the start level n must be >= 1")
+    if n + depth - 1 > MAX_STREAM_LEVEL:
+        raise InputError(f"stream levels past {MAX_STREAM_LEVEL}: "
+                         f"start level + --depth - 1 must be <= {MAX_STREAM_LEVEL}")
+    return disc_stream(f, n)
+
+
 def _cmd_vast_witness(args) -> tuple[int, dict]:
-    try:
-        stream = stream_from_name(args.stream)
-    except (ValueError, ParseError) as exc:
-        raise InputError(f"bad stream {args.stream!r}: {exc}") from exc
-    if stream.name.startswith("disc:"):
-        # disc_stream names itself disc:<poly>:<n> and reads levels n..n+depth-1
-        if int(stream.name.rsplit(":", 1)[1]) + args.depth - 1 > MAX_STREAM_LEVEL:
-            raise InputError(f"stream levels past {MAX_STREAM_LEVEL}: "
-                             f"start level + --depth - 1 must be <= {MAX_STREAM_LEVEL}")
+    stream = _parse_stream(args.stream, args.depth)
     base = _parse_base(args.base)
     w = vast_witness(stream, base, args.depth)
     return OK, {"stream": args.stream, "depth": args.depth, "witness": w.kernel}

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from collections.abc import Iterator
 
 from .arboreal import Inseparable, disc_class, disc_stream, killed_signs
@@ -84,19 +85,11 @@ def _unpair(j0: int) -> tuple[int, int]:
     return t, s - t
 
 
-class VastSpec:
+class VastSpec(namedtuple("VastSpec", "index f n")):
     """Entry of the vast list: the n-th discriminant-class stream of f, a
-    stream over Q."""
+    stream over Q, at the 1-based position `index` in the list."""
 
-    __slots__ = ("index", "f", "n")
-
-    def __init__(self, index: int, f: RatPoly, n: int):
-        object.__setattr__(self, "index", index)  # 1-based position in the list
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VastSpec is immutable")
+    __slots__ = ()
 
     def stream(self) -> ClassStream:
         return disc_stream(self.f, self.n)
@@ -239,8 +232,10 @@ def rationals_by_height(
 # State, records, trace
 # ---------------------------------------------------------------------------
 
-class ConstructionState:
-    """What the induction has built after len(points) steps.  Immutable.
+class ConstructionState(namedtuple("ConstructionState", "F M points used met depth")):
+    """What the induction has built after len(points) steps: the field F, of
+    dimension len(points), the (cover h, point) pair of each completed step,
+    the vast entries `used` so far, and the truncation depth.
 
     F only gains classes and the truncation depth never drops, so the state
     also carries what later steps reuse: M, the span of F and every recorded
@@ -248,65 +243,18 @@ class ConstructionState:
     shown not disjoint from F, which stay so at every later step.
     """
 
-    __slots__ = ("F", "M", "points", "used", "met", "depth")
-
-    def __init__(
-        self,
-        F: ClassSubspace,
-        M: ClassSubspace,
-        points: tuple[tuple[RatPoly, tuple[int, int]], ...],
-        used: frozenset[int],
-        met: frozenset[int],
-        depth: int,
-    ):
-        object.__setattr__(self, "F", F)  # dim F == len(points)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "points", points)  # (cover h, point) of each completed step
-        object.__setattr__(self, "used", used)  # vast entries assigned so far
-        object.__setattr__(self, "met", met)
-        object.__setattr__(self, "depth", depth)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConstructionState is immutable")
+    __slots__ = ()
 
     @classmethod
     def initial(cls, depth: int) -> "ConstructionState":
         return cls(ClassSubspace(), ClassSubspace(), (), frozenset(), frozenset(), depth)
 
 
-class StepRecord:
-    """One step of a trace.  Immutable; equal when every field is equal."""
+class StepRecord(namedtuple("StepRecord", "m witness cover_id cover_h point vast_poly "
+                                         "vast_n depth_checked")):
+    """One step of a trace; `witness` is an integer of the witness class."""
 
-    __slots__ = ("m", "witness", "cover_id", "cover_h", "point", "vast_poly",
-                 "vast_n", "depth_checked")
-
-    def __init__(
-        self,
-        m: int,
-        witness: int,
-        cover_id: int,
-        cover_h: RatPoly,
-        point: tuple[int, int],
-        vast_poly: RatPoly,
-        vast_n: int,
-        depth_checked: int,
-    ):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "witness", witness)  # an integer of the witness class
-        object.__setattr__(self, "cover_id", cover_id)
-        object.__setattr__(self, "cover_h", cover_h)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "vast_poly", vast_poly)
-        object.__setattr__(self, "vast_n", vast_n)
-        object.__setattr__(self, "depth_checked", depth_checked)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StepRecord is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StepRecord):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -338,35 +286,12 @@ class StepRecord:
             raise TraceFormatError(f"malformed step record: {exc}") from exc
 
 
-class ConstructionTrace:
-    """A run's steps, final field and parameters.  The final field is recorded
-    as the steps' witness integers, which span it, and its dimension `dim`,
-    which is len(final) unless a parsed trace records another.  Immutable;
-    equal when every field is equal."""
+class ConstructionTrace(namedtuple("ConstructionTrace", "steps final params retries dim")):
+    """A run's steps, final field, parameters and retries.  The final field is
+    recorded as the steps' witness integers, which span it, and its dimension
+    `dim`, which is len(final) unless a parsed trace records another."""
 
-    __slots__ = ("steps", "final", "params", "retries", "dim")
-
-    def __init__(
-        self,
-        steps: tuple[StepRecord, ...],
-        final: tuple[int, ...],
-        params: dict,
-        retries: tuple[dict, ...] = (),
-        dim: int | None = None,
-    ):
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "final", final)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "retries", retries)
-        object.__setattr__(self, "dim", len(final) if dim is None else dim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConstructionTrace is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConstructionTrace):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+    __slots__ = ()
 
     def final_subspace(self) -> ClassSubspace:
         return ClassSubspace.span(SquareClass(w) for w in self.final)
@@ -559,8 +484,8 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
     budget = MAX_RETRIES
 
     def trace() -> ConstructionTrace:
-        return ConstructionTrace(tuple(steps), tuple(rec.witness for rec in steps), params,
-                                 tuple(retries))
+        final = tuple(rec.witness for rec in steps)
+        return ConstructionTrace(tuple(steps), final, params, tuple(retries), len(final))
 
     while len(steps) < N:
         try:
@@ -573,8 +498,7 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
                 {"step": len(steps) + 1, "reason": "depth_exhausted",
                  "depth": state.depth, "new_depth": state.depth * 2}
             )
-            state = ConstructionState(state.F, state.M, state.points, state.used, state.met,
-                                      state.depth * 2)
+            state = state._replace(depth=state.depth * 2)
             continue
         except NoEligibleVastSpec as exc:
             if budget == 0:
@@ -585,8 +509,7 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
                  "window": cur_window, "new_window": cur_window * 2}
             )
             cur_window *= 2
-            state = ConstructionState(state.F, state.M, state.points, state.used,
-                                      state.met | exc.met, state.depth)
+            state = state._replace(met=state.met | exc.met)
             continue
         except (PointSearchExhausted, Inseparable) as exc:
             raise ConstructionAborted(trace(), exc)

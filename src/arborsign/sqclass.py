@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Callable, Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .exactpoly import RatPoly, squarefree_kernel_support
 from .primes import ResourceBound, next_prime
@@ -329,21 +330,14 @@ def disjoint_over(V: ClassSubspace, W: ClassSubspace) -> bool:
     return intersection_dim(V, W) == 0
 
 
-class ClassStream:
+class ClassStream(namedtuple("ClassStream", "name at")):
     """Deterministic enumerable sequence of square classes.
 
-    The n-th element (0-based) is a pure function of n, so streams can be
-    truncated and re-inspected reproducibly.
+    The n-th element (0-based) is `at(n)`, a pure function of n, so streams
+    can be truncated and re-inspected reproducibly.
     """
 
-    __slots__ = ("name", "at")
-
-    def __init__(self, name: str, at: Callable[[int], SquareClass]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "at", at)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassStream is immutable")
+    __slots__ = ()
 
     def prefix(self, depth: int) -> list[SquareClass]:
         if depth < 1:
@@ -360,22 +354,6 @@ def primes_stream() -> ClassStream:
         return class_of(found[i])
 
     return ClassStream("primes", at)
-
-
-def stream_from_name(name: str) -> ClassStream:
-    """Resolve a named stream: "primes" or "disc:<poly>:<n>"."""
-    if name == "primes":
-        return primes_stream()
-    if name.startswith("disc:"):
-        from .arboreal import disc_stream  # deferred: arboreal imports this module
-
-        parts = name.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"malformed stream name {name!r}")
-        f = RatPoly.parse(parts[1])
-        n = int(parts[2].lstrip("n>=≥ "))
-        return disc_stream(f, n)
-    raise ValueError(f"unknown stream {name!r}")
 
 
 def vast_witness(L: ClassStream, F: ClassSubspace, depth: int) -> SquareClass:

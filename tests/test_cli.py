@@ -385,6 +385,26 @@ class TestVastWitness:
     def test_unknown_stream_exit_2(self, capsys):
         assert run_cli(capsys, "vast-witness", "--stream", "???", "--depth", "3")[0] == 2
 
+    def test_parse_stream(self):
+        s = cli._parse_stream("disc:x^2+1:1", 3)
+        assert [c.kernel for c in s.prefix(3)] == [-1, 2, 5]
+        assert cli._parse_stream("primes", 3).name == "primes"
+        with pytest.raises(ValueError):
+            cli._parse_stream("nope", 3)
+        with pytest.raises(ValueError):
+            cli._parse_stream("disc:x^2+1", 3)
+
+    @pytest.mark.parametrize("stream, depth", [
+        ("disc:x^2+1:n>=2", "3"), ("disc:x^2+1:\u22652", "3"), ("disc:x^2+1:", "3"),
+        ("disc:x+1:1", "3"), ("nope", "3"), ("disc:x^2+1:0", "3"),
+        ("disc:x^2+1:" + "9" * 5000, "1"),
+    ], ids=["n>=", "geq", "no-level", "degree-1", "unknown", "level-0", "level-digits"])
+    def test_bad_stream_exit_2(self, capsys, stream, depth):
+        """<n> is decimal digits: the forms n>=2 and \u22652 used to be read as 2."""
+        code, payload, err = run_cli(capsys, "vast-witness", "--stream", stream,
+                                     "--depth", depth)
+        assert code == 2 and payload is None and err.startswith("error: ")
+
     @pytest.mark.parametrize("stream", ["disc:x+1:1", "disc:3:1"])
     def test_stream_polynomial_of_degree_below_2_exit_2(self, stream):
         proc = cli_process("vast-witness", "--stream", stream, "--depth", "3")
@@ -392,6 +412,7 @@ class TestVastWitness:
 
     @pytest.mark.parametrize("stream, depth", [
         ("disc:x^2+2:40", "1"), ("disc:x^2+2:21", "5"), ("disc:x^2+2:1", "25"),
+        ("disc:x^2+1:20", "6"),
     ])
     def test_stream_levels_past_bound_exit_2(self, stream, depth):
         """disc:x^2+2:40 used to build a 2^39-bit orbit value."""

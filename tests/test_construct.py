@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
 import sys
@@ -26,7 +28,7 @@ from arborsign.construct import (
     verify_trace,
     _unpair,
 )
-from arborsign import construct, exactpoly, primes
+from arborsign import cli, construct, exactpoly, primes
 from arborsign.exactpoly import RatPoly
 from arborsign.sqclass import (
     ClassSubspace,
@@ -34,12 +36,18 @@ from arborsign.sqclass import (
     class_of,
     cover_fiber_integral,
     disjoint_over,
+    primes_stream,
 )
 
 
 @pytest.fixture(scope="module")
 def trace3():
     return run(3, 5, 100)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "trace.json"
 
 
 class TestEnumerations:
@@ -175,6 +183,26 @@ class TestStep:
             run(1, 0, 100)
         with pytest.raises(ValueError):
             run(1, 5, 0)
+
+
+class TestRecordsImmutable:
+    RECORDS = {
+        "VastSpec": lambda trace: VastEnumeration().entry(1),
+        "ConstructionState": lambda trace: ConstructionState.initial(5),
+        "StepRecord": lambda trace: trace.steps[0],
+        "ConstructionTrace": lambda trace: trace,
+        "ClassStream": lambda trace: primes_stream(),
+    }
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_fields_and_attributes_cannot_be_set(self, trace3, name):
+        record = self.RECORDS[name](trace3)
+        assert type(record).__name__ == name
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
 
 
 class TestTraceSerialization:
@@ -314,6 +342,20 @@ def json_paths(node, path=()):
         yield from json_paths(child, (*path, key))
 
 
+def one_node_replaced(doc, data):
+    """`doc` with one node, drawn from `data`, replaced by a drawn JSON value;
+    the root's replacement is returned as the new document."""
+    path = data.draw(st.sampled_from(list(json_paths(doc))), label="path")
+    value = data.draw(JSON_VALUES, label="value")
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
 class TestTraceFuzz:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -321,20 +363,30 @@ class TestTraceFuzz:
         """A valid trace with one node, the root included, replaced by any
         JSON value is read or refused with TraceFormatError: no KeyError,
         TypeError or AttributeError escapes."""
-        doc = trace3.to_json()
-        path = data.draw(st.sampled_from(list(json_paths(doc))), label="path")
-        value = data.draw(JSON_VALUES, label="value")
-        if not path:
-            doc = value
-        else:
-            node = doc
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value
+        doc = one_node_replaced(trace3.to_json(), data)
         try:
             ConstructionTrace.from_json(doc)
         except TraceFormatError:
             pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_verify_and_audit_keep_the_exit_code_contract(self, trace3, fuzz_file, data):
+        """The same documents, written to a file, are verified and audited
+        through the CLI: each command returns 0 or 1 with a JSON payload on
+        stdout, or 2 or 3 with nothing on stdout, and raises nothing."""
+        doc = one_node_replaced(trace3.to_json(), data)
+        fuzz_file.write_text(json.dumps(doc))
+        for argv in (["verify", "--trace", str(fuzz_file)],
+                     ["audit", "--trace", str(fuzz_file), "--level", "2"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert code in (0, 1, 2, 3)
+            if code in (0, 1):
+                json.loads(out.getvalue())
+            else:
+                assert out.getvalue() == ""
 
 
 def mutate(trace, **changes):

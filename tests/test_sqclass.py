@@ -22,7 +22,6 @@ from arborsign.sqclass import (
     intersection_dim,
     _is_square,
     primes_stream,
-    stream_from_name,
     vast_witness,
 )
 
@@ -246,15 +245,6 @@ class TestStreams:
     def test_prefix_rejects_bad_depth(self):
         with pytest.raises(ValueError):
             primes_stream().prefix(0)
-
-    def test_stream_from_name(self):
-        s = stream_from_name("disc:x^2+1:1")
-        assert [c.kernel for c in s.prefix(3)] == [-1, 2, 5]
-        assert stream_from_name("primes").name == "primes"
-        with pytest.raises(ValueError):
-            stream_from_name("nope")
-        with pytest.raises(ValueError):
-            stream_from_name("disc:x^2+1")
 
     def test_vast_witness(self):
         F = ClassSubspace.from_kernels([2, 3])
