@@ -37,7 +37,9 @@ from .sqclass import (
 SCHEMA_VERSION = 2
 DEFAULT_WINDOW = 64
 MAX_RETRIES = 6
-_SPEC_RESOLVE_CAP = 512  # enumeration scan limit when re-resolving a recorded spec
+# The verifier resolves a recorded stream among the entries the engine can
+# select: its window doubles from DEFAULT_WINDOW at most MAX_RETRIES times.
+_SPEC_RESOLVE_CAP = DEFAULT_WINDOW << MAX_RETRIES
 # Deepest iterate level a trace step may name, vast.n + depth_checked - 1.
 # Critical-orbit values double in bits per level (x^2 - 46 has 360,953 bits
 # at level 17), so deeper streams cannot be checked.  Runs with the default
@@ -105,82 +107,75 @@ def _signed_values(limit: int) -> Iterator[int]:
         yield -v
 
 
-class CoverEnumeration:
-    """Fixed grid of monic squarefree integer polynomials of degree <= 2,
-    each recurring infinitely often via diagonal (grid, repetition) pairing."""
-
-    def __init__(self) -> None:
-        self._grid: list[RatPoly] = []
-        self._gen = self._generate()
-
-    @staticmethod
-    def _generate() -> Iterator[RatPoly]:
-        height = 0
-        while True:
-            bs = [height, -height] if height else [0]
-            for b in bs:
-                yield RatPoly((b, 1))  # x + b
-            for a in _signed_values(height):
-                for b in _signed_values(height):
-                    if max(abs(a), abs(b)) == height and a * a != 4 * b:
-                        yield RatPoly((b, a, 1))  # x^2 + a x + b, squarefree
-            height += 1
-
-    def _grid_at(self, i: int) -> RatPoly:
-        while len(self._grid) <= i:
-            self._grid.append(next(self._gen))
-        return self._grid[i]
-
-    def entry(self, j: int) -> RatPoly:
-        """The cover polynomial h of entry j (1-based); j is the JSON "id"."""
-        if j < 1:
-            raise ValueError("entries are 1-based")
-        return self._grid_at(_unpair(j - 1)[0])
+def _cover_grid() -> Iterator[RatPoly]:
+    """The monic squarefree integer polynomials of degree <= 2, by height."""
+    height = 0
+    while True:
+        bs = [height, -height] if height else [0]
+        for b in bs:
+            yield RatPoly((b, 1))  # x + b
+        for a in _signed_values(height):
+            for b in _signed_values(height):
+                if max(abs(a), abs(b)) == height and a * a != 4 * b:
+                    yield RatPoly((b, a, 1))  # x^2 + a x + b, squarefree
+        height += 1
 
 
-class VastEnumeration:
-    """Streams (x^2 + c, n) over a diagonal grid of integer parameters c.
+def _orbit_infinite(c: int) -> bool:
+    seen: set[int] = set()
+    v = 0
+    while True:
+        v = v * v + c
+        if v == 0 or v in seen:
+            return False
+        seen.add(v)
+        if v * v > abs(v) + abs(c):  # escape radius: orbit now diverges
+            return True
 
-    Parameters with a finite critical orbit are dropped: their discriminant
-    class stream takes only finitely many values, so the extension it models
-    is finite and cannot play the vast role (the corresponding arboreal
-    image is also degenerate).  c = 0 is inseparable outright.
-    """
 
-    def __init__(self) -> None:
-        self._cs: list[int] = []
-        self._gen = (c for c in self._c_candidates() if self._orbit_infinite(c))
+def _vast_params() -> Iterator[int]:
+    """The integers c = 1, -1, 2, -2, ... whose x^2 + c has an infinite
+    critical orbit.  A finite orbit gives a discriminant class stream with
+    finitely many values, so the extension it models is finite and cannot
+    play the vast role (the arboreal image is also degenerate); c = 0 is
+    inseparable outright."""
+    v = 1
+    while True:
+        for c in (v, -v):
+            if _orbit_infinite(c):
+                yield c
+        v += 1
 
-    @staticmethod
-    def _c_candidates() -> Iterator[int]:
-        v = 1
-        while True:
-            yield v
-            yield -v
-            v += 1
 
-    @staticmethod
-    def _orbit_infinite(c: int) -> bool:
-        seen: set[int] = set()
-        v = 0
-        while True:
-            v = v * v + c
-            if v == 0 or v in seen:
-                return False
-            seen.add(v)
-            if v * v > abs(v) + abs(c):  # escape radius: orbit now diverges
-                return True
+# Both enumerations are fixed, so each process keeps one list of the items
+# read so far and the iterator that extends it.
+_COVERS: tuple[list[RatPoly], Iterator[RatPoly]] = ([], _cover_grid())
+_VAST_CS: tuple[list[int], Iterator[int]] = ([], _vast_params())
 
-    def _c_at(self, i: int) -> int:
-        while len(self._cs) <= i:
-            self._cs.append(next(self._gen))
-        return self._cs[i]
 
-    def entry(self, j: int) -> VastSpec:
-        if j < 1:
-            raise ValueError("entries are 1-based")
-        ci, u = _unpair(j - 1)
-        return VastSpec(j, RatPoly((self._c_at(ci), 0, 1)), u + 1)
+def _item(lazy: tuple[list, Iterator], i: int):
+    """Item i (0-based) of an endless iterator, through its list of items."""
+    items, source = lazy
+    while len(items) <= i:
+        items.append(next(source))
+    return items[i]
+
+
+def cover_entry(j: int) -> RatPoly:
+    """The cover polynomial h of entry j (1-based), the JSON "id".  Each grid
+    polynomial recurs infinitely often via diagonal (grid, repetition) pairing."""
+    if j < 1:
+        raise ValueError("entries are 1-based")
+    return _item(_COVERS, _unpair(j - 1)[0])
+
+
+def vast_entry(j: int) -> VastSpec:
+    """Entry j (1-based) of the vast list: (x^2 + c, n) over a diagonal grid
+    of the parameters c and the levels n."""
+    if j < 1:
+        raise ValueError("entries are 1-based")
+    ci, u = _unpair(j - 1)
+    return VastSpec(j, RatPoly((_item(_VAST_CS, ci), 0, 1)), u + 1)
 
 
 # A point, a rational t = num/den, is the pair (num, den) in lowest terms
@@ -387,11 +382,7 @@ def _point_str(point: tuple[int, int]) -> str:
 # ---------------------------------------------------------------------------
 
 def _select_vast(
-    A: VastEnumeration,
-    F: ClassSubspace,
-    skip: frozenset[int],
-    depth: int,
-    window: int,
+    F: ClassSubspace, skip: frozenset[int], depth: int, window: int
 ) -> tuple[VastSpec, frozenset[int]]:
     """First enumeration entry outside `skip` whose depth-truncated subspace
     is disjoint from F over Q, and the entries found not disjoint before it."""
@@ -399,7 +390,7 @@ def _select_vast(
     for j in range(1, window + 1):
         if j in skip:
             continue
-        spec = A.entry(j)
+        spec = vast_entry(j)
         if disjoint_over(F, spec.subspace(depth)):
             return spec, frozenset(met)
         met.add(j)
@@ -408,12 +399,7 @@ def _select_vast(
 
 
 def step(
-    state: ConstructionState,
-    B: CoverEnumeration,
-    A: VastEnumeration,
-    *,
-    height: int,
-    window: int = DEFAULT_WINDOW,
+    state: ConstructionState, *, height: int, window: int = DEFAULT_WINDOW
 ) -> tuple[ConstructionState, StepRecord]:
     """Execute one induction step.
 
@@ -423,10 +409,10 @@ def step(
     the smallest fresh specialization point whose fiber stays integral.
     """
     m = len(state.points) + 1
-    spec, met = _select_vast(A, state.F, state.used | state.met, state.depth, window)
+    spec, met = _select_vast(state.F, state.used | state.met, state.depth, window)
     w = vast_witness(spec.stream(), state.M, state.depth)
     integral_over = state.M.extend(w)
-    h = B.entry(m)
+    h = cover_entry(m)
     prior_points = {pt for _, pt in state.points}
     # Spans only grow, so every rational the last step with this cover skipped
     # is still ineligible, and that step's point is now a prior point.
@@ -463,11 +449,13 @@ def step(
 
 
 def run(N: int, depth: int, height: int) -> ConstructionTrace:
-    """Run N steps from scratch, deepening truncations on demand.
+    """Run N steps from scratch over the fixed enumerations, deepening
+    truncations on demand.
 
     DepthExhausted doubles the stream truncation depth and NoEligibleVastSpec
-    doubles the enumeration window, from DEFAULT_WINDOW, at most MAX_RETRIES
-    times in all; every retry is recorded.  Other failures abort with the partial trace attached.
+    doubles the enumeration window, from DEFAULT_WINDOW; every retry is
+    recorded, and the run aborts at the retry after MAX_RETRIES of them in
+    all.  Other failures abort at once.  An abort carries the partial trace.
     """
     if N < 1:
         raise ValueError("need at least one step")
@@ -475,13 +463,11 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
         raise ValueError("depth must be >= 1")
     if height < 1:
         raise ValueError("height must be >= 1")
-    B, A = CoverEnumeration(), VastEnumeration()
     params = {"steps": N, "depth": depth, "height": height, "window": DEFAULT_WINDOW}
     state = ConstructionState.initial(depth)
     steps: list[StepRecord] = []
     retries: list[dict] = []
-    cur_window = DEFAULT_WINDOW
-    budget = MAX_RETRIES
+    window = DEFAULT_WINDOW
 
     def trace() -> ConstructionTrace:
         final = tuple(rec.witness for rec in steps)
@@ -489,27 +475,19 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
 
     while len(steps) < N:
         try:
-            state2, rec = step(state, B, A, height=height, window=cur_window)
-        except DepthExhausted as exc:
-            if budget == 0:
+            state2, rec = step(state, height=height, window=window)
+        except (DepthExhausted, NoEligibleVastSpec) as exc:
+            if len(retries) == MAX_RETRIES:
                 raise ConstructionAborted(trace(), exc)
-            budget -= 1
-            retries.append(
-                {"step": len(steps) + 1, "reason": "depth_exhausted",
-                 "depth": state.depth, "new_depth": state.depth * 2}
-            )
-            state = state._replace(depth=state.depth * 2)
-            continue
-        except NoEligibleVastSpec as exc:
-            if budget == 0:
-                raise ConstructionAborted(trace(), exc)
-            budget -= 1
-            retries.append(
-                {"step": len(steps) + 1, "reason": "window_exhausted",
-                 "window": cur_window, "new_window": cur_window * 2}
-            )
-            cur_window *= 2
-            state = state._replace(met=state.met | exc.met)
+            if isinstance(exc, DepthExhausted):
+                retries.append({"step": len(steps) + 1, "reason": "depth_exhausted",
+                                "depth": state.depth, "new_depth": state.depth * 2})
+                state = state._replace(depth=state.depth * 2)
+            else:
+                retries.append({"step": len(steps) + 1, "reason": "window_exhausted",
+                                "window": window, "new_window": window * 2})
+                window *= 2
+                state = state._replace(met=state.met | exc.met)
             continue
         except (PointSearchExhausted, Inseparable) as exc:
             raise ConstructionAborted(trace(), exc)
@@ -522,9 +500,9 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
 # Independent verification
 # ---------------------------------------------------------------------------
 
-def _resolve_spec_index(A: VastEnumeration, f: RatPoly, n: int) -> int | None:
+def _resolve_spec_index(f: RatPoly, n: int) -> int | None:
     for j in range(1, _SPEC_RESOLVE_CAP + 1):
-        spec = A.entry(j)
+        spec = vast_entry(j)
         if spec.f == f and spec.n == n:
             return j
     return None
@@ -535,21 +513,21 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
 
     Returns a list of violation descriptions, each naming the first condition
     (1_m)..(5_m) it breaks; an empty list means the trace is valid.  The
-    checks re-derive every selection from the default enumerations.  No
-    description prints a witness: a wrong one is located by the stream
+    checks re-derive every selection from the fixed enumerations, read
+    through cover_entry and vast_entry; a recorded stream must be one of the
+    first _SPEC_RESOLVE_CAP entries, the most the engine's window reaches.
+    No description prints a witness: a wrong one is located by the stream
     level of the class expected in its place.
     """
     out: list[str] = []
-    B, A = CoverEnumeration(), VastEnumeration()
     height = trace.params["height"]
 
     # reconstruct the field tower from the recorded witnesses
     fields: list[ClassSubspace] = [ClassSubspace()]
-    witnesses = [SquareClass(rec.witness) for rec in trace.steps]
-    for i, (rec, w) in enumerate(zip(trace.steps, witnesses), start=1):
+    for i, rec in enumerate(trace.steps, start=1):
         if rec.m != i:
             out.append(f"(schema): step {i} is labeled m={rec.m}")
-        fields.append(fields[-1].extend(w))
+        fields.append(fields[-1].extend(SquareClass(rec.witness)))
         if fields[-1].dim != fields[-2].dim + 1:
             out.append(f"(5_{i}): witness does not enlarge the field")
 
@@ -578,7 +556,7 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
                     lo = mid + 1
             fell_at[j] = lo
 
-    points = [rec.point for rec in trace.steps]
+    first_at: dict[tuple[int, int], int] = {}  # point -> first step that recorded it
     passed: dict[RatPoly, tuple[int, int]] = {}  # cover -> point of its last passed scan
     used_indices: set[int] = set()
     # entry -> least depth at which it was found not disjoint from an earlier
@@ -587,33 +565,33 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
     M = ClassSubspace()  # the field before step i with every earlier fiber class
     for i, rec in enumerate(trace.steps, start=1):
         F_prev = fields[i - 1]
+        w = SquareClass(rec.witness)
 
         # (1_m) distinct points
-        for j in range(i - 1):
-            if trace.steps[j].point == rec.point:
-                out.append(f"(1_{i}): point repeats step {j + 1}")
-                break
+        first = first_at.setdefault(rec.point, i)
+        if first != i:
+            out.append(f"(1_{i}): point repeats step {first}")
 
         # (3_m) cover is the next enumeration entry
-        if rec.cover_id != i or rec.cover_h != B.entry(i):
+        if rec.cover_id != i or rec.cover_h != cover_entry(i):
             out.append(f"(3_{i}): cover is not enumeration entry {i}")
 
         # (4_m) vast spec is the first eligible unused entry
-        idx = _resolve_spec_index(A, rec.vast_poly, rec.vast_n)
+        idx = _resolve_spec_index(rec.vast_poly, rec.vast_n)
         if idx is None:
             out.append(f"(4_{i}): recorded stream is not in the enumeration")
         elif idx in used_indices:
             out.append(f"(4_{i}): stream entry {idx} was already assigned")
         else:
             try:
-                spec = A.entry(idx)
+                spec = vast_entry(idx)
                 if not disjoint_over(F_prev, spec.subspace(rec.depth_checked)):
                     out.append(f"(4_{i}): recorded stream is not disjoint at depth "
                                f"{rec.depth_checked}")
                 for j in range(1, idx):
                     if j in used_indices or (j in met and met[j] <= rec.depth_checked):
                         continue
-                    early = A.entry(j)
+                    early = vast_entry(j)
                     if disjoint_over(F_prev, early.subspace(rec.depth_checked)):
                         out.append(f"(4_{i}): entry {j} was eligible before entry {idx}")
                         break
@@ -626,7 +604,7 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
         try:
             stream = disc_stream(rec.vast_poly, rec.vast_n)
             expected = vast_witness(stream, M, rec.depth_checked)
-            if expected != witnesses[i - 1]:
+            if expected != w:
                 level = rec.vast_n + stream.prefix(rec.depth_checked).index(expected)
                 out.append(f"(5_{i}): witness is not the first eligible stream class, "
                            f"the one at level {level} of the recorded stream")
@@ -634,9 +612,8 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
             out.append(f"(5_{i}): no witness reachable in the recorded stream: {exc}")
 
         # (2_m) integrality: recorded point is the first eligible fresh point
-        integral_over = M.extend(witnesses[i - 1])
-        target = points[i - 1]
-        prior = set(points[: i - 1])
+        integral_over = M.extend(w)
+        target = rec.point
         # A passed scan of an earlier step with this cover found every rational
         # before its point prior or ineligible, and both stay so as spans grow;
         # that point is prior now.  So the scan resumes after it, unless the
@@ -646,7 +623,7 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
             after = None
         reached = False
         for candidate in rationals_by_height(height, after):
-            if candidate in prior:
+            if first_at.get(candidate, i) < i:  # a prior point
                 continue
             eligible = cover_fiber_integral(rec.cover_h, *candidate, integral_over)
             if candidate == target:
@@ -694,9 +671,11 @@ def counterexample_audit(trace: ConstructionTrace, k: int) -> dict:
     if k < 1:
         raise ValueError("level must be >= 1")
     F = trace.final_subspace()
+    by_poly: dict[RatPoly, list[StepRecord]] = {}  # in first-use order
+    for rec in trace.steps:
+        by_poly.setdefault(rec.vast_poly, []).append(rec)
     entries = []
-    for f in assigned_polynomials(trace):
-        assigned = [rec for rec in trace.steps if rec.vast_poly == f]
+    for f, assigned in by_poly.items():
         depth_needed = max(rec.vast_n + rec.depth_checked - 1 for rec in assigned)
         K = max(k, depth_needed)
         killed = killed_signs(f, F, K)
@@ -712,12 +691,3 @@ def counterexample_audit(trace: ConstructionTrace, k: int) -> dict:
             }
         )
     return {"level": k, "final_dim": len(trace.final), "polynomials": entries}
-
-
-def assigned_polynomials(trace: ConstructionTrace) -> list[RatPoly]:
-    """Distinct polynomials whose streams were assigned, in first-use order."""
-    seen: list[RatPoly] = []
-    for rec in trace.steps:
-        if rec.vast_poly not in seen:
-            seen.append(rec.vast_poly)
-    return seen

@@ -2,7 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -10,22 +12,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from arborsign.construct import (
+    DEFAULT_WINDOW,
+    MAX_RETRIES,
     MAX_STREAM_LEVEL,
     ConstructionAborted,
     ConstructionState,
     ConstructionTrace,
-    CoverEnumeration,
+    NoEligibleVastSpec,
     PointSearchExhausted,
     StepRecord,
     TraceFormatError,
-    VastEnumeration,
     VastSpec,
-    assigned_polynomials,
     counterexample_audit,
+    cover_entry,
     rationals_by_height,
     run,
     step,
+    vast_entry,
     verify_trace,
+    _resolve_spec_index,
     _unpair,
 )
 from arborsign import cli, construct, exactpoly, primes
@@ -57,27 +62,24 @@ class TestEnumerations:
         assert len(set(seen)) == 15
 
     def test_cover_entries_repeat_each_grid_polynomial(self):
-        B = CoverEnumeration()
         x = RatPoly.parse("x")
-        assert B.entry(1) == x
+        assert cover_entry(1) == x
         # the first grid polynomial recurs at every entry whose diagonal pair
         # starts with grid index 0
-        recurs = [j for j in range(1, 60) if B.entry(j) == x]
+        recurs = [j for j in range(1, 60) if cover_entry(j) == x]
         assert recurs == [j for j in range(1, 60) if _unpair(j - 1)[0] == 0]
         assert len(recurs) >= 3
 
     def test_cover_grid_is_squarefree(self):
-        B = CoverEnumeration()
         from arborsign.exactpoly import discriminant
 
         for j in range(1, 80):
-            h = B.entry(j)
+            h = cover_entry(j)
             assert h.den == h.nums[-1] == 1 and 1 <= h.degree <= 2
             assert discriminant(h) != 0 if h.degree == 2 else True
 
     def test_vast_entries_skip_finite_orbits(self):
-        A = VastEnumeration()
-        fs = [A.entry(j).f for j in range(1, 40)]
+        fs = [vast_entry(j).f for j in range(1, 40)]
         assert all(f.den == 1 and f.nums[1:] == (0, 1) for f in fs)
         cs = {f.nums[0] for f in fs}
         # 0, -1, -2 have finite critical orbits and must never appear
@@ -85,11 +87,18 @@ class TestEnumerations:
         assert 1 in cs and 2 in cs and -3 in cs
 
     def test_entries_one_based(self):
-        B, A = CoverEnumeration(), VastEnumeration()
         with pytest.raises(ValueError):
-            B.entry(0)
+            cover_entry(0)
         with pytest.raises(ValueError):
-            A.entry(0)
+            vast_entry(0)
+
+    @pytest.mark.parametrize("j", [1, 512, 513, DEFAULT_WINDOW << MAX_RETRIES])
+    def test_verifier_resolves_every_entry_the_engine_can_select(self, j):
+        """The engine's window doubles from DEFAULT_WINDOW at most MAX_RETRIES
+        times; entry 513 is (x^2 + 10, n = 16), inside MAX_STREAM_LEVEL."""
+        spec = vast_entry(j)
+        assert spec.index == j
+        assert _resolve_spec_index(spec.f, spec.n) == j
 
     def test_rationals_by_height_order(self):
         got = list(rationals_by_height(2))
@@ -113,8 +122,7 @@ class TestEnumerations:
 
 class TestStep:
     def test_first_step_record(self):
-        B, A = CoverEnumeration(), VastEnumeration()
-        state, rec = step(ConstructionState.initial(5), B, A, height=100)
+        state, rec = step(ConstructionState.initial(5), height=100)
         assert rec.to_json() == {
             "m": 1,
             "witness": -1,
@@ -137,6 +145,58 @@ class TestStep:
             run(1, 5, 1)
         assert isinstance(exc.value.cause, PointSearchExhausted)
         assert exc.value.trace.steps == ()
+
+    @pytest.mark.parametrize("kinds", ["depth", "window", "alternate"])
+    def test_retries_share_one_budget(self, monkeypatch, kinds):
+        """Depth and window retries draw on one budget of MAX_RETRIES; the
+        next exhaustion aborts with it as the cause."""
+        raised = []
+
+        def exhaust_depth(*args):
+            raised.append(construct.DepthExhausted("no class outside the span"))
+            raise raised[-1]
+
+        def exhaust_window(*args):
+            # a selection at the doubled depths would compute 320 stream levels
+            if kinds == "depth" or (kinds == "alternate" and len(raised) % 2 == 0):
+                return vast_entry(1), frozenset()
+            raised.append(NoEligibleVastSpec("no eligible stream", frozenset()))
+            raise raised[-1]
+
+        monkeypatch.setattr(construct, "vast_witness", exhaust_depth)
+        monkeypatch.setattr(construct, "_select_vast", exhaust_window)
+        with pytest.raises(ConstructionAborted) as exc:
+            run(1, 5, 1000)
+        trace = exc.value.trace
+        assert len(raised) == MAX_RETRIES + 1
+        assert exc.value.cause is raised[-1]
+        assert trace.steps == ()
+        assert len(trace.retries) == MAX_RETRIES
+        depth, window = 5, DEFAULT_WINDOW
+        for retry, cause in zip(trace.retries, raised):
+            if isinstance(cause, construct.DepthExhausted):
+                assert retry == {"step": 1, "reason": "depth_exhausted",
+                                 "depth": depth, "new_depth": depth * 2}
+                depth *= 2
+            else:
+                assert retry == {"step": 1, "reason": "window_exhausted",
+                                 "window": window, "new_window": window * 2}
+                window *= 2
+        assert {type(c) for c in raised} == {
+            "depth": {construct.DepthExhausted}, "window": {NoEligibleVastSpec},
+            "alternate": {construct.DepthExhausted, NoEligibleVastSpec}}[kinds]
+
+    def test_warm_enumerations_keep_traces_deterministic(self, tmp_path):
+        """The enumeration lists live for the whole process: a run after a
+        longer one writes the bytes a fresh process writes."""
+        run(12, 5, 1000)
+        warm = json.dumps(run(3, 5, 1000).to_json(), indent=2) + "\n"
+        out = tmp_path / "t.json"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(construct.__file__)))
+        subprocess.run([sys.executable, "-m", "arborsign.cli", "simulate", "--steps", "3",
+                        "--depth", "5", "--height", "1000", "--out", str(out)],
+                       check=True, capture_output=True, env=env, timeout=60)
+        assert warm == out.read_text()
 
     @pytest.mark.parametrize("n, digest", [
         pytest.param(10, "af97fde6fa80bdc243fe058046c9fcf83bce351fb09e5407b63c94c86bdadfdc",
@@ -187,7 +247,7 @@ class TestStep:
 
 class TestRecordsImmutable:
     RECORDS = {
-        "VastSpec": lambda trace: VastEnumeration().entry(1),
+        "VastSpec": lambda trace: vast_entry(1),
         "ConstructionState": lambda trace: ConstructionState.initial(5),
         "StepRecord": lambda trace: trace.steps[0],
         "ConstructionTrace": lambda trace: trace,
@@ -557,19 +617,17 @@ class TestVerifyPersistence:
 
 def entry_indices(trace):
     """The enumeration entry of each step's stream."""
-    A = VastEnumeration()
-    index = {(A.entry(j).f, A.entry(j).n): j for j in range(1, 129)}
+    index = {(vast_entry(j).f, vast_entry(j).n): j for j in range(1, 129)}
     return [index[(rec.vast_poly, rec.vast_n)] for rec in trace.steps]
 
 
 def full_scan_vast_entries(trace):
     """The "(4_i): entry j was eligible before entry idx" entries of
     verify_trace, from a test of every unused earlier entry at every step."""
-    A = VastEnumeration()
     F, used, out = ClassSubspace(), set(), []
     for i, (rec, idx) in enumerate(zip(trace.steps, entry_indices(trace)), start=1):
         for j in range(1, idx):
-            if j not in used and disjoint_over(F, A.entry(j).subspace(rec.depth_checked)):
+            if j not in used and disjoint_over(F, vast_entry(j).subspace(rec.depth_checked)):
                 out.append(f"(4_{i}): entry {j} was eligible before entry {idx}")
                 break
         used.add(idx)
@@ -587,12 +645,11 @@ class TestVastSkip:
     on; the skip must never hide an eligible entry."""
 
     def test_later_entry_than_the_first_eligible_reported(self, trace20):
-        A = VastEnumeration()
         recorded = entry_indices(trace20)
         for i in (4, 12, 20):
             idx = recorded[i - 1]
             later = next(j for j in range(idx + 1, 129) if j not in recorded)
-            spec = A.entry(later)
+            spec = vast_entry(later)
             bad = mutate(trace20, **{f"steps__{i - 1}__vast": {
                 "poly": str(spec.f), "n": spec.n, "depth_checked": 5}})
             got = eligible_before(verify_trace(bad))
@@ -603,11 +660,10 @@ class TestVastSkip:
         # Step 4 records entry 7, so the verifier finds entry 5 not disjoint
         # from the field of three steps at depth 5.  At depth 1 it is disjoint
         # from the field of nine steps, and entry 17 comes after it.
-        A = VastEnumeration()
         F3 = ClassSubspace.span(SquareClass(rec.witness) for rec in trace20.steps[:3])
         recorded = entry_indices(trace20)
         assert (recorded[3], recorded[9]) == (7, 17)
-        assert not disjoint_over(F3, A.entry(5).subspace(5))
+        assert not disjoint_over(F3, vast_entry(5).subspace(5))
         data = trace20.to_json()
         for rec in data["steps"][9:]:
             rec["vast"]["depth_checked"] = 1
@@ -655,18 +711,23 @@ def test_thirty_steps_factor_nothing(monkeypatch):
     assert max(w.bit_length() for w in trace.final) == 336
 
 
+def first_use_polynomials(trace):
+    """The distinct stream polynomials of the steps, in first-use order."""
+    return list(dict.fromkeys(str(rec.vast_poly) for rec in trace.steps))
+
+
 class TestAudit:
     def test_assigned_polynomials(self, trace3):
-        polys = assigned_polynomials(trace3)
-        assert RatPoly.parse("x^2 + 1") in polys
+        polys = [e["poly"] for e in counterexample_audit(trace3, 2)["polynomials"]]
+        assert "x^2 + 1" in polys
         assert len(polys) == len(set(polys))
+        assert polys == first_use_polynomials(trace3)
 
     def test_report_shape(self, trace3):
         report = counterexample_audit(trace3, 2)
         assert report["level"] == 2
         assert report["final_dim"] == 3
-        assert [e["poly"] for e in report["polynomials"]] == [
-            str(f) for f in assigned_polynomials(trace3)]
+        assert [e["poly"] for e in report["polynomials"]] == first_use_polynomials(trace3)
         for entry in report["polynomials"]:
             assert entry["index_lower_bound"] == 2 ** len(entry["killed"])
             assert entry["intersection_dim"] >= 1

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from arborsign import exactpoly, primes, sqclass
-from arborsign.construct import VastEnumeration, run, verify_trace
+from arborsign.construct import run, vast_entry, verify_trace
 from arborsign.exactpoly import RatPoly, squarefree_kernel_support
 from arborsign.sqclass import (
     ClassStream,
@@ -641,7 +641,7 @@ def test_orbit_stream_disjointness_needs_no_factoring(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(primes, "factorint", small_only)
-    spec = VastEnumeration().entry(17)
+    spec = vast_entry(17)
     assert (str(spec.f), spec.n) == ("x^2 + 2", 5)
     F9 = ClassSubspace.from_kernels([-1, 5, 38, 26, 5403, 1086, 677, 1446, 458330])
     assert disjoint_over(spec.subspace(5), F9) is True
