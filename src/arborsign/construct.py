@@ -37,9 +37,10 @@ from .sqclass import (
 SCHEMA_VERSION = 2
 DEFAULT_WINDOW = 64
 MAX_RETRIES = 6
-# The verifier resolves a recorded stream among the entries the engine can
-# select: its window doubles from DEFAULT_WINDOW at most MAX_RETRIES times.
-_SPEC_RESOLVE_CAP = DEFAULT_WINDOW << MAX_RETRIES
+# The verifier resolves a recorded stream among the first 512 entries.  A step
+# selects an entry only after testing every earlier one, and entry 301,
+# (x^2 + 1, n = 25), already lies past MAX_STREAM_LEVEL.
+_SPEC_RESOLVE_CAP = 512
 # Deepest iterate level a trace step may name, vast.n + depth_checked - 1.
 # Critical-orbit values double in bits per level (x^2 - 46 has 360,953 bits
 # at level 17), so deeper streams cannot be checked.  Runs with the default
@@ -515,7 +516,7 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
     (1_m)..(5_m) it breaks; an empty list means the trace is valid.  The
     checks re-derive every selection from the fixed enumerations, read
     through cover_entry and vast_entry; a recorded stream must be one of the
-    first _SPEC_RESOLVE_CAP entries, the most the engine's window reaches.
+    first _SPEC_RESOLVE_CAP entries.
     No description prints a witness: a wrong one is located by the stream
     level of the class expected in its place.
     """

