@@ -37,14 +37,9 @@ from .sqclass import (
 SCHEMA_VERSION = 2
 DEFAULT_WINDOW = 64
 MAX_RETRIES = 6
-# The verifier resolves a recorded stream among the first 512 entries.  A step
-# selects an entry only after testing every earlier one, and entry 301,
-# (x^2 + 1, n = 25), already lies past MAX_STREAM_LEVEL.
-_SPEC_RESOLVE_CAP = 512
-# Deepest iterate level a trace step may name, vast.n + depth_checked - 1.
-# Critical-orbit values double in bits per level (x^2 - 46 has 360,953 bits
-# at level 17), so deeper streams cannot be checked.  Runs with the default
-# depth and window read at most level 15, and after one retry at most 20.
+# Deepest iterate level a stream is read to (VastSpec.subspace checks it) and a
+# trace step may name, vast.n + depth_checked - 1.  Classes double in bits per
+# level (x^2 + 1 has 4.9 Mbit at level 24), so a run needing a later one aborts.
 MAX_STREAM_LEVEL = 24
 
 
@@ -58,7 +53,7 @@ class NoEligibleVastSpec(RuntimeError):
         self.met = met
 
 
-class PointSearchExhausted(RuntimeError):
+class PointSearchExhausted(ResourceBound):
     """No integral specialization point below the height bound."""
 
 
@@ -81,9 +76,7 @@ class ConstructionAborted(ResourceBound):
 
 def _unpair(j0: int) -> tuple[int, int]:
     """Cantor diagonal: 0,1,2,... -> (t, s-t) sweeping diagonals s = t + u."""
-    s = 0
-    while (s + 1) * (s + 2) // 2 <= j0:
-        s += 1
+    s = (math.isqrt(8 * j0 + 1) - 1) // 2  # the largest s with s(s+1)/2 <= j0
     t = j0 - s * (s + 1) // 2
     return t, s - t
 
@@ -98,6 +91,9 @@ class VastSpec(namedtuple("VastSpec", "index f n")):
         return disc_stream(self.f, self.n)
 
     def subspace(self, depth: int) -> ClassSubspace:
+        if self.n + depth - 1 > MAX_STREAM_LEVEL:
+            raise ResourceBound(f"entry {self.index}, levels {self.n}..{self.n + depth - 1} "
+                                f"of {self.f}: past stream level {MAX_STREAM_LEVEL}")
         return ClassSubspace.span(self.stream().prefix(depth))
 
 
@@ -456,7 +452,8 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
     DepthExhausted doubles the stream truncation depth and NoEligibleVastSpec
     doubles the enumeration window, from DEFAULT_WINDOW; every retry is
     recorded, and the run aborts at the retry after MAX_RETRIES of them in
-    all.  Other failures abort at once.  An abort carries the partial trace.
+    all.  Any other ResourceBound (a stream past MAX_STREAM_LEVEL, the height
+    bound) or Inseparable aborts at once, carrying the partial trace.
     """
     if N < 1:
         raise ValueError("need at least one step")
@@ -490,7 +487,7 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
                 window *= 2
                 state = state._replace(met=state.met | exc.met)
             continue
-        except (PointSearchExhausted, Inseparable) as exc:
+        except (ResourceBound, Inseparable) as exc:
             raise ConstructionAborted(trace(), exc)
         state = state2
         steps.append(rec)
@@ -502,10 +499,14 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
 # ---------------------------------------------------------------------------
 
 def _resolve_spec_index(f: RatPoly, n: int) -> int | None:
-    for j in range(1, _SPEC_RESOLVE_CAP + 1):
-        spec = vast_entry(j)
-        if spec.f == f and spec.n == n:
-            return j
+    """The index of (f, n) if a run can select it, else None.  A run tests every
+    earlier entry first, and cannot test entry 301, (x^2 + 1, n = 25)."""
+    if n < 1 or f.den != 1 or f.nums[1:] != (0, 1):
+        return None
+    for ci in range(MAX_STREAM_LEVEL - n + 1):
+        if _item(_VAST_CS, ci) == f.nums[0]:
+            s = ci + n - 1
+            return s * (s + 1) // 2 + ci + 1
     return None
 
 
@@ -515,8 +516,7 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
     Returns a list of violation descriptions, each naming the first condition
     (1_m)..(5_m) it breaks; an empty list means the trace is valid.  The
     checks re-derive every selection from the fixed enumerations, read
-    through cover_entry and vast_entry; a recorded stream must be one of the
-    first _SPEC_RESOLVE_CAP entries.
+    through cover_entry and vast_entry, with the engine's stream bound.
     No description prints a witness: a wrong one is located by the stream
     level of the class expected in its place.
     """
@@ -580,7 +580,7 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
         # (4_m) vast spec is the first eligible unused entry
         idx = _resolve_spec_index(rec.vast_poly, rec.vast_n)
         if idx is None:
-            out.append(f"(4_{i}): recorded stream is not in the enumeration")
+            out.append(f"(4_{i}): recorded stream is not an entry a run can select")
         elif idx in used_indices:
             out.append(f"(4_{i}): stream entry {idx} was already assigned")
         else:
@@ -597,8 +597,8 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
                         out.append(f"(4_{i}): entry {j} was eligible before entry {idx}")
                         break
                     met[j] = rec.depth_checked
-            except Inseparable as exc:
-                out.append(f"(4_{i}): stream hit an inseparable iterate: {exc}")
+            except ResourceBound as exc:  # an entry read past MAX_STREAM_LEVEL
+                out.append(f"(4_{i}): {exc}")
             used_indices.add(idx)
 
         # (5_m) witness is the first stream class outside the compositum

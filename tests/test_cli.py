@@ -466,6 +466,14 @@ cli.entry()
 """
 CLI = ["-m", "arborsign.cli"]
 
+# A simulate under a stream bound lowered to 6, so that the run needs a level
+# past it.  argv: the CLI's.
+STREAM_BOUND = """\
+from arborsign import cli, construct
+construct.MAX_STREAM_LEVEL = 6
+cli.entry()
+"""
+
 # One row per cause of exit 3, each primes.ResourceBound subclass and each of
 # the CLI's own caps: (interpreter arguments, a fragment of the error line).
 # {tmp} is a fresh directory and {trace} a 3-step trace.
@@ -478,8 +486,12 @@ RESOURCE_ROWS = {
                       "--primes", "1"], "no good prime among the first 1"),
     "DepthExhausted": ([*CLI, "vast-witness", "--stream", "primes", "--base", "2,3,5",
                         "--depth", "3"], "no witness among the first 3 elements"),
-    "ConstructionAborted": ([*CLI, "simulate", "--steps", "1", "--height", "1",
-                             "--out", "{tmp}/t.json"], "construction aborted: no point"),
+    "PointSearchExhausted": ([*CLI, "simulate", "--steps", "1", "--height", "1",
+                              "--out", "{tmp}/t.json"], "construction aborted: no point"),
+    "ConstructionAborted": (["-c", STREAM_BOUND, "simulate", "--steps", "9",
+                             "--out", "{tmp}/t.json"],
+                            "construction aborted: entry 4, levels 3..7 of x^2 + 1: "
+                            "past stream level 6"),
     "MAX_ITERATE_DEGREE": ([*CLI, "index-report", "--poly", "x^2+1", "--level", "10",
                             "--n", "2"], "degree 2^10, above 512"),
     "MAX_ARITY": ([*CLI, "group-order", "--arity", "10001", "--depth", "0"],
@@ -507,7 +519,7 @@ class TestExitContract:
         names = {cls.__name__ for cls in ResourceBound.__subclasses__()}
         assert {row.split("-")[0] for row in RESOURCE_ROWS} >= names
         assert names == {"FactoringBudget", "NoGoodPrimes", "DepthExhausted",
-                         "ConstructionAborted"}
+                         "PointSearchExhausted", "ConstructionAborted"}
 
     @pytest.mark.parametrize("row", RESOURCE_ROWS)
     def test_resource_bound_exit_3(self, trace_file, tmp_path, row):

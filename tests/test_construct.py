@@ -2,8 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -28,11 +31,11 @@ from arborsign.construct import (
     step,
     vast_entry,
     verify_trace,
-    _SPEC_RESOLVE_CAP,
     _resolve_spec_index,
     _unpair,
 )
-from arborsign import cli, construct, exactpoly, primes
+from arborsign import arboreal, cli, construct, exactpoly, primes
+from arborsign.arboreal import disc_class
 from arborsign.exactpoly import RatPoly
 from arborsign.sqclass import (
     ClassSubspace,
@@ -43,6 +46,8 @@ from arborsign.sqclass import (
     primes_stream,
 )
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(construct.__file__)))
+
 
 @pytest.fixture(scope="module")
 def trace3():
@@ -52,6 +57,19 @@ def trace3():
 @pytest.fixture(scope="module")
 def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "trace.json"
+
+
+@pytest.fixture
+def levels(monkeypatch):
+    """The stream level of every disc_class call, in order."""
+    read = []
+
+    def spy(f, n):
+        read.append(n)
+        return disc_class(f, n)
+
+    monkeypatch.setattr(arboreal, "disc_class", spy)
+    return read
 
 
 class TestEnumerations:
@@ -92,17 +110,20 @@ class TestEnumerations:
             vast_entry(0)
 
     def test_verifier_resolves_every_entry_a_trace_can_select(self):
-        """A step selects an entry only after testing every earlier one, so
-        the verifier's bound must lie past the first entry whose level n
-        exceeds MAX_STREAM_LEVEL, and every entry up to it must resolve."""
-        past = next(j for j in range(1, _SPEC_RESOLVE_CAP + 1)
-                    if vast_entry(j).n > MAX_STREAM_LEVEL)
+        """A step selects an entry only after testing every earlier one, and
+        no run can test entry 301, the first whose level n exceeds
+        MAX_STREAM_LEVEL, so the verifier resolves exactly the entries before
+        it.  Entry 302 is named by a trace that from_json accepts at depth 1."""
+        past = next(j for j in range(1, 1000) if vast_entry(j).n > MAX_STREAM_LEVEL)
         assert (str(vast_entry(past).f), past) == ("x^2 + 1", 301)
-        for j in (1, past - 1, past, _SPEC_RESOLVE_CAP):
+        assert (str(vast_entry(302).f), vast_entry(302).n) == ("x^2 + 2", MAX_STREAM_LEVEL)
+        for j in range(1, 303):
             spec = vast_entry(j)
             assert spec.index == j
-            assert _resolve_spec_index(spec.f, spec.n) == j
-        assert _resolve_spec_index(RatPoly((3, 1, 1)), 1) is None
+            assert _resolve_spec_index(spec.f, spec.n) == (j if j < past else None)
+        # not in the enumeration: x^2 - 1 and x^2 - 2 have finite critical orbits
+        for text in ("x^2 + x + 3", "x^2 - 1", "x^2 - 2", "x^2 + 1/2", "2x^2 + 1", "x^3 + 2"):
+            assert _resolve_spec_index(RatPoly.parse(text), 1) is None
 
     def test_rationals_by_height_order(self):
         got = list(rationals_by_height(2))
@@ -189,6 +210,51 @@ class TestStep:
         assert {type(c) for c in raised} == {
             "depth": {construct.DepthExhausted}, "window": {NoEligibleVastSpec},
             "alternate": {construct.DepthExhausted, NoEligibleVastSpec}}[kinds]
+
+    def test_depth_retries_stop_at_the_stream_bound(self):
+        """With no witness at any depth, the depth retries 5 -> 10 -> 20 -> 40
+        end at the first selection that needs a level past MAX_STREAM_LEVEL,
+        before it reads one.  Unbounded, the selection at depth 40 and beyond
+        ran for minutes, so a fresh process with a timeout runs it."""
+        script = textwrap.dedent("""\
+            import json
+            from arborsign import construct
+            def exhaust(*args):
+                raise construct.DepthExhausted("no class outside the span")
+            construct.vast_witness = exhaust
+            try:
+                construct.run(1, 5, 1000)
+            except construct.ConstructionAborted as exc:
+                print(json.dumps([type(exc.cause).__name__, str(exc.cause),
+                                  list(exc.trace.retries), len(exc.trace.steps)]))
+            """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        cause, message, retries, steps = json.loads(proc.stdout)
+        assert cause == "ResourceBound"
+        assert message == "entry 1, levels 1..40 of x^2 + 1: past stream level 24"
+        assert retries == [{"step": 1, "reason": "depth_exhausted", "depth": d, "new_depth": 2 * d}
+                           for d in (5, 10, 20)]
+        assert steps == 0
+
+    def test_engine_writes_only_traces_its_verifier_reads(self, monkeypatch, levels):
+        """Under a stream bound of 8, a 20-step run reads no level past 8 and
+        aborts at the first selection that would; its partial trace reads
+        back and verifies under the same bound."""
+        monkeypatch.setattr(construct, "MAX_STREAM_LEVEL", 8)
+        with pytest.raises(ConstructionAborted) as exc:
+            run(20, 5, 1000)
+        assert max(levels) == 8
+        assert type(exc.value.cause) is primes.ResourceBound
+        assert "past stream level 8" in str(exc.value.cause)
+        trace = exc.value.trace
+        assert 1 <= len(trace.steps) < 20
+        again = ConstructionTrace.from_json(trace.to_json())
+        assert again == trace
+        levels.clear()
+        assert verify_trace(again) == []
+        assert max(levels) == 8
 
     @pytest.mark.parametrize("n, digest", [
         pytest.param(10, "af97fde6fa80bdc243fe058046c9fcf83bce351fb09e5407b63c94c86bdadfdc",
@@ -476,6 +542,32 @@ class TestVerify:
         rec = trace3.to_json()["steps"][0]["vast"]
         bad = mutate(trace3, steps__0__vast={**rec, "poly": "x^2 + 2"})
         assert any(v.startswith("(4_1)") or v.startswith("(5_1)") for v in verify_trace(bad))
+
+    def test_entry_no_run_can_select_violates_4m(self, trace3, tmp_path, monkeypatch):
+        """Entry 302, (x^2 + 2, n = 24), passes from_json at depth 1, but no
+        run selects it.  Reading its level-24 stream takes tens of seconds,
+        so the case runs under a bound of 8, where entry 38, (x^2 + 2,
+        n = 8), is the same case.  The verifier reports it without testing
+        earlier entries, and `verify` exits 1."""
+        monkeypatch.setattr(construct, "MAX_STREAM_LEVEL", 8)
+        assert vast_entry(38)[1:] == (RatPoly.parse("x^2 + 2"), 8)
+        bad = mutate(trace3, steps__0__vast={"poly": "x^2 + 2", "n": 8, "depth_checked": 1})
+        found = [v for v in verify_trace(bad) if v.startswith("(4_1)")]
+        assert found == ["(4_1): recorded stream is not an entry a run can select"]
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(bad.to_json()))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--trace", str(path)]) == 1
+
+    def test_earlier_entry_past_the_bound_violates_4m(self, trace3, monkeypatch, levels):
+        """Step 2 names entry 3 at depth 8 under a stream bound of 8, so the
+        scan reaches entry 2, whose levels 2..9 pass it: a violation,
+        reported without reading a level past the bound."""
+        monkeypatch.setattr(construct, "MAX_STREAM_LEVEL", 8)
+        bad = mutate(trace3, steps__1__vast={"poly": "x^2 + 2", "n": 1, "depth_checked": 8})
+        found = [v for v in verify_trace(bad) if v.startswith("(4_2)")]
+        assert found == ["(4_2): entry 2, levels 2..9 of x^2 + 1: past stream level 8"]
+        assert max(levels) == 8
 
     def test_wrong_witness_violates_5m(self, trace3):
         bad = mutate(trace3, steps__0__witness=7)
