@@ -316,7 +316,8 @@ def squarefree_kernel_support(q) -> tuple[int, tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic in GF(p)[x]; coefficient lists low-to-high, trimmed
+# Arithmetic in GF(p)[x]; coefficient lists low-to-high, trimmed, and packed
+# into ints
 # ---------------------------------------------------------------------------
 
 def _gf_trim(a: list[int]) -> list[int]:
@@ -325,103 +326,41 @@ def _gf_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _gf_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    a = list(a)
-    dm = len(m) - 1
-    inv = pow(m[-1], -1, p)
-    while len(a) > dm:
-        coef = a.pop() * inv % p
-        if coef:
-            shift = len(a) - dm
-            a[shift:] = [(c - coef * d) % p for c, d in zip(a[shift:], m)]
-    return _gf_trim(a)
-
-
 def _gf_monic(a: Sequence[int], p: int) -> list[int]:
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
 
-def _gf_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _gf_mod(a, b, p)
-    return _gf_monic(a, p) if a else []
+@lru_cache(maxsize=None)
+def _array_typecodes() -> tuple[type, dict[int, str]]:
+    """`array.array` and its typecodes whose items are exactly w bits, by w;
+    none on a big-endian host.  Looked up once per process."""
+    from array import array  # here, not at module level: the scan is its only user
+
+    if sys.byteorder != "little":
+        return array, {}
+    return array, {8 * array(t).itemsize: t for t in ("Q", "I")}
 
 
-def _gf_divexact(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a = list(a)
-    db = len(b) - 1
-    q = [0] * (len(a) - db)
-    inv = pow(b[-1], -1, p)
-    while len(a) > db:
-        coef = a.pop() * inv % p
-        shift = len(a) - db
-        q[shift] = coef
-        if coef:
-            a[shift:] = [(c - coef * d) % p for c, d in zip(a[shift:], b)]
-    if _gf_trim(a):
-        raise ArithmeticError("division was not exact")
-    return _gf_trim(q)
+class _Packing:
+    """Coefficient lists over GF(p) packed into ints, for Kronecker
+    substitution.
 
-
-class _FrobeniusMap:
-    """h -> h^p on GF(p)[x]/(f), for a monic f of degree n >= 2.
-
-    The map is GF(p)-linear, h^p = sum h_j * x^(j*p), so it is applied as a
-    matrix whose rows x^(j*p) mod f are computed once: row j + 1 is row j
-    times x^p, a combination of the columns x^(i+p) mod f, each of which is
-    the one before it shifted up by one and folded back mod f.  Residues are
-    packed for Kronecker substitution: coefficient i sits in bits
-    [i*w, (i+1)*w) of one int, so a product of residues is one big-int
-    multiply and a sum of scalar multiples of residues is int arithmetic.  A
-    w-bit slot holds n*(p-1)^2 + p, which bounds every slot of such a product
-    and of such a sum of n terms (plus one residue).  w is 32 while that bound
-    is below 2^32 (every p below about 2^16/sqrt(n)), else a multiple of 64
-    (64 for every p below about 2^32/sqrt(n)); with w = 32 or 64 a pack or
-    unpack is one C-level array conversion.  Residues are exchanged as lists
-    of n coefficients in [0, p).
+    Coefficient i sits in bits [i*w, (i+1)*w) of one int, so a product of
+    packed lists is one big-int multiply, and a sum of scalar multiples of
+    packed lists, or a shift by whole slots, is int arithmetic.  That holds
+    while no slot of a result exceeds 2^w - 1; `bound` is the largest value
+    a slot must hold.  w is 32 while `bound` is below 2^32, else a multiple
+    of 64; with w = 32 or 64 a pack or unpack is one C-level array
+    conversion.  Lists are exchanged with coefficients in [0, p).
     """
 
-    def __init__(self, f: Sequence[int], p: int):
-        from array import array  # here, not at module level: the scan is its only user
-
-        n = len(f) - 1
-        self.n, self.p = n, p
-        bits = (n * (p - 1) ** 2 + p).bit_length()
+    def __init__(self, p: int, bound: int):
+        bits = bound.bit_length()
+        self.p = p
         self.width = 32 if bits <= 32 else 64 * -(-bits // 64)
-        # Array typecodes whose items are exactly w bits, by w; a residue packed
-        # into such slots converts to and from an array in one C-level call.
-        typecodes = {8 * array(t).itemsize: t for t in ("Q", "I")}
-        self.typecode = typecodes.get(self.width) if sys.byteorder == "little" else None
-        self.array = array
-        # x^(n+j) mod f for 0 <= j <= n-2: x^n = -(f - x^n), then shift.
-        self.top = [-c % p for c in f[:-1]]
-        table = [self.top]
-        for _ in range(n - 2):
-            table.append(self._times_x(table[-1]))
-        self.table = [self._pack(r) for r in table]
-        xp = [0, 1] + [0] * (n - 2)  # x^p by square-and-multiply
-        for bit in bin(p)[3:]:
-            xp = self._mul(xp, xp)
-            if bit == "1":
-                xp = self._times_x(xp)
-        columns = [xp]
-        for _ in range(n - 1):
-            columns.append(self._times_x(columns[-1]))
-        columns = [self._pack(c) for c in columns]
-        self.rows, row = [1, self._pack(xp)], xp  # the packed 1 is 1
-        for _ in range(n - 2):
-            row = self._unpack(sum(map(mul, row, columns)), n)
-            self.rows.append(self._pack(row))
-
-    def __call__(self, h: Sequence[int]) -> list[int]:
-        return self._unpack(sum(map(mul, h, self.rows)), self.n)
-
-    def _times_x(self, r: Sequence[int]) -> list[int]:
-        """x * r mod f, for a residue r of n coefficients."""
-        p, hi = self.p, r[-1]
-        return [(c + hi * t) % p for c, t in zip([0, *r[:-1]], self.top)]
+        self.array, typecodes = _array_typecodes()
+        self.typecode = typecodes.get(self.width)
 
     def _pack(self, cs: Sequence[int]) -> int:
         if self.typecode:
@@ -430,7 +369,8 @@ class _FrobeniusMap:
         return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in cs), "little")
 
     def _unpack(self, v: int, slots: int) -> list[int]:
-        """The first `slots` coefficients of a packed value, reduced mod p."""
+        """The coefficients of a packed value of at most `slots` slots,
+        reduced mod p."""
         p = self.p
         size = self.width // 8
         raw = v.to_bytes(slots * size, "little")
@@ -438,13 +378,137 @@ class _FrobeniusMap:
             return [c % p for c in memoryview(raw).cast(self.typecode).tolist()]
         return [int.from_bytes(raw[i : i + size], "little") % p for i in range(0, len(raw), size)]
 
-    def _reduce(self, cs: Sequence[int]) -> list[int]:
-        """cs mod f, for at most 2n - 1 coefficients in [0, p)."""
-        n = self.n
-        return self._unpack(self._pack(cs[:n]) + sum(map(mul, cs[n:], self.table)), n)
+
+class _Euclid(_Packing):
+    """The packing of Euclid's algorithm on polynomials of degree at most n
+    over GF(p): division and gcd of packed values, whose slots are reduced
+    in slot-wise arithmetic, with no unpacking.
+
+    A division by b of degree m cancels the top slot of the dividend, from
+    slot da down to slot m, by adding c*b*x^(k-m), c < p.  The slots stay
+    unreduced: with q = p - 1, a slot is shared by at most
+    min(da - m + 1, m + 1) <= n/2 + 1 of these windows, so it holds at most
+    U = q + (n/2 + 1)*q^2 < 2^N.  The remainder is then reduced slot by slot
+    in one multiply: with s = N + L, p < 2^L, and r = ceil(2^s / p),
+    floor(v*r / 2^s) = floor(v / p) for every v < 2^N (Granlund and
+    Montgomery, PLDI 1994), so a slot of v*r, at most U*r, the packing's
+    bound, holds the quotient above its s low bits.
+    """
+
+    def __init__(self, n: int, p: int):
+        q = p - 1
+        largest = q + (n // 2 + 1) * q * q  # U
+        self.shift = largest.bit_length() + p.bit_length()
+        self.recip = -(-(1 << self.shift) // p)
+        super().__init__(p, largest * self.recip)
+        w = self.width
+        self.mask = (1 << w) - 1
+        # in each of n + 1 slots, the bits above the s low ones
+        self.quotients = (1 << n * w + w) // self.mask * ((1 << w - self.shift) - 1)
+
+    def _rem(self, a: int, da: int, b: int, m: int) -> tuple[int, list[int]]:
+        """(a mod b, negated quotient) for a of degree at most da and b of
+        degree m, both packed and reduced.  The remainder comes packed and
+        reduced; the negated quotient is the list of c's, high to low."""
+        p, w, mask = self.p, self.width, self.mask
+        ninv = pow(-(b >> m * w), -1, p)
+        cs = []
+        for k in range(da, m - 1, -1):
+            c = (a >> k * w & mask) * ninv % p
+            if c:
+                a += c * b << (k - m) * w
+            cs.append(c)
+        a &= (1 << m * w) - 1
+        return a - (a * self.recip >> self.shift & self.quotients) * p, cs
+
+
+def _gf_gcd(a: Sequence[int], b: Sequence[int], gf: _Euclid) -> list[int]:
+    """Monic gcd over GF(p) of trimmed a and b of degree at most the n gf
+    was made for.
+    Euclid on packed values: each round divides, reduces the remainder
+    once, and reads its degree off its bit length."""
+    if not b:
+        return _gf_monic(a, gf.p) if a else []
+    packed_a, da = gf._pack(a), len(a) - 1
+    packed_b, db = gf._pack(b), len(b) - 1
+    while db:
+        r = gf._rem(packed_a, da, packed_b, db)[0]
+        if not r:
+            return _gf_monic(gf._unpack(packed_b, db + 1), gf.p)
+        packed_a, da, packed_b, db = packed_b, db, r, (r.bit_length() - 1) // gf.width
+    return [1]
+
+
+def _gf_divexact(a: Sequence[int], b: Sequence[int], gf: _Euclid) -> list[int]:
+    """a / b over GF(p) for trimmed a and b of degree at most the n gf was
+    made for, b nonzero; ArithmeticError when b does not divide a."""
+    r, cs = gf._rem(gf._pack(a), len(a) - 1, gf._pack(b), len(b) - 1)
+    if r:
+        raise ArithmeticError("division was not exact")
+    p = gf.p
+    return [-c % p for c in reversed(cs)]
+
+
+class _FrobeniusMap(_Packing):
+    """h -> h^p on GF(p)[x]/(f), for a monic f of degree n >= 2.
+
+    The map is GF(p)-linear, h^p = sum h_j * x^(j*p), so it is applied as a
+    matrix whose rows x^(j*p) mod f are computed once: row j + 1 is row j
+    times x^p, a combination of the columns x^(p+i) mod f.  x^p comes from
+    square-and-multiply; each product is reduced by the table x^(n+j) mod f,
+    0 <= j < n.  Table and columns are built by shift-and-fold: x*r mod f is
+    r shifted up one slot, its top slot dropped and folded back, reduced mod
+    p, as that multiple of x^n mod f.  Each step is one big-int expression
+    and adds at most (p-1)^2 to a slot, so with q = p - 1 the j-th entry
+    keeps unreduced slots of at most q + j*q^2.  A row or a reduction sums
+    n multiples, each below p, of such entries (plus, in a reduction, the
+    low half of a product of reduced residues, whose slots are at most
+    n*q^2), so every slot stays at most 2n*q^2 + n(n-1)*q^3/2, the packing's
+    bound: w is 32 while that is below 2^32 (p below about (2^33/n^2)^(1/3)),
+    else 64 while it is below 2^64.  The rows and every residue the map
+    returns are reduced; a Frobenius image sums n multiples of the rows, at
+    most n*q^2 per slot.
+    """
+
+    def __init__(self, f: Sequence[int], p: int):
+        n = len(f) - 1
+        q = p - 1
+        super().__init__(p, n * q * q * (4 + (n - 1) * q) // 2)
+        self.n = n
+        self.low = (1 << n * self.width) - 1  # the n low slots
+        self.top = self._pack([-c % p for c in f[:-1]])  # x^n mod f
+        self.table = self._shifts(self.top, n)
+        xp = [0, 1] + [0] * (n - 2)  # x^p by square-and-multiply
+        for bit in bin(p)[3:]:
+            xp = self._mul(xp, [0, *xp] if bit == "1" else xp)
+        packed = self._pack(xp)
+        columns = self._shifts(packed, n)
+        self.rows, row = [1, packed], xp  # the packed 1 is 1
+        for _ in range(n - 2):
+            row = self._unpack(sum(map(mul, row, columns)), n)
+            self.rows.append(self._pack(row))
+
+    def __call__(self, h: Sequence[int]) -> list[int]:
+        return self._unpack(sum(map(mul, h, self.rows)), self.n)
+
+    def _shifts(self, r: int, count: int) -> list[int]:
+        """r, x*r, ..., x^(count-1)*r mod f, packed and unreduced."""
+        p, w, low, top = self.p, self.width, self.low, self.top
+        shift = (self.n - 1) * w
+        out = [r]
+        for _ in range(count - 1):
+            out.append((r << w & low) + (r >> shift) % p * top)
+            r = out[-1]
+        return out
 
     def _mul(self, a: Sequence[int], b: Sequence[int]) -> list[int]:
-        return self._reduce(self._unpack(self._pack(a) * self._pack(b), 2 * self.n - 1))
+        """a * b mod f, reduced, for a and b of at most n and n + 1
+        coefficients in [0, p) whose product has degree below 2n and slots
+        of at most n*q^2."""
+        n = self.n
+        v = self._pack(a) * self._pack(b)
+        return self._unpack((v & self.low) + sum(map(mul, self._unpack(v >> n * self.width, n),
+                                                        self.table)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -481,16 +545,23 @@ def factor_degrees_mod_p(f: RatPoly, p: int) -> tuple[int, ...]:
     quadratic returns in time: its L is a power of 2, at most the degree.
     Raises BadPrime when f mod p is not defined or not squarefree
     (equivalently, disc f = 0 mod p).
+
+    Per prime the work runs on packed integers: the squarefree test and
+    every gcd and division by `_Euclid`'s packed Euclid, the Frobenius map
+    by `_FrobeniusMap`'s shift-and-fold steps, and each step of the walk as
+    one sum of big-int multiples of its rows.  Only the walk's residues are
+    unpacked: their coefficients are the next step's multipliers.
     """
     if f.degree < 1:
         raise ValueError("need a nonconstant polynomial")
     if not primes.is_prime(p):
         raise ValueError(f"{p} is not prime")
     fbar = _gf_monic(reduce_mod_p(f, p), p)
-    deriv = _gf_trim([i * c % p for i, c in enumerate(fbar)][1:])
-    if not deriv or len(_gf_gcd(fbar, deriv, p)) != 1:
-        raise BadPrime(f"{p} divides the discriminant")
     n = len(fbar) - 1
+    gf = _Euclid(n, p)
+    deriv = _gf_trim([i * c % p for i, c in enumerate(fbar)][1:])
+    if not deriv or len(_gf_gcd(fbar, deriv, gf)) != 1:
+        raise BadPrime(f"{p} divides the discriminant")
     if n == 1:
         return (1,)
     frobenius = _FrobeniusMap(fbar, p)
@@ -512,10 +583,10 @@ def factor_degrees_mod_p(f: RatPoly, p: int) -> tuple[int, ...]:
         if 2 * e > len(g) - 1:
             break
         h = hs[e]
-        d = _gf_gcd(_gf_trim([h[0], (h[1] - 1) % p, *h[2:]]), g, p)
+        d = _gf_gcd(g, _gf_trim([h[0], (h[1] - 1) % p, *h[2:]]), gf)
         if len(d) > 1:
             degrees.extend([e] * ((len(d) - 1) // e))
-            g = _gf_divexact(g, d, p)
+            g = _gf_divexact(g, d, gf)
     else:
         if order is not None:  # every factor left has degree L
             degrees.extend([order] * ((len(g) - 1) // order))

@@ -318,6 +318,8 @@ class ClassSubspace:
 
 
 def intersection_dim(V: ClassSubspace, W: ClassSubspace) -> int:
+    if not (V.dim and W.dim):  # a trivial span meets every span trivially
+        return 0
     return V.dim + W.dim - V.compositum(W).dim
 
 

@@ -13,7 +13,6 @@ from collections.abc import Iterator, Mapping
 from itertools import product
 
 from .primes import is_prime
-from .supernat import INF, SupernaturalNumber
 
 Perm = tuple[int, ...]  # images of 0..d-1
 
@@ -204,12 +203,15 @@ def group_order(d: int, k: int) -> int:
     return math.factorial(d) ** ((d**k - 1) // (d - 1))
 
 
-def aut_order_supernatural(d: int) -> SupernaturalNumber:
+def aut_order_supernatural(d: int) -> "SupernaturalNumber":
     """Order of the profinite group Aut T_inf(d): p^inf for every p <= d.
 
     Every prime dividing d! divides the finite truncation orders with
     unbounded multiplicity as the depth grows.
     """
+    # deferred: of all commands only group-order loads supernat
+    from .supernat import INF, SupernaturalNumber
+
     if d < 2:
         raise ValueError("arity must be >= 2")
     return SupernaturalNumber({p: INF for p in range(2, d + 1) if is_prime(p)})

@@ -477,6 +477,12 @@ class TestFactorDegrees:
     @pytest.mark.parametrize(
         "n, p",
         [
+            (2, 2642239),
+            (2, 2642257),
+            (4, 1454081),
+            (4, 1454099),
+            (16, 535679),
+            (16, 535697),
             (2, 3037000493),
             (2, 3037000507),
             (4, 2147483647),
@@ -487,6 +493,9 @@ class TestFactorDegrees:
         ],
     )
     def test_packed_arithmetic_at_the_slot_bound(self, n, p):
+        # the first six: the largest prime whose map bound is below 2^64,
+        # which packs into 64-bit slots, and the smallest prime past it,
+        # which takes 128; the rest are word-size primes on the wide path.
         # residues with every coefficient p - 1 fill each slot of their
         # product and of the Frobenius sum to n*(p-1)^2; with
         # f = 1 + x + ... + x^n, x^n mod f has every coefficient p - 1 too
@@ -495,23 +504,23 @@ class TestFactorDegrees:
     @pytest.mark.parametrize(
         "n, p, width",
         [
-            (2, 46337, 32),
-            (2, 46349, 64),
-            (16, 16381, 32),
-            (16, 16411, 64),
-            (27, 12613, 32),
-            (27, 12619, 64),
-            (64, 8191, 32),
-            (64, 8209, 64),
+            (2, 1621, 32),
+            (2, 1627, 64),
+            (16, 317, 32),
+            (16, 331, 64),
+            (27, 229, 32),
+            (27, 233, 64),
+            (64, 127, 32),
+            (64, 131, 64),
         ],
     )
     def test_packed_arithmetic_at_the_32_bit_slot_bound(self, n, p, width):
-        # the largest prime with n*(p-1)^2 + p < 2^32, which packs into
+        # the largest prime whose map bound is below 2^32, which packs into
         # 32-bit slots, and the smallest prime past it, which takes 64
         from arborsign.exactpoly import _FrobeniusMap
 
         lo, hi = (p, sympy.nextprime(p)) if width == 32 else (sympy.prevprime(p), p)
-        assert n * (lo - 1) ** 2 + lo < 2**32 <= n * (hi - 1) ** 2 + hi
+        assert _map_bound(n, lo) < 2**32 <= _map_bound(n, hi)
         assert _FrobeniusMap([1] * (n + 1), p).width == width
         _check_full_slots(n, p)
         rng = random.Random(p)
@@ -522,13 +531,37 @@ class TestFactorDegrees:
             assert factor_degrees_mod_p(RatPoly(coeffs), p) == expected
 
 
+def _map_bound(n, p):
+    """The largest slot value of the Frobenius map's packing: a reduction
+    sums n multiples, each below p, of table entries x^(n+j) mod f, whose
+    unreduced slots are at most q + j*q^2, onto a product's low half of at
+    most n*q^2 per slot (q = p - 1)."""
+    q = p - 1
+    return n * q * q + sum(q * (q + j * q * q) for j in range(n))
+
+
+def _slots(v, width, count):
+    """The first `count` slots of a packed value, unreduced."""
+    return [v >> (i * width) & ((1 << width) - 1) for i in range(count)]
+
+
 def _check_full_slots(n, p):
     """Products and Frobenius images of a residue whose every coefficient is
-    p - 1, mod f = 1 + x + ... + x^n, against the schoolbook oracle."""
+    p - 1, mod f = 1 + x + ... + x^n, against the schoolbook oracle; the
+    folded table x^(n+j) mod f within its unreduced slot bound; and the slot
+    width the smallest that holds the map's bound."""
     from arborsign.exactpoly import _FrobeniusMap
 
     f = [1] * (n + 1)
     frobenius = _FrobeniusMap(f, p)
+    bits = _map_bound(n, p).bit_length()
+    w = frobenius.width
+    assert w == (32 if bits <= 32 else 64 * -(-bits // 64))
+    q = p - 1
+    for j, entry in enumerate(frobenius.table):
+        raw = _slots(entry, w, n)
+        assert entry >> n * w == 0 and max(raw) <= q + j * q * q
+        assert _trimmed(c % p for c in raw) == _oracle_divmod_p([0] * (n + j) + [1], f, p)[1]
     top = [p - 1] * n
     assert _trimmed(frobenius._mul(top, top)) == _oracle_mulmod(top, top, f, p)
     power, base, e = [1], top, p
@@ -538,6 +571,111 @@ def _check_full_slots(n, p):
         base = _oracle_mulmod(base, base, f, p)
         e >>= 1
     assert _trimmed(frobenius(top)) == power
+
+
+def _oracle_gcd_p(a, b, p):
+    """Monic gcd of coefficient lists mod p by schoolbook Euclid."""
+    a, b = _trimmed(a), _trimmed(b)
+    while b:
+        a, b = b, _oracle_divmod_p(a, b, p)[1]
+    if not a:
+        return []
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _oracle_mul_p(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+class TestPackedEuclid:
+    """The packed division and gcd over GF(p) against the schoolbook list
+    versions above, at the degree bound n the packing is made for."""
+
+    N = 16
+    # 2 and 3; 541, the 100th prime, the largest certify scans; the largest
+    # prime whose Euclid bound is below 2^32 and the smallest past it; and
+    # 2^61 - 1, whose 256-bit slots take the pack path without a typecode
+    PRIMES = (2, 3, 541, 61, 67, 2305843009213693951)
+
+    def test_the_32_bit_slot_bound(self):
+        from arborsign.exactpoly import _Euclid
+
+        def bound(p):  # the largest dividend slot times the reciprocal
+            q = p - 1
+            top = q + (self.N // 2 + 1) * q * q
+            return top * -(-(1 << top.bit_length() + p.bit_length()) // p)
+
+        assert bound(61) < 2**32 <= bound(67) and sympy.nextprime(61) == 67
+        assert [_Euclid(self.N, p).width for p in self.PRIMES] == [32, 32, 64, 32, 64, 256]
+        assert _Euclid(self.N, 2305843009213693951).typecode is None
+
+    @staticmethod
+    def _inputs(p, n, rng):
+        """(a, b) pairs: random ones, every coefficient p - 1 over a divisor
+        of degree 1 (the most steps in one division), and dividends whose
+        every step cancels with c = p - 1 against an all-(p - 1) divisor of
+        degree n/2, low slots starting at p - 1 (the most additions to one
+        slot)."""
+        q = p - 1
+        pairs = [([q] * (n + 1), [q, q]), ([q] * (n + 1), [q] * (n // 2 + 1))]
+        for m in (1, n // 2, n - 1):
+            b = [q] * (m + 1)
+            a = _oracle_mul_p([1] * (n - m + 1), b, p)
+            pairs.append(([q] * m + a[m:], b))
+        for _ in range(12):
+            da, db = rng.randint(0, n), rng.randint(0, n)
+            a = [rng.randrange(p) for _ in range(da)] + [rng.randrange(1, p)]
+            b = [rng.randrange(p) for _ in range(db)] + [rng.randrange(1, p)]
+            pairs.append((a, b))
+        return pairs
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_rem_matches_schoolbook_division(self, p):
+        from arborsign.exactpoly import _Euclid
+
+        gf = _Euclid(self.N, p)
+        for a, b in self._inputs(p, self.N, random.Random(p)):
+            quotient, remainder = _oracle_divmod_p(a, b, p)
+            r, cs = gf._rem(gf._pack(a), len(a) - 1, gf._pack(b), len(b) - 1)
+            assert _trimmed(gf._unpack(r, len(b) - 1)) == remainder
+            assert r == gf._pack(remainder)  # packed and reduced
+            assert _trimmed([-c % p for c in reversed(cs)]) == _trimmed(quotient)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_gcd_matches_schoolbook_euclid(self, p):
+        from arborsign.exactpoly import _Euclid, _gf_gcd
+
+        gf = _Euclid(self.N, p)
+        rng = random.Random(p + 1)
+        pairs = self._inputs(p, self.N, rng)
+        for _ in range(12):  # a common factor of degree up to 5
+            g = [rng.randrange(p) for _ in range(rng.randint(0, 5))] + [1]
+            a = _oracle_mul_p(g, [rng.randrange(p) for _ in range(6)] + [1], p)
+            b = _oracle_mul_p(g, [rng.randrange(p) for _ in range(5)] + [1], p)
+            pairs.append((a, b))
+        pairs += [([], [3 % p or 1]), ([1, 1], []), ([], [])]
+        for a, b in pairs:
+            assert _gf_gcd(a, b, gf) == _oracle_gcd_p(a, b, p)
+            assert _gf_gcd(b, a, gf) == _oracle_gcd_p(b, a, p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_divexact_matches_schoolbook_division(self, p):
+        from arborsign.exactpoly import _Euclid, _gf_divexact
+
+        gf = _Euclid(self.N, p)
+        for a, b in self._inputs(p, self.N, random.Random(p + 2)):
+            quotient, remainder = _oracle_divmod_p(a, b, p)
+            if len(a) >= len(b):
+                product = _trimmed(_oracle_mul_p(quotient, b, p))
+                assert _gf_divexact(product, b, gf) == _trimmed(quotient)
+            if remainder:
+                with pytest.raises(ArithmeticError):
+                    _gf_divexact(a, b, gf)
 
 
 # ---------------------------------------------------------------------------
