@@ -129,6 +129,13 @@ def disc_class_sequence(f: RatPoly, N: int) -> tuple[SquareClass, ...]:
     return tuple(disc_class(f, n) for n in range(1, N + 1))
 
 
+# Deepest iterate level a stream is read to (construct.VastSpec.subspace and
+# the CLI's `vast-witness --stream` check it) and a trace step may name,
+# vast.n + depth_checked - 1.  Classes double in bits per level (x^2 + 1 has
+# 4.9 Mbit at level 24), so a run needing a later one aborts.
+MAX_STREAM_LEVEL = 24
+
+
 def disc_stream(f: RatPoly, n: int) -> ClassStream:
     """Stream of disc(f^(om)) classes for m >= n; element i is level n + i."""
     if f.degree < 2:

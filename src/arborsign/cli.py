@@ -20,6 +20,13 @@ discriminant classes of the iterates of <poly> from level n on, with n in
 decimal digits.  `_parse_stream` is the one reader of that grammar; any other
 text exits 2.
 
+Every payload, and `simulate`'s trace file, is written by `_dumps`, which
+writes byte for byte what the `json` module's `dumps` writes with indent=2.
+`json` itself is imported only to read a trace (`verify`, `audit`), and
+`construct` only by the commands that run or read a construction
+(`simulate`, `verify`, `audit`), so that neither costs the start-up of the
+other commands.
+
 `main` is the in-process API.  A process enters through `entry`, which runs
 `main`, flushes stdout and stderr and ends the process with `os._exit`, so
 that the interpreter's shutdown (finalization, module teardown, `atexit`
@@ -29,7 +36,6 @@ still exits with the command's code and prints nothing to stderr.
 from __future__ import annotations
 
 import errno
-import json
 import math
 import os
 import sys
@@ -38,20 +44,12 @@ from types import SimpleNamespace
 
 from . import __version__
 from .arboreal import (
+    MAX_STREAM_LEVEL,
     Inseparable,
     disc_class_sequence,
     disc_stream,
     discriminant_subextension,
     index_report,
-)
-from .construct import (
-    MAX_STREAM_LEVEL,
-    ConstructionAborted,
-    ConstructionTrace,
-    TraceFormatError,
-    counterexample_audit,
-    run,
-    verify_trace,
 )
 from .exactpoly import ParseError, RatPoly
 from .primes import ResourceBound
@@ -87,6 +85,59 @@ def _write(text: str, code: int) -> None:
         sys.stdout.write(text)
     except BrokenPipeError as exc:
         raise StdoutClosed(code) from exc
+
+
+# The characters that `json` escapes by a short form; it writes every other
+# character outside printable ASCII as \uXXXX.
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+            "\b": "\\b", "\f": "\\f"}
+
+
+def _escape(c: str) -> str:
+    code = ord(c)
+    if code > 0xFFFF:  # a UTF-16 surrogate pair
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return _ESCAPES.get(c) or f"\\u{code:04x}"
+
+
+def _quote(text: str) -> str:
+    if not (text.isascii() and text.isprintable()) or '"' in text or "\\" in text:
+        text = "".join(c if " " <= c <= "~" and c not in '"\\' else _escape(c) for c in text)
+    return f'"{text}"'
+
+
+def _dumps(value, newline: str = "\n") -> str:
+    """`value` as the `json` module's `dumps(value, indent=2)` writes it, for
+    the values the CLI emits: dicts with str keys, lists, tuples, str, int,
+    bool and None; any other type raises TypeError.  `newline` is the line
+    break and indent that precede `value`'s closing bracket.  An int past the
+    int -> str digit limit raises ValueError, as it does in `json`."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_dumps(v, inner) for v in value) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, v in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_quote(key) + ": " + _dumps(v, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _parse_base(text: str | None) -> ClassSubspace:
@@ -131,6 +182,8 @@ def _cmd_index_report(args) -> tuple[int, dict]:
 
 
 def _cmd_simulate(args) -> tuple[int, dict]:
+    from . import construct
+
     if not args.out:
         raise InputError("cannot write trace: --out is empty")
     if os.path.isdir(args.out):
@@ -146,11 +199,11 @@ def _cmd_simulate(args) -> tuple[int, dict]:
         raise InputError(f"cannot write trace: {exc}") from exc
     try:
         try:
-            trace, aborted = run(args.steps, args.depth, args.height), None
-        except ConstructionAborted as exc:
+            trace, aborted = construct.run(args.steps, args.depth, args.height), None
+        except construct.ConstructionAborted as exc:
             trace, aborted = exc.trace, exc
         try:
-            text = json.dumps(trace.to_json(), indent=2) + "\n"
+            text = _dumps(trace.to_json()) + "\n"
         except ValueError as exc:  # an integer past the int -> str digit limit
             raise ResourceBound(f"cannot serialize trace: {exc}") from exc
         try:
@@ -172,7 +225,13 @@ def _cmd_simulate(args) -> tuple[int, dict]:
     }
 
 
-def _load_trace(path: str) -> ConstructionTrace:
+def _load_trace(path: str):
+    """The construction trace in the file `path`."""
+    # deferred: of all commands only verify and audit read JSON
+    import json
+
+    from . import construct
+
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -181,20 +240,24 @@ def _load_trace(path: str) -> ConstructionTrace:
     except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past the digit limit
         raise InputError(f"trace is not valid JSON: {exc}") from exc
     try:
-        return ConstructionTrace.from_json(data)
-    except TraceFormatError as exc:
+        return construct.ConstructionTrace.from_json(data)
+    except construct.TraceFormatError as exc:
         raise InputError(str(exc)) from exc
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
+    from . import construct
+
     trace = _load_trace(args.trace)
-    violations = verify_trace(trace)
+    violations = construct.verify_trace(trace)
     return (OK if not violations else FINDING), {"violations": violations}
 
 
 def _cmd_audit(args) -> tuple[int, dict]:
+    from . import construct
+
     trace = _load_trace(args.trace)
-    return OK, counterexample_audit(trace, args.level)
+    return OK, construct.counterexample_audit(trace, args.level)
 
 
 def _parse_stream(text: str, depth: int) -> ClassStream:
@@ -418,7 +481,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return INPUT_ERROR if isinstance(exc, InputError) else RESOURCE
     if args.meta:
         payload = {**payload, "meta": {"tool": "arborsign", "version": __version__}}
-    _write(json.dumps(payload, indent=2) + "\n", code)
+    _write(_dumps(payload) + "\n", code)
     return code
 
 

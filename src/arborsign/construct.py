@@ -19,7 +19,7 @@ import re
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .arboreal import Inseparable, disc_class, disc_stream, killed_signs
+from .arboreal import MAX_STREAM_LEVEL, Inseparable, disc_class, disc_stream, killed_signs
 from .exactpoly import RatPoly
 from .primes import ResourceBound
 from .sqclass import (
@@ -37,10 +37,6 @@ from .sqclass import (
 SCHEMA_VERSION = 2
 DEFAULT_WINDOW = 64
 MAX_RETRIES = 6
-# Deepest iterate level a stream is read to (VastSpec.subspace checks it) and a
-# trace step may name, vast.n + depth_checked - 1.  Classes double in bits per
-# level (x^2 + 1 has 4.9 Mbit at level 24), so a run needing a later one aborts.
-MAX_STREAM_LEVEL = 24
 
 
 class NoEligibleVastSpec(RuntimeError):

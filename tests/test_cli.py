@@ -7,9 +7,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import arborsign
-from arborsign import cli
+from arborsign import cli, construct
 from arborsign.cli import COMMANDS, main, parse_args
 from arborsign.construct import ConstructionAborted, ConstructionTrace
 from arborsign.primes import ResourceBound
@@ -166,7 +167,7 @@ class TestSimulateVerifyAudit:
         def never(*args):
             raise AssertionError("run was called")
 
-        monkeypatch.setattr(cli, "run", never)
+        monkeypatch.setattr(construct, "run", never)
         monkeypatch.chdir(tmp_path)
         for out in (tmp_path / "missing" / "t.json", tmp_path, ""):
             code, payload, err = run_cli(capsys, "simulate", "--steps", "50", "--out", str(out))
@@ -190,7 +191,7 @@ class TestSimulateVerifyAudit:
                 raise ConstructionAborted(trace, RuntimeError("window exhausted"))
             return trace
 
-        monkeypatch.setattr(cli, "run", fake_run)
+        monkeypatch.setattr(construct, "run", fake_run)
         out = tmp_path / "t.json"
         code, payload, err = run_cli(capsys, "simulate", "--steps", "3", "--out", str(out))
         assert code == 3 and payload is None
@@ -367,6 +368,44 @@ class TestSimulateVerifyAudit:
         assert not out.exists()
 
 
+# Text of any code points, lone surrogates included, with the characters that
+# json escapes drawn often: control characters, '"', '\\', DEL, a non-BMP one.
+JSON_TEXT = st.text(st.characters(exclude_categories=())
+                    | st.sampled_from('\x00\x08\t\n\x0c\r\x1f"\\\x7f\x80\ud800\udfff\U0001f600'))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**200, 2**200) | JSON_TEXT,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(JSON_TEXT, children)),
+)
+
+
+class TestJsonWriter:
+    """`cli._dumps` writes every payload and trace; `json.dumps` with
+    indent=2 is its oracle."""
+
+    @given(JSON_VALUES)
+    @example({"": [], "a\x00\x1f\"\\\x7f\U0001f600\ud800\udfff": ({}, (), True, None, -2**100)})
+    def test_matches_json_dumps(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, {1: "a"}, [{"a": {None: 1}}], {"a": (float("nan"),)},
+                                       {2**70, 1}, b"x"],
+                             ids=["float", "int-key", "none-key", "nested-float", "set", "bytes"])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._dumps(value)
+
+    @pytest.mark.parametrize("height", ["100", "1"], ids=["completed", "aborted"])
+    def test_simulate_trace_bytes(self, capsys, tmp_path, height):
+        out = tmp_path / "t.json"
+        code, _, _ = run_cli(capsys, "simulate", "--steps", "3", "--height", height,
+                             "--out", str(out))
+        assert code == (0 if height == "100" else 3)
+        text = out.read_text()
+        trace = ConstructionTrace.from_json(json.loads(text))
+        assert text == json.dumps(trace.to_json(), indent=2) + "\n"
+
+
 class TestVastWitness:
     def test_primes_stream(self, capsys):
         code, payload, _ = run_cli(
@@ -456,12 +495,11 @@ def test_factoring_budget_exit_3(argv, bits):
 # int -> str limit, as towers do from step 86.  argv: TRACE, then the CLI's.
 UNSERIALIZABLE = """\
 import json, sys
-from arborsign import cli
-from arborsign.construct import ConstructionTrace
+from arborsign import cli, construct
 with open(sys.argv.pop(1)) as fh:
     data = json.load(fh)
 data["steps"][0]["witness"] = data["final"]["F"][0] = 7**5201
-cli.run = lambda *args: ConstructionTrace.from_json(data)
+construct.run = lambda *args: construct.ConstructionTrace.from_json(data)
 cli.entry()
 """
 CLI = ["-m", "arborsign.cli"]

@@ -455,8 +455,7 @@ class TestFactorDegrees:
         assert factor_degrees_mod_p(f, p) == tuple(sorted(degrees))
 
     def test_sympy_oracle_at_word_size_primes(self):
-        # primes on both sides of the largest ones whose residue products fit
-        # 64-bit slots (n*(p-1)^2 + p < 2^64 for n = 2, 4), and near 2^61
+        # word-size primes: near 2^31, near 2^31.5 and near 2^61
         rng = random.Random(61)
         for p, degrees in [
             (2147483629, (2, 3, 4)),

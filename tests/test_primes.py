@@ -148,6 +148,34 @@ class TestFactorint:
                 primes.factorint(n)
 
 
+def cold_imports(args, cwd) -> list[str]:
+    """The modules a fresh interpreter run with `args` imports after its
+    start-up, read from its -X importtime lines; it must exit 0."""
+    paths = [os.path.dirname(os.path.dirname(arborsign.__file__)), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=cwd,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+
+
+def test_cli_import_loads_no_command_module(tmp_path):
+    """Importing the CLI loads only what every certify command uses: no json
+    (the CLI writes its own), no construct, treegroup or supernat, which
+    only some commands import when they run, and neither array nor
+    fractions."""
+    imported = cold_imports(["-c", "import arborsign.cli"], tmp_path)
+    assert "arborsign.cli" in imported
+    assert not {"json", "arborsign.construct", "arborsign.treegroup", "arborsign.supernat",
+                "array", "fractions"} & set(imported)
+
+
 @pytest.fixture(scope="module")
 def trace3(tmp_path_factory):
     """A 3-step trace for the verify and audit rows, written in process."""
@@ -179,20 +207,11 @@ def test_cli_runs_without_sympy(argv, tmp_path, trace3):
     also loads decimal and numbers: rationals are integer numerators over a
     denominator.  Only index-report and group-order import treegroup, and
     only group-order supernat.  index-report runs the Frobenius scan, the
-    only user of array, which no other command loads."""
-    paths = [os.path.dirname(os.path.dirname(arborsign.__file__)), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    only user of array, which no other command loads.  Only simulate, verify
+    and audit import construct, and only verify and audit, which read a
+    trace, import json."""
     argv = [a.format(tmp=tmp_path, trace=trace3) for a in argv]
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "arborsign.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    imported = cold_imports(["-m", "arborsign.cli", *argv], tmp_path)
     assert "arborsign.primes" in imported
     refused = ("sympy", "numpy", "mpmath", "dataclasses", "inspect", "argparse", "gettext",
                "locale", "fractions", "decimal", "numbers")
@@ -201,3 +220,5 @@ def test_cli_runs_without_sympy(argv, tmp_path, trace3):
         assert "arborsign.treegroup" not in imported
     assert ("arborsign.supernat" in imported) == (argv[0] == "group-order")
     assert ("array" in imported) == (argv[0] == "index-report")
+    assert ("arborsign.construct" in imported) == (argv[0] in ("simulate", "verify", "audit"))
+    assert ("json" in imported) == (argv[0] in ("verify", "audit"))
