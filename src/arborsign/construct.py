@@ -18,6 +18,7 @@ import math
 import re
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import count
 
 from .arboreal import MAX_STREAM_LEVEL, Inseparable, disc_class, disc_stream, killed_signs
 from .exactpoly import RatPoly
@@ -34,19 +35,7 @@ from .sqclass import (
     vast_witness,
 )
 
-SCHEMA_VERSION = 2
-DEFAULT_WINDOW = 64
-MAX_RETRIES = 6
-
-
-class NoEligibleVastSpec(RuntimeError):
-    """No enumeration entry in the inspected window passed the truncated
-    disjointness test; retry with a larger window.  `met` holds the entries
-    the scan found not disjoint from F."""
-
-    def __init__(self, message: str, met: frozenset[int]):
-        super().__init__(message)
-        self.met = met
+SCHEMA_VERSION = 3
 
 
 class PointSearchExhausted(ResourceBound):
@@ -344,24 +333,20 @@ _POINT_TEXT = re.compile(r"-?[0-9]+/[0-9]+")  # the form to_json writes
 
 
 def _point_parse(text: object) -> tuple[int, int]:
-    """The point a trace's text names; a point that is not a JSON string is
-    malformed.  Any text `fractions.Fraction` reads ("2/4", " 3 ", "1.5") is
-    read as it reads it; only text other than to_json's "num/den" imports it."""
-    if type(text) is not str:
-        raise TraceFormatError(f"bad rational {text!r}")
+    """The point (num, den) in lowest terms that the text "num/den" names, the
+    one form to_json writes ("4/2" reads as (2, 1)).  Any other text, a zero
+    denominator, a number past the int-to-text digit limit, or a point that
+    is not a JSON string is malformed."""
     try:
-        if _POINT_TEXT.fullmatch(text):
-            num, den = map(int, text.split("/"))
-            if den == 0:
-                raise ZeroDivisionError(text)
-            g = math.gcd(num, den)
-            return num // g, den // g
-        from fractions import Fraction
-
-        q = Fraction(text)
-        return q.numerator, q.denominator
-    except (ValueError, ZeroDivisionError) as exc:
+        if type(text) is not str or not _POINT_TEXT.fullmatch(text):
+            raise ValueError(text)
+        num, den = map(int, text.split("/"))  # ValueError past the digit limit
+        if den == 0:
+            raise ValueError(text)
+    except ValueError as exc:
         raise TraceFormatError(f"bad rational {text!r}") from exc
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def _point_str(point: tuple[int, int]) -> str:
@@ -375,34 +360,36 @@ def _point_str(point: tuple[int, int]) -> str:
 # ---------------------------------------------------------------------------
 
 def _select_vast(
-    F: ClassSubspace, skip: frozenset[int], depth: int, window: int
+    F: ClassSubspace, skip: frozenset[int], depth: int
 ) -> tuple[VastSpec, frozenset[int]]:
     """First enumeration entry outside `skip` whose depth-truncated subspace
-    is disjoint from F over Q, and the entries found not disjoint before it."""
+    is disjoint from F over Q, and the entries found not disjoint before it.
+    The scan has no other bound than the stream bound: it raises the
+    ResourceBound of the first unskipped entry that VastSpec.subspace reads
+    past MAX_STREAM_LEVEL, at entry 301, (x^2 + 1, n = 25), at the latest."""
     met: set[int] = set()
-    for j in range(1, window + 1):
+    for j in count(1):
         if j in skip:
             continue
         spec = vast_entry(j)
         if disjoint_over(F, spec.subspace(depth)):
             return spec, frozenset(met)
         met.add(j)
-    raise NoEligibleVastSpec(f"no eligible stream among the first {window} entries",
-                             frozenset(met))
 
 
-def step(
-    state: ConstructionState, *, height: int, window: int = DEFAULT_WINDOW
-) -> tuple[ConstructionState, StepRecord]:
+def step(state: ConstructionState, *, height: int) -> tuple[ConstructionState, StepRecord]:
     """Execute one induction step.
 
-    Selects the stream playing the vast role for this step, adjoins one new
-    quadratic generator chosen outside the compositum of the current field
-    with all recorded fiber classes, consumes the next cover entry, and picks
-    the smallest fresh specialization point whose fiber stays integral.
+    Selects the stream playing the vast role for this step, the first
+    eligible entry of the vast list, adjoins one new quadratic generator
+    chosen outside the compositum of the current field with all recorded
+    fiber classes, consumes the next cover entry, and picks the smallest
+    fresh specialization point whose fiber stays integral.  Raises
+    DepthExhausted when the stream has no witness within the truncation
+    depth, and ResourceBound at the stream bound or the height bound.
     """
     m = len(state.points) + 1
-    spec, met = _select_vast(state.F, state.used | state.met, state.depth, window)
+    spec, met = _select_vast(state.F, state.used | state.met, state.depth)
     w = vast_witness(spec.stream(), state.M, state.depth)
     integral_over = state.M.extend(w)
     h = cover_entry(m)
@@ -445,11 +432,12 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
     """Run N steps from scratch over the fixed enumerations, deepening
     truncations on demand.
 
-    DepthExhausted doubles the stream truncation depth and NoEligibleVastSpec
-    doubles the enumeration window, from DEFAULT_WINDOW; every retry is
-    recorded, and the run aborts at the retry after MAX_RETRIES of them in
-    all.  Any other ResourceBound (a stream past MAX_STREAM_LEVEL, the height
-    bound) or Inseparable aborts at once, carrying the partial trace.
+    DepthExhausted doubles the stream truncation depth, and each such retry
+    is recorded.  The retries end on their own: past depth MAX_STREAM_LEVEL
+    every entry's truncation reads past the stream bound, so from depth 1,
+    5 or 24 a run retries at most 5, 3 or 1 times.  Any other ResourceBound
+    (a stream past MAX_STREAM_LEVEL, the height bound) or Inseparable aborts
+    at once, carrying the partial trace.
     """
     if N < 1:
         raise ValueError("need at least one step")
@@ -457,11 +445,10 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
         raise ValueError("depth must be >= 1")
     if height < 1:
         raise ValueError("height must be >= 1")
-    params = {"steps": N, "depth": depth, "height": height, "window": DEFAULT_WINDOW}
+    params = {"steps": N, "depth": depth, "height": height}
     state = ConstructionState.initial(depth)
     steps: list[StepRecord] = []
     retries: list[dict] = []
-    window = DEFAULT_WINDOW
 
     def trace() -> ConstructionTrace:
         final = tuple(rec.witness for rec in steps)
@@ -469,19 +456,11 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
 
     while len(steps) < N:
         try:
-            state2, rec = step(state, height=height, window=window)
-        except (DepthExhausted, NoEligibleVastSpec) as exc:
-            if len(retries) == MAX_RETRIES:
-                raise ConstructionAborted(trace(), exc)
-            if isinstance(exc, DepthExhausted):
-                retries.append({"step": len(steps) + 1, "reason": "depth_exhausted",
-                                "depth": state.depth, "new_depth": state.depth * 2})
-                state = state._replace(depth=state.depth * 2)
-            else:
-                retries.append({"step": len(steps) + 1, "reason": "window_exhausted",
-                                "window": window, "new_window": window * 2})
-                window *= 2
-                state = state._replace(met=state.met | exc.met)
+            state2, rec = step(state, height=height)
+        except DepthExhausted:
+            retries.append({"step": len(steps) + 1, "reason": "depth_exhausted",
+                            "depth": state.depth, "new_depth": state.depth * 2})
+            state = state._replace(depth=state.depth * 2)
             continue
         except (ResourceBound, Inseparable) as exc:
             raise ConstructionAborted(trace(), exc)

@@ -13,13 +13,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from arborsign.construct import (
-    DEFAULT_WINDOW,
-    MAX_RETRIES,
     MAX_STREAM_LEVEL,
     ConstructionAborted,
     ConstructionState,
     ConstructionTrace,
-    NoEligibleVastSpec,
     PointSearchExhausted,
     StepRecord,
     TraceFormatError,
@@ -171,72 +168,46 @@ class TestStep:
         assert isinstance(exc.value.cause, PointSearchExhausted)
         assert exc.value.trace.steps == ()
 
-    @pytest.mark.parametrize("kinds", ["depth", "window", "alternate"])
-    def test_retries_share_one_budget(self, monkeypatch, kinds):
-        """Depth and window retries draw on one budget of MAX_RETRIES; the
-        next exhaustion aborts with it as the cause."""
-        raised = []
-
-        def exhaust_depth(*args):
-            raised.append(construct.DepthExhausted("no class outside the span"))
-            raise raised[-1]
-
-        def exhaust_window(*args):
-            # a selection at the doubled depths would compute 320 stream levels
-            if kinds == "depth" or (kinds == "alternate" and len(raised) % 2 == 0):
-                return vast_entry(1), frozenset()
-            raised.append(NoEligibleVastSpec("no eligible stream", frozenset()))
-            raise raised[-1]
-
-        monkeypatch.setattr(construct, "vast_witness", exhaust_depth)
-        monkeypatch.setattr(construct, "_select_vast", exhaust_window)
-        with pytest.raises(ConstructionAborted) as exc:
-            run(1, 5, 1000)
-        trace = exc.value.trace
-        assert len(raised) == MAX_RETRIES + 1
-        assert exc.value.cause is raised[-1]
-        assert trace.steps == ()
-        assert len(trace.retries) == MAX_RETRIES
-        depth, window = 5, DEFAULT_WINDOW
-        for retry, cause in zip(trace.retries, raised):
-            if isinstance(cause, construct.DepthExhausted):
-                assert retry == {"step": 1, "reason": "depth_exhausted",
-                                 "depth": depth, "new_depth": depth * 2}
-                depth *= 2
-            else:
-                assert retry == {"step": 1, "reason": "window_exhausted",
-                                 "window": window, "new_window": window * 2}
-                window *= 2
-        assert {type(c) for c in raised} == {
-            "depth": {construct.DepthExhausted}, "window": {NoEligibleVastSpec},
-            "alternate": {construct.DepthExhausted, NoEligibleVastSpec}}[kinds]
-
-    def test_depth_retries_stop_at_the_stream_bound(self):
-        """With no witness at any depth, the depth retries 5 -> 10 -> 20 -> 40
-        end at the first selection that needs a level past MAX_STREAM_LEVEL,
-        before it reads one.  Unbounded, the selection at depth 40 and beyond
-        ran for minutes, so a fresh process with a timeout runs it."""
-        script = textwrap.dedent("""\
+    @pytest.mark.parametrize("depths", [
+        pytest.param((1, 2, 4, 8, 16), id="1"),
+        pytest.param((5, 10, 20), id="5"),
+        pytest.param((24,), id="24"),
+    ])
+    def test_depth_retries_stop_at_the_stream_bound(self, depths):
+        """With no witness at any depth, the depth retries, which have no cap
+        of their own, end at the first selection that needs a level past
+        MAX_STREAM_LEVEL, before it reads one.  The selection reads through
+        VastSpec.subspace and disc_stream as a run does, but the class at
+        level n is the n-th prime's: the real level-24 class of x^2 + 1 takes
+        minutes.  Unbounded, the retries never end, so a fresh process with
+        a timeout runs them."""
+        script = textwrap.dedent(f"""\
             import json
-            from arborsign import construct
+            from arborsign import arboreal, construct, sqclass
             def exhaust(*args):
                 raise construct.DepthExhausted("no class outside the span")
             construct.vast_witness = exhaust
+            primes, read = sqclass.primes_stream(), []
+            def disc_class(f, n):
+                read.append(n)
+                return primes.at(n)
+            arboreal.disc_class = disc_class
             try:
-                construct.run(1, 5, 1000)
+                construct.run(1, {depths[0]}, 1000)
             except construct.ConstructionAborted as exc:
                 print(json.dumps([type(exc.cause).__name__, str(exc.cause),
-                                  list(exc.trace.retries), len(exc.trace.steps)]))
+                                  list(exc.trace.retries), len(exc.trace.steps), max(read)]))
             """)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
         assert proc.returncode == 0, proc.stderr
-        cause, message, retries, steps = json.loads(proc.stdout)
+        cause, message, retries, steps, deepest = json.loads(proc.stdout)
         assert cause == "ResourceBound"
-        assert message == "entry 1, levels 1..40 of x^2 + 1: past stream level 24"
+        assert message == f"entry 1, levels 1..{2 * depths[-1]} of x^2 + 1: past stream level 24"
         assert retries == [{"step": 1, "reason": "depth_exhausted", "depth": d, "new_depth": 2 * d}
-                           for d in (5, 10, 20)]
+                           for d in depths]
         assert steps == 0
+        assert deepest == depths[-1]
 
     def test_engine_writes_only_traces_its_verifier_reads(self, monkeypatch, levels):
         """Under a stream bound of 8, a 20-step run reads no level past 8 and
@@ -257,22 +228,23 @@ class TestStep:
         assert max(levels) == 8
 
     @pytest.mark.parametrize("n, digest", [
-        pytest.param(10, "af97fde6fa80bdc243fe058046c9fcf83bce351fb09e5407b63c94c86bdadfdc",
+        pytest.param(10, "d11dbe23dde245d713f737bd5f9895843b31b7b1108c9f3ba6894e8b9807ba5e",
                      id="10"),
-        pytest.param(20, "14ba90fe4e7b3782f01cb41dbff2796642ba174b8fac15f71d2e68af81905143",
+        pytest.param(20, "a7126ecb39c00ce8cef8ecb36a59f4f9a135fc55f73e621579f8e05d95e7431a",
                      id="20"),
-        pytest.param(30, "f17bbf5ee55f40480168f0222b67722e8ae6d97327054e994703d31d06d98697",
+        pytest.param(30, "3d675458fd6e04855321a7988ea2c84720e931212c7cb5fcd779c7be7930952b",
                      id="30"),
-        pytest.param(50, "c9552f7cee26dfeeb65d5444d3751f87e3901e8ca90b37846a9ab9444d4f5cc1",
+        pytest.param(50, "895f067acacdabc5c1e12d7f0d305aa33c969f1ccdf2c7a3db056993159fc38d",
                      id="50"),
-        pytest.param(70, "5572f2d83b27fc7c9dc0c81477add9ed244ee500b63fc72e2059b94f64c0ef44",
+        pytest.param(70, "a7a034a1f398ae51f68d843e55f68746a4e463a9ccef0501f38c5fca53862546",
                      id="70"),
     ])
     def test_trace_bytes_pinned(self, n, digest):
         """Every cover recurs at least twice in 20 steps, so the resumed point
-        search is pinned along with the rest of the trace.  The 50-step run
-        doubles its window at step 42, so the entries a step skips as already
-        shown not disjoint from F are pinned across a retry too.  The pins run
+        search is pinned along with the rest of the trace.  From step 42 on, a
+        selection scans past entry 64, so the 50- and 70-step pins cover the
+        entries a step skips as already shown not disjoint from F deep in the
+        list as well.  The pins run
         with the process-wide enumeration lists already warm from earlier
         tests and runs, so they pin determinism across warm lists as well."""
         trace = run(n, 5, 1000)
@@ -292,7 +264,7 @@ class TestStep:
             blob = json.dumps(trace.to_json()).encode()
         finally:
             sys.set_int_max_str_digits(limit)
-        digest = "9271ffc02a15f5c434376ed701187b4eed8cfbc7643374a1a905f26d0363f2e8"
+        digest = "2976e49ab1b103dc5b0a094687ad47478bcb8a9fee1c51013a5a9dcc68b380ca"
         assert hashlib.sha256(blob).hexdigest() == digest
         assert verify_trace(trace) == []
 
@@ -335,15 +307,19 @@ class TestTraceSerialization:
         b = json.dumps(run(3, 5, 100).to_json(), sort_keys=True)
         assert a == b
 
-    def test_schema_2_fields(self, trace3):
+    def test_schema_3_fields(self, trace3):
         data = trace3.to_json()
-        assert data["schema"] == 2
+        assert data["schema"] == 3
+        assert data["params"] == {"steps": 3, "depth": 5, "height": 100}
         assert data["final"] == {"F": [rec.witness for rec in trace3.steps], "dim": 3}
 
     def test_rejects_wrong_schema(self, trace3):
         data = trace3.to_json()
         data["schema"] = 99
         with pytest.raises(TraceFormatError):
+            ConstructionTrace.from_json(data)
+        data["schema"], data["params"]["window"] = 2, 64  # a schema-2 trace
+        with pytest.raises(TraceFormatError, match="unsupported schema 2"):
             ConstructionTrace.from_json(data)
         with pytest.raises(TraceFormatError):
             ConstructionTrace.from_json([])
@@ -431,11 +407,17 @@ class TestTraceSerialization:
     @example("1/2/3")
     @example("1" * 4301 + "/1")
     def test_point_text_read_as_fraction_reads_it(self, text):
-        """A trace's point text means what fractions.Fraction(text) means,
-        and text Fraction rejects is a format error."""
+        """A trace's point text is read only in the form to_json writes: an
+        optional minus sign, ASCII digits, "/", ASCII digits.  Text of that
+        form means what fractions.Fraction(text) means; any other text, and
+        text of that form Fraction rejects, is a format error."""
+        parts = text.removeprefix("-").split("/")
+        written = len(parts) == 2 and all(p.isascii() and p.isdigit() for p in parts)
         try:
-            q = Fraction(text)
+            q = Fraction(text) if written else None
         except (ValueError, ZeroDivisionError):
+            q = None
+        if q is None:
             with pytest.raises(TraceFormatError):
                 construct._point_parse(text)
         else:
