@@ -239,6 +239,8 @@ def _load_trace(path: str):
         raise InputError(f"cannot read trace: {exc}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past the digit limit
         raise InputError(f"trace is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the decoder's depth
+        raise InputError(f"trace is nested too deeply: {exc}") from exc
     try:
         return construct.ConstructionTrace.from_json(data)
     except construct.TraceFormatError as exc:

@@ -28,9 +28,9 @@ from .sqclass import (
     ClassSubspace,
     DepthExhausted,
     SquareClass,
-    cover_fiber_integral,
     disjoint_over,
     fiber_rep,
+    fiber_test,
     intersection_dim,
     vast_witness,
 )
@@ -168,21 +168,15 @@ def _height_key(num: int, den: int) -> tuple[int, int, int, bool]:
     return max(abs(num), den), den, abs(num), num < 0
 
 
-def _pairs_at_height(h: int) -> Iterator[tuple[int, int]]:
-    """The points (num, den) with max(|num|, den) = h, in order."""
+def _pairs_at_height(h: int) -> list[tuple[int, int]]:
+    """The points (num, den) with max(|num|, den) = h, in order: the line
+    |num| = h by den, then the line den = h by |num|, each from the one list
+    of the residues below h coprime to it, the positive value first."""
     if h == 1:
-        yield 0, 1
-        yield 1, 1
-        yield -1, 1
-        return
-    for den in range(1, h):  # |num| = h
-        if math.gcd(h, den) == 1:
-            yield h, den
-            yield -h, den
-    for num in range(1, h):  # den = h
-        if math.gcd(num, h) == 1:
-            yield num, h
-            yield -num, h
+        return [(0, 1), (1, 1), (-1, 1)]
+    coprime = [r for r in range(1, h) if math.gcd(r, h) == 1]
+    return ([p for d in coprime for p in ((h, d), (-h, d))]
+            + [p for n in coprime for p in ((n, h), (-n, h))])
 
 
 def rationals_by_height(
@@ -197,9 +191,7 @@ def rationals_by_height(
         h = max(abs(after[0]), after[1])
         if h <= max_height:
             key = _height_key(*after)
-            for p in _pairs_at_height(h):
-                if _height_key(*p) > key:
-                    yield p
+            yield from [p for p in _pairs_at_height(h) if _height_key(*p) > key]
         h += 1
     for h in range(h, max_height + 1):
         yield from _pairs_at_height(h)
@@ -384,7 +376,8 @@ def step(state: ConstructionState, *, height: int) -> tuple[ConstructionState, S
     eligible entry of the vast list, adjoins one new quadratic generator
     chosen outside the compositum of the current field with all recorded
     fiber classes, consumes the next cover entry, and picks the smallest
-    fresh specialization point whose fiber stays integral.  Raises
+    fresh specialization point whose fiber stays integral; one
+    sqclass.fiber_test classifier tests the candidates of that scan.  Raises
     DepthExhausted when the stream has no witness within the truncation
     depth, and ResourceBound at the stream bound or the height bound.
     """
@@ -400,9 +393,10 @@ def step(state: ConstructionState, *, height: int) -> tuple[ConstructionState, S
     for ph, pt in state.points:
         if ph == h:
             after = pt
+    integral = fiber_test(h, integral_over)
     point = None
     for candidate in rationals_by_height(height, after):
-        if candidate not in prior_points and cover_fiber_integral(h, *candidate, integral_over):
+        if candidate not in prior_points and integral(*candidate):
             point = candidate
             break
     if point is None:
@@ -492,6 +486,8 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
     (1_m)..(5_m) it breaks; an empty list means the trace is valid.  The
     checks re-derive every selection from the fixed enumerations, read
     through cover_entry and vast_entry, with the engine's stream bound.
+    Each step's (2_m) point scan is its own loop, with one sqclass.fiber_test
+    classifier for the step's cover and span, as in the engine.
     No description prints a witness: a wrong one is located by the stream
     level of the class expected in its place.
     """
@@ -597,11 +593,12 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
         after = passed.get(rec.cover_h)
         if after is not None and _height_key(*target) <= _height_key(*after):
             after = None
+        integral = fiber_test(rec.cover_h, integral_over)
         reached = False
         for candidate in rationals_by_height(height, after):
             if first_at.get(candidate, i) < i:  # a prior point
                 continue
-            eligible = cover_fiber_integral(rec.cover_h, *candidate, integral_over)
+            eligible = integral(*candidate)
             if candidate == target:
                 reached = True
                 if eligible:

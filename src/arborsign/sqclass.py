@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .exactpoly import RatPoly, squarefree_kernel_support
 from .primes import ResourceBound, next_prime
@@ -165,6 +165,10 @@ def _coordinates(n: int, order: Order) -> tuple[int, int]:
 
 Rows = dict[int, int]  # pivot bit -> row, in reduced echelon form; never mutated
 
+# ClassSubspace._read's mark for a class outside the span by its cofactor:
+# negative, so no reduced coordinates equal it and no sign row cancels it.
+_OUTSIDE = -1
+
 
 def _reduce(v: int, rows: Rows) -> int:
     # Each pivot bit occurs in its own row only, so v reduces by the rows of
@@ -203,8 +207,11 @@ class ClassSubspace:
     1 needs none; a cofactor coprime to the base adds its nonsquare root in
     size position with the next bit, and the rows stand; one that meets the
     base refines only the elements it meets, renumbers the bits and rebuilds
-    the rows.  `member` decides at once unless the cofactor meets the base,
-    and then asks whether `extend` returns the subspace itself.  Immutable:
+    the rows.  `_read` gives a class's reduced coordinates, or a mark when
+    its cofactor is a coprime nonsquare, and None when the cofactor meets the
+    base; `member` decides from that read, and in the last case asks whether
+    `extend` returns the subspace itself.  `fiber_test` keeps the reads of
+    one point scan.  Immutable:
     extend/compositum return new subspaces.
     """
 
@@ -239,18 +246,27 @@ class ClassSubspace:
         return self._member(c.rep)
 
     def _member(self, rep: int) -> bool:
-        """Whether the class of the nonzero integer rep lies in the span; the
-        point scan calls it once per candidate."""
-        v, x = _coordinates(rep, self._order)
+        """Whether the class of the nonzero integer rep lies in the span."""
+        r = self._read(rep)
+        if r is None:  # the cofactor meets the base: only extend decides
+            return self.extend(SquareClass(rep)) is self
+        return not r
+
+    def _read(self, n: int) -> int | None:
+        """The class of the nonzero integer n read over the base: its
+        coordinates reduced by the rows, 0 iff the class lies in the span;
+        _OUTSIDE when the cofactor the base leaves is coprime to the base and
+        not a square; None when that cofactor meets the base."""
+        v, x = _coordinates(n, self._order)
         if x != 1:
             if math.gcd(x, self._product) != 1:
-                return self.extend(SquareClass(rep)) is self
+                return None
             # x is coprime to the base, so the class is in the span iff that
-            # of rep / x is and the class of x is trivial: coprime parts of a
+            # of n / x is and the class of x is trivial: coprime parts of a
             # square are squares.
             if math.isqrt(x) ** 2 != x:
-                return False
-        return not _reduce(v, self._rows)
+                return _OUTSIDE
+        return _reduce(v, self._rows)
 
     def extend(self, c: SquareClass) -> "ClassSubspace":
         order, rows, product = self._order, self._rows, self._product
@@ -376,18 +392,59 @@ def vast_witness(L: ClassStream, F: ClassSubspace, depth: int) -> SquareClass:
 def fiber_rep(h: RatPoly, num: int, den: int) -> int:
     """An integer in the square class of h(num/den), for den nonzero; 0 iff
     h(num/den) = 0."""
+    return _fiber_values(h)(num, den)
+
+
+def _fiber_values(h: RatPoly) -> Callable[[int, int], int]:
+    """fiber_rep(h, ., .) with the coefficients of h bound once."""
     # With h = sum k_i t^i / L, the integer n = sum k_i num^i den^(d-i) is
     # h(num/den) L den^d, so h(num/den) lies in the class of n L den^(d mod 2).
-    n, bp = 0, 1
-    for k in reversed(h.nums):
-        n = n * num + k * bp
-        bp *= den
-    return n * h.den * (1 if len(h.nums) % 2 else den)
+    ks, scale, odd = h.nums[::-1], h.den, len(h.nums) % 2
+
+    def value(num: int, den: int) -> int:
+        n, bp = 0, 1
+        for k in ks:
+            n = n * num + k * bp
+            bp *= den
+        return n * scale if odd else n * scale * den
+
+    return value
+
+
+def fiber_test(h: RatPoly, F: ClassSubspace) -> Callable[[int, int], bool]:
+    """A function of a point (num, den), den nonzero, equal to
+    cover_fiber_integral(h, num, den, F), for the scans that test many
+    points against one cover and one span.
+
+    It reads the class of each |fiber integer| once, by F._read, and keeps
+    what the read gives, the reduced coordinates or the mark _OUTSIDE, in a
+    dict that lives as long as the function.  The class of -n is that of n
+    plus the sign, and the reduction is linear over F2, so a negative value
+    adds the sign's reduced row.  A cofactor that meets the base is decided
+    by F._member each time and not kept: its class is not read over F's
+    base."""
+    value, read, member = _fiber_values(h), F._read, F._member
+    sign_row = _reduce(1, F._rows)
+    classes: dict[int, int] = {}  # |n| -> F._read(|n|)
+
+    def integral(num: int, den: int) -> bool:
+        n = value(num, den)
+        if not n:
+            return False
+        a = abs(n)
+        r = classes.get(a)
+        if r is None:
+            r = read(a)
+            if r is None:
+                return not member(n)
+            classes[a] = r
+        return (r ^ sign_row if n < 0 else r) != 0  # _OUTSIDE stays nonzero
+
+    return integral
 
 
 def cover_fiber_integral(h: RatPoly, num: int, den: int, F: ClassSubspace) -> bool:
     """Whether the fiber of y^2 = h(t) above t = num/den (den nonzero) is
     integral over the multiquadratic field modeled by F: h(num/den) nonzero
-    and a nonsquare there."""
-    rep = fiber_rep(h, num, den)
-    return rep != 0 and not F._member(rep)
+    and a nonsquare there.  The one-point call of fiber_test."""
+    return fiber_test(h, F)(num, den)

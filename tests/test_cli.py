@@ -319,6 +319,20 @@ class TestSimulateVerifyAudit:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and "4300" in proc.stderr
 
+    @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]])
+    @pytest.mark.parametrize("opening, inner, closing", [("[", "", "]"), ('{"a": ', "1", "}")],
+                             ids=["arrays", "objects"])
+    def test_deeply_nested_trace_exit_2(self, tmp_path, command, opening, inner, closing):
+        """json.load gives up on deep nesting with a RecursionError; it used
+        to escape as a traceback under exit 1."""
+        depth = 100_000
+        bad = tmp_path / "deep.json"
+        bad.write_text(opening * depth + inner + closing * depth)
+        proc = cli_process(*command, "--trace", str(bad))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and "nested too deeply" in proc.stderr
+
     def test_verify_non_integer_height_exit_2(self, capsys, trace_file, tmp_path):
         data = json.loads(trace_file.read_text())
         data["params"]["height"] = "abc"

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -128,6 +129,15 @@ class TestEnumerations:
         # no duplicates at any height
         all10 = list(rationals_by_height(10))
         assert len(all10) == len(set(all10))
+
+    def test_rationals_by_height_matches_sorted_oracle(self):
+        """Each height-H prefix is every point (num, den) in lowest terms with
+        den >= 1 and max(|num|, den) <= H, sorted by the height key."""
+        for H in range(1, 41):
+            oracle = sorted(((num, den) for den in range(1, H + 1)
+                             for num in range(-H, H + 1) if math.gcd(num, den) == 1),
+                            key=lambda p: construct._height_key(*p))
+            assert list(rationals_by_height(H)) == oracle
 
     def test_resumed_enumeration_is_a_suffix(self):
         full = list(rationals_by_height(30))

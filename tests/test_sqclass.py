@@ -19,6 +19,7 @@ from arborsign.sqclass import (
     cover_fiber_integral,
     disjoint_over,
     fiber_rep,
+    fiber_test,
     intersection_dim,
     _is_square,
     primes_stream,
@@ -344,6 +345,48 @@ class TestCoverFiber:
         assert (rep == 0) == (v == 0)
         if v:
             assert SquareClass(rep) == class_of(v)
+
+    @given(
+        st.lists(st.fractions(-9, 9, max_denominator=6), min_size=1, max_size=5),
+        st.sampled_from(["all", "odd"]),
+        st.one_of(st.none(), st.integers(0, 19)),
+        st.lists(st.integers(-60, 60).filter(bool), max_size=4),
+        st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 6)), min_size=1, max_size=20),
+    )
+    # the base (12,) of span{12} and of span{-12} meets the fibers 3 and -3
+    # of h = x, in either order
+    @example([0, 1], "all", None, [12], [(-3, 1), (3, 1), (-3, 1)])
+    @example([0, 1], "all", None, [12], [(3, 1), (-3, 1), (3, 1)])
+    @example([0, 1], "all", None, [-12], [(-3, 1), (3, 1), (-3, 1)])
+    @example([0, 1], "all", None, [-12], [(3, 1), (-3, 1), (3, 1)])
+    # -2 is in span{-2} while 2 is not: only the sign row tells them apart
+    @example([0, 1], "all", None, [-2], [(2, 1), (-2, 1), (2, 1)])
+    # the coprime nonsquare cofactor 7, met again with both signs
+    @example([0, 1], "all", None, [2], [(14, 1), (-14, 1), (7, 1), (-7, 1)])
+    # a zero fiber at the point 1/2, between nonzero ones
+    @example([Fraction(1, 3), 1], "all", 3, [-1, 6], [(2, 1), (1, 2), (-2, 1), (1, 2)])
+    def test_fiber_test_matches_member(self, coeffs, parity, root, kernels, points):
+        """One classifier answers many points, |fiber integer| repeating with
+        both signs (h odd when parity is "odd"), and zero at the root, a
+        point chosen as a root of h: each answer is that of _member and of
+        membership composed from the reference kernels."""
+        if parity == "odd":
+            coeffs = [c if i % 2 else 0 for i, c in enumerate(coeffs)]
+        h = RatPoly(coeffs)
+        if h.is_zero:
+            h = RatPoly((0, 1))
+        points = points + [(-num, den) for num, den in points]
+        if root is not None:
+            num, den = points[root % len(points)]
+            h = h * RatPoly((Fraction(-num, den), 1))
+        F = ClassSubspace.span(class_of(k) for k in kernels)
+        integral = fiber_test(h, F)
+        for num, den in points:
+            rep = fiber_rep(h, num, den)
+            expected = rep != 0 and not F._member(rep)
+            if rep:
+                assert F._member(rep) == composed_member(F, rep)
+            assert integral(num, den) == expected == cover_fiber_integral(h, num, den, F)
 
 
 # ---------------------------------------------------------------------------
