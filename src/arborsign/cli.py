@@ -298,10 +298,6 @@ def _order_too_long(d: int, k: int) -> bool:
         e = e * d + 1
         if e > 4 * MAX_ORDER_DIGITS:  # d! >= 2 > 10^(1/4)
             return True
-    if e == 0:
-        return False
-    if d >= MAX_ORDER_DIGITS + 9:  # d! >= 10^(d-9): its factors 10..d are each >= 10
-        return True
     digits = e * math.lgamma(d + 1) / math.log(10)  # log10 of the order
     if abs(digits - MAX_ORDER_DIGITS) > 1:
         return digits > MAX_ORDER_DIGITS
@@ -315,14 +311,16 @@ def _cmd_group_order(args) -> tuple[int, dict]:
     if _order_too_long(args.arity, args.depth):
         raise ResourceBound(f"|Aut T_{args.depth}({args.arity})| has more than "
                             f"{MAX_ORDER_DIGITS} digits")
-    # deferred: of all commands only this one and index-report load treegroup
-    from .treegroup import aut_order_supernatural, group_order
+    # deferred: of all commands only this one and index-report load treegroup,
+    # and only this one loads supernat
+    from .supernat import aut_order_supernatural
+    from .treegroup import group_order
 
     return OK, {
         "arity": args.arity,
         "depth": args.depth,
         "order": group_order(args.arity, args.depth),
-        "ambient_supernatural": str(aut_order_supernatural(args.arity)),
+        "ambient_supernatural": aut_order_supernatural(args.arity),
     }
 
 

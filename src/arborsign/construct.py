@@ -201,22 +201,23 @@ def rationals_by_height(
 # State, records, trace
 # ---------------------------------------------------------------------------
 
-class ConstructionState(namedtuple("ConstructionState", "F M points used met depth")):
+class ConstructionState(namedtuple("ConstructionState", "F M points skip depth")):
     """What the induction has built after len(points) steps: the field F, of
     dimension len(points), the (cover h, point) pair of each completed step,
-    the vast entries `used` so far, and the truncation depth.
+    and the truncation depth.
 
     F only gains classes and the truncation depth never drops, so the state
     also carries what later steps reuse: M, the span of F and every recorded
-    fiber class, and `met`, the vast entries whose truncated subspace was
-    shown not disjoint from F, which stay so at every later step.
+    fiber class, and `skip`, the vast entries no later step may select:
+    those assigned to a step, and those whose truncated subspace was shown
+    not disjoint from F, which stay so at every later step.
     """
 
     __slots__ = ()
 
     @classmethod
     def initial(cls, depth: int) -> "ConstructionState":
-        return cls(ClassSubspace(), ClassSubspace(), (), frozenset(), frozenset(), depth)
+        return cls(ClassSubspace(), ClassSubspace(), (), frozenset(), depth)
 
 
 class StepRecord(namedtuple("StepRecord", "m witness cover_id cover_h point vast_poly "
@@ -382,7 +383,7 @@ def step(state: ConstructionState, *, height: int) -> tuple[ConstructionState, S
     depth, and ResourceBound at the stream bound or the height bound.
     """
     m = len(state.points) + 1
-    spec, met = _select_vast(state.F, state.used | state.met, state.depth)
+    spec, met = _select_vast(state.F, state.skip, state.depth)
     w = vast_witness(spec.stream(), state.M, state.depth)
     integral_over = state.M.extend(w)
     h = cover_entry(m)
@@ -415,8 +416,7 @@ def step(state: ConstructionState, *, height: int) -> tuple[ConstructionState, S
         F=state.F.extend(w),
         M=integral_over.extend(SquareClass(fiber_rep(h, *point))),
         points=state.points + ((h, point),),
-        used=state.used | {spec.index},
-        met=state.met | met,
+        skip=state.skip | met | {spec.index},
         depth=state.depth,
     )
     return new_state, record

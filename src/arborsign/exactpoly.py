@@ -70,14 +70,6 @@ class RatPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "RatPoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, q) -> "RatPoly":
-        return cls((q,))
-
-    @classmethod
     def x(cls) -> "RatPoly":
         return cls((0, 1))
 
@@ -98,27 +90,8 @@ class RatPoly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        den = math.lcm(self.den, other.den)
-        out = [0] * max(len(self.nums), len(other.nums))
-        for f in (self, other):
-            m = den // f.den
-            for i, k in enumerate(f.nums):
-                out[i] += k * m
-        return RatPoly._of(out, den)
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly._of([-k for k in self.nums], self.den)
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
-
     def __mul__(self, other: "RatPoly") -> "RatPoly":
         return RatPoly._of(_int_mul(self.nums, other.nums), self.den * other.den)
-
-    def scale(self, q) -> "RatPoly":
-        """q times self, for an int or Fraction q."""
-        return RatPoly._of([k * q.numerator for k in self.nums], self.den * q.denominator)
 
     def derivative(self) -> "RatPoly":
         return RatPoly._of([i * k for i, k in enumerate(self.nums)][1:], self.den)

@@ -4,15 +4,13 @@ An automorphism of the depth-k complete rooted d-ary tree is recorded as a
 portrait: one permutation of {0..d-1} per internal vertex, addressed by the
 string of digits leading to it.  The group is the k-fold iterated wreath
 product of the symmetric group S_d.  Also provides the level sign
-homomorphisms and group orders (exact and supernatural).
+homomorphisms and the exact group orders.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping
 from itertools import product
-
-from .primes import is_prime
 
 Perm = tuple[int, ...]  # images of 0..d-1
 
@@ -201,20 +199,6 @@ def group_order(d: int, k: int) -> int:
     if k == 0:
         return 1
     return math.factorial(d) ** ((d**k - 1) // (d - 1))
-
-
-def aut_order_supernatural(d: int) -> "SupernaturalNumber":
-    """Order of the profinite group Aut T_inf(d): p^inf for every p <= d.
-
-    Every prime dividing d! divides the finite truncation orders with
-    unbounded multiplicity as the depth grows.
-    """
-    # deferred: of all commands only group-order loads supernat
-    from .supernat import INF, SupernaturalNumber
-
-    if d < 2:
-        raise ValueError("arity must be >= 2")
-    return SupernaturalNumber({p: INF for p in range(2, d + 1) if is_prime(p)})
 
 
 def all_portraits(d: int, k: int) -> Iterator[Portrait]:

@@ -33,7 +33,7 @@ from arborsign.construct import (
 )
 from arborsign.exactpoly import RatPoly, discriminant, iterate
 from arborsign.sqclass import ClassSubspace
-from arborsign.supernat import INF, SupernaturalNumber
+from arborsign.supernat import aut_order_supernatural
 from arborsign.treegroup import (
     all_portraits,
     compose,
@@ -243,7 +243,8 @@ def test_criterion_07_construction_round_trip(capsys, artifacts):
         assert artifacts["run_seconds"] < 60
         assert artifacts["violations"] == []
         assert artifacts["trace"].dim == 10
-        assert SupernaturalNumber.from_integer(2**10).divides(SupernaturalNumber({2: INF}))
+        listed = {int(f.removesuffix("^inf")) for f in aut_order_supernatural(2).split(" * ")}
+        assert set(sympy.primefactors(2 ** artifacts["trace"].dim)) <= listed
 
 
 def _mutations(trace, rng):

@@ -658,6 +658,22 @@ class TestGroupOrder:
             else:
                 assert code == 0 and payload["order"] == group_order(d, k)
 
+    def test_order_too_long_matches_exact_order(self):
+        """The estimate agrees with the exact order on each side of the
+        limit: every arity 2..12 up to its first depth past it, and arities
+        on each side of 4300 + 9 and at the cap, at depths 0 and 1."""
+        limit = 10**cli.MAX_ORDER_DIGITS
+        cases = [(d, k) for d in (4308, 4309, 10000) for k in (0, 1)]
+        for d in range(2, 13):
+            k = 0
+            while True:
+                cases.append((d, k))
+                if group_order(d, k) >= limit:
+                    break
+                k += 1
+        for d, k in cases:
+            assert cli._order_too_long(d, k) == (group_order(d, k) >= limit), (d, k)
+
 
 NINES = "9" * 5000  # past the interpreter's 4300-digit limit on int()
 

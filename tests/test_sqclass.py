@@ -320,7 +320,7 @@ class TestCoverFiber:
         kernels."""
         h = RatPoly(coeffs)
         if h.is_zero:
-            h = RatPoly.constant(coeffs[0] + 1)
+            h = RatPoly((coeffs[0] + 1,))
         if at_root:
             h = h * RatPoly((-q, 1))
         F = ClassSubspace.span(class_of(k) for k in kernels)

@@ -47,3 +47,9 @@ def test_tracer_binds_the_construction(tmp_path):
                          for span in tests)
     record = _traced(tmp_path, "audit", "--trace", "t.json", "--level", "2")
     assert any(span[3] == "construct.counterexample_audit" for span in record["spans"])
+
+
+def test_tracer_binds_the_supernatural_order(tmp_path):
+    # supernat.calls and supernat.self_s count the spans of the supernat module
+    record = _traced(tmp_path, "group-order", "--arity", "6", "--depth", "2")
+    assert any(span[3] == "supernat.aut_order_supernatural" for span in record["spans"])

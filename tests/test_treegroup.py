@@ -3,13 +3,11 @@ import random
 
 import pytest
 
-from arborsign.supernat import INF, SupernaturalNumber
 from arborsign.treegroup import (
     LevelOutOfRange,
     Portrait,
     ShapeMismatch,
     all_portraits,
-    aut_order_supernatural,
     compose,
     group_order,
     internal_addresses,
@@ -180,11 +178,3 @@ class TestOrders:
             for k in range(1, 5):
                 assert group_order(d, k) == math.factorial(d) * group_order(d, k - 1) ** d
 
-    def test_supernatural_order(self):
-        assert aut_order_supernatural(2).exponents == {2: INF}
-        assert aut_order_supernatural(6).exponents == {2: INF, 3: INF, 5: INF}
-
-    def test_finite_orders_divide_supernatural(self):
-        amb = aut_order_supernatural(3)
-        for k in range(1, 4):
-            assert SupernaturalNumber.from_integer(group_order(3, k)).divides(amb)
