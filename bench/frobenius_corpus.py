@@ -8,13 +8,16 @@ Usage (from the root of a source checkout)::
 The queries are those of ``perfbench/run.py``'s ``Certify.queries`` for
 seeds 1-6, rounds 0 and 1; this script only reads them.  Each
 ``index-report`` query runs once through ``arborsign.cli.main``, untimed, with
-the scan's call of ``factor_degrees_mod_p`` recorded, which collects the
+the scan's per-prime call recorded (``frobenius_order_mod_p``, or
+``factor_degrees_mod_p`` in checkouts that predate it), which collects the
 (level-k iterate, prime) pairs in the order the scans make them.  The pairs
-are then replayed through ``exactpoly.factor_degrees_mod_p`` ``--runs`` times.
-The script prints the wall of each replay, their median, and the sha256 of
-the results, call by call: each degree tuple, or ``BadPrime``.  Two checkouts
-agree on the scan exactly when their hashes are equal.  The last line of
-stdout is one JSON object with the same numbers.
+are then replayed through ``exactpoly.factor_degrees_mod_p``, a name both
+kinds of checkout have, ``--runs`` times.  The script prints the wall of each
+replay, their median, and the sha256 of the results, call by call: each
+Frobenius order (the int the call returns, or the lcm of the degree tuple
+older checkouts return), or ``BadPrime``.  Two checkouts agree on the scan
+exactly when their hashes are equal.  The last line of stdout is one JSON
+object with the same numbers.
 
 The program is imported from ``src/`` of the checkout the script sits in, and
 the queries need sympy (``perfbench/gate.py`` imports it).
@@ -26,6 +29,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import statistics
 import sys
 import time
@@ -44,13 +48,15 @@ ROUNDS = 2
 def corpus() -> list[tuple[exactpoly.RatPoly, int]]:
     """The (iterate, prime) pairs the index-report scans of the rounds ask for."""
     pairs = []
-    scan = arboreal.factor_degrees_mod_p
+    names = ("frobenius_order_mod_p", "factor_degrees_mod_p")  # this checkout's, or the older one
+    name = next(n for n in names if hasattr(arboreal, n))
+    scan = getattr(arboreal, name)
 
     def record(f, p):
         pairs.append((f, p))
         return scan(f, p)
 
-    arboreal.factor_degrees_mod_p = record
+    setattr(arboreal, name, record)
     try:
         for seed in SEEDS:
             for index in range(ROUNDS):
@@ -59,12 +65,12 @@ def corpus() -> list[tuple[exactpoly.RatPoly, int]]:
                         with contextlib.redirect_stdout(io.StringIO()):
                             cli.main(args)
     finally:
-        arboreal.factor_degrees_mod_p = scan
+        setattr(arboreal, name, scan)
     return pairs
 
 
 def replay(pairs) -> tuple[float, list]:
-    """Wall of one pass over the pairs, and its results."""
+    """Wall of one pass over the pairs, and their Frobenius orders."""
     results = []
     start = time.perf_counter()
     for f, p in pairs:
@@ -72,7 +78,8 @@ def replay(pairs) -> tuple[float, list]:
             results.append(exactpoly.factor_degrees_mod_p(f, p))
         except exactpoly.BadPrime:
             results.append("BadPrime")
-    return time.perf_counter() - start, results
+    wall = time.perf_counter() - start
+    return wall, [math.lcm(*r) if type(r) is tuple else r for r in results]
 
 
 def main(argv: list[str] | None = None) -> int:

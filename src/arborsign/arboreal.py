@@ -3,10 +3,10 @@
 The square classes of the iterate discriminants disc(f^(on)) generate the
 finite truncations of the discriminant subextensions; a class that falls into
 the base field's span kills the corresponding level sign on the Galois image
-and certifies an index lower bound.  Frobenius factor degrees mod good primes
-give a one-sided splitting-field degree bound for the finite-level index
-criterion.  All emitted claims are one-sided and sound; exact images are
-never computed.
+and certifies an index lower bound.  The order of Frobenius at good primes
+(the lcm of the factor degrees mod p) gives a one-sided splitting-field degree
+bound for the finite-level index criterion.  All emitted claims are one-sided
+and sound; exact images are never computed.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .exactpoly import (
     _horner,
     _int_resultant,
     _prem,
-    factor_degrees_mod_p,
+    frobenius_order_mod_p,
     iterate,
 )
 from .primes import ResourceBound, next_prime
@@ -177,9 +177,10 @@ def killed_signs(f: RatPoly, F: ClassSubspace, k: int) -> frozenset[int]:
 def splitting_degree_lower_bound(f: RatPoly, k: int, prime_budget: int) -> int:
     """A certified divisor of the splitting-field degree of f^(ok).
 
-    Scans the first `prime_budget` primes; each good prime contributes the lcm
-    of its factor degrees (the Frobenius order, which divides the splitting
-    degree), and contributions merge by lcm.  Monotone in the budget.
+    Scans the first `prime_budget` primes; each good prime contributes the
+    order of its Frobenius on the level-k roots (the lcm of the factor degrees
+    mod p, which divides the splitting degree), and contributions merge by
+    lcm.  Monotone in the budget.
 
     At a good prime every level of the tree is squarefree, so Frobenius acts
     on the roots as an element of Aut T_k(d), whose order divides the
@@ -199,12 +200,12 @@ def splitting_degree_lower_bound(f: RatPoly, k: int, prime_budget: int) -> int:
     p = 2
     for _ in range(prime_budget):
         try:
-            degrees = factor_degrees_mod_p(fk, p)
+            order = frobenius_order_mod_p(fk, p)
         except BadPrime:
             pass
         else:
             good += 1
-            bound = math.lcm(bound, *degrees)
+            bound = math.lcm(bound, order)
             if bound == exponent:
                 break
         p = next_prime(p)

@@ -15,7 +15,6 @@ infinite disjointness.
 from __future__ import annotations
 
 import math
-import re
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import count
@@ -322,18 +321,19 @@ def _json_int(value: object, name: str, nonzero: bool = False) -> int:
     return value
 
 
-_POINT_TEXT = re.compile(r"-?[0-9]+/[0-9]+")  # the form to_json writes
-
-
 def _point_parse(text: object) -> tuple[int, int]:
     """The point (num, den) in lowest terms that the text "num/den" names, the
     one form to_json writes ("4/2" reads as (2, 1)).  Any other text, a zero
     denominator, a number past the int-to-text digit limit, or a point that
     is not a JSON string is malformed."""
     try:
-        if type(text) is not str or not _POINT_TEXT.fullmatch(text):
+        if type(text) is not str:
             raise ValueError(text)
-        num, den = map(int, text.split("/"))  # ValueError past the digit limit
+        num, slash, den = text.partition("/")
+        for digits in (num.removeprefix("-"), den):  # -?[0-9]+/[0-9]+
+            if not (slash and digits.isascii() and digits.isdecimal()):
+                raise ValueError(text)
+        num, den = int(num), int(den)  # ValueError past the digit limit
         if den == 0:
             raise ValueError(text)
     except ValueError as exc:

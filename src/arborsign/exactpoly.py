@@ -2,14 +2,13 @@
 
 Provides the polynomial engine for everything downstream: composition and
 iteration, resultants via a fraction-free subresultant remainder sequence,
-discriminants, squarefree kernels of rationals, and factor-degree patterns of
-reductions mod p (squarefree + distinct-degree factorization; equal-degree
-splitting is never needed because only degrees are consumed).
+discriminants, squarefree kernels of rationals, and the Frobenius order of
+reductions mod p (the lcm of their factor degrees, from the order of x under
+h -> h^p; equal-degree splitting is never needed).
 """
 from __future__ import annotations
 
 import math
-import re
 import sys
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
@@ -485,7 +484,7 @@ class _FrobeniusMap(_Packing):
 
 
 # ---------------------------------------------------------------------------
-# Factor degrees mod p
+# The Frobenius order mod p
 # ---------------------------------------------------------------------------
 
 def reduce_mod_p(f: RatPoly, p: int) -> list[int]:
@@ -501,23 +500,20 @@ def reduce_mod_p(f: RatPoly, p: int) -> list[int]:
     return out
 
 
-def factor_degrees_mod_p(f: RatPoly, p: int) -> tuple[int, ...]:
-    """Degrees of the irreducible factors of f mod p, for good primes p,
-    sorted and with multiplicity.
+def frobenius_order_mod_p(f: RatPoly, p: int) -> int:
+    """The order of Frobenius on the roots of f mod p, for good primes p: the
+    lcm of the degrees of the irreducible factors of f mod p.
 
-    The Frobenius map h -> h^p is applied to x until it returns to x, which
-    happens after L steps, L the lcm of the factor degrees (the order of
-    Frobenius on the roots), since f mod p divides x^(p^L) - x.  Every degree
-    divides L, so the gcd of x^(p^e) - x with the unfactored part is taken
-    only at the proper divisors e of L, in ascending order, and collects
-    exactly the factors of degree e.  Once 2e exceeds the unfactored degree
-    what is left is irreducible; after the last divisor it is a product of
-    factors of degree L.  A walk that has not returned after deg f steps
-    falls back to distinct-degree factorization, a gcd at every e, over the
-    steps it took (it needs those up to deg f / 2).  Every iterate of a
-    quadratic returns in time: its L is a power of 2, at most the degree.
-    Raises BadPrime when f mod p is not defined or not squarefree
-    (equivalently, disc f = 0 mod p).
+    The Frobenius map h -> h^p is applied to x until it returns to x.  When it
+    does, after L steps, f mod p divides x^(p^L) - x but no x^(p^e) - x with
+    e < L, so L is exactly the lcm of the factor degrees.  A walk that has not
+    returned after deg f steps falls back to distinct-degree factorization
+    over the residues it took (it needs those up to deg f / 2): the gcd of
+    x^(p^e) - x with the unfactored part at each e collects exactly the
+    factors of degree e, and once 2e exceeds the unfactored degree what is
+    left is irreducible.  Every iterate of a quadratic returns in time: its L
+    is a power of 2, at most the degree.  Raises BadPrime when f mod p is not
+    defined or not squarefree (equivalently, disc f = 0 mod p).
 
     Per prime the work runs on packed integers: the squarefree test and
     every gcd and division by `_Euclid`'s packed Euclid, the Frobenius map
@@ -536,37 +532,31 @@ def factor_degrees_mod_p(f: RatPoly, p: int) -> tuple[int, ...]:
     if not deriv or len(_gf_gcd(fbar, deriv, gf)) != 1:
         raise BadPrime(f"{p} divides the discriminant")
     if n == 1:
-        return (1,)
+        return 1
     frobenius = _FrobeniusMap(fbar, p)
     x = [0, 1] + [0] * (n - 2)
-    hs = [x]  # x^(p^e) mod fbar for e <= n/2, the only e a gcd is taken at
+    hs = []  # x^(p^e) mod fbar for 1 <= e <= n/2, the only e a gcd is taken at
     h = x
     for order in range(1, n + 1):
         h = frobenius(h)
         if h == x:
-            steps = [e for e in range(1, order // 2 + 1) if order % e == 0]
-            break
+            return order
         if 2 * order <= n:
             hs.append(h)
-    else:
-        order, steps = None, range(1, n // 2 + 1)
-    degrees: list[int] = []
-    g = fbar
-    for e in steps:
+    order, g = 1, fbar
+    for e, h in enumerate(hs, 1):
         if 2 * e > len(g) - 1:
             break
-        h = hs[e]
         d = _gf_gcd(g, _gf_trim([h[0], (h[1] - 1) % p, *h[2:]]), gf)
         if len(d) > 1:
-            degrees.extend([e] * ((len(d) - 1) // e))
+            order = math.lcm(order, e)
             g = _gf_divexact(g, d, gf)
-    else:
-        if order is not None:  # every factor left has degree L
-            degrees.extend([order] * ((len(g) - 1) // order))
-            g = [1]
-    if len(g) > 1:
-        degrees.append(len(g) - 1)  # the unfactored part is irreducible
-    return tuple(sorted(degrees))
+    return math.lcm(order, max(len(g) - 1, 1))  # what is left, if anything, is irreducible
+
+
+# The old name, which perfbench/tracer.py wraps by name; it goes when the
+# tracer reads counters instead of wrapping names (ROADMAP item 3b).
+factor_degrees_mod_p = frobenius_order_mod_p
 
 
 # ---------------------------------------------------------------------------
@@ -576,21 +566,30 @@ def factor_degrees_mod_p(f: RatPoly, p: int) -> tuple[int, ...]:
 # Largest exponent the parser accepts: a term x^e allocates e + 1 coefficients.
 MAX_EXPONENT = 10_000
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([x^*/+-]))")
-
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tokens: runs of decimal digits ("num") and the
+    symbols x ^ * / + - ("sym"), each after optional whitespace.  Anything
+    else, trailing whitespace included, is an error at the offset where the
+    whitespace before it starts."""
+    if not isinstance(text, str):  # a trace's JSON value may be anything
+        raise TypeError(f"expected a string, got {type(text).__name__}")
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group(1) is not None:
-            tokens.append(("num", m.group(1), m.start(1)))
+    pos, end = 0, len(text)
+    while pos < end:
+        start = pos
+        while start < end and text[start].isspace():
+            start += 1
+        stop = start + 1
+        if start < end and text[start].isdecimal():
+            while stop < end and text[stop].isdecimal():
+                stop += 1
+            tokens.append(("num", text[start:stop], start))
+        elif start < end and text[start] in "x^*/+-":
+            tokens.append(("sym", text[start], start))
         else:
-            tokens.append(("sym", m.group(2), m.start(2)))
-        pos = m.end()
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        pos = stop
     return tokens
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor_sqf, gf_sqf_p
 
 from arborsign import arboreal
 from arborsign.arboreal import (
@@ -19,10 +21,9 @@ from arborsign.arboreal import (
     splitting_degree_lower_bound,
 )
 from arborsign.exactpoly import (
-    BadPrime,
     RatPoly,
     discriminant,
-    factor_degrees_mod_p,
+    frobenius_order_mod_p,
     iterate,
     resultant,
     squarefree_kernel_support,
@@ -270,9 +271,9 @@ class TestSplittingDegree:
 
         def counted(f, p):
             seen.append(p)
-            return factor_degrees_mod_p(f, p)
+            return frobenius_order_mod_p(f, p)
 
-        monkeypatch.setattr(arboreal, "factor_degrees_mod_p", counted)
+        monkeypatch.setattr(arboreal, "frobenius_order_mod_p", counted)
         assert splitting_degree_lower_bound(RatPoly.parse(poly), 6, 30) == bound
         assert len(seen) == calls
 
@@ -290,18 +291,19 @@ def _order(perm):
 
 
 def _full_scan_bound(f, k, budget):
-    """lcm of the Frobenius orders at every good prime of the budget, with no
-    early stop; None when no prime is good.  Raises Inseparable as the scan
-    does."""
+    """lcm of the factor degrees, by sympy's gf_factor_sqf, at every good
+    prime of the budget, with no early stop; None when no prime is good.
+    Raises Inseparable as the scan does."""
     disc_class(f, k)
     fk = iterate(f, k)
     bound, good, p = 1, False, 2
     for _ in range(budget):
-        try:
-            bound = math.lcm(bound, *factor_degrees_mod_p(fk, p))
-            good = True
-        except BadPrime:
-            pass
+        if fk.den % p and fk.nums[-1] % p:
+            inv = pow(fk.den, -1, p)
+            fl = [c * inv % p for c in reversed(fk.nums)]
+            if gf_sqf_p(fl, p, ZZ):
+                bound = math.lcm(bound, *(len(g) - 1 for g in gf_factor_sqf(fl, p, ZZ)[1]))
+                good = True
         p = sympy.nextprime(p)
     return bound if good else None
 

@@ -434,6 +434,37 @@ class TestTraceSerialization:
             assert construct._point_parse(text) == (q.numerator, q.denominator)
 
 
+    @settings(max_examples=300)
+    @given(st.one_of(
+        st.text(alphabet="0123456789-/+ _.e\u0663\u0664\uff11\u00b2\u00a0\t\n", max_size=12),
+        st.from_regex(r"-?[0-9]{1,5}/[0-9]{1,5}", fullmatch=True),
+        st.none(), st.integers(), st.lists(st.just("1/2"), max_size=1),
+    ))
+    @example("-1/2")
+    @example("-/2")
+    @example("--1/2")
+    @example("1/2\n")
+    @example("\uff11/2")
+    @example("\u00b2/2")
+    def test_point_verdict_matches_the_regex_form(self, text):
+        """The point reader agrees with the old `-?[0-9]+/[0-9]+` fullmatch,
+        kept here as the oracle: the same points, the same refusals."""
+        import re
+
+        try:
+            if type(text) is not str or not re.fullmatch(r"-?[0-9]+/[0-9]+", text):
+                raise ValueError(text)
+            num, den = map(int, text.split("/"))
+            if den == 0:
+                raise ValueError(text)
+        except ValueError:
+            with pytest.raises(TraceFormatError):
+                construct._point_parse(text)
+        else:
+            g = math.gcd(num, den)
+            assert construct._point_parse(text) == (num // g, den // g)
+
+
 # Any JSON value; integers stay within 64 bits, so that the square class of a
 # final.F entry never needs more than trial division and rho.
 JSON_VALUES = st.recursive(

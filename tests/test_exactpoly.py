@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor_sqf, gf_irreducible_p, gf_mul, gf_sqf_p
 
@@ -15,7 +15,7 @@ from arborsign.exactpoly import (
     RatPoly,
     compose,
     discriminant,
-    factor_degrees_mod_p,
+    frobenius_order_mod_p,
     iterate,
     reduce_mod_p,
     resultant,
@@ -346,34 +346,42 @@ class TestSquarefreeKernel:
 
 
 # ---------------------------------------------------------------------------
-# Factor degrees mod p against the exhaustive oracle
+# The Frobenius order mod p, the lcm of the factor degrees, against the
+# exhaustive oracle and sympy's factorization
 # ---------------------------------------------------------------------------
+
+
+def sympy_factor_degrees(fl, p):
+    """Factor degrees of a squarefree polynomial over GF(p), given high to
+    low, by sympy's gf_factor_sqf."""
+    return tuple(sorted(len(g) - 1 for g in gf_factor_sqf(fl, p, ZZ)[1]))
 
 
 class TestFactorDegrees:
     def test_known_patterns(self):
         f = RatPoly.parse("x^2 - 3")
-        assert factor_degrees_mod_p(f, 11) == (1, 1)
-        assert factor_degrees_mod_p(f, 5) == (2,)
-        assert factor_degrees_mod_p(RatPoly.parse("x^2 + 1"), 3) == (2,)
+        assert frobenius_order_mod_p(f, 11) == math.lcm(1, 1)
+        assert frobenius_order_mod_p(f, 5) == math.lcm(2)
+        assert frobenius_order_mod_p(RatPoly.parse("x^2 + 1"), 3) == math.lcm(2)
 
     def test_bad_primes(self):
         f = RatPoly.parse("x^2 - 3")
         with pytest.raises(BadPrime):
-            factor_degrees_mod_p(f, 2)  # divides disc = 12
+            frobenius_order_mod_p(f, 2)  # divides disc = 12
         with pytest.raises(BadPrime):
-            factor_degrees_mod_p(f, 3)  # divides disc
+            frobenius_order_mod_p(f, 3)  # divides disc
         with pytest.raises(BadPrime):
-            factor_degrees_mod_p(RatPoly.parse("1/5*x^2 + x + 1"), 5)
+            frobenius_order_mod_p(RatPoly.parse("1/5*x^2 + x + 1"), 5)
         with pytest.raises(ValueError):
-            factor_degrees_mod_p(f, 4)
+            frobenius_order_mod_p(f, 4)
 
     def test_lcm(self):
-        # the degrees come sorted, with multiplicity: x (x^2 + 1) (x^3 - 2) (x - 1)
-        # mod 7, where -1 is no square and 2 no cube, has factors of degrees 1, 2, 3, 1
+        # x (x^2 + 1) (x^3 - 2) (x - 1) mod 7, where -1 is no square and 2 no
+        # cube, has factors of degrees 1, 2, 3, 1, so Frobenius has order 6
         f = RatPoly((0, 1)) * RatPoly((1, 0, 1)) * RatPoly((-2, 0, 0, 1)) * RatPoly((-1, 1))
-        assert factor_degrees_mod_p(f, 7) == (1, 1, 2, 3)
-        assert math.lcm(*factor_degrees_mod_p(f, 7)) == 6
+        degrees = oracle_factor_degrees(reduce_mod_p(f, 7), 7)
+        assert degrees == (1, 1, 2, 3)
+        assert frobenius_order_mod_p(f, 7) == math.lcm(*degrees) == 6
 
     def test_oracle_agreement_random(self):
         rng = random.Random(137)
@@ -382,16 +390,15 @@ class TestFactorDegrees:
             p = rng.choice([2, 3, 5, 7])
             f = random_poly(rng, 4, min_deg=1)
             try:
-                degrees = factor_degrees_mod_p(f, p)
+                order = frobenius_order_mod_p(f, p)
             except BadPrime:
                 continue
-            from arborsign.exactpoly import reduce_mod_p
-
             fbar = reduce_mod_p(f, p)
             inv = pow(fbar[-1], -1, p)
             monic = [c * inv % p for c in fbar]
-            assert degrees == oracle_factor_degrees(monic, p)
+            degrees = oracle_factor_degrees(monic, p)
             assert sum(degrees) == f.degree
+            assert order == math.lcm(*degrees)
             checked += 1
 
     @pytest.mark.parametrize(
@@ -413,29 +420,28 @@ class TestFactorDegrees:
             fl = [c % p for c in reversed(f.nums)]
             if not gf_sqf_p(fl, p, ZZ):
                 with pytest.raises(BadPrime):
-                    factor_degrees_mod_p(f, p)
+                    frobenius_order_mod_p(f, p)
                 continue
-            expected = tuple(sorted(len(g) - 1 for g in gf_factor_sqf(fl, p, ZZ)[1]))
-            assert factor_degrees_mod_p(f, p) == expected
+            assert frobenius_order_mod_p(f, p) == math.lcm(*sympy_factor_degrees(fl, p))
             checked += 1
         assert checked >= 5
 
     @pytest.mark.parametrize(
         "p, degrees",
         [
-            (7, (1, 1, 1)),  # order 1: no gcd at all
-            (5, (7,)),  # irreducible: one gcd, at e = 1
-            (3, (2, 2, 2)),  # order 2: three factors of the order
-            (5, (1, 2, 3, 6, 6)),  # order 6: two factors of the order
-            (7, (1, 1, 2, 3)),  # order 6: the cubic is left when 2 * 3 > 3
-            (11, (2, 4, 3, 6)),  # order 12: the sextic is left when 2 * 6 > 6
-            (3, (3, 4)),  # order 12 > 7: a gcd per step
-            (13, (2, 3, 5)),  # order 30 > 10: a gcd per step
+            (7, (1, 1, 1)),  # order 1: the walk returns at once
+            (5, (7,)),  # irreducible: the walk returns at the degree
+            (3, (2, 2, 2)),  # order 2: the walk returns at L = 2
+            (5, (1, 2, 3, 6, 6)),  # order 6: the walk returns at L = 6 < 18
+            (7, (1, 1, 2, 3)),  # order 6: the walk returns at L = 6 < 7
+            (11, (2, 4, 3, 6)),  # order 12: the walk returns at L = 12 < 15
+            (3, (3, 4)),  # order 12 > 7: distinct degrees, the quartic left over
+            (13, (2, 3, 5)),  # order 30 > 10: distinct degrees, the quintic left over
         ],
     )
     def test_each_way_the_scan_ends(self, p, degrees):
         """Products of distinct irreducibles of the given degrees mod p; the
-        comments name the branch of factor_degrees_mod_p that finishes."""
+        comments name the branch of frobenius_order_mod_p that finishes."""
         factors, seen = [], set()
         for m in degrees:
             for tail in product(range(p), repeat=m):
@@ -448,8 +454,28 @@ class TestFactorDegrees:
         for g in factors:
             fl = gf_mul(fl, g, p, ZZ)
         f = RatPoly(reversed(fl))
-        assert sorted(len(g) - 1 for g in gf_factor_sqf(fl, p, ZZ)[1]) == sorted(degrees)
-        assert factor_degrees_mod_p(f, p) == tuple(sorted(degrees))
+        assert sympy_factor_degrees(fl, p) == tuple(sorted(degrees))
+        assert frobenius_order_mod_p(f, p) == math.lcm(*degrees)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 11]),
+           st.lists(st.tuples(st.integers(1, 6), st.integers(0, 11**6 - 1)),
+                    min_size=1, max_size=5))
+    @example(2, [(3, 0), (4, 0), (5, 0)])  # order 60 > degree 12
+    @example(3, [(1, 0), (1, 0), (1, 0), (1, 0)])  # every root mod 3 is taken
+    @example(11, [(5, 0), (6, 0), (4, 0)])  # order 60 > degree 15
+    def test_order_of_distinct_irreducibles(self, p, picks):
+        """A product of distinct monic irreducibles mod p, of the degrees the
+        picks name, has Frobenius order the lcm of those degrees, on both
+        sides of the product's degree."""
+        used, fl, degrees = set(), [1], []
+        for m, start in picks:
+            g = _irreducible(p, m, start, used)
+            if g is not None:  # None: every irreducible of degree m is used
+                used.add(tuple(g))
+                fl = gf_mul(fl, g, p, ZZ)
+                degrees.append(m)
+        assert frobenius_order_mod_p(RatPoly(reversed(fl)), p) == math.lcm(*degrees)
 
     def test_sympy_oracle_at_word_size_primes(self):
         # word-size primes: near 2^31, near 2^31.5 and near 2^61
@@ -467,8 +493,8 @@ class TestFactorDegrees:
                 for _ in range(4):
                     coeffs = [rng.randint(-(10**6), 10**6) for _ in range(n)] + [1]
                     fl = [c % p for c in reversed(coeffs)]
-                    expected = tuple(sorted(len(g) - 1 for g in gf_factor_sqf(fl, p, ZZ)[1]))
-                    assert factor_degrees_mod_p(RatPoly(coeffs), p) == expected
+                    expected = math.lcm(*sympy_factor_degrees(fl, p))
+                    assert frobenius_order_mod_p(RatPoly(coeffs), p) == expected
 
     @pytest.mark.parametrize(
         "n, p",
@@ -523,8 +549,20 @@ class TestFactorDegrees:
         coeffs = [rng.randrange(p) for _ in range(n)] + [1]
         fl = list(reversed(coeffs))
         if gf_sqf_p(fl, p, ZZ):
-            expected = tuple(sorted(len(g) - 1 for g in gf_factor_sqf(fl, p, ZZ)[1]))
-            assert factor_degrees_mod_p(RatPoly(coeffs), p) == expected
+            expected = math.lcm(*sympy_factor_degrees(fl, p))
+            assert frobenius_order_mod_p(RatPoly(coeffs), p) == expected
+
+
+def _irreducible(p, m, start, used):
+    """The first monic irreducible of degree m mod p, high to low, not in
+    `used`, from the tail numbered `start` on (tails as base-p numbers,
+    cyclically); None when there is none."""
+    for k in range(p**m):
+        t = (start + k) % p**m
+        g = [1] + [t // p**i % p for i in reversed(range(m))]  # constant term fastest
+        if tuple(g) not in used and gf_irreducible_p(g, p, ZZ):
+            return g
+    return None
 
 
 def _map_bound(n, p):
@@ -707,6 +745,12 @@ class TestParser:
         with pytest.raises(ParseError):
             RatPoly.parse(text)
 
+    @pytest.mark.parametrize("value", [["x"], [None], None, 5, {"x": 1}, []])
+    def test_rejects_non_strings(self, value):
+        # a trace's polynomial field may hold any JSON value
+        with pytest.raises(TypeError):
+            RatPoly.parse(value)
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as exc:
             RatPoly.parse("x^^2")
@@ -725,6 +769,40 @@ class TestParser:
         with pytest.raises(ParseError) as exc:
             RatPoly.parse(text)
         assert exc.value.position == position
+
+    @settings(max_examples=400)
+    @given(st.text(alphabet="x^*/+-0123456789 \t\n\u00a0\u2003\x1c\u0663\u0967\uff11"
+                            "\u00b2\u2155y@.(eX_", max_size=16))
+    @example("x^2 + 1  ")
+    @example("  x")
+    @example("\u0663x^\u0967 - \uff11")
+    @example("x^\u00b2")
+    @example("x\u00a0+\u20031")
+    @example("x + @")
+    def test_tokens_match_the_regex_tokenizer(self, text):
+        """The tokenizer agrees with the old regex one, kept here as the
+        oracle: the same tokens, or the same error message and position."""
+        import re
+
+        from arborsign.exactpoly import _tokenize
+
+        tokens, pos = [], 0
+        try:
+            while pos < len(text):
+                m = re.compile(r"\s*(?:(\d+)|([x^*/+-]))").match(text, pos)
+                if m is None:
+                    raise ParseError(f"unexpected character {text[pos]!r}", pos)
+                if m.group(1) is not None:
+                    tokens.append(("num", m.group(1), m.start(1)))
+                else:
+                    tokens.append(("sym", m.group(2), m.start(2)))
+                pos = m.end()
+        except ParseError as expected:
+            with pytest.raises(ParseError) as exc:
+                _tokenize(text)
+            assert (str(exc.value), exc.value.position) == (str(expected), expected.position)
+        else:
+            assert _tokenize(text) == tokens
 
 
 # ---------------------------------------------------------------------------

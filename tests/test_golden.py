@@ -21,6 +21,15 @@ QUERIES = {
                              "--level", "3", "--n", "2", "--primes", "5"],
     "index-report-inseparable": ["index-report", "--poly", "x^2", "--base", "2",
                                  "--level", "2", "--n", "1"],
+    # heavy Frobenius scans: degree 32, every walk returns within the degree
+    # and all 50 primes are scanned; degree 27, 5 walks pass the degree;
+    # degree 9, a walk passes the degree and the scan stops at the exponent 36
+    "index-report-heavy-quadratic": ["index-report", "--poly", "x^2+x-1", "--level", "5",
+                                     "--n", "33554432", "--primes", "50"],
+    "index-report-heavy-cubic": ["index-report", "--poly", "x^3+2*x+3", "--level", "3",
+                                 "--n", "65536", "--primes", "40"],
+    "index-report-heavy-fallback": ["index-report", "--poly", "x^3+x^2+2*x-1", "--level", "2",
+                                    "--n", "1", "--primes", "100"],
     "disc-seq": ["disc-seq", "--poly", "x^3+x+1", "--levels", "3"],
     "disc-seq-base": ["disc-seq", "--poly", "x^2+1", "--levels", "3", "--base", "-1,3"],
     "vast-witness": ["vast-witness", "--stream", "disc:x^2+2:1", "--base", "-2,6",
@@ -35,6 +44,9 @@ PINS = {
     "disc-seq": "616d122d13ada4e824c3b5cf177aea86e4f970217d3fd8b01fd65b7a4404b172",  # exit 0
     "disc-seq-base": "a49e23fda1de54eeff2f88cf6f5f3746fb61280290da73c5dfcb4fe26d7250d8",  # exit 0
     "group-order": "7389b9c62679c8bea9b9382a8cac6f0951c9d197952def6da182cc0f5d68c811",  # exit 0
+    "index-report-heavy-cubic": "a937c92e0f1bc47d3802af20a18ea08f796d1379d351c01ce414b84e7a37dd79",  # exit 0
+    "index-report-heavy-fallback": "73a266e98f70d47d0761768fa04d6117db9cb5a539d207ac922b007950b688c5",  # exit 0
+    "index-report-heavy-quadratic": "45c0aa1374dc85f34f00cdd3f4755d33937ec8743d2656309478773b223033af",  # exit 0
     "index-report-consistent": "f43bd5040b22e984f34ace8c4377b21f3e5b94f519da4627d9957c784716d3e4",  # exit 0
     "index-report-inseparable": "69d13d95046dd98ba77d129f26c28a5231d4ecd28cc97b9c02cf1a30a30dbe94",  # exit 1
     "index-report-refutes": "385622e71808d417deac05c81583115e837cda3e7fdf4c2fe2548b58eff605ab",  # exit 1
