@@ -186,8 +186,8 @@ def _cmd_simulate(args) -> tuple[int, dict]:
 
     if not args.out:
         raise InputError("cannot write trace: --out is empty")
-    if os.path.isdir(args.out):
-        raise InputError(f"cannot write trace: {args.out!r} is a directory")
+    if os.path.exists(args.out) and not os.path.isfile(args.out):
+        raise InputError(f"cannot write trace: {args.out!r} is not a regular file")
     # The trace goes to a sibling file, created before the run so that a path
     # that cannot be written fails at once, and renamed onto --out once it is
     # complete, so that no failure leaves a truncated trace.  An aborted run

@@ -200,23 +200,24 @@ def rationals_by_height(
 # State, records, trace
 # ---------------------------------------------------------------------------
 
-class ConstructionState(namedtuple("ConstructionState", "F M points skip depth")):
+class ConstructionState(namedtuple("ConstructionState", "F M points last depth")):
     """What the induction has built after len(points) steps: the field F, of
     dimension len(points), the (cover h, point) pair of each completed step,
     and the truncation depth.
 
     F only gains classes and the truncation depth never drops, so the state
     also carries what later steps reuse: M, the span of F and every recorded
-    fiber class, and `skip`, the vast entries no later step may select:
-    those assigned to a step, and those whose truncated subspace was shown
-    not disjoint from F, which stay so at every later step.
+    fiber class, and `last`, the vast entry the previous step selected (0
+    before the first).  Every entry up to `last` was selected or met an
+    earlier F at this depth or a smaller one, and meets every later F, so the
+    next selection scans from `last + 1`.
     """
 
     __slots__ = ()
 
     @classmethod
     def initial(cls, depth: int) -> "ConstructionState":
-        return cls(ClassSubspace(), ClassSubspace(), (), frozenset(), depth)
+        return cls(ClassSubspace(), ClassSubspace(), (), 0, depth)
 
 
 class StepRecord(namedtuple("StepRecord", "m witness cover_id cover_h point vast_poly "
@@ -352,38 +353,33 @@ def _point_str(point: tuple[int, int]) -> str:
 # The induction step
 # ---------------------------------------------------------------------------
 
-def _select_vast(
-    F: ClassSubspace, skip: frozenset[int], depth: int
-) -> tuple[VastSpec, frozenset[int]]:
-    """First enumeration entry outside `skip` whose depth-truncated subspace
-    is disjoint from F over Q, and the entries found not disjoint before it.
-    The scan has no other bound than the stream bound: it raises the
-    ResourceBound of the first unskipped entry that VastSpec.subspace reads
-    past MAX_STREAM_LEVEL, at entry 301, (x^2 + 1, n = 25), at the latest."""
-    met: set[int] = set()
-    for j in count(1):
-        if j in skip:
-            continue
+def _select_vast(F: ClassSubspace, last: int, depth: int) -> VastSpec:
+    """First enumeration entry after `last` whose depth-truncated subspace is
+    disjoint from F over Q.  The scan has no other bound than the stream
+    bound: it raises the ResourceBound of the first entry that
+    VastSpec.subspace reads past MAX_STREAM_LEVEL, at entry 301, (x^2 + 1,
+    n = 25), at the latest."""
+    for j in count(last + 1):
         spec = vast_entry(j)
         if disjoint_over(F, spec.subspace(depth)):
-            return spec, frozenset(met)
-        met.add(j)
+            return spec
 
 
 def step(state: ConstructionState, *, height: int) -> tuple[ConstructionState, StepRecord]:
     """Execute one induction step.
 
     Selects the stream playing the vast role for this step, the first
-    eligible entry of the vast list, adjoins one new quadratic generator
-    chosen outside the compositum of the current field with all recorded
-    fiber classes, consumes the next cover entry, and picks the smallest
-    fresh specialization point whose fiber stays integral; one
-    sqclass.fiber_test classifier tests the candidates of that scan.  Raises
+    eligible entry of the vast list after the previous step's, adjoins one
+    new quadratic generator chosen outside the compositum of the current
+    field with all recorded fiber classes, consumes the next cover entry,
+    and picks the smallest fresh specialization point whose fiber stays
+    integral; one sqclass.fiber_test classifier tests the candidates of
+    that scan.  Raises
     DepthExhausted when the stream has no witness within the truncation
     depth, and ResourceBound at the stream bound or the height bound.
     """
     m = len(state.points) + 1
-    spec, met = _select_vast(state.F, state.skip, state.depth)
+    spec = _select_vast(state.F, state.last, state.depth)
     w = vast_witness(spec.stream(), state.M, state.depth)
     integral_over = state.M.extend(w)
     h = cover_entry(m)
@@ -416,7 +412,7 @@ def step(state: ConstructionState, *, height: int) -> tuple[ConstructionState, S
         F=state.F.extend(w),
         M=integral_over.extend(SquareClass(fiber_rep(h, *point))),
         points=state.points + ((h, point),),
-        skip=state.skip | met | {spec.index},
+        last=spec.index,
         depth=state.depth,
     )
     return new_state, record
@@ -530,10 +526,11 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
 
     first_at: dict[tuple[int, int], int] = {}  # point -> first step that recorded it
     passed: dict[RatPoly, tuple[int, int]] = {}  # cover -> point of its last passed scan
-    used_indices: set[int] = set()
-    # entry -> least depth at which it was found not disjoint from an earlier
-    # field; it stays so over every later field at that depth or deeper
-    met: dict[int, int] = {}
+    # The entry and depth of the last step whose entry resolved (0 before the
+    # first).  A run selects the first entry after its previous one that is
+    # disjoint from F, and its depth never drops, so every entry up to `last`
+    # meets the field at `last_depth` or deeper and (4_m) scans only after it.
+    last, last_depth = 0, 0
     M = ClassSubspace()  # the field before step i with every earlier fiber class
     for i, rec in enumerate(trace.steps, start=1):
         F_prev = fields[i - 1]
@@ -548,29 +545,28 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
         if rec.cover_id != i or rec.cover_h != cover_entry(i):
             out.append(f"(3_{i}): cover is not enumeration entry {i}")
 
-        # (4_m) vast spec is the first eligible unused entry
+        # (4_m) vast spec is the first eligible entry after the previous one
         idx = _resolve_spec_index(rec.vast_poly, rec.vast_n)
         if idx is None:
             out.append(f"(4_{i}): recorded stream is not an entry a run can select")
-        elif idx in used_indices:
-            out.append(f"(4_{i}): stream entry {idx} was already assigned")
+        elif idx <= last:
+            out.append(f"(4_{i}): stream entry {idx} is not after entry {last}")
+        elif rec.depth_checked < last_depth:
+            out.append(f"(4_{i}): depth_checked {rec.depth_checked} is below the previous "
+                       f"step's {last_depth}")
         else:
             try:
-                spec = vast_entry(idx)
-                if not disjoint_over(F_prev, spec.subspace(rec.depth_checked)):
+                if not disjoint_over(F_prev, vast_entry(idx).subspace(rec.depth_checked)):
                     out.append(f"(4_{i}): recorded stream is not disjoint at depth "
                                f"{rec.depth_checked}")
-                for j in range(1, idx):
-                    if j in used_indices or (j in met and met[j] <= rec.depth_checked):
-                        continue
-                    early = vast_entry(j)
-                    if disjoint_over(F_prev, early.subspace(rec.depth_checked)):
+                for j in range(last + 1, idx):
+                    if disjoint_over(F_prev, vast_entry(j).subspace(rec.depth_checked)):
                         out.append(f"(4_{i}): entry {j} was eligible before entry {idx}")
                         break
-                    met[j] = rec.depth_checked
             except ResourceBound as exc:  # an entry read past MAX_STREAM_LEVEL
                 out.append(f"(4_{i}): {exc}")
-            used_indices.add(idx)
+        if idx is not None:
+            last, last_depth = idx, rec.depth_checked
 
         # (5_m) witness is the first stream class outside the compositum
         try:

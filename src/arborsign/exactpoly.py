@@ -569,28 +569,27 @@ MAX_EXPONENT = 10_000
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, offset) tokens: runs of decimal digits ("num") and the
-    symbols x ^ * / + - ("sym"), each after optional whitespace.  Anything
-    else, trailing whitespace included, is an error at the offset where the
-    whitespace before it starts."""
+    symbols x ^ * / + - ("sym"), with whitespace around them skipped.
+    Anything else is an error at its own offset."""
     if not isinstance(text, str):  # a trace's JSON value may be anything
         raise TypeError(f"expected a string, got {type(text).__name__}")
     tokens = []
     pos, end = 0, len(text)
-    while pos < end:
-        start = pos
-        while start < end and text[start].isspace():
-            start += 1
-        stop = start + 1
-        if start < end and text[start].isdecimal():
+    while True:
+        while pos < end and text[pos].isspace():
+            pos += 1
+        if pos == end:
+            return tokens
+        stop = pos + 1
+        if text[pos].isdecimal():
             while stop < end and text[stop].isdecimal():
                 stop += 1
-            tokens.append(("num", text[start:stop], start))
-        elif start < end and text[start] in "x^*/+-":
-            tokens.append(("sym", text[start], start))
+            tokens.append(("num", text[pos:stop], pos))
+        elif text[pos] in "x^*/+-":
+            tokens.append(("sym", text[pos], pos))
         else:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         pos = stop
-    return tokens
 
 
 def _literal(token: tuple[str, str, int]) -> int:

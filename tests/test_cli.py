@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 
@@ -56,6 +57,12 @@ class TestDiscSeq:
         )
         assert code == 0
         assert payload["subspace"] == [-1, 2]
+
+    def test_trailing_whitespace_accepted(self, capsys):
+        """A trailing blank used to be a parse error at its own position."""
+        code, payload, _ = run_cli(capsys, "disc-seq", "--poly", "x^2+1 ", "--levels", "2")
+        assert code == 0
+        assert payload == {"classes": [-1, 2], "subspace": [-1, 2]}
 
     def test_parse_error_exit_2(self, capsys):
         code, payload, err = run_cli(capsys, "disc-seq", "--poly", "x^^2", "--levels", "1")
@@ -163,17 +170,22 @@ class TestSimulateVerifyAudit:
 
     def test_simulate_unwritable_out_fails_before_run(self, capsys, tmp_path, monkeypatch):
         """An unwritable --out used to be found only after the whole run; an
-        empty one still was, after a temporary file in the cwd."""
+        empty one still was, after a temporary file in the cwd.  A FIFO, like
+        any path that exists and is not a regular file, used to be replaced
+        by a regular file holding the trace."""
         def never(*args):
             raise AssertionError("run was called")
 
         monkeypatch.setattr(construct, "run", never)
         monkeypatch.chdir(tmp_path)
-        for out in (tmp_path / "missing" / "t.json", tmp_path, ""):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        for out in (tmp_path / "missing" / "t.json", tmp_path, "", fifo):
             code, payload, err = run_cli(capsys, "simulate", "--steps", "50", "--out", str(out))
             assert code == 2 and payload is None
             assert err.startswith("error: cannot write trace:") and err.count("\n") == 1
-        assert os.listdir(tmp_path) == []
+        assert os.listdir(tmp_path) == ["fifo"]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
     @pytest.mark.parametrize("aborted", [False, True], ids=["completed", "aborted"])
     def test_simulate_unserializable_trace_exit_3(self, capsys, tmp_path, monkeypatch,

@@ -252,8 +252,8 @@ class TestStep:
     def test_trace_bytes_pinned(self, n, digest):
         """Every cover recurs at least twice in 20 steps, so the resumed point
         search is pinned along with the rest of the trace.  From step 42 on, a
-        selection scans past entry 64, so the 50- and 70-step pins cover the
-        entries a step skips as already shown not disjoint from F deep in the
+        selection scans past entry 64, so the 50- and 70-step pins cover
+        selections that start after the previous step's entry deep in the
         list as well.  The pins run
         with the process-wide enumeration lists already warm from earlier
         tests and runs, so they pin determinism across warm lists as well."""
@@ -563,8 +563,10 @@ class TestVerify:
 
     def test_skipped_stream_violates_4m(self, trace3):
         rec = trace3.to_json()["steps"][0]["vast"]
-        bad = mutate(trace3, steps__0__vast={**rec, "poly": "x^2 + 2"})
-        assert any(v.startswith("(4_1)") or v.startswith("(5_1)") for v in verify_trace(bad))
+        bad = mutate(trace3, steps__0__vast={**rec, "poly": "x^2 + 2"})  # entry 3
+        found = [v for v in verify_trace(bad) if v.startswith("(4_")]
+        assert found == ["(4_1): entry 1 was eligible before entry 3",
+                         "(4_2): stream entry 2 is not after entry 3"]
 
     def test_entry_no_run_can_select_violates_4m(self, trace3, tmp_path, monkeypatch):
         """Entry 302, (x^2 + 2, n = 24), passes from_json at depth 1, but no
@@ -749,9 +751,11 @@ def eligible_before(violations):
 
 
 class TestVastSkip:
-    """An entry whose truncated subspace meets F meets every larger field at
-    that depth or deeper, so the engine and verify_trace skip it from then
-    on; the skip must never hide an eligible entry."""
+    """A run selects the first entry after the previous step's that is
+    disjoint from F, at a depth that never drops, so every entry up to the
+    previous step's meets every later field; verify_trace tests only the
+    entries between two steps' entries, which must never hide an eligible
+    entry."""
 
     def test_later_entry_than_the_first_eligible_reported(self, trace20):
         recorded = entry_indices(trace20)
@@ -765,25 +769,44 @@ class TestVastSkip:
             assert got == full_scan_vast_entries(bad)
             assert f"(4_{i}): entry {idx} was eligible before entry {later}" in got
 
-    def test_depth_drop_retests_entries_met_deeper(self, trace20):
-        # Step 4 records entry 7, so the verifier finds entry 5 not disjoint
-        # from the field of three steps at depth 5.  At depth 1 it is disjoint
-        # from the field of nine steps, and entry 17 comes after it.
-        F3 = ClassSubspace.span(SquareClass(rec.witness) for rec in trace20.steps[:3])
-        recorded = entry_indices(trace20)
-        assert (recorded[3], recorded[9]) == (7, 17)
-        assert not disjoint_over(F3, vast_entry(5).subspace(5))
-        data = trace20.to_json()
-        for rec in data["steps"][9:]:
-            rec["vast"]["depth_checked"] = 1
-        bad = ConstructionTrace.from_json(data)
-        got = eligible_before(verify_trace(bad))
-        assert got == full_scan_vast_entries(bad)
-        assert got[0] == "(4_10): entry 5 was eligible before entry 17"
+    @pytest.mark.parametrize("changes, line", [
+        pytest.param({"steps__4__vast": {"poly": "x^2 + 1", "n": 4, "depth_checked": 5}},
+                     "(4_5): stream entry 7 is not after entry 7", id="repeat"),
+        pytest.param({"steps__4__vast": {"poly": "x^2 + 1", "n": 2, "depth_checked": 5}},
+                     "(4_5): stream entry 2 is not after entry 7", id="back"),
+        pytest.param({"steps__9__vast__depth_checked": 1},
+                     "(4_10): depth_checked 1 is below the previous step's 5",
+                     id="lowered-depth"),
+    ])
+    def test_order_and_depth_violations(self, trace20, tmp_path, changes, line):
+        """Step 4 records entry 7 at depth 5.  A step that names it again,
+        goes back to an earlier entry, or checks less deeply than the step
+        before breaks (4_m) once, and `verify` exits 1."""
+        assert entry_indices(trace20)[1:5] == [2, 3, 7, 9]
+        bad = mutate(trace20, **changes)
+        assert [v for v in verify_trace(bad) if v.startswith("(4_")] == [line]
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(bad.to_json()))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--trace", str(path)]) == 1
+
+    @pytest.mark.parametrize("args", [(40, 1, 1000), (30, 2, 1000)], ids=["40-1", "30-2"])
+    def test_entries_increase_and_depths_never_drop(self, args):
+        """Both runs retry deeper; across the retries the selected entries
+        strictly increase, depth_checked never drops, and a test of every
+        unselected earlier entry at every step finds none eligible."""
+        trace = run(*args)
+        assert trace.retries
+        entries = entry_indices(trace)
+        depths = [rec.depth_checked for rec in trace.steps]
+        assert all(a < b for a, b in zip(entries, entries[1:]))
+        assert all(a <= b for a, b in zip(depths, depths[1:]))
+        assert full_scan_vast_entries(trace) == []
 
     def test_engine_tests_each_entry_once_per_depth(self, monkeypatch):
-        """Without the skip, run(9) makes 35 disjointness tests; with it, no
-        (entry, depth) is tested twice."""
+        """Were each selection to scan from entry 1, run(9) would make 35
+        disjointness tests; scanning after the previous step's entry, it
+        tests no (entry, depth) twice."""
         tested, calls = [], []
         subspace, disjoint = VastSpec.subspace, construct.disjoint_over
 

@@ -751,6 +751,24 @@ class TestParser:
         with pytest.raises(TypeError):
             RatPoly.parse(value)
 
+    @pytest.mark.parametrize("text, error", [
+        ("x^2 + 1 ", None), ("x^2 + 1\n", None), ("  x", None),
+        ("x + @", ("unexpected character '@'", 4)), ("x  .", ("unexpected character '.'", 3)),
+        (" ", ("empty polynomial", 0)),
+    ])
+    def test_whitespace_and_error_positions(self, text, error):
+        """Whitespace is skipped wherever it stands, the end included, and an
+        error names the bad character at its own position, not the
+        whitespace before it."""
+        if error is None:
+            assert RatPoly.parse(text) == RatPoly.parse(text.strip())
+            return
+        with pytest.raises(ParseError) as exc:
+            RatPoly.parse(text)
+        message, position = error
+        assert exc.value.position == position
+        assert str(exc.value) == f"{message} (at position {position})"
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as exc:
             RatPoly.parse("x^^2")
@@ -779,17 +797,23 @@ class TestParser:
     @example("x^\u00b2")
     @example("x\u00a0+\u20031")
     @example("x + @")
+    @example(" \t")
     def test_tokens_match_the_regex_tokenizer(self, text):
-        """The tokenizer agrees with the old regex one, kept here as the
-        oracle: the same tokens, or the same error message and position."""
+        """The tokenizer agrees with a regex one, kept here as the oracle:
+        the same tokens, or the same error message and position.  Whitespace
+        is skipped, at the end too, and an error is reported at the first
+        character after it."""
         import re
 
         from arborsign.exactpoly import _tokenize
 
         tokens, pos = [], 0
         try:
-            while pos < len(text):
-                m = re.compile(r"\s*(?:(\d+)|([x^*/+-]))").match(text, pos)
+            while True:
+                pos = re.compile(r"\s*").match(text, pos).end()
+                if pos == len(text):
+                    break
+                m = re.compile(r"(\d+)|([x^*/+-])").match(text, pos)
                 if m is None:
                     raise ParseError(f"unexpected character {text[pos]!r}", pos)
                 if m.group(1) is not None:
