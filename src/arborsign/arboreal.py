@@ -135,6 +135,10 @@ def disc_class_sequence(f: RatPoly, N: int) -> tuple[SquareClass, ...]:
 # 4.9 Mbit at level 24), so a run needing a later one aborts.
 MAX_STREAM_LEVEL = 24
 
+# Largest point height max(|num|, den) a run searches (`simulate --height`)
+# and a trace step may record: verify scans ~1.2 H^2 rationals up to height H.
+MAX_POINT_HEIGHT = 4096
+
 
 def disc_stream(f: RatPoly, n: int) -> ClassStream:
     """Stream of disc(f^(om)) classes for m >= n; element i is level n + i."""

@@ -44,6 +44,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .arboreal import (
+    MAX_POINT_HEIGHT,
     MAX_STREAM_LEVEL,
     Inseparable,
     disc_class_sequence,
@@ -219,7 +220,7 @@ def _cmd_simulate(args) -> tuple[int, dict]:
         raise aborted
     return OK, {
         "steps": len(trace.steps),
-        "dim": trace.dim,
+        "dim": len(trace.final),
         "retries": len(trace.retries),
         "out": args.out,
     }
@@ -340,8 +341,8 @@ COMMANDS = {
         "poly": (REQUIRED, TEXT), "base": ("", TEXT), "level": (REQUIRED, POSITIVE),
         "n": (REQUIRED, POSITIVE), "primes": (50, POSITIVE)}),
     "simulate": (_cmd_simulate, "run the inductive construction", {
-        "steps": (REQUIRED, POSITIVE), "depth": (5, LEVELS), "height": (1000, POSITIVE),
-        "out": (REQUIRED, TEXT)}),
+        "steps": (REQUIRED, POSITIVE), "depth": (5, LEVELS),
+        "height": (1000, (1, MAX_POINT_HEIGHT)), "out": (REQUIRED, TEXT)}),
     "verify": (_cmd_verify, "re-check a construction trace", {
         "trace": (REQUIRED, TEXT)}),
     "audit": (_cmd_audit, "killed-sign audit of a trace", {

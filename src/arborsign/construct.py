@@ -19,7 +19,14 @@ from collections import namedtuple
 from collections.abc import Iterator
 from itertools import count
 
-from .arboreal import MAX_STREAM_LEVEL, Inseparable, disc_class, disc_stream, killed_signs
+from .arboreal import (
+    MAX_POINT_HEIGHT,
+    MAX_STREAM_LEVEL,
+    Inseparable,
+    disc_class,
+    disc_stream,
+    killed_signs,
+)
 from .exactpoly import RatPoly
 from .primes import ResourceBound
 from .sqclass import (
@@ -34,7 +41,7 @@ from .sqclass import (
     vast_witness,
 )
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class PointSearchExhausted(ResourceBound):
@@ -143,8 +150,9 @@ def _item(lazy: tuple[list, Iterator], i: int):
 
 
 def cover_entry(j: int) -> RatPoly:
-    """The cover polynomial h of entry j (1-based), the JSON "id".  Each grid
-    polynomial recurs infinitely often via diagonal (grid, repetition) pairing."""
+    """The cover polynomial h of entry j (1-based), the cover of step j.  Each
+    grid polynomial recurs infinitely often via diagonal (grid, repetition)
+    pairing."""
     if j < 1:
         raise ValueError("entries are 1-based")
     return _item(_COVERS, _unpair(j - 1)[0])
@@ -220,17 +228,17 @@ class ConstructionState(namedtuple("ConstructionState", "F M points last depth")
         return cls(ClassSubspace(), ClassSubspace(), (), 0, depth)
 
 
-class StepRecord(namedtuple("StepRecord", "m witness cover_id cover_h point vast_poly "
-                                         "vast_n depth_checked")):
-    """One step of a trace; `witness` is an integer of the witness class."""
+class StepRecord(namedtuple("StepRecord", "witness cover_h point vast_poly vast_n "
+                                         "depth_checked")):
+    """One step of a trace; `witness` is an integer of the witness class.  The
+    step's number is its position in the trace."""
 
     __slots__ = ()
 
     def to_json(self) -> dict:
         return {
-            "m": self.m,
             "witness": self.witness,
-            "cover": {"id": self.cover_id, "h": str(self.cover_h)},
+            "cover": str(self.cover_h),
             "point": "%d/%d" % self.point,
             "vast": {
                 "poly": str(self.vast_poly),
@@ -243,10 +251,8 @@ class StepRecord(namedtuple("StepRecord", "m witness cover_id cover_h point vast
     def from_json(cls, data: dict) -> "StepRecord":
         try:
             return cls(
-                m=_json_int(data["m"], "m"),
                 witness=_json_int(data["witness"], "witness", nonzero=True),
-                cover_id=_json_int(data["cover"]["id"], "cover.id"),
-                cover_h=RatPoly.parse(data["cover"]["h"]),
+                cover_h=RatPoly.parse(data["cover"]),
                 point=_point_parse(data["point"]),
                 vast_poly=RatPoly.parse(data["vast"]["poly"]),
                 vast_n=_json_int(data["vast"]["n"], "vast.n"),
@@ -256,10 +262,9 @@ class StepRecord(namedtuple("StepRecord", "m witness cover_id cover_h point vast
             raise TraceFormatError(f"malformed step record: {exc}") from exc
 
 
-class ConstructionTrace(namedtuple("ConstructionTrace", "steps final params retries dim")):
+class ConstructionTrace(namedtuple("ConstructionTrace", "steps final params retries")):
     """A run's steps, final field, parameters and retries.  The final field is
-    recorded as the steps' witness integers, which span it, and its dimension
-    `dim`, which is len(final) unless a parsed trace records another."""
+    recorded as the steps' witness integers, which span it."""
 
     __slots__ = ()
 
@@ -272,7 +277,7 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps final params retr
             "params": dict(self.params),
             "steps": [s.to_json() for s in self.steps],
             "retries": [dict(r) for r in self.retries],
-            "final": {"F": list(self.final), "dim": self.dim},
+            "final": {"F": list(self.final)},
         }
 
     @classmethod
@@ -280,9 +285,10 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps final params retr
         """Parse a trace; raises TraceFormatError on malformed data.  Besides
         the shape it checks that every count and class is a JSON integer, that
         each witness is nonzero and each final.F entry a nonzero nonsquare,
-        and what the verifier needs to end: each step's stream polynomial has
-        degree >= 2, and its stream is read from level vast.n to
-        vast.n + vast.depth_checked - 1, which must lie in 1..MAX_STREAM_LEVEL."""
+        and what the verifier needs to end: each step's point has height at
+        most MAX_POINT_HEIGHT, its stream polynomial has degree >= 2, and its
+        stream is read from level vast.n to vast.n + vast.depth_checked - 1,
+        which must lie in 1..MAX_STREAM_LEVEL."""
         if not isinstance(data, dict):
             raise TraceFormatError("trace must be a JSON object")
         if data.get("schema") != SCHEMA_VERSION:
@@ -291,7 +297,6 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps final params retr
             steps = tuple(StepRecord.from_json(s) for s in data["steps"])
             final = tuple(_json_int(w, f"final.F[{j}]", nonzero=True)
                           for j, w in enumerate(data["final"]["F"]))
-            dim = _json_int(data["final"]["dim"], "final.dim")
             params = dict(data["params"])
             retries = tuple(dict(r) for r in data.get("retries", []))
         except (KeyError, TypeError, ValueError) as exc:
@@ -299,18 +304,17 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps final params retr
         for j, w in enumerate(final):
             if SquareClass(w).is_trivial:
                 raise TraceFormatError(f"final.F[{j}] is a perfect square: its class is trivial")
-        height = params.get("height")
-        if type(height) is not int or height < 1:
-            raise TraceFormatError(f"params.height {height!r} is not a positive integer")
-        for s in steps:
+        for i, s in enumerate(steps, start=1):
+            if _height_key(*s.point)[0] > MAX_POINT_HEIGHT:
+                raise TraceFormatError(f"step {i}: point height exceeds {MAX_POINT_HEIGHT}")
             if s.vast_poly.degree < 2:
-                raise TraceFormatError(f"step {s.m}: vast.poly must have degree >= 2")
+                raise TraceFormatError(f"step {i}: vast.poly must have degree >= 2")
             if s.vast_n < 1 or s.depth_checked < 1:
-                raise TraceFormatError(f"step {s.m}: vast.n and vast.depth_checked must be >= 1")
+                raise TraceFormatError(f"step {i}: vast.n and vast.depth_checked must be >= 1")
             if s.vast_n + s.depth_checked - 1 > MAX_STREAM_LEVEL:
                 raise TraceFormatError(
-                    f"step {s.m}: vast.n + vast.depth_checked - 1 exceeds {MAX_STREAM_LEVEL}")
-        return cls(steps, final, params, retries, dim)
+                    f"step {i}: vast.n + vast.depth_checked - 1 exceeds {MAX_STREAM_LEVEL}")
+        return cls(steps, final, params, retries)
 
 
 def _json_int(value: object, name: str, nonzero: bool = False) -> int:
@@ -343,12 +347,6 @@ def _point_parse(text: object) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _point_str(point: tuple[int, int]) -> str:
-    """A point as str(Fraction) writes it: "3/4", or "3" for an integer."""
-    num, den = point
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
 # ---------------------------------------------------------------------------
 # The induction step
 # ---------------------------------------------------------------------------
@@ -378,11 +376,10 @@ def step(state: ConstructionState, *, height: int) -> tuple[ConstructionState, S
     DepthExhausted when the stream has no witness within the truncation
     depth, and ResourceBound at the stream bound or the height bound.
     """
-    m = len(state.points) + 1
     spec = _select_vast(state.F, state.last, state.depth)
     w = vast_witness(spec.stream(), state.M, state.depth)
     integral_over = state.M.extend(w)
-    h = cover_entry(m)
+    h = cover_entry(len(state.points) + 1)
     prior_points = {pt for _, pt in state.points}
     # Spans only grow, so every rational the last step with this cover skipped
     # is still ineligible, and that step's point is now a prior point.
@@ -399,9 +396,7 @@ def step(state: ConstructionState, *, height: int) -> tuple[ConstructionState, S
     if point is None:
         raise PointSearchExhausted(f"no point of height <= {height}")
     record = StepRecord(
-        m=m,
         witness=w.rep,
-        cover_id=m,
         cover_h=h,
         point=point,
         vast_poly=spec.f,
@@ -427,29 +422,29 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
     every entry's truncation reads past the stream bound, so from depth 1,
     5 or 24 a run retries at most 5, 3 or 1 times.  Any other ResourceBound
     (a stream past MAX_STREAM_LEVEL, the height bound) or Inseparable aborts
-    at once, carrying the partial trace.
+    at once, carrying the partial trace.  The height bound is a budget, not
+    part of the trace: a completed run's steps do not depend on it.
     """
     if N < 1:
         raise ValueError("need at least one step")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if height < 1:
-        raise ValueError("height must be >= 1")
-    params = {"steps": N, "depth": depth, "height": height}
+    if not 1 <= height <= MAX_POINT_HEIGHT:
+        raise ValueError(f"height must be in 1..{MAX_POINT_HEIGHT}")
+    params = {"steps": N, "depth": depth}
     state = ConstructionState.initial(depth)
     steps: list[StepRecord] = []
     retries: list[dict] = []
 
     def trace() -> ConstructionTrace:
         final = tuple(rec.witness for rec in steps)
-        return ConstructionTrace(tuple(steps), final, params, tuple(retries), len(final))
+        return ConstructionTrace(tuple(steps), final, params, tuple(retries))
 
     while len(steps) < N:
         try:
             state2, rec = step(state, height=height)
         except DepthExhausted:
-            retries.append({"step": len(steps) + 1, "reason": "depth_exhausted",
-                            "depth": state.depth, "new_depth": state.depth * 2})
+            retries.append({"step": len(steps) + 1, "depth": state.depth})
             state = state._replace(depth=state.depth * 2)
             continue
         except (ResourceBound, Inseparable) as exc:
@@ -481,20 +476,18 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
     Returns a list of violation descriptions, each naming the first condition
     (1_m)..(5_m) it breaks; an empty list means the trace is valid.  The
     checks re-derive every selection from the fixed enumerations, read
-    through cover_entry and vast_entry, with the engine's stream bound.
-    Each step's (2_m) point scan is its own loop, with one sqclass.fiber_test
-    classifier for the step's cover and span, as in the engine.
+    through cover_entry and vast_entry, with the engine's stream bound; they
+    read no params.  Each step's (2_m) point scan is its own loop, with one
+    sqclass.fiber_test classifier for the step's cover and span, as in the
+    engine, and ends at the recorded point's height.
     No description prints a witness: a wrong one is located by the stream
     level of the class expected in its place.
     """
     out: list[str] = []
-    height = trace.params["height"]
 
     # reconstruct the field tower from the recorded witnesses
     fields: list[ClassSubspace] = [ClassSubspace()]
     for i, rec in enumerate(trace.steps, start=1):
-        if rec.m != i:
-            out.append(f"(schema): step {i} is labeled m={rec.m}")
         fields.append(fields[-1].extend(SquareClass(rec.witness)))
         if fields[-1].dim != fields[-2].dim + 1:
             out.append(f"(5_{i}): witness does not enlarge the field")
@@ -542,7 +535,7 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
             out.append(f"(1_{i}): point repeats step {first}")
 
         # (3_m) cover is the next enumeration entry
-        if rec.cover_id != i or rec.cover_h != cover_entry(i):
+        if rec.cover_h != cover_entry(i):
             out.append(f"(3_{i}): cover is not enumeration entry {i}")
 
         # (4_m) vast spec is the first eligible entry after the previous one
@@ -585,29 +578,26 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
         # A passed scan of an earlier step with this cover found every rational
         # before its point prior or ineligible, and both stay so as spans grow;
         # that point is prior now.  So the scan resumes after it, unless the
-        # recorded point lies in that stretch.
+        # recorded point lies in that stretch.  It ends with the point's height,
+        # so it meets the point unless the point is prior, which (1_m) reports.
         after = passed.get(rec.cover_h)
         if after is not None and _height_key(*target) <= _height_key(*after):
             after = None
         integral = fiber_test(rec.cover_h, integral_over)
-        reached = False
-        for candidate in rationals_by_height(height, after):
+        for candidate in rationals_by_height(_height_key(*target)[0], after):
             if first_at.get(candidate, i) < i:  # a prior point
                 continue
             eligible = integral(*candidate)
             if candidate == target:
-                reached = True
                 if eligible:
                     passed[rec.cover_h] = target
                 else:
                     out.append(f"(2_{i}): recorded point is not integral")
                 break
             if eligible:
-                out.append(f"(2_{i}): point {_point_str(candidate)} was eligible before "
-                           f"{_point_str(target)}")
+                out.append(f"(2_{i}): point %d/%d was eligible before %d/%d"
+                           % (*candidate, *target))
                 break
-        if not reached and not any(v.startswith(f"(2_{i})") for v in out):
-            out.append(f"(2_{i}): recorded point not reached in the height ordering")
 
         # (2_m) persistence: all fiber classes stay outside every later field
         for j, first in fell_at.items():
@@ -618,9 +608,6 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
     # final section consistency
     if trace.final != tuple(rec.witness for rec in trace.steps):
         out.append("(final): recorded field does not match the witness tower")
-    if trace.dim != len(trace.final):
-        out.append(f"(final): recorded dim {trace.dim} is not the number of witnesses, "
-                   f"{len(trace.final)}")
     return out
 
 
@@ -640,19 +627,19 @@ def counterexample_audit(trace: ConstructionTrace, k: int) -> dict:
     if k < 1:
         raise ValueError("level must be >= 1")
     F = trace.final_subspace()
-    by_poly: dict[RatPoly, list[StepRecord]] = {}  # in first-use order
-    for rec in trace.steps:
-        by_poly.setdefault(rec.vast_poly, []).append(rec)
+    by_poly: dict[RatPoly, list[tuple[int, StepRecord]]] = {}  # in first-use order
+    for i, rec in enumerate(trace.steps, start=1):
+        by_poly.setdefault(rec.vast_poly, []).append((i, rec))
     entries = []
     for f, assigned in by_poly.items():
-        depth_needed = max(rec.vast_n + rec.depth_checked - 1 for rec in assigned)
+        depth_needed = max(rec.vast_n + rec.depth_checked - 1 for _, rec in assigned)
         K = max(k, depth_needed)
         killed = killed_signs(f, F, K)
         disc_span = ClassSubspace.span(disc_class(f, m) for m in range(1, K + 1))
         entries.append(
             {
                 "poly": str(f),
-                "steps": [rec.m for rec in assigned],
+                "steps": [i for i, _ in assigned],
                 "disc_depth": K,
                 "killed": sorted(killed),
                 "index_lower_bound": 2 ** len(killed),

@@ -174,6 +174,12 @@ def sign_level(g: Portrait, n: int) -> int:
     so it contributes its own sign raised to that power; the total sign is the
     product over all internal vertices above level n.  (Validated against the
     expanded leaf permutation by the test suite.)
+
+    Write eps_j for the product of the label signs at depth j.  Then
+    sigma_n = eps_(n-1) for even d and sigma_n = eps_0 ... eps_(n-1) for odd
+    d.  Both maps (eps_0..eps_(k-1)) -> (sigma_1..sigma_k) are unitriangular,
+    and the eps_j are independent, each set by its own labels, so the k level
+    signs are independent: every sign vector is the image of some portrait.
     """
     if not 1 <= n <= g.k:
         raise LevelOutOfRange(f"level {n} not in 1..{g.k}")

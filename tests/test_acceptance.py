@@ -28,6 +28,7 @@ from arborsign.arboreal import (
 from arborsign.construct import (
     ConstructionTrace,
     counterexample_audit,
+    cover_entry,
     run,
     verify_trace,
 )
@@ -242,9 +243,9 @@ def test_criterion_07_construction_round_trip(capsys, artifacts):
     with reported(capsys, 7, "10-step run < 60 s; verify clean; dim 10; 2^10 | 2^inf"):
         assert artifacts["run_seconds"] < 60
         assert artifacts["violations"] == []
-        assert artifacts["trace"].dim == 10
+        assert len(artifacts["trace"].final) == 10
         listed = {int(f.removesuffix("^inf")) for f in aut_order_supernatural(2).split(" * ")}
-        assert set(sympy.primefactors(2 ** artifacts["trace"].dim)) <= listed
+        assert set(sympy.primefactors(2 ** len(artifacts["trace"].final))) <= listed
 
 
 def _mutations(trace, rng):
@@ -271,14 +272,16 @@ def _mutations(trace, rng):
             data["final"]["F"][i] = new  # so that only (5_m) and its consequences catch it
         elif kind == "cover":
             if rng.random() < 0.5:
-                step["cover"]["id"] += rng.choice([-1, 1, 5])
-                if step["cover"]["id"] < 1:
+                # the cover of another enumeration entry, not step i + 1's
+                j = i + 1 + rng.choice([-1, 1, 5])
+                if j < 1 or cover_entry(j) == cover_entry(i + 1):
                     continue
+                new = str(cover_entry(j))
             else:
                 new = rng.choice(["x + 3", "x - 2", "x^2 + x + 1"])
-                if new == step["cover"]["h"]:
+                if new == step["cover"]:
                     continue
-                step["cover"]["h"] = new
+            step["cover"] = new
         else:
             # stay shallow: deeper stream levels would mean factoring
             # doubly-exponential orbit values, which the verifier would do

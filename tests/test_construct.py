@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from arborsign.construct import (
+    MAX_POINT_HEIGHT,
     MAX_STREAM_LEVEL,
     ConstructionAborted,
     ConstructionState,
@@ -156,9 +157,8 @@ class TestStep:
     def test_first_step_record(self):
         state, rec = step(ConstructionState.initial(5), height=100)
         assert rec.to_json() == {
-            "m": 1,
             "witness": -1,
-            "cover": {"id": 1, "h": "x"},
+            "cover": "x",
             "point": "2/1",
             "vast": {"poly": "x^2 + 1", "n": 1, "depth_checked": 5},
         }
@@ -166,7 +166,7 @@ class TestStep:
         assert len(state.points) == 1
 
     def test_growth_invariants(self, trace3):
-        assert trace3.dim == 3
+        assert len(trace3.final) == 3
         points = [rec.point for rec in trace3.steps]
         assert len(points) == len(set(points))
         specs = [(rec.vast_poly, rec.vast_n) for rec in trace3.steps]
@@ -214,8 +214,7 @@ class TestStep:
         cause, message, retries, steps, deepest = json.loads(proc.stdout)
         assert cause == "ResourceBound"
         assert message == f"entry 1, levels 1..{2 * depths[-1]} of x^2 + 1: past stream level 24"
-        assert retries == [{"step": 1, "reason": "depth_exhausted", "depth": d, "new_depth": 2 * d}
-                           for d in depths]
+        assert retries == [{"step": 1, "depth": d} for d in depths]
         assert steps == 0
         assert deepest == depths[-1]
 
@@ -238,15 +237,15 @@ class TestStep:
         assert max(levels) == 8
 
     @pytest.mark.parametrize("n, digest", [
-        pytest.param(10, "d11dbe23dde245d713f737bd5f9895843b31b7b1108c9f3ba6894e8b9807ba5e",
+        pytest.param(10, "b6db8e1a22df76822daa10f05e84022930f0779f3a2a0e4a965a01228465b51f",
                      id="10"),
-        pytest.param(20, "a7126ecb39c00ce8cef8ecb36a59f4f9a135fc55f73e621579f8e05d95e7431a",
+        pytest.param(20, "39e5f597ff91c8c1a7acd32ad6630317be7b1d715ba10dd4d1745020472fa918",
                      id="20"),
-        pytest.param(30, "3d675458fd6e04855321a7988ea2c84720e931212c7cb5fcd779c7be7930952b",
+        pytest.param(30, "372921367ca39851d8a0ad1d38e0bf96fad12e5ff6ad2b77cc22f9fc970bceac",
                      id="30"),
-        pytest.param(50, "895f067acacdabc5c1e12d7f0d305aa33c969f1ccdf2c7a3db056993159fc38d",
+        pytest.param(50, "c05aa0a78fe999a01693fa76d0efecbf1894bab1012a046a93e394d32d3587fa",
                      id="50"),
-        pytest.param(70, "a7a034a1f398ae51f68d843e55f68746a4e463a9ccef0501f38c5fca53862546",
+        pytest.param(70, "fe418a0a68e6675f0f3c9e477e2f28957b97a6350111ebc03dae76761bc86ecb",
                      id="70"),
     ])
     def test_trace_bytes_pinned(self, n, digest):
@@ -274,7 +273,7 @@ class TestStep:
             blob = json.dumps(trace.to_json()).encode()
         finally:
             sys.set_int_max_str_digits(limit)
-        digest = "2976e49ab1b103dc5b0a094687ad47478bcb8a9fee1c51013a5a9dcc68b380ca"
+        digest = "c71954c83fd715f4830aab44b1eeefe3ddaa55df17db49f03ab2dae3683152b0"
         assert hashlib.sha256(blob).hexdigest() == digest
         assert verify_trace(trace) == []
 
@@ -285,6 +284,8 @@ class TestStep:
             run(1, 0, 100)
         with pytest.raises(ValueError):
             run(1, 5, 0)
+        with pytest.raises(ValueError):
+            run(1, 5, MAX_POINT_HEIGHT + 1)
 
 
 class TestRecordsImmutable:
@@ -317,11 +318,20 @@ class TestTraceSerialization:
         b = json.dumps(run(3, 5, 100).to_json(), sort_keys=True)
         assert a == b
 
-    def test_schema_3_fields(self, trace3):
-        data = trace3.to_json()
-        assert data["schema"] == 3
-        assert data["params"] == {"steps": 3, "depth": 5, "height": 100}
-        assert data["final"] == {"F": [rec.witness for rec in trace3.steps], "dim": 3}
+    def test_schema_4_fields(self):
+        """Schema 4 records no field that the rest of the trace determines:
+        no height bound, step or cover number, retry constant or final
+        dimension."""
+        data = run(30, 1, 1000).to_json()
+        assert set(data) == {"schema", "params", "steps", "retries", "final"}
+        assert data["schema"] == 4
+        assert data["params"] == {"steps": 30, "depth": 1}
+        assert data["retries"] == [{"step": 2, "depth": 1}, {"step": 3, "depth": 2}]
+        assert data["final"] == {"F": [step["witness"] for step in data["steps"]]}
+        for step in data["steps"]:
+            assert set(step) == {"witness", "cover", "point", "vast"}
+            assert set(step["vast"]) == {"poly", "n", "depth_checked"}
+        assert data["steps"][0]["cover"] == "x"
 
     def test_rejects_wrong_schema(self, trace3):
         data = trace3.to_json()
@@ -330,6 +340,12 @@ class TestTraceSerialization:
             ConstructionTrace.from_json(data)
         data["schema"], data["params"]["window"] = 2, 64  # a schema-2 trace
         with pytest.raises(TraceFormatError, match="unsupported schema 2"):
+            ConstructionTrace.from_json(data)
+        data = trace3.to_json()  # a schema-3 trace
+        data["schema"], data["params"]["height"], data["final"]["dim"] = 3, 100, 3
+        for m, step in enumerate(data["steps"], start=1):
+            step["m"], step["cover"] = m, {"id": m, "h": step["cover"]}
+        with pytest.raises(TraceFormatError, match="unsupported schema 3"):
             ConstructionTrace.from_json(data)
         with pytest.raises(TraceFormatError):
             ConstructionTrace.from_json([])
@@ -347,9 +363,9 @@ class TestTraceSerialization:
             (("final", "F"), [0]),
             (("final", "F"), ["3"]),
             (("final", "F"), [True]),
-            (("params", "height"), "abc"),
-            (("params", "height"), 0),
-            (("params", "height"), 1.5),
+            (("steps", 1, "cover"), "abc"),
+            (("steps", 1, "cover"), 0),
+            (("steps", 1, "cover"), 1.5),
             (("retries",), ["abc"]),
             (("steps", 1, "vast", "n"), 0),
             (("steps", 1, "vast", "n"), MAX_STREAM_LEVEL - 3),  # depth 5: one level over
@@ -361,18 +377,21 @@ class TestTraceSerialization:
             (("steps", 1, "vast", "poly"), "3"),
             (("final", "F"), [9]),
             (("final", "F"), [-1, 1.5]),
-            (("steps", 1, "m"), "2"),
-            (("steps", 1, "m"), 2.0),
+            (("steps", 1, "point"), "2"),
+            (("steps", 1, "point"), 2.0),
             (("steps", 1, "witness"), 0),
             (("steps", 1, "witness"), "5"),
             (("steps", 1, "witness"), True),
-            (("steps", 1, "cover", "id"), 1.7),
-            (("steps", 1, "cover", "id"), "2"),
+            (("steps", 1, "vast", "poly"), 1.7),
+            (("steps", 1, "vast"), "2"),
             (("steps", 1, "vast", "n"), True),
             (("steps", 1, "vast", "n"), 1.0),
             (("steps", 1, "vast", "depth_checked"), "5"),
-            (("steps", 1), {"m": 2, "witness_kernel": 5}),
-            (("final", "dim"), "3"),
+            (("steps", 1), {"witness_kernel": 5}),
+            (("final", "F"), "3"),
+            (("steps", 1, "point"), f"{MAX_POINT_HEIGHT + 1}/1"),
+            (("steps", 1, "point"), f"{2 * MAX_POINT_HEIGHT + 2}/2"),
+            (("steps", 1, "point"), f"-1/{MAX_POINT_HEIGHT + 1}"),
         ],
     )
     def test_rejects_bad_final_params_retries(self, trace3, path, value):
@@ -558,7 +577,7 @@ class TestVerify:
         assert any(v.startswith("(2_1)") for v in verify_trace(bad))
 
     def test_wrong_cover_violates_3m(self, trace3):
-        bad = mutate(trace3, steps__0__cover={"id": 2, "h": "x + 1"})
+        bad = mutate(trace3, steps__0__cover="x + 1")
         assert any(v.startswith("(3_1)") for v in verify_trace(bad))
 
     def test_skipped_stream_violates_4m(self, trace3):
@@ -615,10 +634,6 @@ class TestVerify:
         bad = ConstructionTrace.from_json(data)
         assert any(v.startswith("(final)") for v in verify_trace(bad))
 
-    def test_tampered_final_dim_reported(self, trace3):
-        bad = mutate(trace3, final__dim=1)
-        assert verify_trace(bad) == ["(final): recorded dim 1 is not the number of witnesses, 3"]
-        assert counterexample_audit(bad, 2)["final_dim"] == 3
 
 
 def value(h, q):
@@ -628,9 +643,11 @@ def value(h, q):
 
 def full_scan_entries(trace):
     """The (2_i) entries of verify_trace, from a scan of every rational in the
-    height order at every step, and a test of every fiber class against every
-    later field."""
-    steps, height = trace.steps, trace.params["height"]
+    height order up to the recorded point's height at every step, and a test
+    of every fiber class against every later field.  A repeated point, which
+    the scan skips as a prior point, gets no (2_i) entry of its own unless a
+    fresh point of its height is eligible: (1_i) reports it."""
+    steps = trace.steps
     fields = [ClassSubspace()]
     for rec in steps:
         fields.append(fields[-1].extend(SquareClass(rec.witness)))
@@ -645,22 +662,20 @@ def full_scan_entries(trace):
         over = fields[i].compositum(over)
         point = Fraction(*rec.point)
         prior = [Fraction(*s.point) for s in steps[: i - 1]]
-        reached = False
+        height = max(abs(point.numerator), point.denominator)
         for num, den in rationals_by_height(height):
             q = Fraction(num, den)
             if q in prior:
                 continue
             eligible = cover_fiber_integral(rec.cover_h, num, den, over)
             if q == point:
-                reached = True
                 if not eligible:
                     out.append(f"(2_{i}): recorded point is not integral")
                 break
             if eligible:
-                out.append(f"(2_{i}): point {q} was eligible before {point}")
+                out.append(f"(2_{i}): point {q.numerator}/{q.denominator} was eligible "
+                           f"before {point.numerator}/{point.denominator}")
                 break
-        if not reached and not any(v.startswith(f"(2_{i})") for v in out):
-            out.append(f"(2_{i}): recorded point not reached in the height ordering")
         for j, fb in enumerate(fibers[:i], start=1):
             if fb is not None and fields[i].member(fb):
                 out.append(f"(2_{i}): fiber class of step {j} fell into the field")

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -139,10 +140,19 @@ class TestSigns:
             assert cv == tuple(a * b for a, b in zip(gv, hv))
 
     def test_sign_surjective(self):
-        # every sign pattern in {-1,1}^2 is realized at depth 2
-        assert {sign_vector(g) for g in all_portraits(2, 2)} == {
-            (1, 1), (1, -1), (-1, 1), (-1, -1)
-        }
+        """Every sign pattern in {-1,1}^k is realized, and on every portrait
+        sigma_n is eps_(n-1) for even d and eps_0 ... eps_(n-1) for odd d,
+        where eps_j is the product of the label signs at depth j."""
+        for d, k in [(2, 2), (2, 3), (3, 2)]:
+            seen = set()
+            for g in all_portraits(d, k):
+                eps = [math.prod(naive_perm_sign(p) for addr, p in g.labels.items()
+                                 if len(addr) == j) for j in range(k)]
+                expected = tuple(eps[n - 1] if d % 2 == 0 else math.prod(eps[:n])
+                                 for n in range(1, k + 1))
+                assert sign_vector(g) == expected
+                seen.add(expected)
+            assert seen == set(product((1, -1), repeat=k))
 
     def test_level_out_of_range(self):
         g = Portrait.identity(2, 2)
