@@ -286,9 +286,10 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps final params retr
         the shape it checks that every count and class is a JSON integer, that
         each witness is nonzero and each final.F entry a nonzero nonsquare,
         and what the verifier needs to end: each step's point has height at
-        most MAX_POINT_HEIGHT, its stream polynomial has degree >= 2, and its
+        most MAX_POINT_HEIGHT, its stream polynomial has degree >= 2, its
         stream is read from level vast.n to vast.n + vast.depth_checked - 1,
-        which must lie in 1..MAX_STREAM_LEVEL."""
+        which must lie in 1..MAX_STREAM_LEVEL, and its stream is an entry of
+        the vast list that a run can select."""
         if not isinstance(data, dict):
             raise TraceFormatError("trace must be a JSON object")
         if data.get("schema") != SCHEMA_VERSION:
@@ -314,6 +315,8 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps final params retr
             if s.vast_n + s.depth_checked - 1 > MAX_STREAM_LEVEL:
                 raise TraceFormatError(
                     f"step {i}: vast.n + vast.depth_checked - 1 exceeds {MAX_STREAM_LEVEL}")
+            if _resolve_spec_index(s.vast_poly, s.vast_n) is None:
+                raise TraceFormatError(f"step {i}: vast stream is not an entry a run can select")
         return cls(steps, final, params, retries)
 
 
@@ -372,7 +375,8 @@ def step(state: ConstructionState, *, height: int) -> tuple[ConstructionState, S
     field with all recorded fiber classes, consumes the next cover entry,
     and picks the smallest fresh specialization point whose fiber stays
     integral; one sqclass.fiber_test classifier tests the candidates of
-    that scan.  Raises
+    that scan.  Choosing the generator outside that compositum is what keeps
+    every earlier fiber integral over the enlarged field.  Raises
     DepthExhausted when the stream has no witness within the truncation
     depth, and ResourceBound at the stream bound or the height bound.
     """
@@ -477,56 +481,33 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
     (1_m)..(5_m) it breaks; an empty list means the trace is valid.  The
     checks re-derive every selection from the fixed enumerations, read
     through cover_entry and vast_entry, with the engine's stream bound; they
-    read no params.  Each step's (2_m) point scan is its own loop, with one
-    sqclass.fiber_test classifier for the step's cover and span, as in the
-    engine, and ends at the recorded point's height.
+    read no params.  One pass over the steps carries the field F and M, F
+    with every recorded fiber class, as the engine's state does.  Each
+    step's (2_m) point scan is its own loop, with one sqclass.fiber_test
+    classifier for the step's cover and span, as in the engine, and ends at
+    the recorded point's height.
     No description prints a witness: a wrong one is located by the stream
     level of the class expected in its place.
+
+    Persistence is not tested apart: it follows from (1_m), (2_m) and (5_m).
+    Write F_i and M_i for F and M after step i.  (5_i) passes only if w_i is
+    outside M_(i-1), so F_i is larger than F_(i-1).  (2_j) passes only if
+    the scan meets the recorded point, which (1_j) asks to be fresh, and
+    finds fiber j nonzero and outside M_(j-1) + w_j, which holds F_j.  Were
+    fiber j in F_i but not in F_(i-1), for i > j, then w_i would lie in
+    F_(i-1) + fiber j, inside M_(i-1), and (5_i) would fail.  So when they
+    all pass, every fiber class stays outside every later field.
     """
     out: list[str] = []
-
-    # reconstruct the field tower from the recorded witnesses
-    fields: list[ClassSubspace] = [ClassSubspace()]
-    for i, rec in enumerate(trace.steps, start=1):
-        fields.append(fields[-1].extend(SquareClass(rec.witness)))
-        if fields[-1].dim != fields[-2].dim + 1:
-            out.append(f"(5_{i}): witness does not enlarge the field")
-
-    # recompute fiber classes
-    fibers: list[SquareClass | None] = []
-    for i, rec in enumerate(trace.steps, start=1):
-        v = fiber_rep(rec.cover_h, *rec.point)
-        if v == 0:
-            out.append(f"(2_{i}): fiber above the recorded point is degenerate")
-            fibers.append(None)
-        else:
-            fibers.append(SquareClass(v))
-
-    # The fields are nested, so a fiber class in the field of step i stays in
-    # every later one: each is tested against the last field, and on a hit
-    # bisected for the first step whose field holds it.
-    fell_at: dict[int, int] = {}  # step j -> first step i >= j with fiber j in field i
-    for j, fb in enumerate(fibers, start=1):
-        if fb is not None and fields[-1].member(fb):
-            lo, hi = j, len(fibers)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if fields[mid].member(fb):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            fell_at[j] = lo
-
+    F = M = ClassSubspace()  # the field before step i, and F with every earlier fiber class
     first_at: dict[tuple[int, int], int] = {}  # point -> first step that recorded it
     passed: dict[RatPoly, tuple[int, int]] = {}  # cover -> point of its last passed scan
-    # The entry and depth of the last step whose entry resolved (0 before the
-    # first).  A run selects the first entry after its previous one that is
-    # disjoint from F, and its depth never drops, so every entry up to `last`
-    # meets the field at `last_depth` or deeper and (4_m) scans only after it.
+    # The entry and depth of the previous step (0 before the first).  A run
+    # selects the first entry after its previous one that is disjoint from F,
+    # and its depth never drops, so every entry up to `last` meets the field
+    # at `last_depth` or deeper and (4_m) scans only after it.
     last, last_depth = 0, 0
-    M = ClassSubspace()  # the field before step i with every earlier fiber class
     for i, rec in enumerate(trace.steps, start=1):
-        F_prev = fields[i - 1]
         w = SquareClass(rec.witness)
 
         # (1_m) distinct points
@@ -538,28 +519,26 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
         if rec.cover_h != cover_entry(i):
             out.append(f"(3_{i}): cover is not enumeration entry {i}")
 
-        # (4_m) vast spec is the first eligible entry after the previous one
+        # (4_m) vast spec is the first eligible entry after the previous one;
+        # from_json refuses a stream that is no entry a run can select
         idx = _resolve_spec_index(rec.vast_poly, rec.vast_n)
-        if idx is None:
-            out.append(f"(4_{i}): recorded stream is not an entry a run can select")
-        elif idx <= last:
+        if idx <= last:
             out.append(f"(4_{i}): stream entry {idx} is not after entry {last}")
         elif rec.depth_checked < last_depth:
             out.append(f"(4_{i}): depth_checked {rec.depth_checked} is below the previous "
                        f"step's {last_depth}")
         else:
             try:
-                if not disjoint_over(F_prev, vast_entry(idx).subspace(rec.depth_checked)):
+                if not disjoint_over(F, vast_entry(idx).subspace(rec.depth_checked)):
                     out.append(f"(4_{i}): recorded stream is not disjoint at depth "
                                f"{rec.depth_checked}")
                 for j in range(last + 1, idx):
-                    if disjoint_over(F_prev, vast_entry(j).subspace(rec.depth_checked)):
+                    if disjoint_over(F, vast_entry(j).subspace(rec.depth_checked)):
                         out.append(f"(4_{i}): entry {j} was eligible before entry {idx}")
                         break
             except ResourceBound as exc:  # an entry read past MAX_STREAM_LEVEL
                 out.append(f"(4_{i}): {exc}")
-        if idx is not None:
-            last, last_depth = idx, rec.depth_checked
+        last, last_depth = idx, rec.depth_checked
 
         # (5_m) witness is the first stream class outside the compositum
         try:
@@ -569,7 +548,7 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
                 level = rec.vast_n + stream.prefix(rec.depth_checked).index(expected)
                 out.append(f"(5_{i}): witness is not the first eligible stream class, "
                            f"the one at level {level} of the recorded stream")
-        except (DepthExhausted, Inseparable) as exc:
+        except DepthExhausted as exc:
             out.append(f"(5_{i}): no witness reachable in the recorded stream: {exc}")
 
         # (2_m) integrality: recorded point is the first eligible fresh point
@@ -599,11 +578,9 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
                            % (*candidate, *target))
                 break
 
-        # (2_m) persistence: all fiber classes stay outside every later field
-        for j, first in fell_at.items():
-            if first <= i:
-                out.append(f"(2_{i}): fiber class of step {j} fell into the field")
-        M = integral_over if fibers[i - 1] is None else integral_over.extend(fibers[i - 1])
+        F = F.extend(w)
+        v = fiber_rep(rec.cover_h, *target)
+        M = integral_over.extend(SquareClass(v)) if v else integral_over
 
     # final section consistency
     if trace.final != tuple(rec.witness for rec in trace.steps):

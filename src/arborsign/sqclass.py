@@ -78,17 +78,6 @@ class SquareClass:
             return NotImplemented
         return (self * other).is_trivial
 
-    def __hash__(self) -> int:
-        # the sign and the exponent parities at any prime are class invariants
-        n, key = abs(self.rep), [self.rep < 0]
-        for p in (2, 3, 5, 7, 11, 13):
-            odd = False
-            while n % p == 0:
-                n //= p
-                odd = not odd
-            key.append(odd)
-        return hash(tuple(key))
-
     def __str__(self) -> str:
         return str(self.kernel)
 

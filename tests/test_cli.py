@@ -378,16 +378,25 @@ class TestSimulateVerifyAudit:
         assert proc.returncode == 2
         assert proc.stdout == "" and "vast.poly" in proc.stderr
 
-    def test_verify_cubic_stream_finds_violations(self, trace_file, tmp_path):
-        """A cubic stream read at levels 3..7 used to take the composed
-        iterate's discriminant, past 30 s."""
+    @pytest.mark.parametrize("vast", [
+        pytest.param({"poly": "x^10 + x + 1", "n": 2, "depth_checked": 5}, id="x^10+x+1"),
+        pytest.param({"poly": "x^2 + 2", "n": 24, "depth_checked": 1}, id="x^2+2-n24"),
+        pytest.param({"poly": "x^3 + x + 1", "n": 3, "depth_checked": 5}, id="x^3+x+1"),
+        pytest.param({"poly": "x^2", "n": 1, "depth_checked": 5}, id="x^2"),
+    ])
+    @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]],
+                             ids=["verify", "audit"])
+    def test_stream_no_run_can_select_exit_2(self, trace_file, tmp_path, command, vast):
+        """Each stream used to be read level by level: x^10 + x + 1 ran past
+        100 s in `verify`, (x^2 + 2, n = 24) took 36.8 s, the cubic's levels
+        3..7 past 30 s, and x^2 exited 1 as inseparable in `audit`."""
         data = json.loads(trace_file.read_text())
-        data["steps"][0]["vast"].update(poly="x^3 + x + 1", n=3)
-        bad = tmp_path / "cubic.json"
+        data["steps"][0]["vast"] = vast
+        bad = tmp_path / "unselectable.json"
         bad.write_text(json.dumps(data))
-        proc = cli_process("verify", "--trace", str(bad))
-        assert proc.returncode == 1
-        assert json.loads(proc.stdout)["violations"]
+        proc = cli_process(*command, "--trace", str(bad))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: step 1: vast stream is not an entry a run can select\n")
 
     @pytest.mark.parametrize("depth", ["0", "25", "1000"])
     def test_simulate_depth_out_of_range_exit_2(self, tmp_path, depth):
@@ -570,10 +579,10 @@ RESOURCE_ROWS = {
 }
 
 # Commands that meet an inseparable iterate print this finding and exit 1.
+# No stream a trace may name is inseparable, so `audit` has no row.
 INSEPARABLE_ROWS = {
     "disc-seq": ["disc-seq", "--poly", "x^2", "--levels", "1"],
     "vast-witness": ["vast-witness", "--stream", "disc:x^2:1", "--depth", "3"],
-    "audit": ["audit", "--trace", "{trace}", "--level", "2"],
 }
 
 
@@ -601,12 +610,8 @@ class TestExitContract:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("row", INSEPARABLE_ROWS)
-    def test_inseparable_exit_1(self, trace_file, tmp_path, row):
-        data = json.loads(trace_file.read_text())
-        data["steps"][1]["vast"]["poly"] = "x^2"
-        trace = tmp_path / "inseparable.json"
-        trace.write_text(json.dumps(data))
-        proc = cli_process(*[a.format(trace=trace) for a in INSEPARABLE_ROWS[row]])
+    def test_inseparable_exit_1(self, row):
+        proc = cli_process(*INSEPARABLE_ROWS[row])
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             1, '{\n  "inseparable": 1\n}\n', "")
 

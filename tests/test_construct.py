@@ -588,20 +588,22 @@ class TestVerify:
                          "(4_2): stream entry 2 is not after entry 3"]
 
     def test_entry_no_run_can_select_violates_4m(self, trace3, tmp_path, monkeypatch):
-        """Entry 302, (x^2 + 2, n = 24), passes from_json at depth 1, but no
-        run selects it.  Reading its level-24 stream takes tens of seconds,
-        so the case runs under a bound of 8, where entry 38, (x^2 + 2,
-        n = 8), is the same case.  The verifier reports it without testing
-        earlier entries, and `verify` exits 1."""
+        """Entry 302, (x^2 + 2, n = 24), is within the stream bound at depth
+        1, but no run selects it, and reading its level-24 stream takes tens
+        of seconds.  Under a bound of 8, where entry 38, (x^2 + 2, n = 8), is
+        the same case, the reader refuses it before any level is read, and
+        `verify` exits 2."""
         monkeypatch.setattr(construct, "MAX_STREAM_LEVEL", 8)
         assert vast_entry(38)[1:] == (RatPoly.parse("x^2 + 2"), 8)
-        bad = mutate(trace3, steps__0__vast={"poly": "x^2 + 2", "n": 8, "depth_checked": 1})
-        found = [v for v in verify_trace(bad) if v.startswith("(4_1)")]
-        assert found == ["(4_1): recorded stream is not an entry a run can select"]
+        data = trace3.to_json()
+        data["steps"][0]["vast"] = {"poly": "x^2 + 2", "n": 8, "depth_checked": 1}
+        with pytest.raises(TraceFormatError,
+                           match="^step 1: vast stream is not an entry a run can select$"):
+            ConstructionTrace.from_json(data)
         path = tmp_path / "t.json"
-        path.write_text(json.dumps(bad.to_json()))
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["verify", "--trace", str(path)]) == 1
+        path.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["verify", "--trace", str(path)]) == 2
 
     def test_earlier_entry_past_the_bound_violates_4m(self, trace3, monkeypatch, levels):
         """Step 2 names entry 3 at depth 8 under a stream bound of 8, so the
@@ -643,23 +645,14 @@ def value(h, q):
 
 def full_scan_entries(trace):
     """The (2_i) entries of verify_trace, from a scan of every rational in the
-    height order up to the recorded point's height at every step, and a test
-    of every fiber class against every later field.  A repeated point, which
-    the scan skips as a prior point, gets no (2_i) entry of its own unless a
-    fresh point of its height is eligible: (1_i) reports it."""
+    height order up to the recorded point's height at every step.  A repeated
+    point, which the scan skips as a prior point, gets no (2_i) entry of its
+    own unless a fresh point of its height is eligible: (1_i) reports it."""
     steps = trace.steps
-    fields = [ClassSubspace()]
-    for rec in steps:
-        fields.append(fields[-1].extend(SquareClass(rec.witness)))
-    out, fibers = [], []
+    out, F, fibers = [], ClassSubspace(), []
     for i, rec in enumerate(steps, start=1):
-        v = value(rec.cover_h, Fraction(*rec.point))
-        if v == 0:
-            out.append(f"(2_{i}): fiber above the recorded point is degenerate")
-        fibers.append(class_of(v) if v else None)
-    for i, rec in enumerate(steps, start=1):
-        over = ClassSubspace.span([fb for fb in fibers[: i - 1] if fb is not None])
-        over = fields[i].compositum(over)
+        F = F.extend(SquareClass(rec.witness))
+        over = F.compositum(ClassSubspace.span(fb for fb in fibers if fb is not None))
         point = Fraction(*rec.point)
         prior = [Fraction(*s.point) for s in steps[: i - 1]]
         height = max(abs(point.numerator), point.denominator)
@@ -676,10 +669,28 @@ def full_scan_entries(trace):
                 out.append(f"(2_{i}): point {q.numerator}/{q.denominator} was eligible "
                            f"before {point.numerator}/{point.denominator}")
                 break
-        for j, fb in enumerate(fibers[:i], start=1):
-            if fb is not None and fields[i].member(fb):
-                out.append(f"(2_{i}): fiber class of step {j} fell into the field")
+        v = value(rec.cover_h, point)
+        fibers.append(class_of(v) if v else None)
     return out
+
+
+def persistence_faults(trace):
+    """What the construction keeps out of a valid trace and verify_trace does
+    not test apart: a degenerate fiber (j, None), a witness that does not
+    enlarge the field (None, i), and a fiber class of step j in the field of
+    step i >= j, (j, i).  Each fiber class is tested against every field."""
+    fields, faults = [ClassSubspace()], []
+    for i, rec in enumerate(trace.steps, start=1):
+        fields.append(fields[-1].extend(SquareClass(rec.witness)))
+        if fields[i].dim == fields[i - 1].dim:
+            faults.append((None, i))
+    for j, rec in enumerate(trace.steps, start=1):
+        v = value(rec.cover_h, Fraction(*rec.point))
+        if v == 0:
+            faults.append((j, None))
+            continue
+        faults += [(j, i) for i in range(j, len(fields)) if fields[i].member(class_of(v))]
+    return faults
 
 
 @pytest.fixture(scope="module")
@@ -687,37 +698,40 @@ def trace20():
     return run(20, 5, 1000)
 
 
+def point_mutants(trace, count, seed):
+    """`trace` with one step's point shifted, copied from another step,
+    swapped with another step's or set to a low point."""
+    rng = random.Random(seed)
+    low = [Fraction(*p) for p in rationals_by_height(8)]
+    n = len(trace.steps)
+    for _ in range(count):
+        points = [Fraction(*rec.point) for rec in trace.steps]
+        i, j = rng.sample(range(n), 2)
+        kind = rng.randrange(4)
+        if kind == 0:  # shift by a small rational
+            points[i] += Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+        elif kind == 1:  # copy another step's point
+            points[i] = points[j]
+        elif kind == 2:  # swap two points
+            points[i], points[j] = points[j], points[i]
+        else:  # a low point, before the resume point of most covers
+            points[i] = rng.choice(low)
+        data = trace.to_json()
+        for rec, q in zip(data["steps"], points):
+            rec["point"] = f"{q.numerator}/{q.denominator}"
+        yield ConstructionTrace.from_json(data)
+
+
 class TestVerifyResume:
     """verify_trace resumes each point scan after the last passed scan of the
     same cover; its (2_i) entries must equal those of full scans."""
-
-    def mutants(self, trace, count, seed):
-        rng = random.Random(seed)
-        low = [Fraction(*p) for p in rationals_by_height(8)]
-        n = len(trace.steps)
-        for _ in range(count):
-            points = [Fraction(*rec.point) for rec in trace.steps]
-            i, j = rng.sample(range(n), 2)
-            kind = rng.randrange(4)
-            if kind == 0:  # shift by a small rational
-                points[i] += Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
-            elif kind == 1:  # copy another step's point
-                points[i] = points[j]
-            elif kind == 2:  # swap two points
-                points[i], points[j] = points[j], points[i]
-            else:  # a low point, before the resume point of most covers
-                points[i] = rng.choice(low)
-            data = trace.to_json()
-            for rec, q in zip(data["steps"], points):
-                rec["point"] = f"{q.numerator}/{q.denominator}"
-            yield ConstructionTrace.from_json(data)
 
     def test_valid_trace(self, trace20):
         assert full_scan_entries(trace20) == [] == verify_trace(trace20)
 
     def test_mutated_points_match_full_scans(self, trace20):
         found = 0
-        for bad in self.mutants(trace20, 16, seed=6):
+        for bad in point_mutants(trace20, 16, seed=6):
             expected = full_scan_entries(bad)
             got = [v for v in verify_trace(bad) if v.startswith("(2_")]
             assert got == expected
@@ -725,20 +739,73 @@ class TestVerifyResume:
         assert found == 16  # every mutant breaks some (2_i)
 
 
+def with_witness(trace, i, witness):
+    """`trace` with the witness of step i, and its final.F entry, replaced."""
+    data = trace.to_json()
+    data["steps"][i - 1]["witness"] = data["final"]["F"][i - 1] = witness
+    return ConstructionTrace.from_json(data)
+
+
+def fiber_int(rec):
+    """An integer in the fiber class of a step."""
+    v = value(rec.cover_h, Fraction(*rec.point))
+    return v.numerator * v.denominator
+
+
 class TestVerifyPersistence:
-    """verify_trace tests each fiber class once against the last field and
-    bisects for the first field that holds it; its entries must equal those
-    of a test against every field."""
+    """verify_trace does not test persistence apart: a fiber class pulled
+    into a later field, a degenerate fiber or a witness that does not
+    enlarge the field each break (1_m), (2_m) or (5_m) at some step."""
 
     @pytest.mark.parametrize("j, i", [(3, 8), (1, 20), (19, 20)])
-    def test_fiber_pulled_into_the_field_repeats_at_every_later_step(self, trace20, j, i):
-        rec = trace20.steps[j - 1]
-        v = value(rec.cover_h, Fraction(*rec.point))
-        bad = mutate(trace20, **{f"steps__{i - 1}__witness": v.numerator * v.denominator})
-        got = [line for line in verify_trace(bad) if line.startswith("(2_")]
-        assert got == full_scan_entries(bad)
-        line = f"fiber class of step {j} fell into the field"
-        assert [v for v in got if v.endswith(line)] == [f"(2_{k}): {line}" for k in range(i, 21)]
+    def test_fiber_pulled_into_the_field_breaks_5m(self, trace20, j, i):
+        bad = with_witness(trace20, i, fiber_int(trace20.steps[j - 1]))
+        assert (j, i) in persistence_faults(bad)
+        got = verify_trace(bad)
+        assert (f"(5_{i}): witness is not the first eligible stream class, "
+                f"the one at level 4 of the recorded stream") in got
+        assert not [line for line in got if "fell into" in line]
+
+    def witness_mutants(self, trace, count, seed):
+        """Witnesses pulled from a fiber class, from an earlier witness or
+        from a product of the two, or swapped with another step's."""
+        rng = random.Random(seed)
+        n = len(trace.steps)
+        for _ in range(count):
+            j, i = sorted(rng.sample(range(1, n + 1), 2))
+            w_j, fiber_j = trace.steps[j - 1].witness, fiber_int(trace.steps[j - 1])
+            kind = rng.randrange(4)
+            if kind == 0:
+                yield with_witness(trace, i, fiber_j)
+            elif kind == 1:
+                yield with_witness(trace, i, w_j)
+            elif kind == 2:
+                yield with_witness(trace, i, trace.steps[i - 1].witness * fiber_j)
+            else:
+                swapped = with_witness(trace, i, w_j)
+                yield with_witness(swapped, j, trace.steps[i - 1].witness)
+
+    def degenerate_mutants(self, trace):
+        """Each step whose cover has an integer root, moved to that root."""
+        for i, rec in enumerate(trace.steps, start=1):
+            for t in range(-8, 9):
+                if value(rec.cover_h, Fraction(t)) == 0:
+                    yield mutate(trace, **{f"steps__{i - 1}__point": f"{t}/1"})
+                    break
+
+    def test_every_persistence_fault_is_a_violation(self, trace20):
+        """Over point, witness and degenerate-point mutants, a trace the
+        every-field oracle finds a persistence fault in always has a
+        violation of the steps; final.F is kept equal to the witnesses."""
+        mutants = [*point_mutants(trace20, 16, seed=6),
+                   *self.witness_mutants(trace20, 24, seed=35),
+                   *self.degenerate_mutants(trace20)]
+        faulty = 0
+        for bad in mutants:
+            if persistence_faults(bad):
+                faulty += 1
+                assert [line for line in verify_trace(bad) if not line.startswith("(final)")]
+        assert faulty == 32
 
 
 def entry_indices(trace):
