@@ -165,9 +165,10 @@ def _parse_poly(text: str) -> RatPoly:
 def _cmd_disc_seq(args) -> tuple[int, dict]:
     f = _parse_poly(args.poly)
     base = _parse_base(args.base)
-    classes = disc_class_sequence(f, args.levels)
+    # the kernels first: a kernel past factoring's budget exits 3 before the span
+    kernels = [c.kernel for c in disc_class_sequence(f, args.levels)]
     subspace = discriminant_subextension(f, base, 1, args.levels)
-    return OK, {"classes": [c.kernel for c in classes], "subspace": subspace.kernels()}
+    return OK, {"classes": kernels, "subspace": subspace.kernels()}
 
 
 def _cmd_index_report(args) -> tuple[int, dict]:

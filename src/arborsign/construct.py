@@ -22,7 +22,6 @@ from itertools import count
 from .arboreal import (
     MAX_POINT_HEIGHT,
     MAX_STREAM_LEVEL,
-    Inseparable,
     disc_class,
     disc_stream,
     killed_signs,
@@ -109,44 +108,36 @@ def _cover_grid() -> Iterator[RatPoly]:
         height += 1
 
 
-def _orbit_infinite(c: int) -> bool:
-    seen: set[int] = set()
-    v = 0
-    while True:
-        v = v * v + c
-        if v == 0 or v in seen:
-            return False
-        seen.add(v)
-        if v * v > abs(v) + abs(c):  # escape radius: orbit now diverges
-            return True
+def _vast_c(ci: int) -> int:
+    """Parameter ci (0-based) of the vast list: c = 1, 2, 3, -3, 4, -4, ...,
+    every integer but 0, -1 and -2, in the order 1, -1, 2, -2, ....
+
+    Lemma: these are exactly the c whose x^2 + c has an infinite critical
+    orbit 0, c, c^2 + c, ..., and no orbit value after 0 is 0.  The orbit is
+    0, 0, ... at c = 0; 0, -1, 0, ... at c = -1; 0, -2, 2, 2, ... at c = -2.
+    For c >= 1 it rises strictly, as v^2 + c > v.  For c <= -3 it reaches c,
+    and |v| >= |c| >= 3 gives |v^2 + c| >= v^2 - |v| >= 2|v|, so |v| at least
+    doubles from there on.  A finite orbit would give a stream of finitely
+    many classes, a finite extension that cannot play the vast role.  And as
+    disc(f^(on)) = 0 only if f^(om)(0) = 0 for some m <= n, every entry's
+    iterates are separable: no vast stream raises arboreal.Inseparable.
+    """
+    if ci < 2:
+        return ci + 1
+    v = ci // 2 + 2
+    return -v if ci % 2 else v
 
 
-def _vast_params() -> Iterator[int]:
-    """The integers c = 1, -1, 2, -2, ... whose x^2 + c has an infinite
-    critical orbit.  A finite orbit gives a discriminant class stream with
-    finitely many values, so the extension it models is finite and cannot
-    play the vast role (the arboreal image is also degenerate); c = 0 is
-    inseparable outright."""
-    v = 1
-    while True:
-        for c in (v, -v):
-            if _orbit_infinite(c):
-                yield c
-        v += 1
+def _vast_ci(c: int) -> int | None:
+    """The inverse of _vast_c: the ci with _vast_c(ci) = c; None for c = 0, -1, -2."""
+    if abs(c) >= 3:
+        return 2 * abs(c) - 4 + (c < 0)
+    return c - 1 if c > 0 else None
 
 
-# Both enumerations are fixed, so each process keeps one list of the items
-# read so far and the iterator that extends it.
-_COVERS: tuple[list[RatPoly], Iterator[RatPoly]] = ([], _cover_grid())
-_VAST_CS: tuple[list[int], Iterator[int]] = ([], _vast_params())
-
-
-def _item(lazy: tuple[list, Iterator], i: int):
-    """Item i (0-based) of an endless iterator, through its list of items."""
-    items, source = lazy
-    while len(items) <= i:
-        items.append(next(source))
-    return items[i]
+# The cover grid is fixed: each process keeps the covers read so far.
+_COVERS: list[RatPoly] = []
+_COVER_GRID = _cover_grid()
 
 
 def cover_entry(j: int) -> RatPoly:
@@ -155,7 +146,10 @@ def cover_entry(j: int) -> RatPoly:
     pairing."""
     if j < 1:
         raise ValueError("entries are 1-based")
-    return _item(_COVERS, _unpair(j - 1)[0])
+    i = _unpair(j - 1)[0]
+    while len(_COVERS) <= i:
+        _COVERS.append(next(_COVER_GRID))
+    return _COVERS[i]
 
 
 def vast_entry(j: int) -> VastSpec:
@@ -164,7 +158,7 @@ def vast_entry(j: int) -> VastSpec:
     if j < 1:
         raise ValueError("entries are 1-based")
     ci, u = _unpair(j - 1)
-    return VastSpec(j, RatPoly((_item(_VAST_CS, ci), 0, 1)), u + 1)
+    return VastSpec(j, RatPoly((_vast_c(ci), 0, 1)), u + 1)
 
 
 # A point, a rational t = num/den, is the pair (num, den) in lowest terms
@@ -286,10 +280,9 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps final params retr
         the shape it checks that every count and class is a JSON integer, that
         each witness is nonzero and each final.F entry a nonzero nonsquare,
         and what the verifier needs to end: each step's point has height at
-        most MAX_POINT_HEIGHT, its stream polynomial has degree >= 2, its
-        stream is read from level vast.n to vast.n + vast.depth_checked - 1,
-        which must lie in 1..MAX_STREAM_LEVEL, and its stream is an entry of
-        the vast list that a run can select."""
+        most MAX_POINT_HEIGHT, its stream is read from level vast.n to
+        vast.n + vast.depth_checked - 1, which must lie in 1..MAX_STREAM_LEVEL,
+        and its stream is an entry of the vast list that a run can select."""
         if not isinstance(data, dict):
             raise TraceFormatError("trace must be a JSON object")
         if data.get("schema") != SCHEMA_VERSION:
@@ -308,8 +301,6 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps final params retr
         for i, s in enumerate(steps, start=1):
             if _height_key(*s.point)[0] > MAX_POINT_HEIGHT:
                 raise TraceFormatError(f"step {i}: point height exceeds {MAX_POINT_HEIGHT}")
-            if s.vast_poly.degree < 2:
-                raise TraceFormatError(f"step {i}: vast.poly must have degree >= 2")
             if s.vast_n < 1 or s.depth_checked < 1:
                 raise TraceFormatError(f"step {i}: vast.n and vast.depth_checked must be >= 1")
             if s.vast_n + s.depth_checked - 1 > MAX_STREAM_LEVEL:
@@ -425,9 +416,9 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
     is recorded.  The retries end on their own: past depth MAX_STREAM_LEVEL
     every entry's truncation reads past the stream bound, so from depth 1,
     5 or 24 a run retries at most 5, 3 or 1 times.  Any other ResourceBound
-    (a stream past MAX_STREAM_LEVEL, the height bound) or Inseparable aborts
-    at once, carrying the partial trace.  The height bound is a budget, not
-    part of the trace: a completed run's steps do not depend on it.
+    (a stream past MAX_STREAM_LEVEL, the height bound) aborts at once,
+    carrying the partial trace.  The height bound is a budget, not part of
+    the trace: a completed run's steps do not depend on it.
     """
     if N < 1:
         raise ValueError("need at least one step")
@@ -451,7 +442,7 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
             retries.append({"step": len(steps) + 1, "depth": state.depth})
             state = state._replace(depth=state.depth * 2)
             continue
-        except (ResourceBound, Inseparable) as exc:
+        except ResourceBound as exc:
             raise ConstructionAborted(trace(), exc)
         state = state2
         steps.append(rec)
@@ -463,15 +454,19 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
 # ---------------------------------------------------------------------------
 
 def _resolve_spec_index(f: RatPoly, n: int) -> int | None:
-    """The index of (f, n) if a run can select it, else None.  A run tests every
-    earlier entry first, and cannot test entry 301, (x^2 + 1, n = 25)."""
+    """The index of (f, n) if a run can select it, else None: the inverse of
+    vast_entry, less every entry from (x^2 + 1, n = MAX_STREAM_LEVEL + 1) on.
+    A run tests every earlier entry first, and cannot test that one, whose
+    first level is past the stream bound."""
     if n < 1 or f.den != 1 or f.nums[1:] != (0, 1):
         return None
-    for ci in range(MAX_STREAM_LEVEL - n + 1):
-        if _item(_VAST_CS, ci) == f.nums[0]:
-            s = ci + n - 1
-            return s * (s + 1) // 2 + ci + 1
-    return None
+    ci = _vast_ci(f.nums[0])
+    if ci is None:
+        return None
+    # (ci, n - 1) lies on diagonal s; (x^2 + 1, MAX_STREAM_LEVEL + 1) opens
+    # diagonal MAX_STREAM_LEVEL
+    s = ci + n - 1
+    return s * (s + 1) // 2 + ci + 1 if s < MAX_STREAM_LEVEL else None
 
 
 def verify_trace(trace: ConstructionTrace) -> list[str]:

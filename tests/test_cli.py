@@ -369,32 +369,36 @@ class TestSimulateVerifyAudit:
     @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]])
     def test_stream_polynomial_of_degree_below_2_exit_2(self, trace_file, tmp_path, poly,
                                                         command):
-        """Such a step used to end in a ValueError traceback under exit 1."""
+        """Such a step used to end in a ValueError traceback under exit 1.  It
+        is no entry of the vast list, so the selectability check refuses it."""
         data = json.loads(trace_file.read_text())
         data["steps"][1]["vast"]["poly"] = poly
         bad = tmp_path / "bad_poly.json"
         bad.write_text(json.dumps(data))
         proc = cli_process(*command, "--trace", str(bad))
-        assert proc.returncode == 2
-        assert proc.stdout == "" and "vast.poly" in proc.stderr
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: step 2: vast stream is not an entry a run can select\n")
 
     @pytest.mark.parametrize("vast", [
         pytest.param({"poly": "x^10 + x + 1", "n": 2, "depth_checked": 5}, id="x^10+x+1"),
         pytest.param({"poly": "x^2 + 2", "n": 24, "depth_checked": 1}, id="x^2+2-n24"),
         pytest.param({"poly": "x^3 + x + 1", "n": 3, "depth_checked": 5}, id="x^3+x+1"),
         pytest.param({"poly": "x^2", "n": 1, "depth_checked": 5}, id="x^2"),
+        pytest.param({"poly": "x^2 + " + "7" * 4000, "n": 1, "depth_checked": 5},
+                     id="x^2+4000-digit-c"),
     ])
     @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]],
                              ids=["verify", "audit"])
     def test_stream_no_run_can_select_exit_2(self, trace_file, tmp_path, command, vast):
         """Each stream used to be read level by level: x^10 + x + 1 ran past
         100 s in `verify`, (x^2 + 2, n = 24) took 36.8 s, the cubic's levels
-        3..7 past 30 s, and x^2 exited 1 as inseparable in `audit`."""
+        3..7 past 30 s, and x^2 exited 1 as inseparable in `audit`.  Each is
+        now refused before any level is read, within 5 s cold."""
         data = json.loads(trace_file.read_text())
         data["steps"][0]["vast"] = vast
         bad = tmp_path / "unselectable.json"
         bad.write_text(json.dumps(data))
-        proc = cli_process(*command, "--trace", str(bad))
+        proc = cli_process(*command, "--trace", str(bad), timeout=5)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", "error: step 1: vast stream is not an entry a run can select\n")
 
@@ -558,6 +562,8 @@ RESOURCE_ROWS = {
                              "--base", "1237940039299929012757878481"], " 91-bit composite"),
     "FactoringBudget-bits": ([*CLI, "vast-witness", "--stream", "disc:x^2+2:20", "--depth", "5"],
                              " 687957-bit cofactor: above the 1024-bit bound"),
+    "FactoringBudget-disc-seq": ([*CLI, "disc-seq", "--poly", "x^2+1", "--levels", "24"],
+                                 " 1197-bit cofactor: above the 1024-bit bound"),
     "NoGoodPrimes": ([*CLI, "index-report", "--poly", "x^2-3", "--level", "1", "--n", "1",
                       "--primes", "1"], "no good prime among the first 1"),
     "DepthExhausted": ([*CLI, "vast-witness", "--stream", "primes", "--base", "2,3,5",

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from itertools import count, islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,6 +33,8 @@ from arborsign.construct import (
     verify_trace,
     _resolve_spec_index,
     _unpair,
+    _vast_c,
+    _vast_ci,
 )
 from arborsign import arboreal, cli, construct, exactpoly, primes
 from arborsign.arboreal import disc_class
@@ -71,6 +74,20 @@ def levels(monkeypatch):
     return read
 
 
+def orbit_infinite(c):
+    """Whether x^2 + c has an infinite critical orbit, by simulating it: the
+    oracle for the closed-form vast list."""
+    seen = set()
+    v = 0
+    while True:
+        v = v * v + c
+        if v == 0 or v in seen:
+            return False
+        seen.add(v)
+        if v * v > abs(v) + abs(c):  # escape radius: orbit now diverges
+            return True
+
+
 class TestEnumerations:
     def test_unpair_sweeps_diagonals(self):
         seen = [_unpair(j) for j in range(15)]
@@ -102,6 +119,24 @@ class TestEnumerations:
         assert not cs & {0, -1, -2}
         assert 1 in cs and 2 in cs and -3 in cs
 
+    def test_vast_c_lists_the_infinite_orbits_in_order(self):
+        oracle = (c for v in count(1) for c in (v, -v) if orbit_infinite(c))
+        assert [_vast_c(ci) for ci in range(5000)] == list(islice(oracle, 5000))
+
+    def test_vast_ci_inverts_vast_c(self):
+        for c in range(-3000, 3001):
+            ci = _vast_ci(c)
+            assert (ci is not None) == orbit_infinite(c)
+            assert ci is None or _vast_c(ci) == c
+
+    def test_resolve_reads_the_bound_when_called(self, monkeypatch):
+        """Under a bound of 8 the first refused entry is 37, (x^2 + 1, n = 9)."""
+        monkeypatch.setattr(construct, "MAX_STREAM_LEVEL", 8)
+        assert vast_entry(37)[1:] == (RatPoly.parse("x^2 + 1"), 9)
+        for j in range(1, 2001):
+            spec = vast_entry(j)
+            assert _resolve_spec_index(spec.f, spec.n) == (j if j < 37 else None)
+
     def test_entries_one_based(self):
         with pytest.raises(ValueError):
             cover_entry(0)
@@ -116,7 +151,7 @@ class TestEnumerations:
         past = next(j for j in range(1, 1000) if vast_entry(j).n > MAX_STREAM_LEVEL)
         assert (str(vast_entry(past).f), past) == ("x^2 + 1", 301)
         assert (str(vast_entry(302).f), vast_entry(302).n) == ("x^2 + 2", MAX_STREAM_LEVEL)
-        for j in range(1, 303):
+        for j in range(1, 2001):
             spec = vast_entry(j)
             assert spec.index == j
             assert _resolve_spec_index(spec.f, spec.n) == (j if j < past else None)
