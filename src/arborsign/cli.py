@@ -221,7 +221,7 @@ def _cmd_simulate(args) -> tuple[int, dict]:
         raise aborted
     return OK, {
         "steps": len(trace.steps),
-        "dim": len(trace.final),
+        "dim": len(trace.steps),
         "retries": len(trace.retries),
         "out": args.out,
     }

@@ -108,6 +108,14 @@ def _cover_grid() -> Iterator[RatPoly]:
         height += 1
 
 
+def _in_cover_grid(h: RatPoly) -> bool:
+    """Whether h is a polynomial of _cover_grid: x + b, or x^2 + a x + b with
+    a^2 != 4b, over the integers."""
+    if h.den != 1 or h.degree not in (1, 2) or h.nums[-1] != 1:
+        return False
+    return h.degree == 1 or h.nums[1] ** 2 != 4 * h.nums[0]
+
+
 def _vast_c(ci: int) -> int:
     """Parameter ci (0-based) of the vast list: c = 1, 2, 3, -3, 4, -4, ...,
     every integer but 0, -1 and -2, in the order 1, -1, 2, -2, ....
@@ -202,10 +210,10 @@ def rationals_by_height(
 # State, records, trace
 # ---------------------------------------------------------------------------
 
-class ConstructionState(namedtuple("ConstructionState", "F M points last depth")):
-    """What the induction has built after len(points) steps: the field F, of
-    dimension len(points), the (cover h, point) pair of each completed step,
-    and the truncation depth.
+class ConstructionState(namedtuple("ConstructionState", "F M steps last depth")):
+    """What the induction has built after len(steps) steps: the field F, of
+    dimension len(steps), the StepRecord of each completed step, and the
+    truncation depth.
 
     F only gains classes and the truncation depth never drops, so the state
     also carries what later steps reuse: M, the span of F and every recorded
@@ -256,14 +264,11 @@ class StepRecord(namedtuple("StepRecord", "witness cover_h point vast_poly vast_
             raise TraceFormatError(f"malformed step record: {exc}") from exc
 
 
-class ConstructionTrace(namedtuple("ConstructionTrace", "steps final params retries")):
-    """A run's steps, final field, parameters and retries.  The final field is
-    recorded as the steps' witness integers, which span it."""
+class ConstructionTrace(namedtuple("ConstructionTrace", "steps params retries")):
+    """A run's steps, parameters and retries.  The final field is the span of
+    the steps' witnesses; the JSON form lists them again as final.F."""
 
     __slots__ = ()
-
-    def final_subspace(self) -> ClassSubspace:
-        return ClassSubspace.span(SquareClass(w) for w in self.final)
 
     def to_json(self) -> dict:
         return {
@@ -271,16 +276,17 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps final params retr
             "params": dict(self.params),
             "steps": [s.to_json() for s in self.steps],
             "retries": [dict(r) for r in self.retries],
-            "final": {"F": list(self.final)},
+            "final": {"F": [s.witness for s in self.steps]},
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "ConstructionTrace":
         """Parse a trace; raises TraceFormatError on malformed data.  Besides
         the shape it checks that every count and class is a JSON integer, that
-        each witness is nonzero and each final.F entry a nonzero nonsquare,
-        and what the verifier needs to end: each step's point has height at
-        most MAX_POINT_HEIGHT, its stream is read from level vast.n to
+        final.F lists the witnesses in step order, that each witness is a
+        nonzero nonsquare, and what the verifier needs to end: each step's
+        cover is a polynomial of the cover grid, its point has height at most
+        MAX_POINT_HEIGHT, its stream is read from level vast.n to
         vast.n + vast.depth_checked - 1, which must lie in 1..MAX_STREAM_LEVEL,
         and its stream is an entry of the vast list that a run can select."""
         if not isinstance(data, dict):
@@ -289,16 +295,19 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps final params retr
             raise TraceFormatError(f"unsupported schema {data.get('schema')!r}")
         try:
             steps = tuple(StepRecord.from_json(s) for s in data["steps"])
-            final = tuple(_json_int(w, f"final.F[{j}]", nonzero=True)
-                          for j, w in enumerate(data["final"]["F"]))
+            final = [_json_int(w, f"final.F[{j}]") for j, w in enumerate(data["final"]["F"])]
             params = dict(data["params"])
-            retries = tuple(dict(r) for r in data.get("retries", []))
+            retries = tuple(dict(r) for r in data["retries"])
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"malformed trace: {exc}") from exc
-        for j, w in enumerate(final):
-            if SquareClass(w).is_trivial:
-                raise TraceFormatError(f"final.F[{j}] is a perfect square: its class is trivial")
+        if final != [s.witness for s in steps]:
+            raise TraceFormatError("final.F does not list the steps' witnesses in step order")
         for i, s in enumerate(steps, start=1):
+            if SquareClass(s.witness).is_trivial:
+                raise TraceFormatError(
+                    f"step {i}: witness is a perfect square: its class is trivial")
+            if not _in_cover_grid(s.cover_h):
+                raise TraceFormatError(f"step {i}: cover is not a polynomial of the cover grid")
             if _height_key(*s.point)[0] > MAX_POINT_HEIGHT:
                 raise TraceFormatError(f"step {i}: point height exceeds {MAX_POINT_HEIGHT}")
             if s.vast_n < 1 or s.depth_checked < 1:
@@ -308,7 +317,7 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps final params retr
                     f"step {i}: vast.n + vast.depth_checked - 1 exceeds {MAX_STREAM_LEVEL}")
             if _resolve_spec_index(s.vast_poly, s.vast_n) is None:
                 raise TraceFormatError(f"step {i}: vast stream is not an entry a run can select")
-        return cls(steps, final, params, retries)
+        return cls(steps, params, retries)
 
 
 def _json_int(value: object, name: str, nonzero: bool = False) -> int:
@@ -357,8 +366,8 @@ def _select_vast(F: ClassSubspace, last: int, depth: int) -> VastSpec:
             return spec
 
 
-def step(state: ConstructionState, *, height: int) -> tuple[ConstructionState, StepRecord]:
-    """Execute one induction step.
+def step(state: ConstructionState, *, height: int) -> ConstructionState:
+    """Execute one induction step; the new state's steps end with its record.
 
     Selects the stream playing the vast role for this step, the first
     eligible entry of the vast list after the previous step's, adjoins one
@@ -374,14 +383,14 @@ def step(state: ConstructionState, *, height: int) -> tuple[ConstructionState, S
     spec = _select_vast(state.F, state.last, state.depth)
     w = vast_witness(spec.stream(), state.M, state.depth)
     integral_over = state.M.extend(w)
-    h = cover_entry(len(state.points) + 1)
-    prior_points = {pt for _, pt in state.points}
+    h = cover_entry(len(state.steps) + 1)
+    prior_points = {rec.point for rec in state.steps}
     # Spans only grow, so every rational the last step with this cover skipped
     # is still ineligible, and that step's point is now a prior point.
     after = None
-    for ph, pt in state.points:
-        if ph == h:
-            after = pt
+    for rec in state.steps:
+        if rec.cover_h == h:
+            after = rec.point
     integral = fiber_test(h, integral_over)
     point = None
     for candidate in rationals_by_height(height, after):
@@ -398,14 +407,13 @@ def step(state: ConstructionState, *, height: int) -> tuple[ConstructionState, S
         vast_n=spec.n,
         depth_checked=state.depth,
     )
-    new_state = ConstructionState(
+    return ConstructionState(
         F=state.F.extend(w),
         M=integral_over.extend(SquareClass(fiber_rep(h, *point))),
-        points=state.points + ((h, point),),
+        steps=state.steps + (record,),
         last=spec.index,
         depth=state.depth,
     )
-    return new_state, record
 
 
 def run(N: int, depth: int, height: int) -> ConstructionTrace:
@@ -428,25 +436,16 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
         raise ValueError(f"height must be in 1..{MAX_POINT_HEIGHT}")
     params = {"steps": N, "depth": depth}
     state = ConstructionState.initial(depth)
-    steps: list[StepRecord] = []
     retries: list[dict] = []
-
-    def trace() -> ConstructionTrace:
-        final = tuple(rec.witness for rec in steps)
-        return ConstructionTrace(tuple(steps), final, params, tuple(retries))
-
-    while len(steps) < N:
+    while len(state.steps) < N:
         try:
-            state2, rec = step(state, height=height)
+            state = step(state, height=height)
         except DepthExhausted:
-            retries.append({"step": len(steps) + 1, "depth": state.depth})
+            retries.append({"step": len(state.steps) + 1, "depth": state.depth})
             state = state._replace(depth=state.depth * 2)
-            continue
         except ResourceBound as exc:
-            raise ConstructionAborted(trace(), exc)
-        state = state2
-        steps.append(rec)
-    return trace()
+            raise ConstructionAborted(ConstructionTrace(state.steps, params, tuple(retries)), exc)
+    return ConstructionTrace(state.steps, params, tuple(retries))
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +575,6 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
         F = F.extend(w)
         v = fiber_rep(rec.cover_h, *target)
         M = integral_over.extend(SquareClass(v)) if v else integral_over
-
-    # final section consistency
-    if trace.final != tuple(rec.witness for rec in trace.steps):
-        out.append("(final): recorded field does not match the witness tower")
     return out
 
 
@@ -589,7 +584,8 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
 
 def counterexample_audit(trace: ConstructionTrace, k: int) -> dict:
     """Killed-sign report for each polynomial whose stream was assigned during
-    the run, in first-use order, against the final field.
+    the run, in first-use order, against the final field, the span of the
+    witnesses.
 
     For each: the killed levels over the final field, the implied index lower
     bound, and the dimension of the intersection of the final field with the
@@ -598,7 +594,7 @@ def counterexample_audit(trace: ConstructionTrace, k: int) -> dict:
     """
     if k < 1:
         raise ValueError("level must be >= 1")
-    F = trace.final_subspace()
+    F = ClassSubspace.span(SquareClass(rec.witness) for rec in trace.steps)
     by_poly: dict[RatPoly, list[tuple[int, StepRecord]]] = {}  # in first-use order
     for i, rec in enumerate(trace.steps, start=1):
         by_poly.setdefault(rec.vast_poly, []).append((i, rec))
@@ -618,4 +614,4 @@ def counterexample_audit(trace: ConstructionTrace, k: int) -> dict:
                 "intersection_dim": intersection_dim(F, disc_span),
             }
         )
-    return {"level": k, "final_dim": len(trace.final), "polynomials": entries}
+    return {"level": k, "final_dim": F.dim, "polynomials": entries}

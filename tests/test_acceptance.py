@@ -243,9 +243,10 @@ def test_criterion_07_construction_round_trip(capsys, artifacts):
     with reported(capsys, 7, "10-step run < 60 s; verify clean; dim 10; 2^10 | 2^inf"):
         assert artifacts["run_seconds"] < 60
         assert artifacts["violations"] == []
-        assert len(artifacts["trace"].final) == 10
+        witnesses = [rec.witness for rec in artifacts["trace"].steps]
+        assert len(witnesses) == 10
         listed = {int(f.removesuffix("^inf")) for f in aut_order_supernatural(2).split(" * ")}
-        assert set(sympy.primefactors(2 ** len(artifacts["trace"].final))) <= listed
+        assert set(sympy.primefactors(2 ** len(witnesses))) <= listed
 
 
 def _mutations(trace, rng):

@@ -292,7 +292,7 @@ class TestSimulateVerifyAudit:
 
     def test_audit_non_squarefree_final_kernel_exit_2(self, capsys, trace_file, tmp_path):
         data = json.loads(trace_file.read_text())
-        data["final"]["F"] = [4]
+        data["steps"][0]["witness"] = data["final"]["F"][0] = 4
         bad = tmp_path / "bad_final.json"
         bad.write_text(json.dumps(data))
         code, payload, err = run_cli(capsys, "audit", "--trace", str(bad), "--level", "2")
@@ -401,6 +401,64 @@ class TestSimulateVerifyAudit:
         proc = cli_process(*command, "--trace", str(bad), timeout=5)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", "error: step 1: vast stream is not an entry a run can select\n")
+
+    @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]],
+                             ids=["verify", "audit"])
+    def test_forged_final_field_exit_2(self, capsys, trace_file, tmp_path, command):
+        """final.F lists the witnesses again.  A forged one used to be a
+        "(final)" violation under exit 1 in `verify`, and in `audit` the field
+        that the killed levels were read over, under exit 0."""
+        data = json.loads(trace_file.read_text())
+        assert data["final"]["F"] == [-1, 5, 38]
+        data["final"]["F"] = [-1, 2, 3]
+        bad = tmp_path / "forged_final.json"
+        bad.write_text(json.dumps(data))
+        code, payload, err = run_cli(capsys, *command, "--trace", str(bad))
+        assert (code, payload, err) == (
+            2, None, "error: final.F does not list the steps' witnesses in step order\n")
+
+    @pytest.mark.parametrize("section", ["steps", "params", "retries", "final"])
+    @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]],
+                             ids=["verify", "audit"])
+    def test_missing_section_exit_2(self, capsys, trace_file, tmp_path, command, section):
+        """Every schema-4 section is required; a trace without `retries` used
+        to be read as one with no retries."""
+        data = json.loads(trace_file.read_text())
+        del data[section]
+        bad = tmp_path / "missing_section.json"
+        bad.write_text(json.dumps(data))
+        code, payload, err = run_cli(capsys, *command, "--trace", str(bad))
+        assert (code, payload, err) == (2, None, f"error: malformed trace: '{section}'\n")
+
+    def test_audit_final_dim_is_the_span_of_the_witnesses(self, capsys, trace_file, tmp_path):
+        """With step 2's witness in step 1's class the witnesses span a field
+        of dimension 2; `audit` used to report the length of final.F, 3."""
+        data = json.loads(trace_file.read_text())
+        data["steps"][1]["witness"] = data["final"]["F"][1] = 4 * data["steps"][0]["witness"]
+        dependent = tmp_path / "dependent.json"
+        dependent.write_text(json.dumps(data))
+        code, payload, _ = run_cli(capsys, "audit", "--trace", str(dependent), "--level", "2")
+        assert code == 0 and payload["final_dim"] == 2
+
+    @pytest.mark.parametrize("cover, point", [
+        ("x^2", "2/1"), ("x^2", "4096/1"), ("x^10000", "30/1"), ("2*x^2 + 1", "2/1"),
+        ("x^2 + 2*x + 1", "2/1"), ("x + 1/2", "2/1"), ("3", "2/1")])
+    @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]],
+                             ids=["verify", "audit"])
+    def test_cover_off_the_grid_exit_2(self, trace_file, tmp_path, command, cover, point):
+        """No run records a cover that is not in the cover grid.  `verify`
+        used to scan for its point anyway, up to the point's height: a
+        one-step trace with x^2, whose fiber values are all squares, at
+        4096/1 held a cold `verify` for 20.6 s on a 2-core host before exit
+        1, and x^10000 at 30/1 for 22.3 s."""
+        data = json.loads(trace_file.read_text())
+        data["steps"], data["final"]["F"] = data["steps"][:1], data["final"]["F"][:1]
+        data["steps"][0]["cover"], data["steps"][0]["point"] = cover, point
+        bad = tmp_path / "off_grid.json"
+        bad.write_text(json.dumps(data))
+        proc = cli_process(*command, "--trace", str(bad), timeout=5)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: step 1: cover is not a polynomial of the cover grid\n")
 
     @pytest.mark.parametrize("depth", ["0", "25", "1000"])
     def test_simulate_depth_out_of_range_exit_2(self, tmp_path, depth):
