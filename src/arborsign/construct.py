@@ -169,6 +169,22 @@ def vast_entry(j: int) -> VastSpec:
     return VastSpec(j, RatPoly((_vast_c(ci), 0, 1)), u + 1)
 
 
+def _resolve_spec_index(f: RatPoly, n: int) -> int | None:
+    """The index of (f, n) if a run can select it, else None: the inverse of
+    vast_entry, less every entry from (x^2 + 1, n = MAX_STREAM_LEVEL + 1) on.
+    A run tests every earlier entry first, and cannot test that one, whose
+    first level is past the stream bound."""
+    if n < 1 or f.den != 1 or f.nums[1:] != (0, 1):
+        return None
+    ci = _vast_ci(f.nums[0])
+    if ci is None:
+        return None
+    # (ci, n - 1) lies on diagonal s; (x^2 + 1, MAX_STREAM_LEVEL + 1) opens
+    # diagonal MAX_STREAM_LEVEL
+    s = ci + n - 1
+    return s * (s + 1) // 2 + ci + 1 if s < MAX_STREAM_LEVEL else None
+
+
 # A point, a rational t = num/den, is the pair (num, den) in lowest terms
 # with den > 0, everywhere in this module.
 
@@ -210,58 +226,79 @@ def rationals_by_height(
 # State, records, trace
 # ---------------------------------------------------------------------------
 
-class ConstructionState(namedtuple("ConstructionState", "F M steps last depth")):
+class ConstructionState(namedtuple("ConstructionState", "F M steps depth")):
     """What the induction has built after len(steps) steps: the field F, of
     dimension len(steps), the StepRecord of each completed step, and the
     truncation depth.
 
     F only gains classes and the truncation depth never drops, so the state
     also carries what later steps reuse: M, the span of F and every recorded
-    fiber class, and `last`, the vast entry the previous step selected (0
-    before the first).  Every entry up to `last` was selected or met an
+    fiber class.  Every entry up to the last record's was selected or met an
     earlier F at this depth or a smaller one, and meets every later F, so the
-    next selection scans from `last + 1`.
+    next selection scans from the entry after it.
     """
 
     __slots__ = ()
 
     @classmethod
     def initial(cls, depth: int) -> "ConstructionState":
-        return cls(ClassSubspace(), ClassSubspace(), (), 0, depth)
+        return cls(ClassSubspace(), ClassSubspace(), (), depth)
 
 
-class StepRecord(namedtuple("StepRecord", "witness cover_h point vast_poly vast_n "
-                                         "depth_checked")):
-    """One step of a trace; `witness` is an integer of the witness class.  The
-    step's number is its position in the trace."""
+class StepRecord(namedtuple("StepRecord", "witness cover_h point entry depth_checked")):
+    """One step of a trace; `witness` is an integer of the witness class and
+    `entry` the number of its stream in the vast list.  The step's number is
+    its position in the trace."""
 
     __slots__ = ()
 
     def to_json(self) -> dict:
+        spec = vast_entry(self.entry)
         return {
             "witness": self.witness,
             "cover": str(self.cover_h),
             "point": "%d/%d" % self.point,
             "vast": {
-                "poly": str(self.vast_poly),
-                "n": self.vast_n,
+                "poly": str(spec.f),
+                "n": spec.n,
                 "depth_checked": self.depth_checked,
             },
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "StepRecord":
+    def from_json(cls, data: dict, i: int) -> "StepRecord":
+        """Read step i of a trace; raises TraceFormatError on malformed data.
+        Besides the shape it checks that every count and class is a JSON
+        integer, that the witness is a nonzero nonsquare, and what the
+        verifier needs to end: the cover is a polynomial of the cover grid,
+        the point has height at most MAX_POINT_HEIGHT, the stream is read
+        from level vast.n to vast.n + vast.depth_checked - 1, which must lie
+        in 1..MAX_STREAM_LEVEL, and the stream is an entry of the vast list
+        that a run can select."""
         try:
-            return cls(
-                witness=_json_int(data["witness"], "witness", nonzero=True),
-                cover_h=RatPoly.parse(data["cover"]),
-                point=_point_parse(data["point"]),
-                vast_poly=RatPoly.parse(data["vast"]["poly"]),
-                vast_n=_json_int(data["vast"]["n"], "vast.n"),
-                depth_checked=_json_int(data["vast"]["depth_checked"], "vast.depth_checked"),
-            )
+            witness = _json_int(data["witness"], "witness", nonzero=True)
+            cover_h = RatPoly.parse(data["cover"])
+            point = _point_parse(data["point"])
+            vast_poly = RatPoly.parse(data["vast"]["poly"])
+            vast_n = _json_int(data["vast"]["n"], "vast.n")
+            depth_checked = _json_int(data["vast"]["depth_checked"], "vast.depth_checked")
         except (KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"malformed step record: {exc}") from exc
+            raise TraceFormatError(f"step {i}: malformed step record: {exc}") from exc
+        if SquareClass(witness).is_trivial:
+            raise TraceFormatError(f"step {i}: witness is a perfect square: its class is trivial")
+        if not _in_cover_grid(cover_h):
+            raise TraceFormatError(f"step {i}: cover is not a polynomial of the cover grid")
+        if _height_key(*point)[0] > MAX_POINT_HEIGHT:
+            raise TraceFormatError(f"step {i}: point height exceeds {MAX_POINT_HEIGHT}")
+        if vast_n < 1 or depth_checked < 1:
+            raise TraceFormatError(f"step {i}: vast.n and vast.depth_checked must be >= 1")
+        if vast_n + depth_checked - 1 > MAX_STREAM_LEVEL:
+            raise TraceFormatError(
+                f"step {i}: vast.n + vast.depth_checked - 1 exceeds {MAX_STREAM_LEVEL}")
+        entry = _resolve_spec_index(vast_poly, vast_n)
+        if entry is None:
+            raise TraceFormatError(f"step {i}: vast stream is not an entry a run can select")
+        return cls(witness, cover_h, point, entry, depth_checked)
 
 
 class ConstructionTrace(namedtuple("ConstructionTrace", "steps params retries")):
@@ -281,42 +318,25 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps params retries"))
 
     @classmethod
     def from_json(cls, data: dict) -> "ConstructionTrace":
-        """Parse a trace; raises TraceFormatError on malformed data.  Besides
-        the shape it checks that every count and class is a JSON integer, that
-        final.F lists the witnesses in step order, that each witness is a
-        nonzero nonsquare, and what the verifier needs to end: each step's
-        cover is a polynomial of the cover grid, its point has height at most
-        MAX_POINT_HEIGHT, its stream is read from level vast.n to
-        vast.n + vast.depth_checked - 1, which must lie in 1..MAX_STREAM_LEVEL,
-        and its stream is an entry of the vast list that a run can select."""
+        """Parse a trace; raises TraceFormatError on malformed data.  Each
+        step is read and checked by StepRecord.from_json, in step order;
+        then every final.F entry must be a JSON integer, and final.F must
+        list the witnesses in step order."""
         if not isinstance(data, dict):
             raise TraceFormatError("trace must be a JSON object")
         if data.get("schema") != SCHEMA_VERSION:
             raise TraceFormatError(f"unsupported schema {data.get('schema')!r}")
         try:
-            steps = tuple(StepRecord.from_json(s) for s in data["steps"])
+            steps = tuple(StepRecord.from_json(s, i) for i, s in enumerate(data["steps"], start=1))
             final = [_json_int(w, f"final.F[{j}]") for j, w in enumerate(data["final"]["F"])]
             params = dict(data["params"])
             retries = tuple(dict(r) for r in data["retries"])
+        except TraceFormatError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"malformed trace: {exc}") from exc
         if final != [s.witness for s in steps]:
             raise TraceFormatError("final.F does not list the steps' witnesses in step order")
-        for i, s in enumerate(steps, start=1):
-            if SquareClass(s.witness).is_trivial:
-                raise TraceFormatError(
-                    f"step {i}: witness is a perfect square: its class is trivial")
-            if not _in_cover_grid(s.cover_h):
-                raise TraceFormatError(f"step {i}: cover is not a polynomial of the cover grid")
-            if _height_key(*s.point)[0] > MAX_POINT_HEIGHT:
-                raise TraceFormatError(f"step {i}: point height exceeds {MAX_POINT_HEIGHT}")
-            if s.vast_n < 1 or s.depth_checked < 1:
-                raise TraceFormatError(f"step {i}: vast.n and vast.depth_checked must be >= 1")
-            if s.vast_n + s.depth_checked - 1 > MAX_STREAM_LEVEL:
-                raise TraceFormatError(
-                    f"step {i}: vast.n + vast.depth_checked - 1 exceeds {MAX_STREAM_LEVEL}")
-            if _resolve_spec_index(s.vast_poly, s.vast_n) is None:
-                raise TraceFormatError(f"step {i}: vast stream is not an entry a run can select")
         return cls(steps, params, retries)
 
 
@@ -380,7 +400,7 @@ def step(state: ConstructionState, *, height: int) -> ConstructionState:
     DepthExhausted when the stream has no witness within the truncation
     depth, and ResourceBound at the stream bound or the height bound.
     """
-    spec = _select_vast(state.F, state.last, state.depth)
+    spec = _select_vast(state.F, state.steps[-1].entry if state.steps else 0, state.depth)
     w = vast_witness(spec.stream(), state.M, state.depth)
     integral_over = state.M.extend(w)
     h = cover_entry(len(state.steps) + 1)
@@ -403,15 +423,13 @@ def step(state: ConstructionState, *, height: int) -> ConstructionState:
         witness=w.rep,
         cover_h=h,
         point=point,
-        vast_poly=spec.f,
-        vast_n=spec.n,
+        entry=spec.index,
         depth_checked=state.depth,
     )
     return ConstructionState(
         F=state.F.extend(w),
         M=integral_over.extend(SquareClass(fiber_rep(h, *point))),
         steps=state.steps + (record,),
-        last=spec.index,
         depth=state.depth,
     )
 
@@ -452,22 +470,6 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
 # Independent verification
 # ---------------------------------------------------------------------------
 
-def _resolve_spec_index(f: RatPoly, n: int) -> int | None:
-    """The index of (f, n) if a run can select it, else None: the inverse of
-    vast_entry, less every entry from (x^2 + 1, n = MAX_STREAM_LEVEL + 1) on.
-    A run tests every earlier entry first, and cannot test that one, whose
-    first level is past the stream bound."""
-    if n < 1 or f.den != 1 or f.nums[1:] != (0, 1):
-        return None
-    ci = _vast_ci(f.nums[0])
-    if ci is None:
-        return None
-    # (ci, n - 1) lies on diagonal s; (x^2 + 1, MAX_STREAM_LEVEL + 1) opens
-    # diagonal MAX_STREAM_LEVEL
-    s = ci + n - 1
-    return s * (s + 1) // 2 + ci + 1 if s < MAX_STREAM_LEVEL else None
-
-
 def verify_trace(trace: ConstructionTrace) -> list[str]:
     """Re-check every recorded step against the construction conditions.
 
@@ -496,11 +498,6 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
     F = M = ClassSubspace()  # the field before step i, and F with every earlier fiber class
     first_at: dict[tuple[int, int], int] = {}  # point -> first step that recorded it
     passed: dict[RatPoly, tuple[int, int]] = {}  # cover -> point of its last passed scan
-    # The entry and depth of the previous step (0 before the first).  A run
-    # selects the first entry after its previous one that is disjoint from F,
-    # and its depth never drops, so every entry up to `last` meets the field
-    # at `last_depth` or deeper and (4_m) scans only after it.
-    last, last_depth = 0, 0
     for i, rec in enumerate(trace.steps, start=1):
         w = SquareClass(rec.witness)
 
@@ -513,33 +510,37 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
         if rec.cover_h != cover_entry(i):
             out.append(f"(3_{i}): cover is not enumeration entry {i}")
 
-        # (4_m) vast spec is the first eligible entry after the previous one;
-        # from_json refuses a stream that is no entry a run can select
-        idx = _resolve_spec_index(rec.vast_poly, rec.vast_n)
-        if idx <= last:
-            out.append(f"(4_{i}): stream entry {idx} is not after entry {last}")
-        elif rec.depth_checked < last_depth:
+        # (4_m) vast entry is the first eligible entry after the previous
+        # step's.  A run selects the first entry after its previous one that
+        # is disjoint from F, and its depth never drops, so every entry up to
+        # the previous step's meets the field at that step's depth or deeper
+        # and the scan starts after it.
+        prev = trace.steps[i - 2] if i > 1 else None
+        last = prev.entry if prev else 0
+        if rec.entry <= last:
+            out.append(f"(4_{i}): stream entry {rec.entry} is not after entry {last}")
+        elif prev and rec.depth_checked < prev.depth_checked:
             out.append(f"(4_{i}): depth_checked {rec.depth_checked} is below the previous "
-                       f"step's {last_depth}")
+                       f"step's {prev.depth_checked}")
         else:
             try:
-                if not disjoint_over(F, vast_entry(idx).subspace(rec.depth_checked)):
+                if not disjoint_over(F, vast_entry(rec.entry).subspace(rec.depth_checked)):
                     out.append(f"(4_{i}): recorded stream is not disjoint at depth "
                                f"{rec.depth_checked}")
-                for j in range(last + 1, idx):
+                for j in range(last + 1, rec.entry):
                     if disjoint_over(F, vast_entry(j).subspace(rec.depth_checked)):
-                        out.append(f"(4_{i}): entry {j} was eligible before entry {idx}")
+                        out.append(f"(4_{i}): entry {j} was eligible before entry {rec.entry}")
                         break
             except ResourceBound as exc:  # an entry read past MAX_STREAM_LEVEL
                 out.append(f"(4_{i}): {exc}")
-        last, last_depth = idx, rec.depth_checked
 
         # (5_m) witness is the first stream class outside the compositum
         try:
-            stream = disc_stream(rec.vast_poly, rec.vast_n)
+            spec = vast_entry(rec.entry)
+            stream = spec.stream()
             expected = vast_witness(stream, M, rec.depth_checked)
             if expected != w:
-                level = rec.vast_n + stream.prefix(rec.depth_checked).index(expected)
+                level = spec.n + stream.prefix(rec.depth_checked).index(expected)
                 out.append(f"(5_{i}): witness is not the first eligible stream class, "
                            f"the one at level {level} of the recorded stream")
         except DepthExhausted as exc:
@@ -595,13 +596,13 @@ def counterexample_audit(trace: ConstructionTrace, k: int) -> dict:
     if k < 1:
         raise ValueError("level must be >= 1")
     F = ClassSubspace.span(SquareClass(rec.witness) for rec in trace.steps)
-    by_poly: dict[RatPoly, list[tuple[int, StepRecord]]] = {}  # in first-use order
+    by_poly: dict[RatPoly, list[tuple[int, int]]] = {}  # in first-use order
     for i, rec in enumerate(trace.steps, start=1):
-        by_poly.setdefault(rec.vast_poly, []).append((i, rec))
+        spec = vast_entry(rec.entry)
+        by_poly.setdefault(spec.f, []).append((i, spec.n + rec.depth_checked - 1))
     entries = []
     for f, assigned in by_poly.items():
-        depth_needed = max(rec.vast_n + rec.depth_checked - 1 for _, rec in assigned)
-        K = max(k, depth_needed)
+        K = max(k, *(level for _, level in assigned))
         killed = killed_signs(f, F, K)
         disc_span = ClassSubspace.span(disc_class(f, m) for m in range(1, K + 1))
         entries.append(

@@ -100,26 +100,12 @@ class Portrait:
             return NotImplemented
         return (self.d, self.k, self.labels) == (other.d, other.k, other.labels)
 
-    def __hash__(self) -> int:
-        return hash((self.d, self.k, tuple(sorted(self.labels.items()))))
-
     def apply_to_address(self, addr: str) -> str:
         """Image of a vertex address under this automorphism."""
         out = []
         for m, ch in enumerate(addr):
             out.append(str(self.labels[addr[:m]][int(ch)]))
         return "".join(out)
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "k": self.k,
-            "labels": {a: list(p) for a, p in sorted(self.labels.items())},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Portrait":
-        return cls(data["d"], data["k"], {a: tuple(p) for a, p in data["labels"].items()})
 
     def __repr__(self) -> str:
         return f"Portrait(d={self.d}, k={self.k}, labels={self.labels!r})"

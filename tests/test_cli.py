@@ -430,6 +430,33 @@ class TestSimulateVerifyAudit:
         code, payload, err = run_cli(capsys, *command, "--trace", str(bad))
         assert (code, payload, err) == (2, None, f"error: malformed trace: '{section}'\n")
 
+    @pytest.mark.parametrize("path, value, line", [
+        pytest.param(("steps", 0, "point"), None,
+                     "error: step 1: malformed step record: 'point'\n", id="point-missing"),
+        pytest.param(("steps", 1, "witness"), "5",
+                     "error: step 2: malformed step record: witness must be an integer\n",
+                     id="witness-string"),
+        pytest.param(("final", "F", 0), "5", "error: final.F[0] must be an integer\n",
+                     id="final-string"),
+    ])
+    def test_fault_reported_once_under_its_step(self, capsys, tmp_path, path, value, line):
+        """A fault in a step record names its step, and one in final.F names
+        the entry; neither is wrapped again as "malformed trace: ...", as
+        both used to be, and the one in a step named no step.  A value of
+        None deletes the field."""
+        data = construct.run(2, 5, 100).to_json()
+        *keys, last = path
+        node = data
+        for key in keys:
+            node = node[key]
+        if value is None:
+            del node[last]
+        else:
+            node[last] = value
+        bad = tmp_path / "fault.json"
+        bad.write_text(json.dumps(data))
+        assert run_cli(capsys, "verify", "--trace", str(bad)) == (2, None, line)
+
     def test_audit_final_dim_is_the_span_of_the_witnesses(self, capsys, trace_file, tmp_path):
         """With step 2's witness in step 1's class the witnesses span a field
         of dimension 2; `audit` used to report the length of final.F, 3."""

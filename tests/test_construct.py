@@ -220,8 +220,8 @@ class TestStep:
         assert len(trace3.steps) == 3
         points = [rec.point for rec in trace3.steps]
         assert len(points) == len(set(points))
-        specs = [(rec.vast_poly, rec.vast_n) for rec in trace3.steps]
-        assert len(specs) == len(set(specs))
+        entries = [rec.entry for rec in trace3.steps]
+        assert len(entries) == len(set(entries))
 
     def test_point_search_exhausted_aborts(self):
         with pytest.raises(ConstructionAborted) as exc:
@@ -311,6 +311,9 @@ class TestStep:
         blob = json.dumps(trace.to_json()).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
         assert verify_trace(trace) == []
+        again = ConstructionTrace.from_json(json.loads(blob))
+        assert json.dumps(again.to_json()).encode() == blob
+        assert again == trace
 
     @pytest.mark.slow
     def test_trace_bytes_pinned_100(self):
@@ -357,6 +360,12 @@ class TestRecordsImmutable:
                 setattr(record, field, None)
         with pytest.raises(AttributeError):
             record.extra = None
+
+    def test_a_step_holds_its_stream_choice_once(self):
+        """A step's stream choice is its entry number in the record; the
+        state keeps no entry of its own."""
+        assert ConstructionState._fields == ("F", "M", "steps", "depth")
+        assert StepRecord._fields == ("witness", "cover_h", "point", "entry", "depth_checked")
 
 
 class TestTraceSerialization:
@@ -860,9 +869,10 @@ class TestVerifyPersistence:
 
 
 def entry_indices(trace):
-    """The enumeration entry of each step's stream."""
-    index = {(vast_entry(j).f, vast_entry(j).n): j for j in range(1, 129)}
-    return [index[(rec.vast_poly, rec.vast_n)] for rec in trace.steps]
+    """The enumeration entry of each step's stream, looked up from the
+    (poly, n) that the JSON form names."""
+    index = {(str(vast_entry(j).f), vast_entry(j).n): j for j in range(1, 129)}
+    return [index[(s["vast"]["poly"], s["vast"]["n"])] for s in trace.to_json()["steps"]]
 
 
 def full_scan_vast_entries(trace):
@@ -956,6 +966,26 @@ class TestVastSkip:
         run(9, 5, 1000)
         assert len(calls) == len(tested) == len(set(tested))
 
+    def test_only_the_reader_resolves_entries(self, monkeypatch):
+        """The reader resolves each step's (poly, n) to its entry number
+        once; the engine, the verifier and the audit read the number from
+        the record."""
+        resolved = []
+        resolve = construct._resolve_spec_index
+
+        def spy(f, n):
+            resolved.append((str(f), n))
+            return resolve(f, n)
+
+        monkeypatch.setattr(construct, "_resolve_spec_index", spy)
+        trace = run(20, 5, 1000)
+        assert verify_trace(trace) == []
+        counterexample_audit(trace, 2)
+        assert resolved == []
+        again = ConstructionTrace.from_json(trace.to_json())
+        assert again == trace
+        assert resolved == [(s["vast"]["poly"], s["vast"]["n"]) for s in trace.to_json()["steps"]]
+
 
 def test_thirty_steps_factor_nothing(monkeypatch):
     """Schema 2 records witnesses as the integers the engine holds, so no
@@ -977,8 +1007,9 @@ def test_thirty_steps_factor_nothing(monkeypatch):
 
 
 def first_use_polynomials(trace):
-    """The distinct stream polynomials of the steps, in first-use order."""
-    return list(dict.fromkeys(str(rec.vast_poly) for rec in trace.steps))
+    """The distinct stream polynomials that the JSON form names, in
+    first-use order."""
+    return list(dict.fromkeys(s["vast"]["poly"] for s in trace.to_json()["steps"]))
 
 
 class TestAudit:

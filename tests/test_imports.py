@@ -4,9 +4,19 @@ import os
 
 import pytest
 
-PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src", "arborsign")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "arborsign")
 MODULES = sorted(name for name in os.listdir(PACKAGE) if name.endswith(".py"))
+
+
+def sources(directory: str) -> list[str]:
+    """The text of every .py file in `directory`, by file name."""
+    out = []
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name)) as fh:
+                out.append(fh.read())
+    return out
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,22 +44,31 @@ def test_every_import_is_used(module):
         assert unused_imports(fh.read()) == []
 
 
-def dead_private_definitions(sources: list[str]) -> list[str]:
-    """The private functions, methods and classes defined in `sources`, taken
-    as one package, that no source reads as a name, an attribute or an
-    import alias.  Dunder names are skipped."""
-    trees = [ast.parse(source) for source in sources]
-    defined, read = [], set()
-    for node in (node for tree in trees for node in ast.walk(tree)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if node.name.startswith("_") and not node.name.endswith("__"):
-                defined.append(node.name)
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def names_read(sources: list[str]) -> set[str]:
+    """Every name that `sources` read as a name, an attribute or an import
+    alias."""
+    read = set()
+    for node in (node for source in sources for node in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute):
             read.add(node.attr)
         elif isinstance(node, ast.alias):
             read.add(node.name)
+    return read
+
+
+def dead_private_definitions(sources: list[str]) -> list[str]:
+    """The private functions, methods and classes defined in `sources`, taken
+    as one package, that no source reads as a name, an attribute or an
+    import alias.  Dunder names are skipped."""
+    defined = [node.name for source in sources for node in ast.walk(ast.parse(source))
+               if isinstance(node, DEFINITIONS)
+               and node.name.startswith("_") and not node.name.endswith("__")]
+    read = names_read(sources)
     return [name for name in defined if name not in read]
 
 
@@ -62,8 +81,45 @@ def test_the_check_finds_a_dead_private_helper():
 
 
 def test_every_private_definition_is_read():
-    sources = []
-    for module in MODULES:
-        with open(os.path.join(PACKAGE, module)) as fh:
-            sources.append(fh.read())
-    assert dead_private_definitions(sources) == []
+    assert dead_private_definitions(sources(PACKAGE)) == []
+
+
+def unread_public_definitions(package: list[str], readers: list[str],
+                              namers: list[str]) -> list[str]:
+    """The public functions and classes at module level in the `package`
+    sources, and the public methods of those classes, that no source of
+    `package` or `readers` reads as a name, an attribute or an import alias,
+    and that no string constant of `namers` names as a dotted part, as the
+    benchmark's tracer names what it wraps ("ClassSubspace.extend")."""
+    defined = []
+    for node in (node for source in package for node in ast.parse(source).body):
+        if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+            defined.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined += [m.name for m in node.body
+                            if isinstance(m, DEFINITIONS) and not m.name.startswith("_")]
+    read = names_read(package + readers)
+    for node in (node for source in namers for node in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.update(node.value.split("."))
+    return [name for name in defined if name not in read]
+
+
+def test_the_check_finds_an_unread_public_helper():
+    package = ["def used():\n    pass\n\ndef unread():\n    pass\n\n"
+               "def traced():\n    pass\n\n"
+               "class Box:\n    def peek(self):\n        pass\n    def shut(self):\n"
+               "        def inner():\n            pass\n        return inner\n"
+               "    def __len__(self):\n        return 0\n"]
+    readers = ["from arborsign.a import used\nused(Box().peek)\n"]
+    namers = ["WRAPPED = {'arborsign.a': ['traced', 'Box.shut']}  # not unread\n"]
+    assert unread_public_definitions(package, readers, namers) == ["unread"]
+    assert unread_public_definitions(package, readers, []) == ["unread", "traced", "shut"]
+
+
+def test_every_public_definition_is_read():
+    """Each public definition of the package is read by the package, its
+    tests or the benchmark scripts of bench/, or named by the tracer."""
+    readers = sources(os.path.join(ROOT, "tests")) + sources(os.path.join(ROOT, "bench"))
+    namers = sources(os.path.join(ROOT, "perfbench"))
+    assert unread_public_definitions(sources(PACKAGE), readers, namers) == []
