@@ -6,12 +6,13 @@ Usage (from the root of a source checkout)::
     python3 bench/point_scan_corpus.py --runs 5 --steps 9 30 70
 
 For each N, ``construct.run(N, 5, 1000)`` runs once, untimed.  Its trace
-gives each step's scan: the cover h, the span the fiber must stay outside of
-(the field with every earlier fiber class and the step's witness, as
-``step`` builds it), and the candidates from the resume point to the point
-found, with the earlier steps' points left out.  The scans are then replayed
-``--runs`` times: each builds one classifier from its cover and span and
-takes the first candidate it accepts.  The script prints the walls of each
+gives each step's scan: the cover h (step i's is ``cover_entry(i)``), the
+span the fiber must stay outside of (the field with every earlier fiber
+class and the step's witness, as ``step`` builds it), and the candidates
+from the resume point to the point found, with the earlier steps' points
+left out.  The scans are then replayed ``--runs`` times: each builds one
+classifier from its cover and span and takes the first candidate it
+accepts.  The script prints the walls of each
 N, their median, and the sha256 of the points found, which equal the trace's
 points.  Two checkouts agree on the scans exactly when their hashes are
 equal.  The last line of stdout is one JSON object with the same numbers.
@@ -50,8 +51,8 @@ def corpus(n: int) -> list[tuple]:
     trace = construct.run(n, DEPTH, HEIGHT)
     scans, points = [], []
     M = sqclass.ClassSubspace()
-    for rec in trace.steps:
-        h, point = rec.cover_h, rec.point
+    for i, rec in enumerate(trace.steps, start=1):
+        h, point = construct.cover_entry(i), rec.point
         over = M.extend(sqclass.SquareClass(rec.witness))
         after = None
         for ph, pt in points:

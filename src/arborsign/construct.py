@@ -108,14 +108,6 @@ def _cover_grid() -> Iterator[RatPoly]:
         height += 1
 
 
-def _in_cover_grid(h: RatPoly) -> bool:
-    """Whether h is a polynomial of _cover_grid: x + b, or x^2 + a x + b with
-    a^2 != 4b, over the integers."""
-    if h.den != 1 or h.degree not in (1, 2) or h.nums[-1] != 1:
-        return False
-    return h.degree == 1 or h.nums[1] ** 2 != 4 * h.nums[0]
-
-
 def _vast_c(ci: int) -> int:
     """Parameter ci (0-based) of the vast list: c = 1, 2, 3, -3, 4, -4, ...,
     every integer but 0, -1 and -2, in the order 1, -1, 2, -2, ....
@@ -245,18 +237,18 @@ class ConstructionState(namedtuple("ConstructionState", "F M steps depth")):
         return cls(ClassSubspace(), ClassSubspace(), (), depth)
 
 
-class StepRecord(namedtuple("StepRecord", "witness cover_h point entry depth_checked")):
+class StepRecord(namedtuple("StepRecord", "witness point entry depth_checked")):
     """One step of a trace; `witness` is an integer of the witness class and
-    `entry` the number of its stream in the vast list.  The step's number is
-    its position in the trace."""
+    `entry` the number of its stream in the vast list.  The step's number i
+    is its position in the trace, and its cover is cover_entry(i)."""
 
     __slots__ = ()
 
-    def to_json(self) -> dict:
+    def to_json(self, i: int) -> dict:
         spec = vast_entry(self.entry)
         return {
             "witness": self.witness,
-            "cover": str(self.cover_h),
+            "cover": str(cover_entry(i)),
             "point": "%d/%d" % self.point,
             "vast": {
                 "poly": str(spec.f),
@@ -270,14 +262,14 @@ class StepRecord(namedtuple("StepRecord", "witness cover_h point entry depth_che
         """Read step i of a trace; raises TraceFormatError on malformed data.
         Besides the shape it checks that every count and class is a JSON
         integer, that the witness is a nonzero nonsquare, and what the
-        verifier needs to end: the cover is a polynomial of the cover grid,
+        verifier needs to end: the cover is entry i of the cover enumeration,
         the point has height at most MAX_POINT_HEIGHT, the stream is read
         from level vast.n to vast.n + vast.depth_checked - 1, which must lie
         in 1..MAX_STREAM_LEVEL, and the stream is an entry of the vast list
         that a run can select."""
         try:
             witness = _json_int(data["witness"], "witness", nonzero=True)
-            cover_h = RatPoly.parse(data["cover"])
+            cover = RatPoly.parse(data["cover"])
             point = _point_parse(data["point"])
             vast_poly = RatPoly.parse(data["vast"]["poly"])
             vast_n = _json_int(data["vast"]["n"], "vast.n")
@@ -286,8 +278,8 @@ class StepRecord(namedtuple("StepRecord", "witness cover_h point entry depth_che
             raise TraceFormatError(f"step {i}: malformed step record: {exc}") from exc
         if SquareClass(witness).is_trivial:
             raise TraceFormatError(f"step {i}: witness is a perfect square: its class is trivial")
-        if not _in_cover_grid(cover_h):
-            raise TraceFormatError(f"step {i}: cover is not a polynomial of the cover grid")
+        if cover != cover_entry(i):
+            raise TraceFormatError(f"step {i}: cover is not entry {i} of the cover enumeration")
         if _height_key(*point)[0] > MAX_POINT_HEIGHT:
             raise TraceFormatError(f"step {i}: point height exceeds {MAX_POINT_HEIGHT}")
         if vast_n < 1 or depth_checked < 1:
@@ -298,7 +290,7 @@ class StepRecord(namedtuple("StepRecord", "witness cover_h point entry depth_che
         entry = _resolve_spec_index(vast_poly, vast_n)
         if entry is None:
             raise TraceFormatError(f"step {i}: vast stream is not an entry a run can select")
-        return cls(witness, cover_h, point, entry, depth_checked)
+        return cls(witness, point, entry, depth_checked)
 
 
 class ConstructionTrace(namedtuple("ConstructionTrace", "steps params retries")):
@@ -311,7 +303,7 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps params retries"))
         return {
             "schema": SCHEMA_VERSION,
             "params": dict(self.params),
-            "steps": [s.to_json() for s in self.steps],
+            "steps": [s.to_json(i) for i, s in enumerate(self.steps, start=1)],
             "retries": [dict(r) for r in self.retries],
             "final": {"F": [s.witness for s in self.steps]},
         }
@@ -408,8 +400,8 @@ def step(state: ConstructionState, *, height: int) -> ConstructionState:
     # Spans only grow, so every rational the last step with this cover skipped
     # is still ineligible, and that step's point is now a prior point.
     after = None
-    for rec in state.steps:
-        if rec.cover_h == h:
+    for k, rec in enumerate(state.steps, start=1):
+        if cover_entry(k) == h:
             after = rec.point
     integral = fiber_test(h, integral_over)
     point = None
@@ -421,7 +413,6 @@ def step(state: ConstructionState, *, height: int) -> ConstructionState:
         raise PointSearchExhausted(f"no point of height <= {height}")
     record = StepRecord(
         witness=w.rep,
-        cover_h=h,
         point=point,
         entry=spec.index,
         depth_checked=state.depth,
@@ -474,10 +465,12 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
     """Re-check every recorded step against the construction conditions.
 
     Returns a list of violation descriptions, each naming the first condition
-    (1_m)..(5_m) it breaks; an empty list means the trace is valid.  The
-    checks re-derive every selection from the fixed enumerations, read
-    through cover_entry and vast_entry, with the engine's stream bound; they
-    read no params.  One pass over the steps carries the field F and M, F
+    (1_m), (2_m), (4_m) or (5_m) it breaks; an empty list means the trace is
+    valid.  (3_m), that step m's cover is cover entry m, is the reader's
+    rule, so the cover of step m is read as cover_entry(m).  The checks
+    re-derive every selection from the fixed enumerations, read through
+    cover_entry and vast_entry, with the engine's stream bound; they read
+    no params.  One pass over the steps carries the field F and M, F
     with every recorded fiber class, as the engine's state does.  Each
     step's (2_m) point scan is its own loop, with one sqclass.fiber_test
     classifier for the step's cover and span, as in the engine, and ends at
@@ -499,16 +492,12 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
     first_at: dict[tuple[int, int], int] = {}  # point -> first step that recorded it
     passed: dict[RatPoly, tuple[int, int]] = {}  # cover -> point of its last passed scan
     for i, rec in enumerate(trace.steps, start=1):
-        w = SquareClass(rec.witness)
+        w, h = SquareClass(rec.witness), cover_entry(i)
 
         # (1_m) distinct points
         first = first_at.setdefault(rec.point, i)
         if first != i:
             out.append(f"(1_{i}): point repeats step {first}")
-
-        # (3_m) cover is the next enumeration entry
-        if rec.cover_h != cover_entry(i):
-            out.append(f"(3_{i}): cover is not enumeration entry {i}")
 
         # (4_m) vast entry is the first eligible entry after the previous
         # step's.  A run selects the first entry after its previous one that
@@ -554,17 +543,17 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
         # that point is prior now.  So the scan resumes after it, unless the
         # recorded point lies in that stretch.  It ends with the point's height,
         # so it meets the point unless the point is prior, which (1_m) reports.
-        after = passed.get(rec.cover_h)
+        after = passed.get(h)
         if after is not None and _height_key(*target) <= _height_key(*after):
             after = None
-        integral = fiber_test(rec.cover_h, integral_over)
+        integral = fiber_test(h, integral_over)
         for candidate in rationals_by_height(_height_key(*target)[0], after):
             if first_at.get(candidate, i) < i:  # a prior point
                 continue
             eligible = integral(*candidate)
             if candidate == target:
                 if eligible:
-                    passed[rec.cover_h] = target
+                    passed[h] = target
                 else:
                     out.append(f"(2_{i}): recorded point is not integral")
                 break
@@ -574,7 +563,7 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
                 break
 
         F = F.extend(w)
-        v = fiber_rep(rec.cover_h, *target)
+        v = fiber_rep(h, *target)
         M = integral_over.extend(SquareClass(v)) if v else integral_over
     return out
 

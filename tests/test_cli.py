@@ -1,7 +1,9 @@
+import collections
 import importlib
 import json
 import math
 import os
+import random
 import shutil
 import stat
 import subprocess
@@ -467,25 +469,32 @@ class TestSimulateVerifyAudit:
         code, payload, _ = run_cli(capsys, "audit", "--trace", str(dependent), "--level", "2")
         assert code == 0 and payload["final_dim"] == 2
 
-    @pytest.mark.parametrize("cover, point", [
-        ("x^2", "2/1"), ("x^2", "4096/1"), ("x^10000", "30/1"), ("2*x^2 + 1", "2/1"),
-        ("x^2 + 2*x + 1", "2/1"), ("x + 1/2", "2/1"), ("3", "2/1")])
+    @pytest.mark.parametrize("cover, point, steps", [
+        *(pytest.param(cover, point, 1, id=f"{cover}-{point}") for cover, point in [
+            ("x^2", "2/1"), ("x^2", "4096/1"), ("x^10000", "30/1"), ("2*x^2 + 1", "2/1"),
+            ("x^2 + 2*x + 1", "2/1"), ("x + 1/2", "2/1"), ("3", "2/1"),
+            # grid covers, but not entry 1
+            ("x + 1", "2/1"), ("x^2 + 1", "2/1")]),
+        pytest.param("x + 1", "3/1", 2, id="x + 1-3/1-step2")])  # entry 2 is x
     @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]],
                              ids=["verify", "audit"])
-    def test_cover_off_the_grid_exit_2(self, trace_file, tmp_path, command, cover, point):
-        """No run records a cover that is not in the cover grid.  `verify`
-        used to scan for its point anyway, up to the point's height: a
-        one-step trace with x^2, whose fiber values are all squares, at
-        4096/1 held a cold `verify` for 20.6 s on a 2-core host before exit
-        1, and x^10000 at 30/1 for 22.3 s."""
+    def test_cover_off_the_grid_exit_2(self, trace_file, tmp_path, command, cover, point,
+                                       steps):
+        """Step i's cover must be entry i of the cover enumeration; the last
+        step of a `steps`-step trace gets `cover` and `point`.  `verify`
+        used to scan for an off-grid cover's point anyway, up to the point's
+        height: a one-step trace with x^2, whose fiber values are all
+        squares, at 4096/1 held a cold `verify` for 20.6 s on a 2-core host
+        before exit 1, and x^10000 at 30/1 for 22.3 s.  A grid cover at the
+        wrong step exited 1 in `verify` and 0 in `audit`."""
         data = json.loads(trace_file.read_text())
-        data["steps"], data["final"]["F"] = data["steps"][:1], data["final"]["F"][:1]
-        data["steps"][0]["cover"], data["steps"][0]["point"] = cover, point
+        data["steps"], data["final"]["F"] = data["steps"][:steps], data["final"]["F"][:steps]
+        data["steps"][-1]["cover"], data["steps"][-1]["point"] = cover, point
         bad = tmp_path / "off_grid.json"
         bad.write_text(json.dumps(data))
         proc = cli_process(*command, "--trace", str(bad), timeout=5)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
-            2, "", "error: step 1: cover is not a polynomial of the cover grid\n")
+            2, "", f"error: step {steps}: cover is not entry {steps} of the cover enumeration\n")
 
     @pytest.mark.parametrize("depth", ["0", "25", "1000"])
     def test_simulate_depth_out_of_range_exit_2(self, tmp_path, depth):
@@ -1156,3 +1165,120 @@ class TestProcessEntry:
             assert len(reader.read(read)) == read
         _, err = proc.communicate(timeout=10)
         assert (proc.returncode, err) == (code, b"")
+
+
+# A seeded fuzz of the certify commands' option values.  Most polynomials are
+# well formed, of degree <= 3 with small coefficients; some get a stray
+# character or are cut short.  The integer options stay where the commands
+# answer in milliseconds, or fall just outside their bounds.
+
+def fuzz_poly(rng):
+    degree = rng.randint(0, 3)
+    text = ""
+    for k in range(degree, -1, -1):
+        c = rng.randint(-4, 4) if k < degree else rng.choice([1, 1, -1, 2, rng.randint(-4, 4)])
+        if not c:
+            continue
+        mag = "" if abs(c) == 1 and k else rng.choice([str(abs(c)), f"{abs(c)}/{rng.randint(1, 3)}"])
+        power = "" if k == 0 else "x" if k == 1 else f"x^{k}"
+        body = "*".join(part for part in (mag, power) if part)
+        if not text:
+            text = ("-" if c < 0 else "") + body
+        else:
+            sign = "-" if c < 0 else "+"
+            text += rng.choice([f" {sign} ", sign]) + body
+    text = text or "0"
+    r = rng.random()
+    if r < 0.1:
+        pos = rng.randint(0, len(text))
+        text = text[:pos] + rng.choice("x^*/+-. 0a\t()é\n") + text[pos:]
+    elif r < 0.15:
+        text = text[:rng.randint(0, len(text))]
+    return text
+
+
+def fuzz_base(rng):
+    tokens = [rng.choice([str(rng.randint(-12, 12)), str(rng.randint(-12, 12)), "a", "", "1.5",
+                          " 3", "x", str(rng.randint(-10**6, 10**6))])
+              for _ in range(rng.randint(0, 3))]
+    return rng.choice([",", ", "]).join(tokens)
+
+
+def fuzz_stream(rng):
+    r = rng.random()
+    if r < 0.3:
+        return "primes"
+    if r < 0.35:
+        return rng.choice(["prime", "disc", "disc:x^2+1", "", "primes:1", "disc::1"])
+    n = rng.choice(["1", "1", "2", "3", "0", "01", "", "x", "-1", "99999", "25"])
+    return f"disc:{fuzz_poly(rng)}:{n}"
+
+
+def fuzz_int(rng, low, high, outside=()):
+    """Mostly an integer in low..high; sometimes one below low, one of
+    `outside`, or text that is no integer."""
+    r = rng.random()
+    if r < 0.06:
+        return rng.choice(["x", "1.5", "", "-"])
+    if r < 0.12:
+        return str(rng.choice([low - 1, -5, *outside]))
+    return str(rng.randint(low, high))
+
+
+def fuzz_argv(rng):
+    command = rng.choice(["disc-seq", "index-report", "vast-witness", "group-order"])
+    if command == "disc-seq":
+        options = {"poly": fuzz_poly(rng), "levels": fuzz_int(rng, 1, 3, [25, 10**30]),
+                   "base": fuzz_base(rng)}
+    elif command == "index-report":
+        options = {"poly": fuzz_poly(rng), "base": fuzz_base(rng),
+                   "level": fuzz_int(rng, 1, 2, [10]), "n": fuzz_int(rng, 1, 4),
+                   "primes": fuzz_int(rng, 1, 8)}
+    elif command == "vast-witness":
+        options = {"stream": fuzz_stream(rng), "base": fuzz_base(rng),
+                   "depth": fuzz_int(rng, 1, 4, [24])}
+    else:
+        options = {"arity": fuzz_int(rng, 2, 6, [10001]), "depth": fuzz_int(rng, 0, 4, [14])}
+    argv = [command]
+    for name, value in options.items():
+        if rng.random() < 0.04:  # a missing option
+            continue
+        argv += [f"--{name}={value}"] if rng.random() < 0.5 else [f"--{name}", value]
+    if rng.random() < 0.03:
+        argv += ["--bogus", "1"]
+    return argv
+
+
+def test_certify_fuzz_keeps_the_exit_code_contract(capsys, monkeypatch):
+    """Every case exits 0 or 1 with a JSON object on stdout and nothing on
+    stderr, or 2 or 3 with nothing on stdout and one stderr line, the usage
+    line before it for a usage error.  Every code occurs, and at least a
+    quarter of the cases reach their command's handler."""
+    reached = []
+    for name, (handler, help_, options) in COMMANDS.items():
+        def spy(args, handler=handler):
+            reached.append(args.command)
+            return handler(args)
+        monkeypatch.setitem(COMMANDS, name, (spy, help_, options))
+    rng, codes, cases = random.Random(20261020), collections.Counter(), 2000
+    for _ in range(cases):
+        argv = fuzz_argv(rng)
+        try:
+            code, usage = main(argv), False
+        except SystemExit as exc:
+            code, usage = exc.code, True
+        out, err = capsys.readouterr()
+        codes[code] += 1
+        if code in (0, 1):
+            assert not usage and err == "", argv
+            assert isinstance(json.loads(out), dict), argv
+        else:
+            assert code in (2, 3) and out == "", argv
+            lines = err.splitlines(keepends=True)
+            if usage:
+                assert code == 2 and len(lines) == 2, argv
+                assert lines[0].startswith("usage: arborsign "), argv
+            else:
+                assert len(lines) == 1 and lines[0].startswith("error: "), argv
+    assert set(codes) == {0, 1, 2, 3}, codes
+    assert len(reached) >= cases / 4

@@ -32,7 +32,6 @@ from arborsign.construct import (
     vast_entry,
     verify_trace,
     _cover_grid,
-    _in_cover_grid,
     _resolve_spec_index,
     _unpair,
     _vast_c,
@@ -113,18 +112,15 @@ class TestEnumerations:
             assert h.den == h.nums[-1] == 1 and 1 <= h.degree <= 2
             assert discriminant(h) != 0 if h.degree == 2 else True
 
-    def test_in_cover_grid_holds_exactly_the_grid(self):
-        """The reader's predicate holds every grid entry, and every polynomial
-        it holds with small coefficients is an early grid entry."""
-        grid = list(islice(_cover_grid(), 2000))
-        assert all(_in_cover_grid(h) for h in grid)
-        held = [h for h in map(RatPoly, product(range(-6, 7), repeat=4)) if _in_cover_grid(h)]
+    def test_cover_grid_is_complete(self):
+        """Every monic squarefree integer polynomial of degree <= 2 with
+        coefficients in -6..6 is among the first 2,000 grid entries."""
+        small = {RatPoly((b, 1)) for b in range(-6, 7)}
+        small |= {RatPoly((b, a, 1)) for a, b in product(range(-6, 7), repeat=2) if a * a != 4 * b}
         # x + b, and x^2 + a x + b less the five with a^2 = 4b: (a, b) = (0, 0),
         # (+-2, 1) and (+-4, 4)
-        assert len(held) == 13 + 13 * 13 - 5
-        assert set(held) <= set(grid)
-        for text in ("x^2", "x^10000", "2*x^2 + 1", "x^2 + 2*x + 1", "x + 1/2", "3", "0"):
-            assert not _in_cover_grid(RatPoly.parse(text))
+        assert len(small) == 13 + 13 * 13 - 5
+        assert small <= set(islice(_cover_grid(), 2000))
 
     def test_vast_entries_skip_finite_orbits(self):
         fs = [vast_entry(j).f for j in range(1, 40)]
@@ -207,7 +203,7 @@ class TestStep:
     def test_first_step_record(self):
         state = step(ConstructionState.initial(5), height=100)
         rec = state.steps[-1]
-        assert rec.to_json() == {
+        assert rec.to_json(1) == {
             "witness": -1,
             "cover": "x",
             "point": "2/1",
@@ -363,9 +359,10 @@ class TestRecordsImmutable:
 
     def test_a_step_holds_its_stream_choice_once(self):
         """A step's stream choice is its entry number in the record; the
-        state keeps no entry of its own."""
+        state keeps no entry of its own, and the record no cover: the cover
+        of step i is cover_entry(i)."""
         assert ConstructionState._fields == ("F", "M", "steps", "depth")
-        assert StepRecord._fields == ("witness", "cover_h", "point", "entry", "depth_checked")
+        assert StepRecord._fields == ("witness", "point", "entry", "depth_checked")
 
 
 class TestTraceSerialization:
@@ -637,8 +634,11 @@ class TestVerify:
         assert any(v.startswith("(2_1)") for v in verify_trace(bad))
 
     def test_wrong_cover_violates_3m(self, trace3):
-        bad = mutate(trace3, steps__0__cover="x + 1")
-        assert any(v.startswith("(3_1)") for v in verify_trace(bad))
+        """(3_m) is the reader's rule: a grid cover at the wrong step is
+        refused before any verification."""
+        with pytest.raises(TraceFormatError,
+                           match="^step 1: cover is not entry 1 of the cover enumeration$"):
+            mutate(trace3, steps__0__cover="x + 1")
 
     def test_skipped_stream_violates_4m(self, trace3):
         rec = trace3.to_json()["steps"][0]["vast"]
@@ -720,7 +720,7 @@ def full_scan_entries(trace):
             q = Fraction(num, den)
             if q in prior:
                 continue
-            eligible = cover_fiber_integral(rec.cover_h, num, den, over)
+            eligible = cover_fiber_integral(cover_entry(i), num, den, over)
             if q == point:
                 if not eligible:
                     out.append(f"(2_{i}): recorded point is not integral")
@@ -729,7 +729,7 @@ def full_scan_entries(trace):
                 out.append(f"(2_{i}): point {q.numerator}/{q.denominator} was eligible "
                            f"before {point.numerator}/{point.denominator}")
                 break
-        v = value(rec.cover_h, point)
+        v = value(cover_entry(i), point)
         fibers.append(class_of(v) if v else None)
     return out
 
@@ -745,7 +745,7 @@ def persistence_faults(trace):
         if fields[i].dim == fields[i - 1].dim:
             faults.append((None, i))
     for j, rec in enumerate(trace.steps, start=1):
-        v = value(rec.cover_h, Fraction(*rec.point))
+        v = value(cover_entry(j), Fraction(*rec.point))
         if v == 0:
             faults.append((j, None))
             continue
@@ -806,9 +806,9 @@ def with_witness(trace, i, witness):
     return ConstructionTrace.from_json(data)
 
 
-def fiber_int(rec):
-    """An integer in the fiber class of a step."""
-    v = value(rec.cover_h, Fraction(*rec.point))
+def fiber_int(trace, j):
+    """An integer in the fiber class of step j."""
+    v = value(cover_entry(j), Fraction(*trace.steps[j - 1].point))
     return v.numerator * v.denominator
 
 
@@ -819,7 +819,7 @@ class TestVerifyPersistence:
 
     @pytest.mark.parametrize("j, i", [(3, 8), (1, 20), (19, 20)])
     def test_fiber_pulled_into_the_field_breaks_5m(self, trace20, j, i):
-        bad = with_witness(trace20, i, fiber_int(trace20.steps[j - 1]))
+        bad = with_witness(trace20, i, fiber_int(trace20, j))
         assert (j, i) in persistence_faults(bad)
         got = verify_trace(bad)
         assert (f"(5_{i}): witness is not the first eligible stream class, "
@@ -833,7 +833,7 @@ class TestVerifyPersistence:
         n = len(trace.steps)
         for _ in range(count):
             j, i = sorted(rng.sample(range(1, n + 1), 2))
-            w_j, fiber_j = trace.steps[j - 1].witness, fiber_int(trace.steps[j - 1])
+            w_j, fiber_j = trace.steps[j - 1].witness, fiber_int(trace, j)
             kind = rng.randrange(4)
             if kind == 0:
                 yield with_witness(trace, i, fiber_j)
@@ -847,9 +847,9 @@ class TestVerifyPersistence:
 
     def degenerate_mutants(self, trace):
         """Each step whose cover has an integer root, moved to that root."""
-        for i, rec in enumerate(trace.steps, start=1):
+        for i in range(1, len(trace.steps) + 1):
             for t in range(-8, 9):
-                if value(rec.cover_h, Fraction(t)) == 0:
+                if value(cover_entry(i), Fraction(t)) == 0:
                     yield mutate(trace, **{f"steps__{i - 1}__point": f"{t}/1"})
                     break
 
