@@ -16,9 +16,9 @@ from `main` after printing the usage line to stderr; -h prints help to stdout
 and raises SystemExit(0).
 
 `vast-witness --stream` names a stream as `primes` or `disc:<poly>:<n>`, the
-discriminant classes of the iterates of <poly> from level n on, with n in
-decimal digits.  `_parse_stream` is the one reader of that grammar; any other
-text exits 2.
+discriminant classes of the iterates of <poly> from level n on.  `_parse_stream`
+is the one reader of that grammar, and `exactpoly.parse_integer` of every
+integer in an option, a --base item or n; any other text exits 2.
 
 Every payload, and `simulate`'s trace file, is written by `_dumps`, which
 writes byte for byte what the `json` module's `dumps` writes with indent=2.
@@ -52,7 +52,7 @@ from .arboreal import (
     discriminant_subextension,
     index_report,
 )
-from .exactpoly import ParseError, RatPoly
+from .exactpoly import ParseError, RatPoly, parse_integer
 from .primes import ResourceBound
 from .sqclass import ClassStream, ClassSubspace, primes_stream, vast_witness
 
@@ -142,10 +142,8 @@ def _dumps(value, newline: str = "\n") -> str:
 
 
 def _parse_base(text: str | None) -> ClassSubspace:
-    if not text:
-        return ClassSubspace()
     try:
-        kernels = [int(t) for t in text.split(",") if t.strip()]
+        kernels = [parse_integer(t) for t in text.split(",")] if text else []
         return ClassSubspace.from_kernels(kernels)
     except ValueError as exc:
         raise InputError(f"bad base subspace {text!r}: {exc}") from exc
@@ -266,17 +264,19 @@ def _cmd_audit(args) -> tuple[int, dict]:
 
 def _parse_stream(text: str, depth: int) -> ClassStream:
     """The stream `text` names: "primes", or "disc:<poly>:<n>", the
-    discriminant classes of the iterates of <poly> from level n on, with n in
-    decimal digits.  Its first `depth` elements end at level n + depth - 1,
-    which must be at most MAX_STREAM_LEVEL."""
+    discriminant classes of the iterates of <poly> from level n on, with n
+    read by parse_integer.  Its first `depth` elements end at level
+    n + depth - 1, which must be at most MAX_STREAM_LEVEL."""
     if text == "primes":
         return primes_stream()
     parts = text.split(":")
-    if len(parts) != 3 or parts[0] != "disc" or not (parts[2].isascii() and parts[2].isdigit()):
-        raise InputError(f"bad stream {text!r}: not primes or disc:<poly>:<n>, n decimal")
+    if len(parts) != 3 or parts[0] != "disc":
+        raise InputError(f"bad stream {text!r}: not primes or disc:<poly>:<n>")
+    try:
+        n = parse_integer(parts[2])
+    except ValueError as exc:
+        raise InputError(f"bad stream {text!r}: {exc}") from exc
     f = _parse_poly(parts[1])
-    digits = parts[2].lstrip("0")
-    n = int(digits or "0") if len(digits) < 4 else math.inf  # past the bound unconverted
     if n < 1:
         raise InputError(f"bad stream {text!r}: the start level n must be >= 1")
     if n + depth - 1 > MAX_STREAM_LEVEL:
@@ -457,7 +457,7 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
                 _fail(command, f"option --{name} expects a value")
             text = argv[i]
         try:
-            values[name] = text if options[name][1] is TEXT else int(text)
+            values[name] = text if options[name][1] is TEXT else parse_integer(text)
         except ValueError:
             _fail(command, f"option --{name}: not an integer: {text!r}")
         i += 1

@@ -26,7 +26,7 @@ from .arboreal import (
     disc_stream,
     killed_signs,
 )
-from .exactpoly import RatPoly
+from .exactpoly import RatPoly, parse_integer
 from .primes import ResourceBound
 from .sqclass import (
     ClassStream,
@@ -312,8 +312,9 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps params retries"))
     def from_json(cls, data: dict) -> "ConstructionTrace":
         """Parse a trace; raises TraceFormatError on malformed data.  Each
         step is read and checked by StepRecord.from_json, in step order;
-        then every final.F entry must be a JSON integer, and final.F must
-        list the witnesses in step order."""
+        then every final.F entry must be a JSON integer, params and each
+        retry must be in the form to_json writes, and final.F must list the
+        witnesses in step order."""
         if not isinstance(data, dict):
             raise TraceFormatError("trace must be a JSON object")
         if data.get("schema") != SCHEMA_VERSION:
@@ -321,8 +322,11 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps params retries"))
         try:
             steps = tuple(StepRecord.from_json(s, i) for i, s in enumerate(data["steps"], start=1))
             final = [_json_int(w, f"final.F[{j}]") for j, w in enumerate(data["final"]["F"])]
-            params = dict(data["params"])
-            retries = tuple(dict(r) for r in data["retries"])
+            params = _json_counts(data["params"], "params", "steps", "depth")
+            if type(data["retries"]) is not list:
+                raise TraceFormatError("retries must be a list")
+            retries = tuple(_json_counts(r, f"retries[{j}]", "step", "depth")
+                            for j, r in enumerate(data["retries"]))
         except TraceFormatError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -341,20 +345,26 @@ def _json_int(value: object, name: str, nonzero: bool = False) -> int:
     return value
 
 
+def _json_counts(value: object, name: str, *keys: str) -> dict:
+    """`value` if it is in the form to_json writes params and each retry in:
+    a JSON object of `keys`, in that order, each a JSON integer >= 1."""
+    if type(value) is not dict or tuple(value) != keys:
+        raise TraceFormatError(f"{name} must be an object of {', '.join(keys)}, in that order")
+    if min(_json_int(value[key], f"{name}.{key}") for key in keys) < 1:
+        raise TraceFormatError(f"{name}: {', '.join(keys)} must be >= 1")
+    return value
+
+
 def _point_parse(text: object) -> tuple[int, int]:
     """The point (num, den) in lowest terms that the text "num/den" names, the
-    one form to_json writes ("4/2" reads as (2, 1)).  Any other text, a zero
-    denominator, a number past the int-to-text digit limit, or a point that
-    is not a JSON string is malformed."""
+    one form to_json writes ("4/2" reads as (2, 1)), num and den read by
+    parse_integer.  Any other text, a denominator <= 0, or a point that is
+    not a JSON string is malformed."""
     try:
         if type(text) is not str:
             raise ValueError(text)
-        num, slash, den = text.partition("/")
-        for digits in (num.removeprefix("-"), den):  # -?[0-9]+/[0-9]+
-            if not (slash and digits.isascii() and digits.isdecimal()):
-                raise ValueError(text)
-        num, den = int(num), int(den)  # ValueError past the digit limit
-        if den == 0:
+        num, den = map(parse_integer, text.split("/"))  # ValueError unless two parts
+        if den <= 0:
             raise ValueError(text)
     except ValueError as exc:
         raise TraceFormatError(f"bad rational {text!r}") from exc

@@ -567,22 +567,32 @@ factor_degrees_mod_p = frobenius_order_mod_p
 MAX_EXPONENT = 10_000
 
 
+def parse_integer(text: str) -> int:
+    """`text` read as ASCII digits after an optional "-", the one integer
+    grammar of the program's text; any other text, and text past the
+    interpreter's int -> str digit limit, raises ValueError."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) tokens: runs of decimal digits ("num") and the
-    symbols x ^ * / + - ("sym"), with whitespace around them skipped.
+    """(kind, text, offset) tokens: runs of ASCII digits ("num") and the
+    symbols x ^ * / + - ("sym"), with ASCII whitespace around them skipped.
     Anything else is an error at its own offset."""
     if not isinstance(text, str):  # a trace's JSON value may be anything
         raise TypeError(f"expected a string, got {type(text).__name__}")
     tokens = []
     pos, end = 0, len(text)
     while True:
-        while pos < end and text[pos].isspace():
+        while pos < end and text[pos] in " \t\n\r\v\f":
             pos += 1
         if pos == end:
             return tokens
         stop = pos + 1
-        if text[pos].isdecimal():
-            while stop < end and text[stop].isdecimal():
+        if text[pos] in "0123456789":
+            while stop < end and text[stop] in "0123456789":
                 stop += 1
             tokens.append(("num", text[pos:stop], pos))
         elif text[pos] in "x^*/+-":
@@ -594,7 +604,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 def _literal(token: tuple[str, str, int]) -> int:
     try:
-        return int(token[1])
+        return parse_integer(token[1])
     except ValueError:  # more digits than the interpreter converts to an int
         raise ParseError(f"integer literal of {len(token[1])} digits is too long",
                          token[2]) from None

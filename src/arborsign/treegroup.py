@@ -2,15 +2,15 @@
 
 An automorphism of the depth-k complete rooted d-ary tree is recorded as a
 portrait: one permutation of {0..d-1} per internal vertex, addressed by the
-string of digits leading to it.  The group is the k-fold iterated wreath
-product of the symmetric group S_d.  Also provides the level sign
-homomorphisms and the exact group orders.
+string of decimal digits leading to it, so portraits have arity d <= 10.
+The group is the k-fold iterated wreath product of the symmetric group S_d.
+Also provides the level sign homomorphisms and the exact group orders.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping
-from itertools import product
+from itertools import chain, product
 
 Perm = tuple[int, ...]  # images of 0..d-1
 
@@ -55,8 +55,9 @@ def _check_perm(p: Perm, d: int) -> Perm:
 
 def internal_addresses(d: int, k: int) -> Iterator[str]:
     """All internal-vertex addresses: digit strings of length < k."""
-    for length in range(k):
-        yield from _addresses_at_depth(d, length)
+    if d > 10:
+        raise ValueError(f"arity {d} is above 10: addresses are strings of decimal digits")
+    return chain.from_iterable(_addresses_at_depth(d, j) for j in range(k))
 
 
 def _addresses_at_depth(d: int, j: int) -> Iterator[str]:
@@ -75,11 +76,12 @@ class Portrait:
             raise ValueError("arity must be >= 2")
         if k < 0:
             raise ValueError("depth must be >= 0")
+        addresses = internal_addresses(d, k)  # refuses an arity above 10
         expected = (d**k - 1) // (d - 1)
         if len(labels) != expected:
             raise ValueError(f"expected {expected} labels, got {len(labels)}")
         checked = {}
-        for addr in internal_addresses(d, k):
+        for addr in addresses:
             if addr not in labels:
                 raise ValueError(f"missing label at vertex {addr!r}")
             checked[addr] = _check_perm(labels[addr], d)
@@ -130,20 +132,8 @@ def leaf_permutation(g: Portrait, n: int) -> Perm:
     """Induced permutation of the d^n level-n vertices in lexicographic order."""
     if not 0 <= n <= g.k:
         raise LevelOutOfRange(f"level {n} not in 0..{g.k}")
-    d = g.d
-    images = []
-    for idx in range(d**n):
-        addr = _index_to_address(idx, d, n)
-        images.append(_address_to_index(g.apply_to_address(addr), d))
-    return tuple(images)
-
-
-def _index_to_address(idx: int, d: int, n: int) -> str:
-    digits = []
-    for _ in range(n):
-        digits.append(str(idx % d))
-        idx //= d
-    return "".join(reversed(digits))
+    return tuple(_address_to_index(g.apply_to_address(addr), g.d)
+                 for addr in _addresses_at_depth(g.d, n))
 
 
 def _address_to_index(addr: str, d: int) -> int:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import stat
 import subprocess
@@ -1044,6 +1045,73 @@ class TestParser:
         assert usage_error(capsys, argv).startswith("usage: arborsign")
 
 
+# Text that no integer grammar of the program allows, although int() reads
+# most of it: non-ASCII digits, an underscore, a plus sign, surrounding
+# blanks, nothing, a bare minus and a decimal point.
+NOT_INTEGERS = ["\uff11", "\u0663", "1_0", "+1", " 1", "1 ", "", "-", "1.0"]
+INTEGER_SITES = ["option", "base", "stream", "numerator", "denominator"]
+
+
+class TestOneIntegerGrammar:
+    """Every integer read from text, at each of the sites that read one, is
+    read by exactpoly.parse_integer: ASCII digits after an optional "-"."""
+
+    def argv(self, site, text, trace_file, tmp_path):
+        """A command that reads `text` at `site`; None in `text` stands for
+        the value the command is valid with."""
+        value = "2" if text is None else text
+        if site == "option":
+            return ["group-order", "--arity", value, "--depth", "1"]
+        if site == "base":
+            return ["disc-seq", "--poly", "x^2-3", "--levels", "1", "--base", f"-1,{value}"]
+        if site == "stream":
+            return ["vast-witness", "--stream", f"disc:x^2+1:{value}", "--depth", "1"]
+        data = json.loads(trace_file.read_text())
+        num, den = data["steps"][0]["point"].split("/")
+        if text is not None:
+            data["steps"][0]["point"] = f"{text}/{den}" if site == "numerator" else f"{num}/{text}"
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(data))
+        return ["verify", "--trace", str(path)]
+
+    @pytest.mark.parametrize("site", INTEGER_SITES)
+    def test_the_written_form_is_read(self, capsys, trace_file, tmp_path, site):
+        code, out, err = main_outcome(capsys, self.argv(site, None, trace_file, tmp_path))
+        assert code == 0 and json.loads(out) and err == ""
+
+    @pytest.mark.parametrize("site", INTEGER_SITES)
+    @pytest.mark.parametrize("text", NOT_INTEGERS)
+    def test_other_text_exit_2(self, capsys, trace_file, tmp_path, site, text):
+        """Exit 2, nothing on stdout and one error line on stderr, after the
+        usage line for an option value (a usage error).  In process, the
+        trace reader raises TraceFormatError."""
+        argv = self.argv(site, text, trace_file, tmp_path)
+        code, out, err = main_outcome(capsys, argv)
+        lines = err.splitlines()
+        assert (code, out) == (2, "")
+        if argv[0] == "verify":
+            with pytest.raises(construct.TraceFormatError, match="step 1: .*bad rational"):
+                ConstructionTrace.from_json(json.loads((tmp_path / "point.json").read_text()))
+        if site == "option":
+            assert len(lines) == 2 and lines[0].startswith("usage: arborsign group-order")
+            assert lines[1].endswith(f"error: option --arity: not an integer: {text!r}")
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["disc-seq", "--poly", "x^2-3", "--levels", "\uff11"],
+        ["group-order", "--arity", "\u0663", "--depth", " 2 "],
+        ["index-report", "--poly", "x^2-3", "--level", "1", "--n", "+1"],
+        ["disc-seq", "--poly", "x^2-3", "--levels", "1", "--base", ","],
+        ["disc-seq", "--poly", "x^\uff12-3", "--levels", "1"],
+    ])
+    def test_lookalikes_exit_2_from_a_process(self, argv):
+        """Each of these exited 0 when int() and str.isdecimal read integers."""
+        proc = cli_process(*argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "error: " in proc.stderr.splitlines()[-1]
+
+
 # (argv, main's exit code): one of each code
 EXIT_CODES = [
     (["group-order", "--arity", "2", "--depth", "1"], 0),
@@ -1197,9 +1265,13 @@ def fuzz_poly(rng):
     return text
 
 
+# Text that int() reads but the program's one integer grammar does not.
+INT_LOOKALIKES = ["\uff11", "\u0663", "1_0", "+1", " 1"]
+
+
 def fuzz_base(rng):
     tokens = [rng.choice([str(rng.randint(-12, 12)), str(rng.randint(-12, 12)), "a", "", "1.5",
-                          " 3", "x", str(rng.randint(-10**6, 10**6))])
+                          " 3", "x", str(rng.randint(-10**6, 10**6)), *INT_LOOKALIKES])
               for _ in range(rng.randint(0, 3))]
     return rng.choice([",", ", "]).join(tokens)
 
@@ -1210,7 +1282,8 @@ def fuzz_stream(rng):
         return "primes"
     if r < 0.35:
         return rng.choice(["prime", "disc", "disc:x^2+1", "", "primes:1", "disc::1"])
-    n = rng.choice(["1", "1", "2", "3", "0", "01", "", "x", "-1", "99999", "25"])
+    n = rng.choice(["1", "1", "2", "3", "0", "01", "", "x", "-1", "99999", "25",
+                    rng.choice(INT_LOOKALIKES)])
     return f"disc:{fuzz_poly(rng)}:{n}"
 
 
@@ -1219,7 +1292,7 @@ def fuzz_int(rng, low, high, outside=()):
     `outside`, or text that is no integer."""
     r = rng.random()
     if r < 0.06:
-        return rng.choice(["x", "1.5", "", "-"])
+        return rng.choice(["x", "1.5", "", "-", *INT_LOOKALIKES])
     if r < 0.12:
         return str(rng.choice([low - 1, -5, *outside]))
     return str(rng.randint(low, high))
@@ -1249,11 +1322,32 @@ def fuzz_argv(rng):
     return argv
 
 
+def integer_texts(argv):
+    """The texts that `argv`, a fuzz_argv case, gives in an integer's place:
+    integer option values, --base items and a disc stream's level."""
+    options = COMMANDS[argv[0]][2]
+    texts, i = [], 1
+    while i < len(argv):
+        name, eq, value = argv[i][2:].partition("=")
+        if not eq:
+            i, value = i + 1, argv[i + 1]
+        if name == "base" and value:
+            texts += value.split(",")
+        elif name == "stream" and value.startswith("disc:") and value.count(":") == 2:
+            texts.append(value.split(":")[2])
+        elif name in options and options[name][1] is not cli.TEXT:
+            texts.append(value)
+        i += 1
+    return texts
+
+
 def test_certify_fuzz_keeps_the_exit_code_contract(capsys, monkeypatch):
     """Every case exits 0 or 1 with a JSON object on stdout and nothing on
     stderr, or 2 or 3 with nothing on stdout and one stderr line, the usage
-    line before it for a usage error.  Every code occurs, and at least a
-    quarter of the cases reach their command's handler."""
+    line before it for a usage error.  A case that gives any text other than
+    ASCII digits after an optional "-" in an integer's place exits 2.  Every
+    code occurs, and at least a quarter of the cases reach their command's
+    handler."""
     reached = []
     for name, (handler, help_, options) in COMMANDS.items():
         def spy(args, handler=handler):
@@ -1269,6 +1363,8 @@ def test_certify_fuzz_keeps_the_exit_code_contract(capsys, monkeypatch):
             code, usage = exc.code, True
         out, err = capsys.readouterr()
         codes[code] += 1
+        if not all(re.fullmatch("-?[0-9]+", text) for text in integer_texts(argv)):
+            assert code == 2, argv
         if code in (0, 1):
             assert not usage and err == "", argv
             assert isinstance(json.loads(out), dict), argv

@@ -449,6 +449,20 @@ class TestTraceSerialization:
             (("steps", 1, "point"), f"{MAX_POINT_HEIGHT + 1}/1"),
             (("steps", 1, "point"), f"{2 * MAX_POINT_HEIGHT + 2}/2"),
             (("steps", 1, "point"), f"-1/{MAX_POINT_HEIGHT + 1}"),
+            # params and each retry hold the form to_json writes
+            (("params",), [["steps", 3], ["depth", 5]]),
+            (("params",), {"depth": 5, "steps": 3}),
+            (("params",), {"steps": 3, "depth": 5, "height": 100}),
+            (("params", "steps"), 0),
+            (("params", "steps"), "3"),
+            (("params", "depth"), True),
+            (("params", "depth"), 5.0),
+            (("retries",), [{"step": "one"}]),
+            (("retries",), [{"step": 1, "depth": 0}]),
+            (("retries",), [{"step": 1}]),
+            (("retries",), [{"depth": 5, "step": 1}]),
+            (("retries",), ""),
+            (("retries",), {}),
         ],
     )
     def test_rejects_bad_final_params_retries(self, trace3, path, value):

@@ -17,6 +17,7 @@ from arborsign.exactpoly import (
     discriminant,
     frobenius_order_mod_p,
     iterate,
+    parse_integer,
     reduce_mod_p,
     resultant,
     squarefree_kernel_support,
@@ -755,11 +756,18 @@ class TestParser:
         ("x^2 + 1 ", None), ("x^2 + 1\n", None), ("  x", None),
         ("x + @", ("unexpected character '@'", 4)), ("x  .", ("unexpected character '.'", 3)),
         (" ", ("empty polynomial", 0)),
+        ("x^\uff12-3", ("unexpected character '\uff12'", 2)),
+        ("\u0661+x^2", ("unexpected character '\u0661'", 0)),
+        ("x^2\u3000+1", ("unexpected character '\\u3000'", 3)),
+        ("x\u00a0+ 1", ("unexpected character '\\xa0'", 1)),
+        ("x^2 +\x1c1", ("unexpected character '\\x1c'", 5)), ("\tx^2\r\v\f+ 1", None),
     ])
     def test_whitespace_and_error_positions(self, text, error):
-        """Whitespace is skipped wherever it stands, the end included, and an
-        error names the bad character at its own position, not the
-        whitespace before it."""
+        """Whitespace (space, tab, LF, CR, VT, FF) is skipped wherever it
+        stands, the end included, and an error names the bad character at
+        its own position, not the whitespace before it.  Digits are 0-9: a
+        fullwidth 2 or an Arabic-Indic 1 is an error, as is an ideographic
+        or no-break space or an ASCII file separator."""
         if error is None:
             assert RatPoly.parse(text) == RatPoly.parse(text.strip())
             return
@@ -768,6 +776,19 @@ class TestParser:
         message, position = error
         assert exc.value.position == position
         assert str(exc.value) == f"{message} (at position {position})"
+
+    @pytest.mark.parametrize("text", ["1", "0", "-0", "007", "-12", "9" * 4300])
+    def test_parse_integer_reads_ascii_digits(self, text):
+        assert parse_integer(text) == int(text)
+
+    @pytest.mark.parametrize("text", [
+        "\uff11", "\u0663", "1_0", "+1", " 1", "1 ", "1\n", "", "-", "--1", "1.0", "1e3",
+        "0x1", "\u00b2", "9" * 4301])
+    def test_parse_integer_refuses_other_text(self, text):
+        """Other Unicode digits, underscores, signs but one leading "-",
+        whitespace, and text past the int -> str digit limit."""
+        with pytest.raises(ValueError):
+            parse_integer(text)
 
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as exc:
@@ -799,10 +820,11 @@ class TestParser:
     @example("x + @")
     @example(" \t")
     def test_tokens_match_the_regex_tokenizer(self, text):
-        """The tokenizer agrees with a regex one, kept here as the oracle:
-        the same tokens, or the same error message and position.  Whitespace
-        is skipped, at the end too, and an error is reported at the first
-        character after it."""
+        """The tokenizer agrees with a regex one in ASCII mode, kept here as
+        the oracle: the same tokens, or the same error message and position.
+        Digits are 0-9 and whitespace is space, tab, LF, CR, VT and FF, so
+        other Unicode digits and spaces are errors.  Whitespace is skipped, at the end too,
+        and an error is reported at the first character after it."""
         import re
 
         from arborsign.exactpoly import _tokenize
@@ -810,10 +832,10 @@ class TestParser:
         tokens, pos = [], 0
         try:
             while True:
-                pos = re.compile(r"\s*").match(text, pos).end()
+                pos = re.compile(r"\s*", re.ASCII).match(text, pos).end()
                 if pos == len(text):
                     break
-                m = re.compile(r"(\d+)|([x^*/+-])").match(text, pos)
+                m = re.compile(r"(\d+)|([x^*/+-])", re.ASCII).match(text, pos)
                 if m is None:
                     raise ParseError(f"unexpected character {text[pos]!r}", pos)
                 if m.group(1) is not None:

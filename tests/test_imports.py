@@ -123,3 +123,39 @@ def test_every_public_definition_is_read():
     readers = sources(os.path.join(ROOT, "tests")) + sources(os.path.join(ROOT, "bench"))
     namers = sources(os.path.join(ROOT, "perfbench"))
     assert unread_public_definitions(sources(PACKAGE), readers, namers) == []
+
+
+# The str predicates that would each define a digit or whitespace class of
+# their own, beside exactpoly.parse_integer and the polynomial tokenizer's
+# ASCII classes.
+CHARACTER_CLASSES = {"isdecimal", "isdigit", "isnumeric", "isspace"}
+
+
+def character_class_uses(source: str) -> list[tuple[str | None, str]]:
+    """(function, predicate) for each use of a CHARACTER_CLASSES predicate
+    in `source`, called or not; function is the name of the outermost
+    function around it, or None at module level."""
+    tree = ast.parse(source)
+    owner = {}
+    for node in ast.walk(tree):  # outer functions first
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                owner.setdefault(inner, node.name)
+    return [(owner.get(node), node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in CHARACTER_CLASSES]
+
+
+def test_the_check_finds_a_character_class():
+    source = ("def read(t):\n    def inner():\n        return t.isspace()\n"
+              "    return map(str.isdecimal, t)\n\nOK = '1'.isdigit()\n")
+    assert sorted(character_class_uses(source), key=str) == [
+        ("read", "isdecimal"), ("read", "isspace"), (None, "isdigit")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_integers_have_one_reader(module):
+    """Only exactpoly.parse_integer tells digits from other text: no module
+    uses isdecimal, isnumeric or isspace, and isdigit appears only there."""
+    with open(os.path.join(PACKAGE, module)) as fh:
+        uses = character_class_uses(fh.read())
+    assert uses == ([("parse_integer", "isdigit")] if module == "exactpoly.py" else [])

@@ -45,6 +45,18 @@ class TestPermBasics:
     def test_internal_addresses(self):
         assert list(internal_addresses(2, 2)) == ["", "0", "1"]
         assert len(list(internal_addresses(3, 3))) == 13
+        assert list(internal_addresses(10, 2))[-1] == "9"
+
+    @pytest.mark.parametrize("build", [
+        lambda: internal_addresses(11, 2), lambda: Portrait.identity(11, 2),
+        lambda: Portrait(11, 0, {}), lambda: Portrait(12, 1, {"": tuple(range(12))}),
+    ])
+    def test_arity_above_10_refused(self, build):
+        """An address is a string of decimal digits, one per child index:
+        internal_addresses(11, 2) used to yield "1" and "0" twice, and
+        Portrait.identity(11, 2) to fail with "expected 12 labels, got 11"."""
+        with pytest.raises(ValueError, match="addresses are strings of decimal digits"):
+            build()
 
 
 class TestPortrait:
