@@ -53,7 +53,7 @@ from .arboreal import (
     index_report,
 )
 from .exactpoly import ParseError, RatPoly, parse_integer
-from .primes import ResourceBound
+from .primes import InputError, ResourceBound
 from .sqclass import ClassStream, ClassSubspace, primes_stream, vast_witness
 
 OK, FINDING, INPUT_ERROR, RESOURCE = 0, 1, 2, 3
@@ -65,10 +65,6 @@ MAX_ARITY = 10_000
 # index-report composes the level-k iterate, of degree d^k, and scans it mod
 # each prime; at degree 2^10 that already takes seconds per prime.
 MAX_ITERATE_DEGREE = 512
-
-
-class InputError(ValueError):
-    pass
 
 
 class StdoutClosed(BrokenPipeError):
@@ -241,10 +237,7 @@ def _load_trace(path: str):
         raise InputError(f"trace is not valid JSON: {exc}") from exc
     except RecursionError as exc:  # arrays or objects nested past the decoder's depth
         raise InputError(f"trace is nested too deeply: {exc}") from exc
-    try:
-        return construct.ConstructionTrace.from_json(data)
-    except construct.TraceFormatError as exc:
-        raise InputError(str(exc)) from exc
+    return construct.ConstructionTrace.from_json(data)
 
 
 def _cmd_verify(args) -> tuple[int, dict]:

@@ -26,8 +26,8 @@ from .arboreal import (
     disc_stream,
     killed_signs,
 )
-from .exactpoly import RatPoly, parse_integer
-from .primes import ResourceBound
+from .exactpoly import ParseError, RatPoly, parse_integer
+from .primes import InputError, ResourceBound
 from .sqclass import (
     ClassStream,
     ClassSubspace,
@@ -47,7 +47,7 @@ class PointSearchExhausted(ResourceBound):
     """No integral specialization point below the height bound."""
 
 
-class TraceFormatError(ValueError):
+class TraceFormatError(InputError):
     """Malformed or unsupported trace JSON."""
 
 
@@ -258,24 +258,28 @@ class StepRecord(namedtuple("StepRecord", "witness point entry depth_checked")):
         }
 
     @classmethod
-    def from_json(cls, data: dict, i: int) -> "StepRecord":
+    def from_json(cls, data: object, i: int) -> "StepRecord":
         """Read step i of a trace; raises TraceFormatError on malformed data.
-        Besides the shape it checks that every count and class is a JSON
-        integer, that the witness is a nonzero nonsquare, and what the
-        verifier needs to end: the cover is entry i of the cover enumeration,
-        the point has height at most MAX_POINT_HEIGHT, the stream is read
-        from level vast.n to vast.n + vast.depth_checked - 1, which must lie
-        in 1..MAX_STREAM_LEVEL, and the stream is an entry of the vast list
-        that a run can select."""
+        Besides each value's JSON type it checks that the witness is a
+        nonzero nonsquare, and what the verifier needs to end: the cover is
+        entry i of the cover enumeration, the point has height at most
+        MAX_POINT_HEIGHT, the stream is read from level vast.n to vast.n +
+        vast.depth_checked - 1, which must lie in 1..MAX_STREAM_LEVEL, and
+        the stream is an entry of the vast list that a run can select."""
+        at = f"step {i}: "
+        data = _json(data, dict, f"step {i}")
+        witness = _json(data.get("witness"), int, at + "witness")
+        if witness == 0:
+            raise TraceFormatError(at + "witness must be nonzero: zero has no square class")
         try:
-            witness = _json_int(data["witness"], "witness", nonzero=True)
-            cover = RatPoly.parse(data["cover"])
-            point = _point_parse(data["point"])
-            vast_poly = RatPoly.parse(data["vast"]["poly"])
-            vast_n = _json_int(data["vast"]["n"], "vast.n")
-            depth_checked = _json_int(data["vast"]["depth_checked"], "vast.depth_checked")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"step {i}: malformed step record: {exc}") from exc
+            cover = RatPoly.parse(_json(data.get("cover"), str, at + "cover"))
+            point = _point_parse(data.get("point"), at + "point")
+            vast = _json(data.get("vast"), dict, at + "vast")
+            vast_poly = RatPoly.parse(_json(vast.get("poly"), str, at + "vast.poly"))
+        except ParseError as exc:
+            raise TraceFormatError(f"{at}bad polynomial: {exc}") from exc
+        vast_n = _json(vast.get("n"), int, at + "vast.n")
+        depth_checked = _json(vast.get("depth_checked"), int, at + "vast.depth_checked")
         if SquareClass(witness).is_trivial:
             raise TraceFormatError(f"step {i}: witness is a perfect square: its class is trivial")
         if cover != cover_entry(i):
@@ -309,65 +313,63 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps params retries"))
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "ConstructionTrace":
+    def from_json(cls, data: object) -> "ConstructionTrace":
         """Parse a trace; raises TraceFormatError on malformed data.  Each
         step is read and checked by StepRecord.from_json, in step order;
         then every final.F entry must be a JSON integer, params and each
         retry must be in the form to_json writes, and final.F must list the
         witnesses in step order."""
-        if not isinstance(data, dict):
-            raise TraceFormatError("trace must be a JSON object")
-        if data.get("schema") != SCHEMA_VERSION:
-            raise TraceFormatError(f"unsupported schema {data.get('schema')!r}")
-        try:
-            steps = tuple(StepRecord.from_json(s, i) for i, s in enumerate(data["steps"], start=1))
-            final = [_json_int(w, f"final.F[{j}]") for j, w in enumerate(data["final"]["F"])]
-            params = _json_counts(data["params"], "params", "steps", "depth")
-            if type(data["retries"]) is not list:
-                raise TraceFormatError("retries must be a list")
-            retries = tuple(_json_counts(r, f"retries[{j}]", "step", "depth")
-                            for j, r in enumerate(data["retries"]))
-        except TraceFormatError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"malformed trace: {exc}") from exc
+        data = _json(data, dict, "trace")
+        schema = _json(data.get("schema"), int, "schema")
+        if schema != SCHEMA_VERSION:
+            raise TraceFormatError(f"unsupported schema {schema}")
+        steps = tuple(StepRecord.from_json(s, i)
+                      for i, s in enumerate(_json(data.get("steps"), list, "steps"), start=1))
+        F = _json(_json(data.get("final"), dict, "final").get("F"), list, "final.F")
+        final = [_json(w, int, f"final.F[{j}]") for j, w in enumerate(F)]
+        params = _json_counts(data.get("params"), "params", "steps", "depth")
+        retries = tuple(_json_counts(r, f"retries[{j}]", "step", "depth")
+                        for j, r in enumerate(_json(data.get("retries"), list, "retries")))
         if final != [s.witness for s in steps]:
             raise TraceFormatError("final.F does not list the steps' witnesses in step order")
         return cls(steps, params, retries)
 
 
-def _json_int(value: object, name: str, nonzero: bool = False) -> int:
-    """`value` itself if it is a JSON integer (not a bool, float or string)."""
-    if type(value) is not int:
-        raise TraceFormatError(f"{name} must be an integer")
-    if nonzero and value == 0:
-        raise TraceFormatError(f"{name} must be nonzero: zero has no square class")
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _json(value: object, kind: type, name: str):
+    """`value` if its type is exactly `kind`: int, str, list or dict, as `json`
+    reads an integer, a string, an array and an object, so no bool or float
+    is an int, and a missing key, read as None, is of no kind.  Otherwise
+    raises TraceFormatError("<name> must be an integer|a string|...")."""
+    if type(value) is not kind:
+        raise TraceFormatError(f"{name} must be {_KINDS[kind]}")
     return value
 
 
 def _json_counts(value: object, name: str, *keys: str) -> dict:
     """`value` if it is in the form to_json writes params and each retry in:
     a JSON object of `keys`, in that order, each a JSON integer >= 1."""
-    if type(value) is not dict or tuple(value) != keys:
+    if tuple(_json(value, dict, name)) != keys:
         raise TraceFormatError(f"{name} must be an object of {', '.join(keys)}, in that order")
-    if min(_json_int(value[key], f"{name}.{key}") for key in keys) < 1:
+    if min(_json(value[key], int, f"{name}.{key}") for key in keys) < 1:
         raise TraceFormatError(f"{name}: {', '.join(keys)} must be >= 1")
     return value
 
 
-def _point_parse(text: object) -> tuple[int, int]:
-    """The point (num, den) in lowest terms that the text "num/den" names, the
-    one form to_json writes ("4/2" reads as (2, 1)), num and den read by
-    parse_integer.  Any other text, a denominator <= 0, or a point that is
-    not a JSON string is malformed."""
+def _point_parse(value: object, name: str) -> tuple[int, int]:
+    """The point (num, den) in lowest terms that the JSON string "num/den"
+    names, the one form to_json writes ("4/2" reads as (2, 1)), num and den
+    read by parse_integer.  Any other text, or a denominator <= 0, is
+    malformed; `name` names the value in the refusal."""
+    text = _json(value, str, name)
     try:
-        if type(text) is not str:
-            raise ValueError(text)
         num, den = map(parse_integer, text.split("/"))  # ValueError unless two parts
         if den <= 0:
             raise ValueError(text)
     except ValueError as exc:
-        raise TraceFormatError(f"bad rational {text!r}") from exc
+        raise TraceFormatError(f"{name}: bad rational {text!r}") from exc
     g = math.gcd(num, den)
     return num // g, den // g
 

@@ -578,11 +578,10 @@ def parse_integer(text: str) -> int:
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) tokens: runs of ASCII digits ("num") and the
-    symbols x ^ * / + - ("sym"), with ASCII whitespace around them skipped.
-    Anything else is an error at its own offset."""
-    if not isinstance(text, str):  # a trace's JSON value may be anything
-        raise TypeError(f"expected a string, got {type(text).__name__}")
+    """(kind, text, offset) tokens of the str `text`: runs of ASCII digits
+    ("num") and the symbols x ^ * / + - ("sym"), with ASCII whitespace around
+    them skipped.  Anything else is an error at its own offset.  The trace
+    reader holds a polynomial's JSON value to a string before it gets here."""
     tokens = []
     pos, end = 0, len(text)
     while True:

@@ -13,8 +13,9 @@ only to print kernels (`disc-seq`, `vast-witness`, `index-report`'s base and
   cofactor of more than `MAX_FACTOR_BITS` bits, or a composite that rho does
   not split within `RHO_STEPS` steps, raises `FactoringBudget`.
 
-`ResourceBound` is the base of every error that means a resource bound was
-hit, not that the input was malformed; the CLI reports each with exit code 3.
+`InputError` is the base of every error that means the input was malformed,
+which the CLI reports with exit code 2, and `ResourceBound` of every error
+that means a resource bound was hit on well-formed input, exit code 3.
 
 Critical-orbit values of x^2 + c form a rigid divisibility sequence, so their
 prime divisors are mostly small; trial division and rho split them at once.
@@ -53,6 +54,10 @@ RHO_STEPS = 1 << 18
 # (4 ms at 1024 bits, 0.2 s at 4096, 12 s at 16384 on a 2-core host), and an
 # exhausted rho budget takes 3.4 s at 1024 bits and 12 s at 2048.
 MAX_FACTOR_BITS = 1024
+
+
+class InputError(ValueError):
+    """Malformed input: a bad option value, polynomial or trace."""
 
 
 class ResourceBound(ArithmeticError):

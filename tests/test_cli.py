@@ -255,7 +255,8 @@ class TestSimulateVerifyAudit:
     # A point must be a JSON string of the form "num/den" that to_json writes:
     # a number or literal is not read as one, nor is any other text, such as
     # "1e5000", which used to be read as 10^5000 and end in a traceback under
-    # exit 1 (and "1e100000" only after most of a minute).
+    # exit 1 (and "1e100000" only after most of a minute).  The type reader
+    # refuses a point that is not a string, and the point reader other text.
     @pytest.mark.parametrize("text", [
         "1/0", "3/-4", "1/2/3", "x", "", 2, 2.0, True, None,
         "1e5000", "1e100000", pytest.param("2", id="'2'"), " 2/1 ", "+2/1",
@@ -268,7 +269,9 @@ class TestSimulateVerifyAudit:
         proc = cli_process("verify", "--trace", str(bad), timeout=5)
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert len(proc.stderr.splitlines()) == 1 and "bad rational" in proc.stderr
+        assert proc.stderr == (f"error: step 1: point: bad rational {text!r}\n"
+                               if isinstance(text, str) else
+                               "error: step 1: point must be a string\n")
 
     def test_verify_truncated_file_exit_2(self, capsys, trace_file, tmp_path):
         bad = tmp_path / "trunc.json"
@@ -424,29 +427,51 @@ class TestSimulateVerifyAudit:
     @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]],
                              ids=["verify", "audit"])
     def test_missing_section_exit_2(self, capsys, trace_file, tmp_path, command, section):
-        """Every schema-4 section is required; a trace without `retries` used
-        to be read as one with no retries."""
+        """Every schema-4 section is required, and a missing one reads as
+        null, which is of no JSON type the reader takes; a trace without
+        `retries` used to be read as one with no retries."""
         data = json.loads(trace_file.read_text())
         del data[section]
         bad = tmp_path / "missing_section.json"
         bad.write_text(json.dumps(data))
         code, payload, err = run_cli(capsys, *command, "--trace", str(bad))
-        assert (code, payload, err) == (2, None, f"error: malformed trace: '{section}'\n")
+        kind = "a list" if section in ("steps", "retries") else "an object"
+        assert (code, payload, err) == (2, None, f"error: {section} must be {kind}\n")
+
+    @pytest.mark.parametrize("sections, line", [
+        pytest.param({"steps": "", "final": {"F": {}}}, "error: steps must be a list\n",
+                     id="steps-string"),
+        pytest.param({"steps": {}, "final": {"F": ""}}, "error: steps must be a list\n",
+                     id="steps-object"),
+        pytest.param({"schema": 4.0}, "error: schema must be an integer\n", id="schema-float"),
+    ])
+    @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]],
+                             ids=["verify", "audit"])
+    def test_wrong_typed_section_exit_2(self, trace_file, tmp_path, command, sections, line):
+        """`steps` and `final.F` must be JSON lists and `schema` a JSON
+        integer.  A string or object in both lists used to read as a 0-step
+        trace, which `verify` passed and `audit` reported under exit 0, and
+        a schema of 4.0 was read as 4."""
+        data = json.loads(trace_file.read_text())
+        data.update(sections)
+        bad = tmp_path / "wrong_typed.json"
+        bad.write_text(json.dumps(data))
+        proc = cli_process(*command, "--trace", str(bad), timeout=5)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line)
 
     @pytest.mark.parametrize("path, value, line", [
         pytest.param(("steps", 0, "point"), None,
-                     "error: step 1: malformed step record: 'point'\n", id="point-missing"),
+                     "error: step 1: point must be a string\n", id="point-missing"),
         pytest.param(("steps", 1, "witness"), "5",
-                     "error: step 2: malformed step record: witness must be an integer\n",
-                     id="witness-string"),
+                     "error: step 2: witness must be an integer\n", id="witness-string"),
         pytest.param(("final", "F", 0), "5", "error: final.F[0] must be an integer\n",
                      id="final-string"),
     ])
     def test_fault_reported_once_under_its_step(self, capsys, tmp_path, path, value, line):
-        """A fault in a step record names its step, and one in final.F names
-        the entry; neither is wrapped again as "malformed trace: ...", as
-        both used to be, and the one in a step named no step.  A value of
-        None deletes the field."""
+        """A fault in a step record names its step and the field, and one in
+        final.F names the entry; neither is wrapped again as "malformed
+        trace: ...", as both used to be, and the one in a step named no
+        step.  A value of None deletes the field, which reads as null."""
         data = construct.run(2, 5, 100).to_json()
         *keys, last = path
         node = data

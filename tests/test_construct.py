@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -463,6 +464,13 @@ class TestTraceSerialization:
             (("retries",), [{"depth": 5, "step": 1}]),
             (("retries",), ""),
             (("retries",), {}),
+            # each section holds its JSON type; the empty path sets several
+            # sections, here two wrong-typed empty ones that used to read as
+            # a 0-step trace
+            ((), {"steps": "", "final": {"F": {}}}),
+            ((), {"steps": {}, "final": {"F": ""}}),
+            (("steps",), None),
+            (("schema",), 4.0),
         ],
     )
     def test_rejects_bad_final_params_retries(self, trace3, path, value):
@@ -470,7 +478,10 @@ class TestTraceSerialization:
         node = data
         for key in path[:-1]:
             node = node[key]
-        node[path[-1]] = value
+        if path:
+            node[path[-1]] = value
+        else:
+            data.update(value)
         with pytest.raises(TraceFormatError):
             ConstructionTrace.from_json(data)
 
@@ -519,9 +530,9 @@ class TestTraceSerialization:
             q = None
         if q is None:
             with pytest.raises(TraceFormatError):
-                construct._point_parse(text)
+                construct._point_parse(text, "point")
         else:
-            assert construct._point_parse(text) == (q.numerator, q.denominator)
+            assert construct._point_parse(text, "point") == (q.numerator, q.denominator)
 
 
     @settings(max_examples=300)
@@ -549,10 +560,10 @@ class TestTraceSerialization:
                 raise ValueError(text)
         except ValueError:
             with pytest.raises(TraceFormatError):
-                construct._point_parse(text)
+                construct._point_parse(text, "point")
         else:
             g = math.gcd(num, den)
-            assert construct._point_parse(text) == (num // g, den // g)
+            assert construct._point_parse(text, "point") == (num // g, den // g)
 
 
 # Any JSON value; integers stay within 64 bits, so that the square class of a
@@ -575,13 +586,12 @@ def json_paths(node, path=()):
         yield from json_paths(child, (*path, key))
 
 
-def one_node_replaced(doc, data):
-    """`doc` with one node, drawn from `data`, replaced by a drawn JSON value;
-    the root's replacement is returned as the new document."""
-    path = data.draw(st.sampled_from(list(json_paths(doc))), label="path")
-    value = data.draw(JSON_VALUES, label="value")
+def replaced(doc, path, value):
+    """A copy of `doc` with the node at `path` replaced by `value`; the root's
+    replacement is returned as the new document."""
     if not path:
         return value
+    doc = copy.deepcopy(doc)
     node = doc
     for key in path[:-1]:
         node = node[key]
@@ -589,7 +599,40 @@ def one_node_replaced(doc, data):
     return doc
 
 
+def one_node_replaced(doc, data):
+    """`doc` with one node, drawn from `data`, replaced by a drawn JSON
+    value."""
+    path = data.draw(st.sampled_from(list(json_paths(doc))), label="path")
+    return replaced(doc, path, data.draw(JSON_VALUES, label="value"))
+
+
+def other_json_types(node):
+    """One value of each JSON type that is not `node`'s: null, true, an
+    integer, a float and the text equal to an integer leaf, a one-element
+    list of a string leaf, an empty list and an empty object."""
+    number = node if type(node) is int else 4
+    string = node if type(node) is str else "x"
+    values = [None, True, number, float(number), str(number), [string], [], {}]
+    return [v for v in values if type(v) is not type(node)]
+
+
 class TestTraceFuzz:
+    def test_every_node_refuses_every_other_type(self, trace3):
+        """Each node of a valid trace, the root, each container, each leaf
+        and each list entry, replaced by a value of a JSON type that to_json
+        does not write there, is refused as a value of the wrong type."""
+        doc = trace3.to_json()
+        paths = list(json_paths(doc))
+        assert len(paths) > 30 and ("final", "F", 2) in paths
+        for path in paths:
+            node = doc
+            for key in path:
+                node = node[key]
+            for value in other_json_types(node):
+                with pytest.raises(TraceFormatError,
+                                   match="must be (an integer|a string|a list|an object)$"):
+                    ConstructionTrace.from_json(replaced(doc, path, value))
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_one_field_replaced_by_any_json(self, trace3, data):

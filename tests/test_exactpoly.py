@@ -748,9 +748,18 @@ class TestParser:
 
     @pytest.mark.parametrize("value", [["x"], [None], None, 5, {"x": 1}, []])
     def test_rejects_non_strings(self, value):
-        # a trace's polynomial field may hold any JSON value
-        with pytest.raises(TypeError):
-            RatPoly.parse(value)
+        """The parser takes a str.  A trace's polynomial fields may hold any
+        JSON value, and the trace reader refuses every other one before it
+        calls the parser."""
+        from arborsign.construct import ConstructionTrace, TraceFormatError, run
+
+        trace = run(1, 5, 100)
+        for field in ("cover", "vast.poly"):
+            data = trace.to_json()
+            step = data["steps"][0]
+            (step["vast"] if field == "vast.poly" else step)[field.split(".")[-1]] = value
+            with pytest.raises(TraceFormatError, match=f"^step 1: {field} must be a string$"):
+                ConstructionTrace.from_json(data)
 
     @pytest.mark.parametrize("text, error", [
         ("x^2 + 1 ", None), ("x^2 + 1\n", None), ("  x", None),

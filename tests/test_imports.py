@@ -159,3 +159,66 @@ def test_integers_have_one_reader(module):
     with open(os.path.join(PACKAGE, module)) as fh:
         uses = character_class_uses(fh.read())
     assert uses == ([("parse_integer", "isdigit")] if module == "exactpoly.py" else [])
+
+
+# The types of the values that `json` reads: a type test that names one
+# reads a JSON value, which only construct._json does, or writes one, which
+# only cli._dumps does.
+JSON_TYPES = {"str", "int", "float", "bool", "list", "dict"}
+TYPE_READERS = {"construct.py": {"_json"}, "cli.py": {"_dumps"}}
+
+
+def json_type_tests(source: str) -> list[str | None]:
+    """The outermost function around each `isinstance(...)` call, and each
+    comparison with a `type(...)` call, in `source` that names a JSON_TYPES
+    type; None at module level."""
+    tree = ast.parse(source)
+    owner = {}
+    for node in ast.walk(tree):  # outer functions first
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                owner.setdefault(inner, node.name)
+
+    def called(node, name):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == name)
+
+    found = []
+    for node in ast.walk(tree):
+        if called(node, "isinstance"):
+            named = node.args[1:]
+        elif isinstance(node, ast.Compare) and any(
+                called(side, "type") for side in (node.left, *node.comparators)):
+            named = node.comparators
+        else:
+            continue
+        if any(isinstance(name, ast.Name) and name.id in JSON_TYPES
+               for side in named for name in ast.walk(side)):
+            found.append(owner.get(node))
+    return found
+
+
+def stray_json_type_tests(module: str, source: str) -> list[str | None]:
+    """The json_type_tests of `module`'s `source` outside its TYPE_READERS."""
+    return [f for f in json_type_tests(source) if f not in TYPE_READERS.get(module, set())]
+
+
+def test_the_check_finds_a_json_type_test():
+    source = ("def read(v, kind):\n    def inner():\n        return type(v) is not int\n"
+              "    if isinstance(v, (str, bytes)) or type(v) is kind:\n        return v\n"
+              "    return isinstance(v, RatPoly) or type(v).__name__\n\n"
+              "OK = type(1) == float\n")
+    assert sorted(json_type_tests(source), key=str) == [None, "read", "read"]
+    with open(os.path.join(PACKAGE, "construct.py")) as fh:
+        planted = fh.read() + "\n\ndef _steps(data):\n    return isinstance(data, list)\n"
+    assert stray_json_type_tests("construct.py", planted) == ["_steps"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_trace_values_have_one_reader(module):
+    """Only construct._json tests the JSON type of a value it reads, and
+    only cli._dumps that of a value it writes: no other isinstance(...) or
+    type(...) test in the package names str, int, float, bool, list or
+    dict."""
+    with open(os.path.join(PACKAGE, module)) as fh:
+        assert stray_json_type_tests(module, fh.read()) == []
