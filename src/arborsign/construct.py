@@ -271,13 +271,10 @@ class StepRecord(namedtuple("StepRecord", "witness point entry depth_checked")):
         witness = _json(data.get("witness"), int, at + "witness")
         if witness == 0:
             raise TraceFormatError(at + "witness must be nonzero: zero has no square class")
-        try:
-            cover = RatPoly.parse(_json(data.get("cover"), str, at + "cover"))
-            point = _point_parse(data.get("point"), at + "point")
-            vast = _json(data.get("vast"), dict, at + "vast")
-            vast_poly = RatPoly.parse(_json(vast.get("poly"), str, at + "vast.poly"))
-        except ParseError as exc:
-            raise TraceFormatError(f"{at}bad polynomial: {exc}") from exc
+        cover = _poly_parse(data.get("cover"), at + "cover")
+        point = _point_parse(data.get("point"), at + "point")
+        vast = _json(data.get("vast"), dict, at + "vast")
+        vast_poly = _poly_parse(vast.get("poly"), at + "vast.poly")
         vast_n = _json(vast.get("n"), int, at + "vast.n")
         depth_checked = _json(vast.get("depth_checked"), int, at + "vast.depth_checked")
         if SquareClass(witness).is_trivial:
@@ -356,6 +353,15 @@ def _json_counts(value: object, name: str, *keys: str) -> dict:
     if min(_json(value[key], int, f"{name}.{key}") for key in keys) < 1:
         raise TraceFormatError(f"{name}: {', '.join(keys)} must be >= 1")
     return value
+
+
+def _poly_parse(value: object, name: str) -> RatPoly:
+    """The polynomial that the JSON string `value` names; `name` names the
+    value in the refusal."""
+    try:
+        return RatPoly.parse(_json(value, str, name))
+    except ParseError as exc:
+        raise TraceFormatError(f"{name}: bad polynomial: {exc}") from exc
 
 
 def _point_parse(value: object, name: str) -> tuple[int, int]:

@@ -485,6 +485,21 @@ class TestSimulateVerifyAudit:
         bad.write_text(json.dumps(data))
         assert run_cli(capsys, "verify", "--trace", str(bad)) == (2, None, line)
 
+    @pytest.mark.parametrize("field", [("cover",), ("vast", "poly")], ids=["cover", "vast.poly"])
+    def test_bad_trace_polynomial_names_its_field(self, capsys, trace_file, tmp_path, field):
+        """Both fields used to exit 2 with the one line
+        `step 1: bad polynomial: ...`, which did not say which was bad."""
+        data = json.loads(trace_file.read_text())
+        node = data["steps"][0]
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = "abc"
+        bad = tmp_path / "bad_poly_text.json"
+        bad.write_text(json.dumps(data))
+        assert run_cli(capsys, "verify", "--trace", str(bad)) == (
+            2, None, f"error: step 1: {'.'.join(field)}: bad polynomial: "
+                     "unexpected character 'a' (at position 0)\n")
+
     def test_audit_final_dim_is_the_span_of_the_witnesses(self, capsys, trace_file, tmp_path):
         """With step 2's witness in step 1's class the witnesses span a field
         of dimension 2; `audit` used to report the length of final.F, 3."""
@@ -566,6 +581,89 @@ class TestJsonWriter:
         text = out.read_text()
         trace = ConstructionTrace.from_json(json.loads(text))
         assert text == json.dumps(trace.to_json(), indent=2) + "\n"
+
+
+# The values a JSON text can hold, floats, NaN and +-Infinity among them.
+JSON_READ_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**200, 2**200) | st.floats() | JSON_TEXT,
+    lambda children: st.lists(children) | st.dictionaries(JSON_TEXT, children),
+)
+
+
+def same(a, b) -> bool:
+    """Whether `a` and `b` are equal and of the same types all through, keys
+    in the same order; floats are compared by repr, so NaN is NaN and -0.0
+    is not 0.0."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is list:
+        return len(a) == len(b) and all(map(same, a, b))
+    if type(a) is dict:
+        return list(a) == list(b) and all(same(a[k], b[k]) for k in a)
+    return repr(a) == repr(b) if type(a) is float else a == b
+
+
+def as_read(value):
+    """`value` as JSON reads it back once written: every tuple a list, and in
+    every string each high surrogate followed by a low one the character
+    that the pair encodes, as their two escapes read."""
+    if isinstance(value, str):
+        return value.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+    if isinstance(value, (list, tuple)):
+        return [as_read(v) for v in value]
+    if isinstance(value, dict):
+        return {as_read(k): as_read(v) for k, v in value.items()}
+    return value
+
+
+class TestJsonReader:
+    """`cli._loads` reads every trace; `json.loads` is its oracle, in value
+    and in type: 1, 1.0 and true stay distinct."""
+
+    @given(JSON_READ_VALUES)
+    @example([1, 1.0, True, 0, -0.0, float("nan"), float("inf"), -float("inf"), 1e300])
+    @example({"\ud800": "\udfff\U0001f600\x00\x1f\"\\/\x7f", "": [{}, [], ""]})
+    def test_matches_json_loads(self, value):
+        for indent in (None, 2):
+            for ensure_ascii in (True, False):
+                text = json.dumps(value, indent=indent, ensure_ascii=ensure_ascii)
+                assert same(cli._loads(text), json.loads(text))
+
+    @pytest.mark.parametrize("text", [
+        '{"a": 1, "b": 2, "a": [3]}', '"\\ud800"', '"\\udc00\\ud800"', '"\\ud800\\u0041"',
+        '"\\ud83d\\ude00"', '"\\/\\b\\f\\n\\r\\t\\u00E9"', " \t\n\r-0\r\n", "-0.0", "1E400",
+        "-1e-400", "0.5e+1", "[NaN,Infinity,-Infinity]", '{"":{"":[]}}', "7" * 4300,
+        "1" + "0" * 5000 + ".5"])
+    def test_matches_json_loads_on_other_texts(self, text):
+        """A repeated key, where the last one wins, lone and paired
+        surrogate escapes, every short escape, whitespace around the value,
+        exponents past a float's range, and a 5000-digit float."""
+        assert same(cli._loads(text), json.loads(text))
+
+    @pytest.mark.parametrize("text", [
+        "[1,]", '{"a" 1}', "01", "-", "1.", ".5", "1e", '"a\x01b"', '"\\q"', '"\\u12"',
+        '"\\ud800\\uzzzz"', "﻿{}", "{} x", "1 2", "", " ", "+1", "1_0", "١", "nul",
+        "-Inf", '{"a": 1,}', "[1 2]", '"abc', "\x0b1", "7" * 4301])
+    def test_refuses_what_json_refuses(self, text):
+        """Trailing commas, a missing colon, leading zeros, numbers cut
+        short, a raw control character, a bad escape, a leading BOM,
+        trailing data, empty text, and an integer past the digit limit."""
+        with pytest.raises(ValueError):
+            json.loads(text)
+        with pytest.raises(ValueError):
+            cli._loads(text)
+
+    def test_refuses_every_truncation(self, trace_file):
+        text = trace_file.read_text().rstrip("\n")
+        for end in range(len(text)):
+            for reader in (json.loads, cli._loads):
+                with pytest.raises(ValueError):
+                    reader(text[:end])
+
+    @given(JSON_VALUES)
+    @example({"\ud800\udfff": ["\udfff\ud800", ("\ud800\U0001f600",)]})
+    def test_reads_back_what_the_writer_writes(self, value):
+        assert same(cli._loads(cli._dumps(value)), as_read(value))
 
 
 class TestVastWitness:
@@ -1403,3 +1501,34 @@ def test_certify_fuzz_keeps_the_exit_code_contract(capsys, monkeypatch):
                 assert len(lines) == 1 and lines[0].startswith("error: "), argv
     assert set(codes) == {0, 1, 2, 3}, codes
     assert len(reached) >= cases / 4
+
+
+# What the trace text fuzz deletes, inserts or replaces: the characters of
+# JSON's grammar, digits, letters of its literals and of polynomials, JSON
+# whitespace and a raw control character.
+TRACE_FUZZ_CHARS = '{}[]",:-+.eE0123456789 \n\t\\/untrfalsNIxy^*\x01'
+
+
+def test_trace_text_fuzz_keeps_the_exit_code_contract(capsys, trace_file, tmp_path):
+    """500 seeded cases each delete, insert or replace one character of the
+    3-step trace's text, and `verify` and `audit --level 2` read it in
+    process.  Each exits 0 or 1 with a JSON object on stdout and nothing on
+    stderr, or 2 with nothing on stdout and one `error:` line on stderr;
+    nothing raises.  Every one of the three codes occurs."""
+    text = trace_file.read_text()
+    rng, codes = random.Random(20261021), collections.Counter()
+    fuzzed = tmp_path / "fuzzed.json"
+    for _ in range(500):
+        pos, op, char = rng.randrange(len(text)), rng.choice("dir"), rng.choice(TRACE_FUZZ_CHARS)
+        case = text[:pos] + {"d": "", "i": char + text[pos], "r": char}[op] + text[pos + 1:]
+        fuzzed.write_text(case)
+        for argv in (["verify"], ["audit", "--level", "2"]):
+            code = main([*argv, "--trace", str(fuzzed)])
+            out, err = capsys.readouterr()
+            codes[code] += 1
+            if code in (0, 1):
+                assert err == "" and isinstance(json.loads(out), dict), case
+            else:
+                assert code == 2 and out == "", case
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), case
+    assert set(codes) == {0, 1, 2}, codes

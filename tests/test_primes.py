@@ -167,7 +167,7 @@ def cold_imports(args, cwd) -> list[str]:
 
 def test_cli_import_loads_no_command_module(tmp_path):
     """Importing the CLI loads only what every certify command uses: no json
-    (the CLI writes its own), no construct, treegroup or supernat, which
+    (the CLI writes and reads its own), no construct, treegroup or supernat, which
     only some commands import when they run, and neither array nor
     fractions."""
     imported = cold_imports(["-c", "import arborsign.cli"], tmp_path)
@@ -208,8 +208,8 @@ def test_cli_runs_without_sympy(argv, tmp_path, trace3):
     denominator.  Only index-report and group-order import treegroup, and
     only group-order supernat.  index-report runs the Frobenius scan, the
     only user of array, which no other command loads.  Only simulate, verify
-    and audit import construct, and only verify and audit, which read a
-    trace, import json."""
+    and audit import construct.  No command imports json: cli writes JSON
+    with its own writer and reads a trace with its own reader."""
     argv = [a.format(tmp=tmp_path, trace=trace3) for a in argv]
     imported = cold_imports(["-m", "arborsign.cli", *argv], tmp_path)
     assert "arborsign.primes" in imported
@@ -221,4 +221,4 @@ def test_cli_runs_without_sympy(argv, tmp_path, trace3):
     assert ("arborsign.supernat" in imported) == (argv[0] == "group-order")
     assert ("array" in imported) == (argv[0] == "index-report")
     assert ("arborsign.construct" in imported) == (argv[0] in ("simulate", "verify", "audit"))
-    assert ("json" in imported) == (argv[0] in ("verify", "audit"))
+    assert "json" not in imported
