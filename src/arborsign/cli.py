@@ -21,12 +21,16 @@ is the one reader of that grammar, and `exactpoly.parse_integer` of every
 integer in an option, a --base item or n; any other text exits 2.
 
 Every payload, and `simulate`'s trace file, is written by `_dumps`, which
-writes byte for byte what the `json` module's `dumps` writes with indent=2,
-and a trace is read by `_loads`, which reads every text as the `json`
-module's `loads` does.  So no command imports `json`, whose decoder and
-encoder compile regular expressions at import.  `construct` is imported
-only by the commands that run or read a construction (`simulate`, `verify`,
-`audit`), so that it costs the start-up of no other command.
+writes byte for byte what the `json` module's `dumps` writes with indent=2;
+a str that is not plain printable ASCII goes through json's own C escaper,
+`_json.encode_basestring_ascii`.  A trace is read by `_loads`, json's own C
+scanner `_json.make_scanner` with the settings of `json.loads`, and a text
+the scanner refuses is handed to `json.loads` for its error.  So on valid
+input no command imports `json`, whose decoder and encoder compile regular
+expressions at import, and only `verify` and `audit` load `_json`.
+`construct` is imported only by the commands that run or read a
+construction (`simulate`, `verify`, `audit`), so that it costs the start-up
+of no other command.
 
 `main` is the in-process API.  A process enters through `entry`, which runs
 `main`, flushes stdout and stderr and ends the process with `os._exit`, so
@@ -85,24 +89,12 @@ def _write(text: str, code: int) -> None:
         raise StdoutClosed(code) from exc
 
 
-# The characters that `json` escapes by a short form; it writes every other
-# character outside printable ASCII as \uXXXX.
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
-            "\b": "\\b", "\f": "\\f"}
-
-
-def _escape(c: str) -> str:
-    code = ord(c)
-    if code > 0xFFFF:  # a UTF-16 surrogate pair
-        code -= 0x10000
-        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
-    return _ESCAPES.get(c) or f"\\u{code:04x}"
-
-
 def _quote(text: str) -> str:
-    if not (text.isascii() and text.isprintable()) or '"' in text or "\\" in text:
-        text = "".join(c if " " <= c <= "~" and c not in '"\\' else _escape(c) for c in text)
-    return f'"{text}"'
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    from _json import encode_basestring_ascii  # json.dumps's own escaper
+
+    return encode_basestring_ascii(text)
 
 
 def _dumps(value, newline: str = "\n") -> str:
@@ -138,154 +130,35 @@ def _dumps(value, newline: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-# What `json` reads between tokens, the escapes other than \uXXXX it reads in a
-# string, and its literals by their first character ("-Infinity" is read
-# before a number).
+# What `json` skips around a value.
 _SPACE = " \t\n\r"
-_UNESCAPES = {'"': '"', "\\": "\\", "/": "/", "b": "\b", "f": "\f", "n": "\n", "r": "\r",
-              "t": "\t"}
-_LITERALS = {"n": ("null", None), "t": ("true", True), "f": ("false", False),
-             "N": ("NaN", math.nan), "I": ("Infinity", math.inf)}
-_DIGITS = "0123456789"
-_HEX = "0123456789abcdefABCDEF"
 
 
 def _loads(text: str):
     """The value that the `json` module's `loads` reads from the str `text`,
-    equal and of the same types, or ValueError where it refuses the text:
-    RFC 8259 and its literals NaN, Infinity and -Infinity, with the last of
-    a repeated key kept, lone surrogate escapes read as such and no raw
-    control character in a string.  An integer is read by parse_integer, so
-    one past the int -> str digit limit raises its ValueError.  Each level
-    of nesting is one call, so deep nesting raises RecursionError."""
-    value, pos = _value(text, _skip(text, 0))
-    pos = _skip(text, pos)
-    if pos != len(text):
-        raise _refusal("Extra data", text, pos)
-    return value
+    read by json's own C scanner with the settings `loads` gives it; deep
+    nesting raises RecursionError.  A text that the scanner refuses is read
+    by `json.loads`, which raises json's own ValueError, so that only such a
+    text imports `json`."""
+    from _json import make_scanner
 
+    scan = make_scanner(SimpleNamespace(
+        strict=True, object_hook=None, object_pairs_hook=None, parse_float=float,
+        parse_int=int, parse_constant={"NaN": math.nan, "Infinity": math.inf,
+                                       "-Infinity": -math.inf}.__getitem__))
+    body = text.strip(_SPACE)
+    try:
+        value, end = scan(body, 0)
+        if end == len(body):
+            return value
+    except (StopIteration, ValueError, SystemError):
+        # StopIteration is "Expecting value".  On Python 3.10 and 3.11 the
+        # scanner words a refusal only if json.decoder is loaded, and raises
+        # SystemError if it is not.
+        pass
+    import json
 
-def _refusal(what: str, text: str, pos: int) -> ValueError:
-    """A refusal worded as `json` words its own, with the line and column."""
-    line, column = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
-    return ValueError(f"{what}: line {line} column {column} (char {pos})")
-
-
-def _value(text: str, pos: int):
-    """The value that starts at `pos`, and the position after it."""
-    c = text[pos:pos + 1]
-    if c == '"':
-        return _string(text, pos + 1)
-    if c == "{":
-        obj = {}
-        pos = _skip(text, pos + 1)
-        if text.startswith("}", pos):
-            return obj, pos + 1
-        while True:
-            if not text.startswith('"', pos):
-                raise _refusal("Expecting property name enclosed in double quotes", text, pos)
-            key, pos = _string(text, pos + 1)
-            pos = _skip(text, pos)
-            if not text.startswith(":", pos):
-                raise _refusal("Expecting ':' delimiter", text, pos)
-            obj[key], pos = _value(text, _skip(text, pos + 1))
-            pos = _skip(text, pos)
-            if text.startswith("}", pos):
-                return obj, pos + 1
-            if not text.startswith(",", pos):
-                raise _refusal("Expecting ',' delimiter", text, pos)
-            pos = _skip(text, pos + 1)
-    if c == "[":
-        array = []
-        pos = _skip(text, pos + 1)
-        if text.startswith("]", pos):
-            return array, pos + 1
-        while True:
-            item, pos = _value(text, pos)
-            array.append(item)
-            pos = _skip(text, pos)
-            if text.startswith("]", pos):
-                return array, pos + 1
-            if not text.startswith(",", pos):
-                raise _refusal("Expecting ',' delimiter", text, pos)
-            pos = _skip(text, pos + 1)
-    word, value = _LITERALS.get(c, ("-Infinity", -math.inf))
-    if text.startswith(word, pos):
-        return value, pos + len(word)
-    return _number(text, pos)
-
-
-def _skip(text: str, pos: int, chars: str = _SPACE) -> int:
-    """The position after the run of `chars` that starts at `pos`."""
-    while pos < len(text) and text[pos] in chars:
-        pos += 1
-    return pos
-
-
-def _number(text: str, pos: int):
-    """The number that starts at `pos`, and the position after it: the
-    longest match of -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][-+]?[0-9]+)?, an int
-    without a fraction or an exponent and a float with one."""
-    start = pos + text.startswith("-", pos)
-    stop = start + 1 if text.startswith("0", start) else _skip(text, start, _DIGITS)
-    if stop == start:
-        raise _refusal("Expecting value", text, pos)
-    integer = True
-    if text.startswith(".", stop):
-        end = _skip(text, stop + 1, _DIGITS)
-        if end > stop + 1:
-            stop, integer = end, False
-    if text[stop:stop + 1] in ("e", "E"):
-        digits = stop + 1 + (text[stop + 1:stop + 2] in ("+", "-"))
-        end = _skip(text, digits, _DIGITS)
-        if end > digits:
-            stop, integer = end, False
-    token = text[pos:stop]
-    return (parse_integer(token) if integer else float(token)), stop
-
-
-def _hex4(text: str, pos: int) -> int:
-    """The code unit that the 4 hex digits at `pos` name."""
-    digits = text[pos:pos + 4]
-    if len(digits) < 4 or digits.strip(_HEX):
-        raise _refusal("Invalid \\uXXXX escape", text, pos - 1)
-    return int(digits, 16)
-
-
-def _string(text: str, pos: int):
-    """The string whose opening quote is at `pos - 1`, and the position after
-    its closing quote."""
-    parts, begin = [], pos - 1
-    quote = -1  # the next '"' at or after pos once found, or the end of the text
-    while True:
-        if quote < pos:
-            quote = text.find('"', pos)
-            if quote < 0:
-                quote = len(text)
-        slash = text.find("\\", pos, quote)
-        stop = quote if slash < 0 else slash
-        chunk = text[pos:stop]
-        if chunk and min(chunk) < " ":
-            first = next(i for i, ch in enumerate(chunk) if ch < " ")
-            raise _refusal("Invalid control character at", text, pos + first)
-        parts.append(chunk)
-        if slash < 0:
-            if quote == len(text):
-                raise _refusal("Unterminated string starting at", text, begin)
-            return "".join(parts), quote + 1
-        c = text[slash + 1:slash + 2]
-        if c != "u":
-            if c not in _UNESCAPES:
-                raise _refusal("Invalid \\escape", text, slash)
-            parts.append(_UNESCAPES[c])
-            pos = slash + 2
-            continue
-        unit, pos = _hex4(text, slash + 2), slash + 6
-        if 0xD800 <= unit < 0xDC00 and text.startswith("\\u", pos):
-            low = _hex4(text, pos + 2)
-            if 0xDC00 <= low < 0xE000:  # a surrogate pair
-                unit, pos = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00), pos + 6
-        parts.append(chr(unit))
+    return json.loads(text)
 
 
 def _parse_base(text: str | None) -> ClassSubspace:

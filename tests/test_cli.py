@@ -643,15 +643,37 @@ class TestJsonReader:
     @pytest.mark.parametrize("text", [
         "[1,]", '{"a" 1}', "01", "-", "1.", ".5", "1e", '"a\x01b"', '"\\q"', '"\\u12"',
         '"\\ud800\\uzzzz"', "﻿{}", "{} x", "1 2", "", " ", "+1", "1_0", "١", "nul",
-        "-Inf", '{"a": 1,}', "[1 2]", '"abc', "\x0b1", "7" * 4301])
+        "-Inf", '{"a": 1,}', "[1 2]", '"abc', "\x0b1", "7" * 4301, '"ab\\', '"\\u0041',
+        '"\\ud800\\', '[1, "x\\'])
     def test_refuses_what_json_refuses(self, text):
         """Trailing commas, a missing colon, leading zeros, numbers cut
         short, a raw control character, a bad escape, a leading BOM,
-        trailing data, empty text, and an integer past the digit limit."""
-        with pytest.raises(ValueError):
+        trailing data, empty text, an integer past the digit limit, and a
+        string cut short after an escape; each refusal worded as json words
+        it."""
+        with pytest.raises(ValueError) as expected:
             json.loads(text)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             cli._loads(text)
+        assert str(refused.value) == str(expected.value)
+
+    @pytest.mark.parametrize("text", ['{"a" 1}', '"ab\\', "[1,]", "7" * 4301, "[" * 5000],
+                             ids=["colon", "escape", "comma", "digits", "nesting"])
+    def test_refuses_in_a_fresh_process(self, tmp_path, text):
+        """pytest has imported json, which the scanner needs to word its
+        refusal; in a fresh process `verify` has not, and still exits 2 with
+        one line that words the refusal as json does."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        proc = cli_process("verify", "--trace", str(bad))
+        assert proc.returncode == 2 and proc.stdout == ""
+        if text.startswith("[["):
+            assert proc.stderr.startswith("error: trace is nested too deeply: ")
+            assert len(proc.stderr.splitlines()) == 1
+        else:
+            with pytest.raises(ValueError) as expected:
+                json.loads(text)
+            assert proc.stderr == f"error: trace is not valid JSON: {expected.value}\n"
 
     def test_refuses_every_truncation(self, trace_file):
         text = trace_file.read_text().rstrip("\n")

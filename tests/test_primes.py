@@ -166,14 +166,15 @@ def cold_imports(args, cwd) -> list[str]:
 
 
 def test_cli_import_loads_no_command_module(tmp_path):
-    """Importing the CLI loads only what every certify command uses: no json
-    (the CLI writes and reads its own), no construct, treegroup or supernat, which
-    only some commands import when they run, and neither array nor
-    fractions."""
+    """Importing the CLI loads only what every certify command uses: neither
+    json nor its C module _json (the CLI writes plain strings itself and loads
+    _json only to escape a string or read a trace), no construct, treegroup or
+    supernat, which only some commands import when they run, and neither
+    array nor fractions."""
     imported = cold_imports(["-c", "import arborsign.cli"], tmp_path)
     assert "arborsign.cli" in imported
-    assert not {"json", "arborsign.construct", "arborsign.treegroup", "arborsign.supernat",
-                "array", "fractions"} & set(imported)
+    assert not {"json", "_json", "arborsign.construct", "arborsign.treegroup",
+                "arborsign.supernat", "array", "fractions"} & set(imported)
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +210,9 @@ def test_cli_runs_without_sympy(argv, tmp_path, trace3):
     only group-order supernat.  index-report runs the Frobenius scan, the
     only user of array, which no other command loads.  Only simulate, verify
     and audit import construct.  No command imports json: cli writes JSON
-    with its own writer and reads a trace with its own reader."""
+    with its own writer, and reads a trace with json's C scanner from _json,
+    which only verify and audit load; no payload here has a string to
+    escape."""
     argv = [a.format(tmp=tmp_path, trace=trace3) for a in argv]
     imported = cold_imports(["-m", "arborsign.cli", *argv], tmp_path)
     assert "arborsign.primes" in imported
@@ -222,3 +225,4 @@ def test_cli_runs_without_sympy(argv, tmp_path, trace3):
     assert ("array" in imported) == (argv[0] == "index-report")
     assert ("arborsign.construct" in imported) == (argv[0] in ("simulate", "verify", "audit"))
     assert "json" not in imported
+    assert ("_json" in imported) == (argv[0] in ("verify", "audit"))
