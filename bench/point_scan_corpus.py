@@ -19,8 +19,9 @@ equal.  The last line of stdout is one JSON object with the same numbers.
 
 The classifier is ``sqclass.fiber_test``.  On a checkout that has none,
 each point goes through ``sqclass.cover_fiber_integral``, which is how such
-a checkout's ``step`` tests it.  The program is imported from ``src/`` of
-the checkout the script sits in.
+a checkout's ``step`` tests it.  A checkout whose spans take only
+``sqclass.SquareClass`` objects gets its integers wrapped in one.  The program
+is imported from ``src/`` of the checkout the script sits in.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ sys.path[:0] = [str(ROOT / "src")]
 from arborsign import construct, sqclass  # noqa: E402
 
 DEPTH, HEIGHT = 5, 1000
+SquareClass = getattr(sqclass, "SquareClass", int)  # int: spans take the integer itself
 
 
 def _classifier():
@@ -53,7 +55,7 @@ def corpus(n: int) -> list[tuple]:
     M = sqclass.ClassSubspace()
     for i, rec in enumerate(trace.steps, start=1):
         h, point = construct.cover_entry(i), rec.point
-        over = M.extend(sqclass.SquareClass(rec.witness))
+        over = M.extend(SquareClass(rec.witness))
         after = None
         for ph, pt in points:
             if ph == h:
@@ -67,7 +69,7 @@ def corpus(n: int) -> list[tuple]:
                     break
         scans.append((h, over, candidates))
         points.append((h, point))
-        M = over.extend(sqclass.SquareClass(sqclass.fiber_rep(h, *point)))
+        M = over.extend(SquareClass(sqclass.fiber_rep(h, *point)))
     return scans
 
 

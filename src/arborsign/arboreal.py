@@ -23,7 +23,7 @@ from .exactpoly import (
     iterate,
 )
 from .primes import ResourceBound, next_prime
-from .sqclass import ClassStream, ClassSubspace, SquareClass
+from .sqclass import ClassStream, ClassSubspace, class_product
 
 
 class Inseparable(Exception):
@@ -44,7 +44,7 @@ class NoGoodPrimes(ResourceBound):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1024)
-def _critical_orbit(f: RatPoly, n: int) -> tuple[tuple[int, ...], int, SquareClass]:
+def _critical_orbit(f: RatPoly, n: int) -> tuple[tuple[int, ...], int, int]:
     """(P, D, class of disc(f^(on))), where R_n = f^(on) mod f' = P / D for an
     integer polynomial P (low to high, trimmed) and an integer D > 0 coprime
     to the content of P.
@@ -63,7 +63,7 @@ def _critical_orbit(f: RatPoly, n: int) -> tuple[tuple[int, ...], int, SquareCla
     g = [i * c for i, c in enumerate(F)][1:]
     if n == 0:
         P, D = _remainder([0, 1], 1, g)
-        return P, D, SquareClass(1)
+        return P, D, 1
     P, D, prev = _critical_orbit(f, n - 1)
     A, Dk = _horner(F, P, D)
     P, D = _remainder(A, L * Dk, g)
@@ -74,8 +74,8 @@ def _critical_orbit(f: RatPoly, n: int) -> tuple[tuple[int, ...], int, SquareCla
     e = (d - len(P) + 1) % 2  # d^n - deg P, mod 2
     rep = _level_sign(d, n) * F[-1] * g[-1] ** e * res
     if d % 2:
-        return P, D, SquareClass(rep) * prev
-    return P, D, SquareClass(rep * L * D)
+        return P, D, class_product(rep, prev)
+    return P, D, rep * L * D
 
 
 def _remainder(A: list[int], D: int, g: list[int]) -> tuple[tuple[int, ...], int]:
@@ -97,7 +97,7 @@ def _level_sign(d: int, n: int) -> int:
     return -1 if (D * (D - 1) // 2 + d * (E * (E - 1) // 2)) % 2 else 1
 
 
-def disc_class(f: RatPoly, n: int) -> SquareClass:
+def disc_class(f: RatPoly, n: int) -> int:
     """Square class of disc(f^(on)), read off the critical orbit.
 
     With a = lc f, D = d^n and E = d^(n-1), writing f^(on) = f^(o(n-1)) o f
@@ -122,7 +122,7 @@ def disc_class(f: RatPoly, n: int) -> SquareClass:
     return _critical_orbit(f, n)[2]
 
 
-def disc_class_sequence(f: RatPoly, N: int) -> tuple[SquareClass, ...]:
+def disc_class_sequence(f: RatPoly, N: int) -> tuple[int, ...]:
     """Classes of disc(f^(on)) for 1 <= n <= N."""
     if N < 1:
         raise ValueError("depth must be >= 1")

@@ -59,7 +59,7 @@ from .arboreal import (
 )
 from .exactpoly import ParseError, RatPoly, parse_integer
 from .primes import InputError, ResourceBound
-from .sqclass import ClassStream, ClassSubspace, primes_stream, vast_witness
+from .sqclass import ClassStream, ClassSubspace, kernel, primes_stream, vast_witness
 
 OK, FINDING, INPUT_ERROR, RESOURCE = 0, 1, 2, 3
 # The interpreter's default limit on the digits of an int it converts to text.
@@ -184,7 +184,7 @@ def _cmd_disc_seq(args) -> tuple[int, dict]:
     f = _parse_poly(args.poly)
     base = _parse_base(args.base)
     # the kernels first: a kernel past factoring's budget exits 3 before the span
-    kernels = [c.kernel for c in disc_class_sequence(f, args.levels)]
+    kernels = [kernel(c) for c in disc_class_sequence(f, args.levels)]
     subspace = discriminant_subextension(f, base, 1, args.levels)
     return OK, {"classes": kernels, "subspace": subspace.kernels()}
 
@@ -303,7 +303,7 @@ def _cmd_vast_witness(args) -> tuple[int, dict]:
     stream = _parse_stream(args.stream, args.depth)
     base = _parse_base(args.base)
     w = vast_witness(stream, base, args.depth)
-    return OK, {"stream": args.stream, "depth": args.depth, "witness": w.kernel}
+    return OK, {"stream": args.stream, "depth": args.depth, "witness": kernel(w)}
 
 
 def _order_too_long(d: int, k: int) -> bool:

@@ -32,11 +32,11 @@ from .sqclass import (
     ClassStream,
     ClassSubspace,
     DepthExhausted,
-    SquareClass,
     disjoint_over,
     fiber_rep,
     fiber_test,
     intersection_dim,
+    same_class,
     vast_witness,
 )
 
@@ -277,7 +277,7 @@ class StepRecord(namedtuple("StepRecord", "witness point entry depth_checked")):
         vast_poly = _poly_parse(vast.get("poly"), at + "vast.poly")
         vast_n = _json(vast.get("n"), int, at + "vast.n")
         depth_checked = _json(vast.get("depth_checked"), int, at + "vast.depth_checked")
-        if SquareClass(witness).is_trivial:
+        if same_class(witness, 1):
             raise TraceFormatError(f"step {i}: witness is a perfect square: its class is trivial")
         if cover != cover_entry(i):
             raise TraceFormatError(f"step {i}: cover is not entry {i} of the cover enumeration")
@@ -430,14 +430,14 @@ def step(state: ConstructionState, *, height: int) -> ConstructionState:
     if point is None:
         raise PointSearchExhausted(f"no point of height <= {height}")
     record = StepRecord(
-        witness=w.rep,
+        witness=w,
         point=point,
         entry=spec.index,
         depth_checked=state.depth,
     )
     return ConstructionState(
         F=state.F.extend(w),
-        M=integral_over.extend(SquareClass(fiber_rep(h, *point))),
+        M=integral_over.extend(fiber_rep(h, *point)),
         steps=state.steps + (record,),
         depth=state.depth,
     )
@@ -510,7 +510,7 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
     first_at: dict[tuple[int, int], int] = {}  # point -> first step that recorded it
     passed: dict[RatPoly, tuple[int, int]] = {}  # cover -> point of its last passed scan
     for i, rec in enumerate(trace.steps, start=1):
-        w, h = SquareClass(rec.witness), cover_entry(i)
+        w, h = rec.witness, cover_entry(i)
 
         # (1_m) distinct points
         first = first_at.setdefault(rec.point, i)
@@ -546,7 +546,7 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
             spec = vast_entry(rec.entry)
             stream = spec.stream()
             expected = vast_witness(stream, M, rec.depth_checked)
-            if expected != w:
+            if not same_class(expected, w):
                 level = spec.n + stream.prefix(rec.depth_checked).index(expected)
                 out.append(f"(5_{i}): witness is not the first eligible stream class, "
                            f"the one at level {level} of the recorded stream")
@@ -582,7 +582,7 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
 
         F = F.extend(w)
         v = fiber_rep(h, *target)
-        M = integral_over.extend(SquareClass(v)) if v else integral_over
+        M = integral_over.extend(v) if v else integral_over
     return out
 
 
@@ -602,7 +602,7 @@ def counterexample_audit(trace: ConstructionTrace, k: int) -> dict:
     """
     if k < 1:
         raise ValueError("level must be >= 1")
-    F = ClassSubspace.span(SquareClass(rec.witness) for rec in trace.steps)
+    F = ClassSubspace.span(rec.witness for rec in trace.steps)
     by_poly: dict[RatPoly, list[tuple[int, int]]] = {}  # in first-use order
     for i, rec in enumerate(trace.steps, start=1):
         spec = vast_entry(rec.entry)

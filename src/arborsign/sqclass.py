@@ -1,16 +1,17 @@
 """F2 linear algebra on rational square classes.
 
-A square class is carried by any nonzero integer in it, its representative;
-a multiquadratic field Q(sqrt(a1), ..., sqrt(ar)) is modeled by the F2-span of
-the classes ai.  Spans are decided without factoring.  The representatives
+A square class is carried by any nonzero integer in it, its representative,
+a plain int: `same_class` compares two and `class_product` multiplies them.
+A multiquadratic field Q(sqrt(a1), ..., sqrt(ar)) is modeled by the F2-span
+of the classes ai.  Spans are decided without factoring.  The representatives
 are refined by gcds into a coprime base none of whose elements is a perfect
 square (factor refinement; Bach, Driscoll & Shallit, J. Algorithms 1993).
 Pairwise-coprime nonsquares have independent classes, so the sign and the
 exponent parities over that base are exact F2 coordinates, and membership,
 composita, containment and disjointness are linear algebra over them.  A
-class's signed squarefree kernel, and the reduced echelon form of a span over
-the coordinates -1 and the primes, come from factoring and are computed only
-when asked for, for output.
+class's signed squarefree kernel, `kernel`, and the reduced echelon form of a
+span over the coordinates -1 and the primes, come from factoring and are
+computed only when asked for, for output.
 """
 from __future__ import annotations
 
@@ -31,60 +32,35 @@ def _is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-class SquareClass:
-    """A rational square class, carried by a nonzero integer representative.
-
-    Equality is square-class equality: a == b iff a.rep * b.rep is a square.
-    `kernel` factors the representative and is meant for output.  Instances
-    are immutable.
-    """
-
-    __slots__ = ("rep",)
-
-    def __init__(self, rep: int):
-        if rep == 0:
-            raise ValueError("zero has no square class")
-        object.__setattr__(self, "rep", rep)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SquareClass is immutable")
-
-    @classmethod
-    def from_kernel(cls, k: int) -> "SquareClass":
-        """Build from a signed squarefree integer; rejects non-squarefree input."""
-        if k == 0:
-            raise ValueError("kernel must be nonzero")
-        if squarefree_kernel_support(k)[0] != k:
-            raise ValueError(f"{k} is not squarefree")
-        return cls(k)
-
-    @property
-    def kernel(self) -> int:
-        """The signed squarefree integer in the class.  Factors the
-        representative: raises primes.FactoringBudget when it is past
-        factoring's budget."""
-        return squarefree_kernel_support(self.rep)[0]
-
-    @property
-    def is_trivial(self) -> bool:
-        return _is_square(self.rep)
-
-    def __mul__(self, other: "SquareClass") -> "SquareClass":
-        g = math.gcd(self.rep, other.rep)
-        return SquareClass((self.rep // g) * (other.rep // g))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SquareClass):
-            return NotImplemented
-        return (self * other).is_trivial
-
-    def __str__(self) -> str:
-        return str(self.kernel)
+def kernel(rep: int) -> int:
+    """The signed squarefree integer in the class of the nonzero integer rep,
+    for output.  Factors rep: raises primes.FactoringBudget when it is past
+    factoring's budget."""
+    return squarefree_kernel_support(rep)[0]
 
 
-def class_of(q) -> SquareClass:
-    """The square class of a nonzero rational, an int or a Fraction."""
-    return SquareClass(q.numerator * q.denominator)  # q times the square den^2
+def class_product(a: int, b: int) -> int:
+    """An integer in the class of a * b, with their common factor divided out
+    of both."""
+    g = math.gcd(a, b)
+    return (a // g) * (b // g)
+
+
+def same_class(a: int, b: int) -> bool:
+    """Whether the nonzero integers a and b lie in one square class."""
+    return _is_square(class_product(a, b))
+
+
+# Kept for perfbench/tracer.py, which wraps it by name, as
+# exactpoly.factor_degrees_mod_p is; its one caller, primes_stream, could
+# return the prime itself.  It goes with ROADMAP item 3b.
+def class_of(q) -> int:
+    """An integer in the square class of a nonzero rational, an int or a
+    Fraction."""
+    n = q.numerator * q.denominator  # q times the square den^2
+    if n == 0:
+        raise ValueError("zero has no square class")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +175,14 @@ class ClassSubspace:
     the rows.  `_read` gives a class's reduced coordinates, or a mark when
     its cofactor is a coprime nonsquare, and None when the cofactor meets the
     base; `member` decides from that read, and in the last case asks whether
-    `extend` returns the subspace itself.  `fiber_test` keeps the reads of
-    one point scan.  Immutable:
-    extend/compositum return new subspaces.
+    `extend` returns the subspace itself.  `member` and `extend`, the two
+    ways into a span, refuse zero.  `fiber_test` keeps the reads of one
+    point scan.  Immutable: extend/compositum return new subspaces.
     """
 
     __slots__ = ("basis", "_order", "_rows", "_product")
 
-    def __init__(self, basis: tuple[SquareClass, ...] = (), order: Order = (),
+    def __init__(self, basis: tuple[int, ...] = (), order: Order = (),
                  rows: Rows | None = None, product: int = 1):
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_order", order)
@@ -217,7 +193,7 @@ class ClassSubspace:
         raise AttributeError("ClassSubspace is immutable")
 
     @classmethod
-    def span(cls, classes: Iterable[SquareClass]) -> "ClassSubspace":
+    def span(cls, classes: Iterable[int]) -> "ClassSubspace":
         V = cls()
         for c in classes:
             V = V.extend(c)
@@ -225,20 +201,27 @@ class ClassSubspace:
 
     @classmethod
     def from_kernels(cls, kernels: Iterable[int]) -> "ClassSubspace":
-        return cls.span(SquareClass.from_kernel(k) for k in kernels)
+        """The span of signed squarefree integers; rejects any other."""
+        V = cls()
+        for k in kernels:
+            if k == 0:
+                raise ValueError("kernel must be nonzero")
+            if squarefree_kernel_support(k)[0] != k:
+                raise ValueError(f"{k} is not squarefree")
+            V = V.extend(k)
+        return V
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def member(self, c: SquareClass) -> bool:
-        return self._member(c.rep)
-
-    def _member(self, rep: int) -> bool:
-        """Whether the class of the nonzero integer rep lies in the span."""
-        r = self._read(rep)
+    def member(self, c: int) -> bool:
+        """Whether the class of the nonzero integer c lies in the span."""
+        if c == 0:
+            raise ValueError("zero has no square class")
+        r = self._read(c)
         if r is None:  # the cofactor meets the base: only extend decides
-            return self.extend(SquareClass(rep)) is self
+            return self.extend(c) is self
         return not r
 
     def _read(self, n: int) -> int | None:
@@ -257,9 +240,11 @@ class ClassSubspace:
                 return _OUTSIDE
         return _reduce(v, self._rows)
 
-    def extend(self, c: SquareClass) -> "ClassSubspace":
+    def extend(self, c: int) -> "ClassSubspace":
+        if c == 0:
+            raise ValueError("zero has no square class")
         order, rows, product = self._order, self._rows, self._product
-        v, x = _coordinates(c.rep, order)
+        v, x = _coordinates(c, order)
         if x != 1:
             g = math.gcd(x, product)
             if g == 1:
@@ -289,8 +274,8 @@ class ClassSubspace:
                 order = _by_size(kept + parts)
                 rows = {}
                 for b in self.basis:  # independent, so each row is nonzero
-                    rows = _add_row(rows, _reduce(_coordinates(b.rep, order)[0], rows))
-                v = _coordinates(c.rep, order)[0]
+                    rows = _add_row(rows, _reduce(_coordinates(b, order)[0], rows))
+                v = _coordinates(c, order)[0]
         r = _reduce(v, rows)
         if not r:
             return self
@@ -311,7 +296,7 @@ class ClassSubspace:
         then the primes in increasing order, so each pivot is the lowest
         coordinate of its row.  Factors every basis representative, so it
         raises primes.FactoringBudget when one is past factoring's budget."""
-        supports = [squarefree_kernel_support(c.rep) for c in self.basis]
+        supports = [squarefree_kernel_support(c) for c in self.basis]
         coords = [-1, *sorted({p for _, primes in supports for p in primes})]
         bit = {p: 1 << j for j, p in enumerate(coords)}
         rows: Rows = {}
@@ -346,7 +331,7 @@ class ClassStream(namedtuple("ClassStream", "name at")):
 
     __slots__ = ()
 
-    def prefix(self, depth: int) -> list[SquareClass]:
+    def prefix(self, depth: int) -> list[int]:
         if depth < 1:
             raise ValueError("depth must be >= 1")
         return [self.at(i) for i in range(depth)]
@@ -355,7 +340,7 @@ class ClassStream(namedtuple("ClassStream", "name at")):
 def primes_stream() -> ClassStream:
     found = [2]
 
-    def at(i: int) -> SquareClass:
+    def at(i: int) -> int:
         while len(found) <= i:
             found.append(next_prime(found[-1]))
         return class_of(found[i])
@@ -363,7 +348,7 @@ def primes_stream() -> ClassStream:
     return ClassStream("primes", at)
 
 
-def vast_witness(L: ClassStream, F: ClassSubspace, depth: int) -> SquareClass:
+def vast_witness(L: ClassStream, F: ClassSubspace, depth: int) -> int:
     """First class among the first `depth` stream elements outside span(F).
 
     The vastness hypothesis guarantees such a class exists at some depth;
@@ -410,9 +395,9 @@ def fiber_test(h: RatPoly, F: ClassSubspace) -> Callable[[int, int], bool]:
     dict that lives as long as the function.  The class of -n is that of n
     plus the sign, and the reduction is linear over F2, so a negative value
     adds the sign's reduced row.  A cofactor that meets the base is decided
-    by F._member each time and not kept: its class is not read over F's
+    by F.member each time and not kept: its class is not read over F's
     base."""
-    value, read, member = _fiber_values(h), F._read, F._member
+    value, read, member = _fiber_values(h), F._read, F.member
     sign_row = _reduce(1, F._rows)
     classes: dict[int, int] = {}  # |n| -> F._read(|n|)
 

@@ -34,7 +34,7 @@ from arborsign.construct import (
     verify_trace,
 )
 from arborsign.exactpoly import RatPoly, discriminant, iterate
-from arborsign.sqclass import ClassSubspace
+from arborsign.sqclass import ClassSubspace, kernel
 from arborsign.supernat import aut_order_supernatural
 from arborsign.treegroup import (
     all_portraits,
@@ -77,8 +77,8 @@ def build_artifacts():
 
     t0 = time.perf_counter()
     seqs = {
-        "x^2 - 3": [c.kernel for c in disc_class_sequence(X2M3, 4)],
-        "x^2 + 1": [c.kernel for c in disc_class_sequence(X2P1, 4)],
+        "x^2 - 3": [kernel(c) for c in disc_class_sequence(X2M3, 4)],
+        "x^2 + 1": [kernel(c) for c in disc_class_sequence(X2P1, 4)],
     }
     seq_seconds = time.perf_counter() - t0
 
@@ -190,12 +190,12 @@ def test_criterion_03_discriminant_oracles(capsys):
 
 def test_criterion_04_iterate_disc_sequences(capsys, artifacts):
     with reported(capsys, 4, "disc sequences [3,6] / [-1,2]; depth 4 < 10 s, refactored"):
-        assert [c.kernel for c in disc_class_sequence(X2M3, 2)] == [3, 6]
-        assert [c.kernel for c in disc_class_sequence(X2P1, 2)] == [-1, 2]
+        assert [kernel(c) for c in disc_class_sequence(X2M3, 2)] == [3, 6]
+        assert [kernel(c) for c in disc_class_sequence(X2P1, 2)] == [-1, 2]
         assert artifacts["seq_seconds"] < 10
         for f in (X2M3, X2P1):
             for n in range(1, 5):
-                k = disc_class(f, n).kernel
+                k = kernel(disc_class(f, n))
                 # independent check: k is squarefree and disc/k is a square
                 assert all(e == 1 for e in sympy.factorint(abs(k)).values())
                 ratio = discriminant(iterate(f, n)) / k

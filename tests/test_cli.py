@@ -18,6 +18,7 @@ from arborsign import cli, construct
 from arborsign.cli import COMMANDS, main, parse_args
 from arborsign.construct import ConstructionAborted, ConstructionTrace
 from arborsign.primes import ResourceBound
+from arborsign.sqclass import kernel
 from arborsign.treegroup import group_order
 
 
@@ -60,6 +61,21 @@ class TestDiscSeq:
         )
         assert code == 0
         assert payload["subspace"] == [-1, 2]
+
+    @pytest.mark.parametrize("base, code, err, payload", [
+        ("0", 2, "error: bad base subspace '0': kernel must be nonzero", None),
+        ("4", 2, "error: bad base subspace '4': 4 is not squarefree", None),
+        ("-4", 2, "error: bad base subspace '-4': -4 is not squarefree", None),
+        ("2,8", 2, "error: bad base subspace '2,8': 8 is not squarefree", None),
+        ("1", 0, "", {"classes": [3, 6], "subspace": [2, 3]}),
+        ("6,6", 0, "", {"classes": [3, 6], "subspace": [2, 3]}),
+    ], ids=["0", "4", "-4", "2,8", "1", "6,6"])
+    def test_base_kernels_checked(self, capsys, base, code, err, payload):
+        """--base takes signed squarefree kernels, 1 and repeats included;
+        ClassSubspace.from_kernels refuses zero and any other integer."""
+        argv = ["disc-seq", "--poly", "x^2-3", "--levels", "2", "--base", base]
+        out = "" if payload is None else json.dumps(payload, indent=2) + "\n"
+        assert main_outcome(capsys, argv) == (code, out, err + "\n" if err else "")
 
     def test_trailing_whitespace_accepted(self, capsys):
         """A trailing blank used to be a parse error at its own position."""
@@ -708,7 +724,7 @@ class TestVastWitness:
 
     def test_parse_stream(self):
         s = cli._parse_stream("disc:x^2+1:1", 3)
-        assert [c.kernel for c in s.prefix(3)] == [-1, 2, 5]
+        assert [kernel(c) for c in s.prefix(3)] == [-1, 2, 5]
         assert cli._parse_stream("primes", 3).name == "primes"
         with pytest.raises(ValueError):
             cli._parse_stream("nope", 3)

@@ -43,7 +43,6 @@ from arborsign.arboreal import disc_class
 from arborsign.exactpoly import RatPoly
 from arborsign.sqclass import (
     ClassSubspace,
-    SquareClass,
     class_of,
     cover_fiber_integral,
     disjoint_over,
@@ -768,7 +767,7 @@ def full_scan_entries(trace):
     steps = trace.steps
     out, F, fibers = [], ClassSubspace(), []
     for i, rec in enumerate(steps, start=1):
-        F = F.extend(SquareClass(rec.witness))
+        F = F.extend(rec.witness)
         over = F.compositum(ClassSubspace.span(fb for fb in fibers if fb is not None))
         point = Fraction(*rec.point)
         prior = [Fraction(*s.point) for s in steps[: i - 1]]
@@ -798,7 +797,7 @@ def persistence_faults(trace):
     step i >= j, (j, i).  Each fiber class is tested against every field."""
     fields, faults = [ClassSubspace()], []
     for i, rec in enumerate(trace.steps, start=1):
-        fields.append(fields[-1].extend(SquareClass(rec.witness)))
+        fields.append(fields[-1].extend(rec.witness))
         if fields[i].dim == fields[i - 1].dim:
             faults.append((None, i))
     for j, rec in enumerate(trace.steps, start=1):
@@ -942,7 +941,7 @@ def full_scan_vast_entries(trace):
                 out.append(f"(4_{i}): entry {j} was eligible before entry {idx}")
                 break
         used.add(idx)
-        F = F.extend(SquareClass(rec.witness))
+        F = F.extend(rec.witness)
     return out
 
 

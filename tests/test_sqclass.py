@@ -14,31 +14,38 @@ from arborsign.sqclass import (
     ClassStream,
     ClassSubspace,
     DepthExhausted,
-    SquareClass,
     class_of,
+    class_product,
     cover_fiber_integral,
     disjoint_over,
     fiber_rep,
     fiber_test,
     intersection_dim,
     _is_square,
+    kernel,
     primes_stream,
+    same_class,
     vast_witness,
 )
 
 
 def brute_span(classes):
     """All products of subsets of the given classes: the actual F2-span, as
-    a list of distinct classes."""
-    out = [SquareClass(1)]
+    a list of representatives of distinct classes."""
+    out = [1]
     for r in range(1, len(classes) + 1):
         for combo in combinations(classes, r):
-            acc = SquareClass(1)
+            acc = 1
             for c in combo:
-                acc = acc * c
-            if acc not in out:
+                acc = class_product(acc, c)
+            if not in_classes(acc, out):
                 out.append(acc)
     return out
+
+
+def in_classes(c, reps):
+    """Whether the class of c is that of one of reps."""
+    return any(same_class(c, r) for r in reps)
 
 
 def ref_coordinates(n, order):
@@ -60,8 +67,8 @@ def ref_kernels(V):
     smallest coordinate of its row."""
     vecs = []
     for c in V.basis:
-        fac = sympy.factorint(abs(c.rep))
-        r = frozenset([p for p, e in fac.items() if e % 2] + [-1] * (c.rep < 0))
+        fac = sympy.factorint(abs(c))
+        r = frozenset([p for p, e in fac.items() if e % 2] + [-1] * (c < 0))
         for v in vecs:
             if min(v) in r:
                 r ^= v
@@ -88,7 +95,7 @@ def check_structure(V):
         assert row < 2 << len(elements)
     assert V.dim == len(V._rows)
     for c in V.basis:
-        v, x = sqclass._coordinates(c.rep, V._order)
+        v, x = sqclass._coordinates(c, V._order)
         assert x == 1 and sqclass._reduce(v, V._rows) == 0
 
 
@@ -117,27 +124,30 @@ def composed_member(V, rep):
     its dimension."""
     v, x = ref_coordinates(rep, V._order)
     if any(math.gcd(x, b) > 1 for b, _ in V._order):
-        return V.extend(SquareClass(rep)).dim == V.dim
+        return V.extend(rep).dim == V.dim
     return _is_square(x) and not ref_reduce(v, V._rows)
 
 
 class TestSquareClass:
+    """A square class as a nonzero integer in it: class_of, kernel,
+    class_product, same_class and the checks of from_kernels."""
+
     @pytest.mark.parametrize(
-        "q, kernel",
+        "q, k",
         [(2, 2), (8, 2), (-8, -2), (Fraction(3, 4), 3), (Fraction(2, 3), 6), (49, 1), (-1, -1)],
     )
-    def test_class_of(self, q, kernel):
-        assert class_of(q).kernel == kernel
+    def test_class_of(self, q, k):
+        assert kernel(class_of(q)) == k
 
     def test_class_of_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^zero has no square class$"):
             class_of(0)
 
     def test_from_kernel_rejects_nonsquarefree(self):
-        with pytest.raises(ValueError):
-            SquareClass.from_kernel(12)
-        with pytest.raises(ValueError):
-            SquareClass.from_kernel(0)
+        with pytest.raises(ValueError, match="^12 is not squarefree$"):
+            ClassSubspace.from_kernels([12])
+        with pytest.raises(ValueError, match="^kernel must be nonzero$"):
+            ClassSubspace.from_kernels([0])
 
     def test_support(self):
         assert squarefree_kernel_support(-30) == (-30, (2, 3, 5))
@@ -147,35 +157,43 @@ class TestSquareClass:
         for _ in range(200):
             a = Fraction(rng.randint(-60, 60) or 7, rng.randint(1, 30))
             b = Fraction(rng.randint(-60, 60) or 5, rng.randint(1, 30))
-            assert class_of(a) * class_of(b) == class_of(a * b)
+            assert same_class(class_product(class_of(a), class_of(b)), class_of(a * b))
 
     def test_self_inverse(self):
-        c = SquareClass.from_kernel(-15)
-        assert (c * c).is_trivial
+        assert same_class(class_product(-15, -15), 1)
 
 
 class TestClassSubspace:
     def test_span_reduces_dependencies(self):
         V = ClassSubspace.from_kernels([2, 3, 6])
         assert V.dim == 2
-        assert V.member(SquareClass.from_kernel(6))
+        assert V.member(6)
 
     def test_member_matches_brute_force(self):
         rng = random.Random(17)
         kernels_pool = [-1, 2, 3, 5, 6, 7, 10, -15, 21, 30]
         for _ in range(40):
-            gens = [SquareClass.from_kernel(k) for k in rng.sample(kernels_pool, 4)]
-            V = ClassSubspace.span(gens)
+            gens = rng.sample(kernels_pool, 4)
+            V = ClassSubspace.from_kernels(gens)
             full = brute_span(gens)
             assert V.dim == len(full).bit_length() - 1
             for k in kernels_pool:
-                c = SquareClass.from_kernel(k)
-                assert V.member(c) == (c in full)
+                assert V.member(k) == in_classes(k, full)
 
     def test_extend_is_idempotent_on_members(self):
         V = ClassSubspace.from_kernels([2, 3])
-        assert V.extend(SquareClass.from_kernel(6)) is V
-        assert V.extend(SquareClass.from_kernel(5)).dim == 3
+        assert V.extend(6) is V
+        assert V.extend(5).dim == 3
+
+    @pytest.mark.parametrize("kernels", [[], [2, -3]])
+    @pytest.mark.parametrize("method", ["member", "extend"])
+    def test_zero_has_no_square_class(self, method, kernels):
+        """member and extend, the two ways into a span, refuse zero on the
+        empty span too, where the read of zero leaves the square cofactor 0
+        and the coprime test against an empty base passes."""
+        V = ClassSubspace.from_kernels(kernels)
+        with pytest.raises(ValueError, match="^zero has no square class$"):
+            getattr(V, method)(0)
 
     def test_kernels_sorted_and_canonical(self):
         V = ClassSubspace.from_kernels([6, 10])
@@ -199,7 +217,7 @@ class TestClassSubspace:
                 else:
                     rep = math.prod(rng.sample(gens, rng.randint(1, len(gens))))
                 gens.append(rep)
-            V = checked_span(SquareClass(rep) for rep in gens)
+            V = checked_span(gens)
             assert V.kernels() == ref_kernels(V)
             assert ClassSubspace.from_kernels(V.kernels()).kernels() == V.kernels()
 
@@ -256,7 +274,7 @@ class TestDisjointness:
 
 class TestStreams:
     def test_primes_stream(self):
-        assert [c.kernel for c in primes_stream().prefix(5)] == [2, 3, 5, 7, 11]
+        assert [kernel(c) for c in primes_stream().prefix(5)] == [2, 3, 5, 7, 11]
 
     def test_prefix_rejects_bad_depth(self):
         with pytest.raises(ValueError):
@@ -264,13 +282,13 @@ class TestStreams:
 
     def test_vast_witness(self):
         F = ClassSubspace.from_kernels([2, 3])
-        assert vast_witness(primes_stream(), F, 10).kernel == 5
+        assert kernel(vast_witness(primes_stream(), F, 10)) == 5
 
     def test_vast_witness_skips_members(self):
         # 6 = 2*3 is in the span even though not a listed generator
-        sixes = ClassStream("sixes", lambda i: SquareClass.from_kernel([6, 7][min(i, 1)]))
+        sixes = ClassStream("sixes", lambda i: [6, 7][min(i, 1)])
         F = ClassSubspace.from_kernels([2, 3])
-        assert vast_witness(sixes, F, 5).kernel == 7
+        assert kernel(vast_witness(sixes, F, 5)) == 7
 
     def test_vast_witness_depth_exhausted(self):
         F = ClassSubspace.from_kernels([2, 3, 5])
@@ -328,11 +346,11 @@ class TestCoverFiber:
         F = ClassSubspace.span(class_of(k) for k in kernels)
         q = Fraction(q)
         v = sum(Fraction(k, h.den) * q**i for i, k in enumerate(h.nums))
-        expected = v != 0 and class_of(v) not in brute_span(list(F.basis))
+        expected = v != 0 and not in_classes(class_of(v), brute_span(list(F.basis)))
         assert cover_fiber_integral(h, q.numerator, q.denominator, F) == expected
         rep = fiber_rep(h, q.numerator, q.denominator)
         if rep:
-            assert F._member(rep) == composed_member(F, rep) == (not expected)
+            assert F.member(rep) == composed_member(F, rep) == (not expected)
 
     @given(
         st.lists(st.fractions(-9, 9, max_denominator=6), min_size=1, max_size=5),
@@ -346,7 +364,7 @@ class TestCoverFiber:
         rep = fiber_rep(h, q.numerator, q.denominator)
         assert (rep == 0) == (v == 0)
         if v:
-            assert SquareClass(rep) == class_of(v)
+            assert same_class(rep, class_of(v))
 
     @given(
         st.lists(st.fractions(-9, 9, max_denominator=6), min_size=1, max_size=5),
@@ -370,7 +388,7 @@ class TestCoverFiber:
     def test_fiber_test_matches_member(self, coeffs, parity, root, kernels, points):
         """One classifier answers many points, |fiber integer| repeating with
         both signs (h odd when parity is "odd"), and zero at the root, a
-        point chosen as a root of h: each answer is that of _member and of
+        point chosen as a root of h: each answer is that of member and of
         membership composed from the reference kernels."""
         if parity == "odd":
             coeffs = [c if i % 2 else 0 for i, c in enumerate(coeffs)]
@@ -385,9 +403,9 @@ class TestCoverFiber:
         integral = fiber_test(h, F)
         for num, den in points:
             rep = fiber_rep(h, num, den)
-            expected = rep != 0 and not F._member(rep)
+            expected = rep != 0 and not F.member(rep)
             if rep:
-                assert F._member(rep) == composed_member(F, rep)
+                assert F.member(rep) == composed_member(F, rep)
             assert integral(num, den) == expected == cover_fiber_integral(h, num, den, F)
 
 
@@ -504,11 +522,11 @@ class TestFactorFree:
         for _ in range(200):
             x, y = random_element(rng), random_element(rng)
             a, b = class_of(value(*x)), class_of(value(*y))
-            assert (a == b) == (prime_vector(*x) == prime_vector(*y))
-            assert (a * b).is_trivial == (prime_vector(*x) == prime_vector(*y))
+            assert same_class(a, b) == (prime_vector(*x) == prime_vector(*y))
+            assert same_class(class_product(a, b), 1) == (prime_vector(*x) == prime_vector(*y))
             q = rng.choice(BIG_PRIMES)
             same = class_of(Fraction(value(*x) * q, q**3))
-            assert same == a
+            assert same_class(same, a)
 
     def test_refinement_appends_then_splits(self, no_factoring):
         """The first extensions only append coprime elements to the base, which
@@ -678,12 +696,11 @@ class TestSizeOrderedWalk:
         and leaves the cofactor 3, yet gcd(3, 12) = 3, and 3 is in the class
         of 12.  A coprime test against only the base elements the walk saw
         would find none and answer False."""
-        V = ClassSubspace.span([SquareClass(12)])
+        V = ClassSubspace.span([12])
         assert V._order == ((12, 2),)
         assert sqclass._coordinates(3, V._order) == (0, 3)
-        assert V.member(SquareClass(3))
-        assert V._member(3)
-        assert V.extend(SquareClass(3)) is V
+        assert V.member(3)
+        assert V.extend(3) is V
 
 
 def test_orbit_stream_disjointness_needs_no_factoring(monkeypatch):
