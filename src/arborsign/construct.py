@@ -15,6 +15,7 @@ infinite disjointness.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import count
@@ -26,7 +27,7 @@ from .arboreal import (
     disc_stream,
     killed_signs,
 )
-from .exactpoly import ParseError, RatPoly, parse_integer
+from .exactpoly import RatPoly, parse_integer
 from .primes import InputError, ResourceBound
 from .sqclass import (
     ClassStream,
@@ -40,7 +41,7 @@ from .sqclass import (
     vast_witness,
 )
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 class PointSearchExhausted(ResourceBound):
@@ -128,13 +129,6 @@ def _vast_c(ci: int) -> int:
     return -v if ci % 2 else v
 
 
-def _vast_ci(c: int) -> int | None:
-    """The inverse of _vast_c: the ci with _vast_c(ci) = c; None for c = 0, -1, -2."""
-    if abs(c) >= 3:
-        return 2 * abs(c) - 4 + (c < 0)
-    return c - 1 if c > 0 else None
-
-
 # The cover grid is fixed: each process keeps the covers read so far.
 _COVERS: list[RatPoly] = []
 _COVER_GRID = _cover_grid()
@@ -159,22 +153,6 @@ def vast_entry(j: int) -> VastSpec:
         raise ValueError("entries are 1-based")
     ci, u = _unpair(j - 1)
     return VastSpec(j, RatPoly((_vast_c(ci), 0, 1)), u + 1)
-
-
-def _resolve_spec_index(f: RatPoly, n: int) -> int | None:
-    """The index of (f, n) if a run can select it, else None: the inverse of
-    vast_entry, less every entry from (x^2 + 1, n = MAX_STREAM_LEVEL + 1) on.
-    A run tests every earlier entry first, and cannot test that one, whose
-    first level is past the stream bound."""
-    if n < 1 or f.den != 1 or f.nums[1:] != (0, 1):
-        return None
-    ci = _vast_ci(f.nums[0])
-    if ci is None:
-        return None
-    # (ci, n - 1) lies on diagonal s; (x^2 + 1, MAX_STREAM_LEVEL + 1) opens
-    # diagonal MAX_STREAM_LEVEL
-    s = ci + n - 1
-    return s * (s + 1) // 2 + ci + 1 if s < MAX_STREAM_LEVEL else None
 
 
 # A point, a rational t = num/den, is the pair (num, den) in lowest terms
@@ -239,17 +217,19 @@ class ConstructionState(namedtuple("ConstructionState", "F M steps depth")):
 
 class StepRecord(namedtuple("StepRecord", "witness point entry depth_checked")):
     """One step of a trace; `witness` is an integer of the witness class and
-    `entry` the number of its stream in the vast list.  The step's number i
-    is its position in the trace, and its cover is cover_entry(i)."""
+    `entry` the number of its stream in the vast list.  Step i's cover is
+    cover_entry(i), which no trace records."""
 
     __slots__ = ()
 
-    def to_json(self, i: int) -> dict:
+    def to_json(self) -> dict:
         spec = vast_entry(self.entry)
         return {
             "witness": self.witness,
-            "cover": str(cover_entry(i)),
             "point": "%d/%d" % self.point,
+            "entry": self.entry,
+            # vast.poly and vast.n restate the entry for perfbench's
+            # gate.check_audit, which reads them (ROADMAP item 16)
             "vast": {
                 "poly": str(spec.f),
                 "n": spec.n,
@@ -260,37 +240,37 @@ class StepRecord(namedtuple("StepRecord", "witness point entry depth_checked")):
     @classmethod
     def from_json(cls, data: object, i: int) -> "StepRecord":
         """Read step i of a trace; raises TraceFormatError on malformed data.
-        Besides each value's JSON type it checks that the witness is a
-        nonzero nonsquare, and what the verifier needs to end: the cover is
-        entry i of the cover enumeration, the point has height at most
-        MAX_POINT_HEIGHT, the stream is read from level vast.n to vast.n +
-        vast.depth_checked - 1, which must lie in 1..MAX_STREAM_LEVEL, and
-        the stream is an entry of the vast list that a run can select."""
+        Besides each value's JSON type and each object's keys it checks that
+        the witness is a nonzero nonsquare, that vast.poly and vast.n restate
+        vast_entry(entry), and what the verifier needs to end: the point has
+        height at most MAX_POINT_HEIGHT, the entry is one a run can select,
+        1..L(L + 1)/2 for L = MAX_STREAM_LEVEL (see _select_vast), and its
+        stream is read from level n to n + vast.depth_checked - 1 <= L.  No
+        text is parsed but the point's."""
         at = f"step {i}: "
-        data = _json(data, dict, f"step {i}")
+        data = _json_object(data, f"step {i}", "witness", "point", "entry", "vast")
         witness = _json(data.get("witness"), int, at + "witness")
         if witness == 0:
             raise TraceFormatError(at + "witness must be nonzero: zero has no square class")
-        cover = _poly_parse(data.get("cover"), at + "cover")
         point = _point_parse(data.get("point"), at + "point")
-        vast = _json(data.get("vast"), dict, at + "vast")
-        vast_poly = _poly_parse(vast.get("poly"), at + "vast.poly")
+        entry = _json(data.get("entry"), int, at + "entry")
+        vast = _json_object(data.get("vast"), at + "vast", "poly", "n", "depth_checked")
+        vast_poly = _json(vast.get("poly"), str, at + "vast.poly")
         vast_n = _json(vast.get("n"), int, at + "vast.n")
         depth_checked = _json(vast.get("depth_checked"), int, at + "vast.depth_checked")
         if same_class(witness, 1):
             raise TraceFormatError(f"step {i}: witness is a perfect square: its class is trivial")
-        if cover != cover_entry(i):
-            raise TraceFormatError(f"step {i}: cover is not entry {i} of the cover enumeration")
         if _height_key(*point)[0] > MAX_POINT_HEIGHT:
             raise TraceFormatError(f"step {i}: point height exceeds {MAX_POINT_HEIGHT}")
-        if vast_n < 1 or depth_checked < 1:
-            raise TraceFormatError(f"step {i}: vast.n and vast.depth_checked must be >= 1")
-        if vast_n + depth_checked - 1 > MAX_STREAM_LEVEL:
-            raise TraceFormatError(
-                f"step {i}: vast.n + vast.depth_checked - 1 exceeds {MAX_STREAM_LEVEL}")
-        entry = _resolve_spec_index(vast_poly, vast_n)
-        if entry is None:
-            raise TraceFormatError(f"step {i}: vast stream is not an entry a run can select")
+        last = MAX_STREAM_LEVEL * (MAX_STREAM_LEVEL + 1) // 2
+        if not 1 <= entry <= last:
+            raise TraceFormatError(f"step {i}: entry must be in 1..{last}")
+        spec = vast_entry(entry)
+        if (vast_poly, vast_n) != (str(spec.f), spec.n):
+            raise TraceFormatError(f"step {i}: vast.poly and vast.n must restate entry {entry}")
+        deepest = MAX_STREAM_LEVEL - spec.n + 1
+        if not 1 <= depth_checked <= deepest:
+            raise TraceFormatError(f"step {i}: vast.depth_checked must be in 1..{deepest}")
         return cls(witness, point, entry, depth_checked)
 
 
@@ -304,32 +284,51 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps params retries"))
         return {
             "schema": SCHEMA_VERSION,
             "params": dict(self.params),
-            "steps": [s.to_json(i) for i, s in enumerate(self.steps, start=1)],
+            "steps": [s.to_json() for s in self.steps],
             "retries": [dict(r) for r in self.retries],
+            # final.F restates the witnesses for perfbench's
+            # gate.check_audit, which reads it (ROADMAP item 16)
             "final": {"F": [s.witness for s in self.steps]},
         }
 
     @classmethod
     def from_json(cls, data: object) -> "ConstructionTrace":
-        """Parse a trace; raises TraceFormatError on malformed data.  Each
-        step is read and checked by StepRecord.from_json, in step order;
-        then every final.F entry must be a JSON integer, params and each
-        retry must be in the form to_json writes, and final.F must list the
-        witnesses in step order."""
+        """Parse a trace; raises TraceFormatError on a value of another JSON
+        type or form than to_json writes, a key it does not write, a step
+        that StepRecord.from_json refuses (read in step order), a final.F
+        other than the witnesses in step order, or _check_depths' refusal."""
         data = _json(data, dict, "trace")
         schema = _json(data.get("schema"), int, "schema")
         if schema != SCHEMA_VERSION:
             raise TraceFormatError(f"unsupported schema {schema}")
+        _json_object(data, "trace", "schema", "params", "steps", "retries", "final")
         steps = tuple(StepRecord.from_json(s, i)
                       for i, s in enumerate(_json(data.get("steps"), list, "steps"), start=1))
-        F = _json(_json(data.get("final"), dict, "final").get("F"), list, "final.F")
+        F = _json(_json_object(data.get("final"), "final", "F").get("F"), list, "final.F")
         final = [_json(w, int, f"final.F[{j}]") for j, w in enumerate(F)]
         params = _json_counts(data.get("params"), "params", "steps", "depth")
         retries = tuple(_json_counts(r, f"retries[{j}]", "step", "depth")
                         for j, r in enumerate(_json(data.get("retries"), list, "retries")))
         if final != [s.witness for s in steps]:
             raise TraceFormatError("final.F does not list the steps' witnesses in step order")
+        _check_depths(steps, params, retries)
         return cls(steps, params, retries)
+
+
+def _check_depths(steps: tuple, params: dict, retries: tuple) -> None:
+    """Refuse depths that run does not write.  It starts at params.depth and
+    doubles it at each retry, which it records at the step it retries, and
+    writes at most params.steps steps.  So retry k has depth params.depth *
+    2^k, the retries' steps never decrease nor pass min(len(steps) + 1,
+    params.steps), and step i is checked at params.depth * 2^r, r the
+    number of retries at steps <= i."""
+    d, n, at = params["depth"], len(steps), [r["step"] for r in retries]
+    if (n > params["steps"] or at != sorted(at) or at and at[-1] > min(n + 1, params["steps"])
+            or any(r["depth"] != d << k for k, r in enumerate(retries))):
+        raise TraceFormatError("params and retries contradict each other or the steps")
+    for i, s in enumerate(steps, start=1):
+        if s.depth_checked != d << bisect_right(at, i):
+            raise TraceFormatError(f"step {i}: vast.depth_checked contradicts params and retries")
 
 
 _KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
@@ -345,6 +344,15 @@ def _json(value: object, kind: type, name: str):
     return value
 
 
+def _json_object(value: object, name: str, *keys: str) -> dict:
+    """`value` if it is a JSON object with no key outside `keys`; a missing
+    key reads as null, as from any object."""
+    for key in _json(value, dict, name):
+        if key not in keys:
+            raise TraceFormatError(f"{name}: unknown key {key!r}")
+    return value
+
+
 def _json_counts(value: object, name: str, *keys: str) -> dict:
     """`value` if it is in the form to_json writes params and each retry in:
     a JSON object of `keys`, in that order, each a JSON integer >= 1."""
@@ -353,15 +361,6 @@ def _json_counts(value: object, name: str, *keys: str) -> dict:
     if min(_json(value[key], int, f"{name}.{key}") for key in keys) < 1:
         raise TraceFormatError(f"{name}: {', '.join(keys)} must be >= 1")
     return value
-
-
-def _poly_parse(value: object, name: str) -> RatPoly:
-    """The polynomial that the JSON string `value` names; `name` names the
-    value in the refusal."""
-    try:
-        return RatPoly.parse(_json(value, str, name))
-    except ParseError as exc:
-        raise TraceFormatError(f"{name}: bad polynomial: {exc}") from exc
 
 
 def _point_parse(value: object, name: str) -> tuple[int, int]:
@@ -389,7 +388,7 @@ def _select_vast(F: ClassSubspace, last: int, depth: int) -> VastSpec:
     disjoint from F over Q.  The scan has no other bound than the stream
     bound: it raises the ResourceBound of the first entry that
     VastSpec.subspace reads past MAX_STREAM_LEVEL, at entry 301, (x^2 + 1,
-    n = 25), at the latest."""
+    n = 25), at the latest; so the trace reader takes entries 1..300."""
     for j in count(last + 1):
         spec = vast_entry(j)
         if disjoint_over(F, spec.subspace(depth)):
@@ -484,15 +483,15 @@ def verify_trace(trace: ConstructionTrace) -> list[str]:
 
     Returns a list of violation descriptions, each naming the first condition
     (1_m), (2_m), (4_m) or (5_m) it breaks; an empty list means the trace is
-    valid.  (3_m), that step m's cover is cover entry m, is the reader's
-    rule, so the cover of step m is read as cover_entry(m).  The checks
-    re-derive every selection from the fixed enumerations, read through
-    cover_entry and vast_entry, with the engine's stream bound; they read
-    no params.  One pass over the steps carries the field F and M, F
-    with every recorded fiber class, as the engine's state does.  Each
+    valid.  (3_m), that step m's cover is cover entry m, holds by
+    construction: no trace records a cover, and step m's is cover_entry(m).
+    The checks re-derive every selection from the fixed enumerations, read
+    through cover_entry and vast_entry, with the engine's stream bound;
+    they read no params.  One pass over the steps carries the field F and
+    M, F with every recorded fiber class, as the engine's state does.  Each
     step's (2_m) point scan is its own loop, with one sqclass.fiber_test
-    classifier for the step's cover and span, as in the engine, and ends at
-    the recorded point's height.
+    classifier for the step's cover and span, as in the engine, and ends
+    at the recorded point's height.
     No description prints a witness: a wrong one is located by the stream
     level of the class expected in its place.
 

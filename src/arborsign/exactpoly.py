@@ -580,8 +580,8 @@ def parse_integer(text: str) -> int:
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, offset) tokens of the str `text`: runs of ASCII digits
     ("num") and the symbols x ^ * / + - ("sym"), with ASCII whitespace around
-    them skipped.  Anything else is an error at its own offset.  The trace
-    reader holds a polynomial's JSON value to a string before it gets here."""
+    them skipped.  Anything else is an error at its own offset.  The CLI's
+    option readers are its only untrusted callers: no trace is parsed."""
     tokens = []
     pos, end = 0, len(text)
     while True:

@@ -29,8 +29,8 @@ from arborsign.construct import (
     ConstructionTrace,
     TraceFormatError,
     counterexample_audit,
-    cover_entry,
     run,
+    vast_entry,
     verify_trace,
 )
 from arborsign.exactpoly import RatPoly, discriminant, iterate
@@ -250,16 +250,25 @@ def test_criterion_07_construction_round_trip(capsys, artifacts):
         assert set(sympy.primefactors(2 ** len(witnesses))) <= listed
 
 
+def _entry_of(poly, n):
+    """The vast list entry of the stream (poly, n), by search."""
+    return next(j for j in range(1, 301)
+                if (str(vast_entry(j).f), vast_entry(j).n) == (poly, n))
+
+
 def _mutations(trace, rng):
     """Seeded single-field semantic mutations of a trace's JSON form, each
-    yielded as (kind, step index, JSON)."""
+    yielded as (kind, step index, JSON).  A vast mutant names another entry
+    and restates it; a restatement mutant edits only vast.poly or only
+    vast.n, so that they no longer restate the step's entry."""
     base = trace.to_json()
     n_steps = len(base["steps"])
     while True:
         data = json.loads(json.dumps(base))
         i = rng.randrange(n_steps)
         step = data["steps"][i]
-        kind = rng.choice(["point", "witness", "cover", "vast"])
+        vast = step["vast"]
+        kind = rng.choice(["point", "witness", "vast", "restatement"])
         if kind == "point":
             new = f"{rng.randint(2, 40)}/1"
             if new == step["point"]:
@@ -273,31 +282,28 @@ def _mutations(trace, rng):
                 continue
             step["witness"] = new
             data["final"]["F"][i] = new  # so that only (5_m) and its consequences catch it
-        elif kind == "cover":
-            if rng.random() < 0.5:
-                # the cover of another enumeration entry, not step i + 1's
-                j = i + 1 + rng.choice([-1, 1, 5])
-                if j < 1 or cover_entry(j) == cover_entry(i + 1):
-                    continue
-                new = str(cover_entry(j))
-            else:
-                new = rng.choice(["x + 3", "x - 2", "x^2 + x + 1"])
-                if new == step["cover"]:
-                    continue
-            step["cover"] = new
-        else:
+        elif kind == "vast":
             # stay shallow: deeper stream levels would mean factoring
             # doubly-exponential orbit values, which the verifier would do
             # faithfully but not in test time
-            if step["vast"]["n"] > 1 and rng.random() < 0.5:
-                step["vast"]["n"] -= 1
-            elif step["vast"]["n"] <= 2:
-                new = rng.choice(["x^2 + 5", "x^2 - 5", "x^2 + 6", "x^2 + 1"])
-                if new == step["vast"]["poly"]:
+            if vast["n"] > 1 and rng.random() < 0.5:
+                poly, n = vast["poly"], vast["n"] - 1
+            elif vast["n"] <= 2:
+                poly, n = rng.choice(["x^2 + 5", "x^2 - 5", "x^2 + 6", "x^2 + 1"]), vast["n"]
+                if poly == vast["poly"]:
                     continue
-                step["vast"]["poly"] = new
             else:
                 continue
+            step["entry"] = _entry_of(poly, n)
+            vast["poly"], vast["n"] = poly, n
+        else:
+            if rng.random() < 0.5:
+                vast["n"] += rng.choice([-1, 1]) if vast["n"] > 1 else 1
+            else:
+                new = rng.choice(["x^2 + 5", "x^2 - 5", "x^2 + 6", "x^2 + 1"])
+                if new == vast["poly"]:
+                    continue
+                vast["poly"] = new
         yield kind, i, data
 
 
@@ -316,10 +322,10 @@ def test_criterion_08_fuzz_soundness(capsys, artifacts):
                 continue
             if not verify_trace(mutated):
                 false_passes.append((kind, i))
-        # the reader refuses every cover mutant, and only those; the other
-        # kinds reach the verifier
-        assert "cover" in kinds
-        assert refused == [kind for kind in kinds if kind == "cover"]
+        # the reader refuses every restatement mutant, and only those; the
+        # other kinds, vast mutants among them, reach the verifier
+        assert "restatement" in kinds and "vast" in kinds
+        assert refused == [kind for kind in kinds if kind == "restatement"]
         assert false_passes == []
 
 

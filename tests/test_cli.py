@@ -43,6 +43,16 @@ def cli_process(*argv, **options):
 
 
 @pytest.fixture(scope="module")
+def depth_one_trace(tmp_path_factory):
+    """run(30, 1, 1000), which retries at steps 2 and 3, as a trace file."""
+    trace = construct.run(30, 1, 1000)
+    assert trace.retries and construct.verify_trace(trace) == []
+    path = tmp_path_factory.mktemp("depth_one") / "trace.json"
+    path.write_text(json.dumps(trace.to_json()))
+    return path
+
+
+@pytest.fixture(scope="module")
 def trace_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("traces") / "t3.json"
     assert main(["simulate", "--steps", "3", "--height", "100", "--out", str(path)]) == 0
@@ -168,7 +178,7 @@ class TestSimulateVerifyAudit:
         assert payload == {"steps": 1, "dim": 1, "retries": 0, "out": str(out)}
         assert os.listdir(tmp_path) == ["t1.json"]  # the temporary file is renamed away
         data = json.loads(out.read_text())
-        assert data["schema"] == 4
+        assert data["schema"] == 5
         assert data["final"] == {"F": [-1]}
 
     def test_simulate_abort_exit_3_with_partial_trace(self, capsys, tmp_path):
@@ -378,51 +388,85 @@ class TestSimulateVerifyAudit:
     ])
     @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]])
     def test_stream_level_out_of_range_exit_2(self, trace_file, tmp_path, field, value, command):
-        """Levels below 1 used to end in a traceback, and deep ones in a hang."""
+        """Levels below 1 used to end in a traceback, and deep ones in a hang.
+        Step 2 names entry 2, (x^2 + 1, n = 2): its vast.n must restate it,
+        and its depth reach at most level 24."""
         data = json.loads(trace_file.read_text())
         data["steps"][1]["vast"][field] = value
         bad = tmp_path / "bad_vast.json"
         bad.write_text(json.dumps(data))
         proc = cli_process(*command, "--trace", str(bad))
-        assert proc.returncode == 2
-        assert proc.stdout == "" and "vast" in proc.stderr
+        line = ("step 2: vast.poly and vast.n must restate entry 2" if field == "n"
+                else "step 2: vast.depth_checked must be in 1..23")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {line}\n")
 
     @pytest.mark.parametrize("poly", ["x + 1", "3"])
     @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]])
     def test_stream_polynomial_of_degree_below_2_exit_2(self, trace_file, tmp_path, poly,
                                                         command):
         """Such a step used to end in a ValueError traceback under exit 1.  It
-        is no entry of the vast list, so the selectability check refuses it."""
+        does not restate the step's entry, so the reader refuses it."""
         data = json.loads(trace_file.read_text())
         data["steps"][1]["vast"]["poly"] = poly
         bad = tmp_path / "bad_poly.json"
         bad.write_text(json.dumps(data))
         proc = cli_process(*command, "--trace", str(bad))
         assert (proc.returncode, proc.stdout, proc.stderr) == (
-            2, "", "error: step 2: vast stream is not an entry a run can select\n")
+            2, "", "error: step 2: vast.poly and vast.n must restate entry 2\n")
 
-    @pytest.mark.parametrize("vast", [
-        pytest.param({"poly": "x^10 + x + 1", "n": 2, "depth_checked": 5}, id="x^10+x+1"),
-        pytest.param({"poly": "x^2 + 2", "n": 24, "depth_checked": 1}, id="x^2+2-n24"),
-        pytest.param({"poly": "x^3 + x + 1", "n": 3, "depth_checked": 5}, id="x^3+x+1"),
-        pytest.param({"poly": "x^2", "n": 1, "depth_checked": 5}, id="x^2"),
-        pytest.param({"poly": "x^2 + " + "7" * 4000, "n": 1, "depth_checked": 5},
+    @pytest.mark.parametrize("fields, line", [
+        pytest.param({"vast": {"poly": "x^10 + x + 1", "n": 2, "depth_checked": 5}},
+                     "error: step 1: vast.poly and vast.n must restate entry 1\n",
+                     id="x^10+x+1"),
+        pytest.param({"entry": 302, "vast": {"poly": "x^2 + 2", "n": 24, "depth_checked": 1}},
+                     "error: step 1: entry must be in 1..300\n", id="x^2+2-n24"),
+        pytest.param({"vast": {"poly": "x^3 + x + 1", "n": 3, "depth_checked": 5}},
+                     "error: step 1: vast.poly and vast.n must restate entry 1\n",
+                     id="x^3+x+1"),
+        pytest.param({"vast": {"poly": "x^2", "n": 1, "depth_checked": 5}},
+                     "error: step 1: vast.poly and vast.n must restate entry 1\n", id="x^2"),
+        pytest.param({"vast": {"poly": "x^2 + " + "7" * 4000, "n": 1, "depth_checked": 5}},
+                     "error: step 1: vast.poly and vast.n must restate entry 1\n",
                      id="x^2+4000-digit-c"),
+        pytest.param({"entry": 301, "vast": {"poly": "x^2 + 1", "n": 25, "depth_checked": 1}},
+                     "error: step 1: entry must be in 1..300\n", id="x^2+1-n25"),
+        pytest.param({"entry": 0}, "error: step 1: entry must be in 1..300\n", id="entry-0"),
     ])
     @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]],
                              ids=["verify", "audit"])
-    def test_stream_no_run_can_select_exit_2(self, trace_file, tmp_path, command, vast):
+    def test_stream_no_run_can_select_exit_2(self, trace_file, tmp_path, command, fields, line):
         """Each stream used to be read level by level: x^10 + x + 1 ran past
-        100 s in `verify`, (x^2 + 2, n = 24) took 36.8 s, the cubic's levels
-        3..7 past 30 s, and x^2 exited 1 as inseparable in `audit`.  Each is
-        now refused before any level is read, within 5 s cold."""
+        100 s in `verify`, (x^2 + 2, n = 24), entry 302, took 36.8 s, the
+        cubic's levels 3..7 past 30 s, and x^2 exited 1 as inseparable in
+        `audit`.  A step names its entry, which must be one a run can select,
+        and vast.poly and vast.n must restate it, so each is now refused
+        before any level is read, within 5 s cold."""
         data = json.loads(trace_file.read_text())
-        data["steps"][0]["vast"] = vast
+        data["steps"][0].update(fields)
         bad = tmp_path / "unselectable.json"
         bad.write_text(json.dumps(data))
         proc = cli_process(*command, "--trace", str(bad), timeout=5)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            2, "", "error: step 1: vast stream is not an entry a run can select\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda d: d["params"].update(depth=7), id="params-depth-7"),
+        pytest.param(lambda d: d["params"].update(steps=2), id="params-steps-2"),
+        pytest.param(lambda d: d["retries"].clear(), id="retries-emptied"),
+        pytest.param(lambda d: d["retries"].append({"step": 9, "depth": 64}), id="retry-added"),
+    ])
+    @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]],
+                             ids=["verify", "audit"])
+    def test_params_or_retries_contradicting_the_steps_exit_2(self, capsys, tmp_path,
+                                                              depth_one_trace, command, edit):
+        """run(30, 1) retries at steps 2 and 3.  Each edit used to pass
+        `verify` with no violation; the reader now refuses it, as it refuses
+        a forged final.F."""
+        data = json.loads(depth_one_trace.read_text())
+        edit(data)
+        bad = tmp_path / "contradicting.json"
+        bad.write_text(json.dumps(data))
+        code, payload, err = run_cli(capsys, *command, "--trace", str(bad))
+        assert (code, payload, err.count("\n")) == (2, None, 1)
 
     @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]],
                              ids=["verify", "audit"])
@@ -501,10 +545,16 @@ class TestSimulateVerifyAudit:
         bad.write_text(json.dumps(data))
         assert run_cli(capsys, "verify", "--trace", str(bad)) == (2, None, line)
 
-    @pytest.mark.parametrize("field", [("cover",), ("vast", "poly")], ids=["cover", "vast.poly"])
-    def test_bad_trace_polynomial_names_its_field(self, capsys, trace_file, tmp_path, field):
+    @pytest.mark.parametrize("field, line", [
+        (("cover",), "error: step 1: unknown key 'cover'\n"),
+        (("vast", "poly"), "error: step 1: vast.poly and vast.n must restate entry 1\n"),
+    ], ids=["cover", "vast.poly"])
+    def test_bad_trace_polynomial_names_its_field(self, capsys, trace_file, tmp_path, field,
+                                                  line):
         """Both fields used to exit 2 with the one line
-        `step 1: bad polynomial: ...`, which did not say which was bad."""
+        `step 1: bad polynomial: ...`, which did not say which was bad.  No
+        trace text is parsed as a polynomial now: a cover is a key that no
+        step holds, and vast.poly must restate the step's entry."""
         data = json.loads(trace_file.read_text())
         node = data["steps"][0]
         for key in field[:-1]:
@@ -512,9 +562,7 @@ class TestSimulateVerifyAudit:
         node[field[-1]] = "abc"
         bad = tmp_path / "bad_poly_text.json"
         bad.write_text(json.dumps(data))
-        assert run_cli(capsys, "verify", "--trace", str(bad)) == (
-            2, None, f"error: step 1: {'.'.join(field)}: bad polynomial: "
-                     "unexpected character 'a' (at position 0)\n")
+        assert run_cli(capsys, "verify", "--trace", str(bad)) == (2, None, line)
 
     def test_audit_final_dim_is_the_span_of_the_witnesses(self, capsys, trace_file, tmp_path):
         """With step 2's witness in step 1's class the witnesses span a field
@@ -537,9 +585,10 @@ class TestSimulateVerifyAudit:
                              ids=["verify", "audit"])
     def test_cover_off_the_grid_exit_2(self, trace_file, tmp_path, command, cover, point,
                                        steps):
-        """Step i's cover must be entry i of the cover enumeration; the last
-        step of a `steps`-step trace gets `cover` and `point`.  `verify`
-        used to scan for an off-grid cover's point anyway, up to the point's
+        """Step i's cover is entry i of the cover enumeration, which no trace
+        records: the last step of a `steps`-step trace gets `cover` and
+        `point`, and exits 2 as a step with an unknown key.  `verify` used
+        to scan for an off-grid cover's point anyway, up to the point's
         height: a one-step trace with x^2, whose fiber values are all
         squares, at 4096/1 held a cold `verify` for 20.6 s on a 2-core host
         before exit 1, and x^10000 at 30/1 for 22.3 s.  A grid cover at the
@@ -551,7 +600,7 @@ class TestSimulateVerifyAudit:
         bad.write_text(json.dumps(data))
         proc = cli_process(*command, "--trace", str(bad), timeout=5)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
-            2, "", f"error: step {steps}: cover is not entry {steps} of the cover enumeration\n")
+            2, "", f"error: step {steps}: unknown key 'cover'\n")
 
     @pytest.mark.parametrize("depth", ["0", "25", "1000"])
     def test_simulate_depth_out_of_range_exit_2(self, tmp_path, depth):
@@ -974,15 +1023,18 @@ class TestPolynomialBounds:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and "position" in proc.stderr
 
-    @pytest.mark.parametrize("field, value", [
-        (("cover",), "x^100000000"),
-        (("cover",), "x + " + NINES),
-        (("vast", "poly"), "x^2 + " + NINES),
-        (("vast", "poly"), "x^100000000 + 1"),
+    @pytest.mark.parametrize("field, value, refusal", [
+        (("cover",), "x^100000000", "unknown key 'cover'"),
+        (("cover",), "x + " + NINES, "unknown key 'cover'"),
+        (("vast", "poly"), "x^2 + " + NINES, "vast.poly and vast.n must restate entry 2"),
+        (("vast", "poly"), "x^100000000 + 1", "vast.poly and vast.n must restate entry 2"),
     ], ids=["cover-exponent", "cover-constant", "vast-constant", "vast-exponent"])
     @pytest.mark.parametrize("command", [["verify"], ["audit", "--level", "2"]])
     def test_oversized_trace_polynomial_exit_2(self, trace_file, tmp_path, field, value,
-                                               command):
+                                               refusal, command):
+        """No trace text is parsed as a polynomial, so an oversized one is
+        refused as a key no step holds or as text that does not restate the
+        step's entry, within 5 s cold."""
         data = json.loads(trace_file.read_text())
         node = data["steps"][1]
         for key in field[:-1]:
@@ -990,10 +1042,9 @@ class TestPolynomialBounds:
         node[field[-1]] = value
         bad = tmp_path / "oversized.json"
         bad.write_text(json.dumps(data))
-        proc = cli_process(*command, "--trace", str(bad))
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert len(proc.stderr.splitlines()) == 1 and "position" in proc.stderr
+        proc = cli_process(*command, "--trace", str(bad), timeout=5)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: step 2: {refusal}\n")
 
 
 class TestArgparseContract:

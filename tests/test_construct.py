@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -33,10 +34,8 @@ from arborsign.construct import (
     vast_entry,
     verify_trace,
     _cover_grid,
-    _resolve_spec_index,
     _unpair,
     _vast_c,
-    _vast_ci,
 )
 from arborsign import arboreal, cli, construct, exactpoly, primes
 from arborsign.arboreal import disc_class
@@ -73,6 +72,58 @@ def levels(monkeypatch):
 
     monkeypatch.setattr(arboreal, "disc_class", spy)
     return read
+
+
+def _vast_ci(c):
+    """The inverse of _vast_c: the ci with _vast_c(ci) = c; None for c = 0,
+    -1, -2.  The oracle of the vast list's parameters."""
+    if abs(c) >= 3:
+        return 2 * abs(c) - 4 + (c < 0)
+    return c - 1 if c > 0 else None
+
+
+def _resolve_spec_index(f, n):
+    """The index of (f, n) if a run can select it, else None: the inverse of
+    vast_entry, less every entry from (x^2 + 1, n = MAX_STREAM_LEVEL + 1) on,
+    read when called.  A run tests every earlier entry first, and cannot
+    test that one, whose first level is past the stream bound.  The oracle
+    of the entries the trace reader takes."""
+    if n < 1 or f.den != 1 or f.nums[1:] != (0, 1):
+        return None
+    ci = _vast_ci(f.nums[0])
+    if ci is None:
+        return None
+    # (ci, n - 1) lies on diagonal s; (x^2 + 1, MAX_STREAM_LEVEL + 1) opens
+    # diagonal MAX_STREAM_LEVEL
+    s = ci + n - 1
+    return s * (s + 1) // 2 + ci + 1 if s < construct.MAX_STREAM_LEVEL else None
+
+
+def restated(j, depth):
+    """The JSON of a step's stream fields naming entry j at `depth`, its
+    vast.poly and vast.n restating vast_entry(j)."""
+    spec = vast_entry(j)
+    return {"entry": j, "vast": {"poly": str(spec.f), "n": spec.n, "depth_checked": depth}}
+
+
+def reader_takes(j):
+    """Whether the trace reader takes a step naming entry j at depth 1, its
+    stream fields restating vast_entry(j), or entry 1's for j < 1."""
+    try:
+        StepRecord.from_json({"witness": -1, "point": "2/1", **restated(max(j, 1), 1),
+                              "entry": j}, 1)
+    except TraceFormatError:
+        return False
+    return True
+
+
+def schema4(data):
+    """The schema-4 rendering of the schema-5 trace `data`: each step records
+    its cover after its witness, and no entry."""
+    steps = [{"witness": s["witness"], "cover": str(cover_entry(i)),
+              **{k: v for k, v in s.items() if k not in ("witness", "entry")}}
+             for i, s in enumerate(data["steps"], start=1)]
+    return {**data, "schema": 4, "steps": steps}
 
 
 def orbit_infinite(c):
@@ -141,12 +192,14 @@ class TestEnumerations:
             assert ci is None or _vast_c(ci) == c
 
     def test_resolve_reads_the_bound_when_called(self, monkeypatch):
-        """Under a bound of 8 the first refused entry is 37, (x^2 + 1, n = 9)."""
+        """Under a bound of 8 the first refused entry is 37, (x^2 + 1, n = 9),
+        for the oracle and the reader alike."""
         monkeypatch.setattr(construct, "MAX_STREAM_LEVEL", 8)
         assert vast_entry(37)[1:] == (RatPoly.parse("x^2 + 1"), 9)
         for j in range(1, 2001):
             spec = vast_entry(j)
             assert _resolve_spec_index(spec.f, spec.n) == (j if j < 37 else None)
+            assert reader_takes(j) == (j < 37)
 
     def test_entries_one_based(self):
         with pytest.raises(ValueError):
@@ -157,15 +210,19 @@ class TestEnumerations:
     def test_verifier_resolves_every_entry_a_trace_can_select(self):
         """A step selects an entry only after testing every earlier one, and
         no run can test entry 301, the first whose level n exceeds
-        MAX_STREAM_LEVEL, so the verifier resolves exactly the entries before
-        it.  Entry 302 is named by a trace that from_json accepts at depth 1."""
+        MAX_STREAM_LEVEL, so the reader takes exactly the entries before it:
+        for every entry 0..2,000, a step naming it at depth 1 is read exactly
+        when the oracle resolves that entry's stream.  Entry 302, (x^2 + 2,
+        n = 24), is within the stream bound at depth 1, but refused."""
         past = next(j for j in range(1, 1000) if vast_entry(j).n > MAX_STREAM_LEVEL)
         assert (str(vast_entry(past).f), past) == ("x^2 + 1", 301)
         assert (str(vast_entry(302).f), vast_entry(302).n) == ("x^2 + 2", MAX_STREAM_LEVEL)
+        assert not reader_takes(0)
         for j in range(1, 2001):
             spec = vast_entry(j)
             assert spec.index == j
             assert _resolve_spec_index(spec.f, spec.n) == (j if j < past else None)
+            assert reader_takes(j) == (_resolve_spec_index(spec.f, spec.n) is not None)
         # not in the enumeration: x^2 - 1 and x^2 - 2 have finite critical orbits
         for text in ("x^2 + x + 3", "x^2 - 1", "x^2 - 2", "x^2 + 1/2", "2x^2 + 1", "x^3 + 2"):
             assert _resolve_spec_index(RatPoly.parse(text), 1) is None
@@ -203,10 +260,10 @@ class TestStep:
     def test_first_step_record(self):
         state = step(ConstructionState.initial(5), height=100)
         rec = state.steps[-1]
-        assert rec.to_json(1) == {
+        assert rec.to_json() == {
             "witness": -1,
-            "cover": "x",
             "point": "2/1",
+            "entry": 1,
             "vast": {"poly": "x^2 + 1", "n": 1, "depth_checked": 5},
         }
         assert state.F.kernels() == [-1]
@@ -283,29 +340,37 @@ class TestStep:
         assert verify_trace(again) == []
         assert max(levels) == 8
 
-    @pytest.mark.parametrize("n, digest", [
+    @pytest.mark.parametrize("n, digest4, digest", [
         pytest.param(10, "b6db8e1a22df76822daa10f05e84022930f0779f3a2a0e4a965a01228465b51f",
+                     "4cdce1a5a5f147462cda06e6da4acc36a42e30d364160b43217ba63b096cd211",
                      id="10"),
         pytest.param(20, "39e5f597ff91c8c1a7acd32ad6630317be7b1d715ba10dd4d1745020472fa918",
+                     "a30eeea3926ea028847716492bf70c0c86729040fce0d72788051fef5d2f7637",
                      id="20"),
         pytest.param(30, "372921367ca39851d8a0ad1d38e0bf96fad12e5ff6ad2b77cc22f9fc970bceac",
+                     "9cbfa66e8f25b53ab7ef5496880a742f5fc8421a93db7d9ffd9311ed48382dd4",
                      id="30"),
         pytest.param(50, "c05aa0a78fe999a01693fa76d0efecbf1894bab1012a046a93e394d32d3587fa",
+                     "680a07164520cb3f128e15ac2f0f51c9d9541957a9da05eddad3c33162b9a242",
                      id="50"),
         pytest.param(70, "fe418a0a68e6675f0f3c9e477e2f28957b97a6350111ebc03dae76761bc86ecb",
+                     "2af0c79e91983d4dfc1a786fc607c01a13332c6b044116e3ca9307aceeb73bad",
                      id="70"),
     ])
-    def test_trace_bytes_pinned(self, n, digest):
+    def test_trace_bytes_pinned(self, n, digest4, digest):
         """Every cover recurs at least twice in 20 steps, so the resumed point
         search is pinned along with the rest of the trace.  From step 42 on, a
         selection scans past entry 64, so the 50- and 70-step pins cover
         selections that start after the previous step's entry deep in the
         list as well.  The pins run
         with the process-wide enumeration lists already warm from earlier
-        tests and runs, so they pin determinism across warm lists as well."""
+        tests and runs, so they pin determinism across warm lists as well.
+        The schema-4 rendering keeps schema 4's pins, so no choice moved
+        with the schema."""
         trace = run(n, 5, 1000)
         blob = json.dumps(trace.to_json()).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
+        assert hashlib.sha256(json.dumps(schema4(trace.to_json())).encode()).hexdigest() == digest4
         assert verify_trace(trace) == []
         again = ConstructionTrace.from_json(json.loads(blob))
         assert json.dumps(again.to_json()).encode() == blob
@@ -321,9 +386,12 @@ class TestStep:
         sys.set_int_max_str_digits(0)
         try:
             blob = json.dumps(trace.to_json()).encode()
+            blob4 = json.dumps(schema4(trace.to_json())).encode()
         finally:
             sys.set_int_max_str_digits(limit)
-        digest = "c71954c83fd715f4830aab44b1eeefe3ddaa55df17db49f03ab2dae3683152b0"
+        digest4 = "c71954c83fd715f4830aab44b1eeefe3ddaa55df17db49f03ab2dae3683152b0"
+        assert hashlib.sha256(blob4).hexdigest() == digest4
+        digest = "85afa918dfc64f8ad71de9380acf97c6021c8ae6141d523908012e01f6fe8341"
         assert hashlib.sha256(blob).hexdigest() == digest
         assert verify_trace(trace) == []
 
@@ -375,22 +443,26 @@ class TestTraceSerialization:
         b = json.dumps(run(3, 5, 100).to_json(), sort_keys=True)
         assert a == b
 
-    def test_schema_4_fields(self):
-        """Schema 4 records no field that the rest of the trace determines:
-        no height bound, step or cover number, retry constant or final
-        dimension."""
+    def test_schema_5_fields(self):
+        """Schema 5 records no height bound, step number, cover, retry
+        constant or final dimension; a step names its vast entry, which
+        vast.poly and vast.n restate."""
         data = run(30, 1, 1000).to_json()
         assert set(data) == {"schema", "params", "steps", "retries", "final"}
-        assert data["schema"] == 4
+        assert data["schema"] == 5
         assert data["params"] == {"steps": 30, "depth": 1}
         assert data["retries"] == [{"step": 2, "depth": 1}, {"step": 3, "depth": 2}]
         assert data["final"] == {"F": [step["witness"] for step in data["steps"]]}
         for step in data["steps"]:
-            assert set(step) == {"witness", "cover", "point", "vast"}
-            assert set(step["vast"]) == {"poly", "n", "depth_checked"}
-        assert data["steps"][0]["cover"] == "x"
+            assert list(step) == ["witness", "point", "entry", "vast"]
+            assert list(step["vast"]) == ["poly", "n", "depth_checked"]
+            spec = vast_entry(step["entry"])
+            assert (step["vast"]["poly"], step["vast"]["n"]) == (str(spec.f), spec.n)
+        assert [step["entry"] for step in data["steps"][:4]] == [1, 2, 3, 7]
 
     def test_rejects_wrong_schema(self, trace3):
+        with pytest.raises(TraceFormatError, match="^unsupported schema 4$"):
+            ConstructionTrace.from_json(schema4(trace3.to_json()))
         data = trace3.to_json()
         data["schema"] = 99
         with pytest.raises(TraceFormatError):
@@ -398,7 +470,7 @@ class TestTraceSerialization:
         data["schema"], data["params"]["window"] = 2, 64  # a schema-2 trace
         with pytest.raises(TraceFormatError, match="unsupported schema 2"):
             ConstructionTrace.from_json(data)
-        data = trace3.to_json()  # a schema-3 trace
+        data = schema4(trace3.to_json())  # a schema-3 trace
         data["schema"], data["params"]["height"], data["final"]["dim"] = 3, 100, 3
         for m, step in enumerate(data["steps"], start=1):
             step["m"], step["cover"] = m, {"id": m, "h": step["cover"]}
@@ -485,11 +557,97 @@ class TestTraceSerialization:
             ConstructionTrace.from_json(data)
 
     def test_accepts_deepest_stream_level(self, trace3):
+        """At depth 23 every step of trace3 is within the stream bound, and
+        step 2, (x^2 + 1, n = 2), reads level 24; at depth 24 it reads past
+        it."""
         data = trace3.to_json()
-        vast = data["steps"][1]["vast"]
-        vast["depth_checked"] = MAX_STREAM_LEVEL - vast["n"] + 1
+        depth = MAX_STREAM_LEVEL - data["steps"][1]["vast"]["n"] + 1
+        data["params"]["depth"] = depth
+        for step in data["steps"]:
+            step["vast"]["depth_checked"] = depth
         trace = ConstructionTrace.from_json(data)
-        assert trace.steps[1].depth_checked == vast["depth_checked"]
+        assert [s.depth_checked for s in trace.steps] == [depth] * 3
+        data["params"]["depth"] = data["steps"][1]["vast"]["depth_checked"] = depth + 1
+        with pytest.raises(TraceFormatError,
+                           match=f"^step 2: vast.depth_checked must be in 1[.][.]{depth}$"):
+            ConstructionTrace.from_json(data)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("steps", 1, "entry"), 0, "step 2: entry must be in 1..300"),
+        (("steps", 1, "entry"), 301, "step 2: entry must be in 1..300"),
+        (("steps", 1, "entry"), "2", "step 2: entry must be an integer"),
+        (("steps", 1, "entry"), None, "step 2: entry must be an integer"),
+        (("steps", 1, "vast", "poly"), "x^2 + 2",
+         "step 2: vast.poly and vast.n must restate entry 2"),
+        (("steps", 1, "vast", "n"), 1, "step 2: vast.poly and vast.n must restate entry 2"),
+        (("steps", 1, "vast", "poly"), 2, "step 2: vast.poly must be a string"),
+        (("steps", 1, "cover"), "x", "step 2: unknown key 'cover'"),
+        (("steps", 1, "vast", "entry"), 2, "step 2: vast: unknown key 'entry'"),
+        (("final", "dim"), 3, "final: unknown key 'dim'"),
+        (("height",), 100, "trace: unknown key 'height'"),
+    ], ids=["entry-0", "entry-301", "entry-string", "entry-null", "poly", "n", "poly-int",
+            "cover", "vast-key", "final-key", "root-key"])
+    def test_step_entry_and_keys(self, trace3, path, value, message):
+        """A step names its entry, 1..300, and vast.poly and vast.n must
+        restate it; no object holds a key that to_json does not write.  A
+        missing key still reads as null."""
+        data = trace3.to_json()
+        *keys, last = path
+        node = data
+        for key in keys:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            ConstructionTrace.from_json(data)
+
+    CONTRADICT = "params and retries contradict each other or the steps"
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda d: d["params"].update(depth=7), CONTRADICT, id="params-depth"),
+        pytest.param(lambda d: d["params"].update(steps=2), CONTRADICT, id="params-steps"),
+        pytest.param(lambda d: d["retries"].clear(),
+                     "step 2: vast.depth_checked contradicts params and retries", id="no-retries"),
+        pytest.param(lambda d: d["retries"].append({"step": 9, "depth": 64}), CONTRADICT,
+                     id="retry-depth"),
+        pytest.param(lambda d: d["retries"].append({"step": 9, "depth": 4}),
+                     "step 9: vast.depth_checked contradicts params and retries", id="retry-step"),
+        pytest.param(lambda d: d["retries"].append({"step": 31, "depth": 4}), CONTRADICT,
+                     id="retry-after-the-last-step"),
+        pytest.param(lambda d: d.update(retries=[{"step": 3, "depth": 1},
+                                                 {"step": 2, "depth": 2}]),
+                     CONTRADICT, id="retries-out-of-order"),
+    ])
+    def test_depths_keep_the_run_rule(self, edit, message):
+        """run(30, 1) retries at steps 2 and 3, at depths 1 and 2, and checks
+        step i at 1 * 2^(retries at steps <= i).  Params or retries that
+        contradict the steps' depths are refused, as `verify` used to pass
+        them."""
+        data = run(30, 1, 1000).to_json()
+        ConstructionTrace.from_json(data)
+        edit(data)
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            ConstructionTrace.from_json(data)
+
+    @pytest.mark.parametrize("witnesses", [0, 2, 5])
+    def test_aborted_runs_keep_the_run_rule(self, monkeypatch, witnesses):
+        """Under a stream bound of 8, with no witness found after the first
+        `witnesses` selections, a run retries at the step after its last
+        until it reads past the bound, and its partial trace reads back."""
+        monkeypatch.setattr(construct, "MAX_STREAM_LEVEL", 8)
+        found, real = [], construct.vast_witness
+
+        def spy(*args):
+            if len(found) == witnesses:
+                raise construct.DepthExhausted("no class outside the span")
+            found.append(real(*args))
+            return found[-1]
+
+        monkeypatch.setattr(construct, "vast_witness", spy)
+        with pytest.raises(ConstructionAborted) as exc:
+            run(30, 1, 1000)
+        trace = exc.value.trace
+        assert trace.retries[-1]["step"] == len(trace.steps) + 1
+        assert ConstructionTrace.from_json(trace.to_json()) == trace
 
     def test_rejects_bad_rational(self, trace3):
         data = trace3.to_json()
@@ -676,6 +834,13 @@ def mutate(trace, **changes):
     return ConstructionTrace.from_json(data)
 
 
+def renamed(trace, i, j, depth=5):
+    """`trace` with step i naming entry j at `depth`, read back."""
+    data = trace.to_json()
+    data["steps"][i - 1].update(restated(j, depth))
+    return ConstructionTrace.from_json(data)
+
+
 class TestVerify:
     def test_valid_trace_passes(self, trace3):
         assert verify_trace(trace3) == []
@@ -690,15 +855,13 @@ class TestVerify:
         assert any(v.startswith("(2_1)") for v in verify_trace(bad))
 
     def test_wrong_cover_violates_3m(self, trace3):
-        """(3_m) is the reader's rule: a grid cover at the wrong step is
-        refused before any verification."""
-        with pytest.raises(TraceFormatError,
-                           match="^step 1: cover is not entry 1 of the cover enumeration$"):
+        """(3_m) holds by construction: a trace records no cover, and a step
+        that names one is refused before any verification."""
+        with pytest.raises(TraceFormatError, match="^step 1: unknown key 'cover'$"):
             mutate(trace3, steps__0__cover="x + 1")
 
     def test_skipped_stream_violates_4m(self, trace3):
-        rec = trace3.to_json()["steps"][0]["vast"]
-        bad = mutate(trace3, steps__0__vast={**rec, "poly": "x^2 + 2"})  # entry 3
+        bad = renamed(trace3, 1, 3)
         found = [v for v in verify_trace(bad) if v.startswith("(4_")]
         assert found == ["(4_1): entry 1 was eligible before entry 3",
                          "(4_2): stream entry 2 is not after entry 3"]
@@ -712,9 +875,8 @@ class TestVerify:
         monkeypatch.setattr(construct, "MAX_STREAM_LEVEL", 8)
         assert vast_entry(38)[1:] == (RatPoly.parse("x^2 + 2"), 8)
         data = trace3.to_json()
-        data["steps"][0]["vast"] = {"poly": "x^2 + 2", "n": 8, "depth_checked": 1}
-        with pytest.raises(TraceFormatError,
-                           match="^step 1: vast stream is not an entry a run can select$"):
+        data["steps"][0].update(restated(38, 1))
+        with pytest.raises(TraceFormatError, match=r"^step 1: entry must be in 1\.\.36$"):
             ConstructionTrace.from_json(data)
         path = tmp_path / "t.json"
         path.write_text(json.dumps(data))
@@ -722,11 +884,16 @@ class TestVerify:
             assert cli.main(["verify", "--trace", str(path)]) == 2
 
     def test_earlier_entry_past_the_bound_violates_4m(self, trace3, monkeypatch, levels):
-        """Step 2 names entry 3 at depth 8 under a stream bound of 8, so the
-        scan reaches entry 2, whose levels 2..9 pass it: a violation,
-        reported without reading a level past the bound."""
+        """Every step at depth 8 under a stream bound of 8, step 2 names
+        entry 3, so the scan reaches entry 2, whose levels 2..9 pass it: a
+        violation, reported without reading a level past the bound."""
         monkeypatch.setattr(construct, "MAX_STREAM_LEVEL", 8)
-        bad = mutate(trace3, steps__1__vast={"poly": "x^2 + 2", "n": 1, "depth_checked": 8})
+        data = trace3.to_json()
+        data["params"]["depth"] = 8
+        for step in data["steps"]:
+            step["vast"]["depth_checked"] = 8
+        data["steps"][1].update(restated(3, 8))
+        bad = ConstructionTrace.from_json(data)
         found = [v for v in verify_trace(bad) if v.startswith("(4_2)")]
         assert found == ["(4_2): entry 2, levels 2..9 of x^2 + 1: past stream level 8"]
         assert max(levels) == 8
@@ -961,33 +1128,35 @@ class TestVastSkip:
         for i in (4, 12, 20):
             idx = recorded[i - 1]
             later = next(j for j in range(idx + 1, 129) if j not in recorded)
-            spec = vast_entry(later)
-            bad = mutate(trace20, **{f"steps__{i - 1}__vast": {
-                "poly": str(spec.f), "n": spec.n, "depth_checked": 5}})
+            bad = renamed(trace20, i, later)
             got = eligible_before(verify_trace(bad))
             assert got == full_scan_vast_entries(bad)
             assert f"(4_{i}): entry {idx} was eligible before entry {later}" in got
 
-    @pytest.mark.parametrize("changes, line", [
-        pytest.param({"steps__4__vast": {"poly": "x^2 + 1", "n": 4, "depth_checked": 5}},
-                     "(4_5): stream entry 7 is not after entry 7", id="repeat"),
-        pytest.param({"steps__4__vast": {"poly": "x^2 + 1", "n": 2, "depth_checked": 5}},
-                     "(4_5): stream entry 2 is not after entry 7", id="back"),
-        pytest.param({"steps__9__vast__depth_checked": 1},
-                     "(4_10): depth_checked 1 is below the previous step's 5",
+    @pytest.mark.parametrize("make, line, code", [
+        pytest.param(lambda t: renamed(t, 5, 7),
+                     "(4_5): stream entry 7 is not after entry 7", 1, id="repeat"),
+        pytest.param(lambda t: renamed(t, 5, 2),
+                     "(4_5): stream entry 2 is not after entry 7", 1, id="back"),
+        pytest.param(lambda t: t._replace(steps=tuple(
+                         rec._replace(depth_checked=1) if i == 10 else rec
+                         for i, rec in enumerate(t.steps, start=1))),
+                     "(4_10): depth_checked 1 is below the previous step's 5", 2,
                      id="lowered-depth"),
     ])
-    def test_order_and_depth_violations(self, trace20, tmp_path, changes, line):
+    def test_order_and_depth_violations(self, trace20, tmp_path, make, line, code):
         """Step 4 records entry 7 at depth 5.  A step that names it again,
         goes back to an earlier entry, or checks less deeply than the step
-        before breaks (4_m) once, and `verify` exits 1."""
+        before breaks (4_m) once.  `verify` exits 1 on the first two; the
+        reader refuses the third, whose depths no params and retries give,
+        so the trace is built in process and `verify` exits 2 on it."""
         assert entry_indices(trace20)[1:5] == [2, 3, 7, 9]
-        bad = mutate(trace20, **changes)
+        bad = make(trace20)
         assert [v for v in verify_trace(bad) if v.startswith("(4_")] == [line]
         path = tmp_path / "t.json"
         path.write_text(json.dumps(bad.to_json()))
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["verify", "--trace", str(path)]) == 1
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["verify", "--trace", str(path)]) == code
 
     @pytest.mark.parametrize("args", [(40, 1, 1000), (30, 2, 1000)], ids=["40-1", "30-2"])
     def test_entries_increase_and_depths_never_drop(self, args):
@@ -1022,25 +1191,27 @@ class TestVastSkip:
         run(9, 5, 1000)
         assert len(calls) == len(tested) == len(set(tested))
 
-    def test_only_the_reader_resolves_entries(self, monkeypatch):
-        """The reader resolves each step's (poly, n) to its entry number
-        once; the engine, the verifier and the audit read the number from
-        the record."""
-        resolved = []
-        resolve = construct._resolve_spec_index
+    def test_the_reader_parses_no_polynomial(self, monkeypatch):
+        """A step names its entry, and the reader only compares vast.poly
+        with the entry's text: reading a 20-step trace, as the engine, the
+        verifier and the audit, parses no polynomial."""
+        parsed = []
+        parse = exactpoly._parse_poly
 
-        def spy(f, n):
-            resolved.append((str(f), n))
-            return resolve(f, n)
+        def spy(text):
+            parsed.append(text)
+            return parse(text)
 
-        monkeypatch.setattr(construct, "_resolve_spec_index", spy)
+        monkeypatch.setattr(exactpoly, "_parse_poly", spy)
+        assert RatPoly.parse("x^2 + 1") == vast_entry(1).f  # the spy sees every parse
+        assert parsed == ["x^2 + 1"]
+        parsed.clear()
         trace = run(20, 5, 1000)
-        assert verify_trace(trace) == []
-        counterexample_audit(trace, 2)
-        assert resolved == []
-        again = ConstructionTrace.from_json(trace.to_json())
+        again = ConstructionTrace.from_json(json.loads(json.dumps(trace.to_json())))
         assert again == trace
-        assert resolved == [(s["vast"]["poly"], s["vast"]["n"]) for s in trace.to_json()["steps"]]
+        assert verify_trace(again) == []
+        counterexample_audit(again, 2)
+        assert parsed == []
 
 
 def test_thirty_steps_factor_nothing(monkeypatch):

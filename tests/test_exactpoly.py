@@ -748,17 +748,18 @@ class TestParser:
 
     @pytest.mark.parametrize("value", [["x"], [None], None, 5, {"x": 1}, []])
     def test_rejects_non_strings(self, value):
-        """The parser takes a str.  A trace's polynomial fields may hold any
-        JSON value, and the trace reader refuses every other one before it
-        calls the parser."""
+        """The parser takes a str.  A trace's vast.poly may hold any JSON
+        value, and the trace reader refuses every other one; a cover, of
+        any value, is a key no step holds.  The reader parses neither."""
         from arborsign.construct import ConstructionTrace, TraceFormatError, run
 
         trace = run(1, 5, 100)
-        for field in ("cover", "vast.poly"):
+        for field, refusal in (("cover", "unknown key 'cover'"),
+                               ("vast.poly", "vast.poly must be a string")):
             data = trace.to_json()
             step = data["steps"][0]
             (step["vast"] if field == "vast.poly" else step)[field.split(".")[-1]] = value
-            with pytest.raises(TraceFormatError, match=f"^step 1: {field} must be a string$"):
+            with pytest.raises(TraceFormatError, match=f"^step 1: {refusal}$"):
                 ConstructionTrace.from_json(data)
 
     @pytest.mark.parametrize("text, error", [
