@@ -19,6 +19,7 @@ from .exactpoly import (
     _horner,
     _int_resultant,
     _prem,
+    _trim,
     frobenius_order_mod_p,
     iterate,
 )
@@ -80,8 +81,7 @@ def _critical_orbit(f: RatPoly, n: int) -> tuple[tuple[int, ...], int, int]:
 
 def _remainder(A: list[int], D: int, g: list[int]) -> tuple[tuple[int, ...], int]:
     """(A / D) mod g as (P, D') in lowest terms, with D' > 0."""
-    while A and A[-1] == 0:
-        A.pop()
+    _trim(A)
     k = len(A) - len(g) + 1
     if k > 0:
         A, D = _prem(A, g), D * g[-1] ** k

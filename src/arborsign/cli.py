@@ -40,7 +40,6 @@ still exits with the command's code and prints nothing to stderr.
 """
 from __future__ import annotations
 
-import errno
 import math
 import os
 import sys
@@ -72,21 +71,12 @@ MAX_ARITY = 10_000
 MAX_ITERATE_DEGREE = 512
 
 
-class StdoutClosed(BrokenPipeError):
-    """The reader of stdout went away while a command that exits with `code`
-    wrote its output."""
-
-    def __init__(self, code: int):
-        super().__init__(errno.EPIPE, os.strerror(errno.EPIPE))
-        self.code = code
-
-
-def _write(text: str, code: int) -> None:
-    """Write `text` to stdout for a command that exits with `code`."""
+def _write(text: str) -> None:
+    """Write `text` to stdout; a reader that went away is ignored."""
     try:
         sys.stdout.write(text)
-    except BrokenPipeError as exc:
-        raise StdoutClosed(code) from exc
+    except BrokenPipeError:
+        pass
 
 
 def _quote(text: str) -> str:
@@ -404,7 +394,7 @@ def _print_help(command: str | None):
             lines.append(f"  {flags[name]:{width}}{kind}, {note}")
         lines += ["", "An option is given as --name VALUE or --name=VALUE; any unique prefix "
                   "of its name will do."]
-    _write("\n".join(lines) + "\n", OK)
+    _write("\n".join(lines) + "\n")
     raise SystemExit(OK)
 
 
@@ -497,7 +487,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return INPUT_ERROR if isinstance(exc, InputError) else RESOURCE
     if args.meta:
         payload = {**payload, "meta": {"tool": "arborsign", "version": __version__}}
-    _write(_dumps(payload) + "\n", code)
+    _write(_dumps(payload) + "\n")
     return code
 
 
@@ -516,8 +506,6 @@ def entry() -> None:
     try:
         code = main()
     except SystemExit as exc:  # -h, or a usage error
-        code = exc.code
-    except StdoutClosed as exc:
         code = exc.code
     for stream in (sys.stdout, sys.stderr):
         try:

@@ -183,9 +183,9 @@ def rationals_by_height(
     right after it."""
     h = 1
     if after is not None:
-        h = max(abs(after[0]), after[1])
+        key = _height_key(*after)
+        h = key[0]
         if h <= max_height:
-            key = _height_key(*after)
             yield from [p for p in _pairs_at_height(h) if _height_key(*p) > key]
         h += 1
     for h in range(h, max_height + 1):
@@ -209,10 +209,6 @@ class ConstructionState(namedtuple("ConstructionState", "F M steps depth")):
     """
 
     __slots__ = ()
-
-    @classmethod
-    def initial(cls, depth: int) -> "ConstructionState":
-        return cls(ClassSubspace(), ClassSubspace(), (), depth)
 
 
 class StepRecord(namedtuple("StepRecord", "witness point entry depth_checked")):
@@ -461,7 +457,7 @@ def run(N: int, depth: int, height: int) -> ConstructionTrace:
     if not 1 <= height <= MAX_POINT_HEIGHT:
         raise ValueError(f"height must be in 1..{MAX_POINT_HEIGHT}")
     params = {"steps": N, "depth": depth}
-    state = ConstructionState.initial(depth)
+    state = ConstructionState(ClassSubspace(), ClassSubspace(), (), depth)
     retries: list[dict] = []
     while len(state.steps) < N:
         try:

@@ -30,6 +30,13 @@ class BadPrime(ValueError):
     coefficient, or the discriminant of the polynomial being reduced."""
 
 
+def _trim(a: list[int]) -> list[int]:
+    """Drop the trailing zeros of the coefficient list `a`, in place."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
 class RatPoly:
     """Univariate polynomial with exact rational coefficients.
 
@@ -50,8 +57,7 @@ class RatPoly:
         self._set([c.numerator * (den // c.denominator) for c in cs], den)
 
     def _set(self, nums: list[int], den: int) -> None:
-        while nums and nums[-1] == 0:
-            nums.pop()
+        _trim(nums)
         g = math.gcd(den, *nums)
         object.__setattr__(self, "nums", tuple(n // g for n in nums) if g > 1 else tuple(nums))
         object.__setattr__(self, "den", den // g)
@@ -178,13 +184,6 @@ def iterate(f: RatPoly, k: int) -> RatPoly:
 # Resultants and discriminants
 # ---------------------------------------------------------------------------
 
-def _content(cs: Sequence[int]) -> int:
-    g = 0
-    for c in cs:
-        g = math.gcd(g, c)
-    return g or 1
-
-
 def _prem(A: list[int], B: list[int]) -> list[int]:
     """Pseudo-remainder of A by B: lc(B)^(deg A - deg B + 1) * A mod B."""
     A = list(A)
@@ -200,8 +199,7 @@ def _prem(A: list[int], B: list[int]) -> list[int]:
         A = [c * lb for c in A[:-1]]
         for i in range(db):
             A[da - db + i] -= lead * B[i]
-        while A and A[-1] == 0:
-            A.pop()
+        _trim(A)
     return A
 
 
@@ -213,7 +211,7 @@ def _int_resultant(F: Sequence[int], G: Sequence[int]) -> int:
         return sign * _int_resultant(G, F)
     if len(G) == 1:
         return G[0] ** (len(F) - 1)
-    a, b = _content(F), _content(G)
+    a, b = math.gcd(*F), math.gcd(*G)
     A = [c // a for c in F]
     B = [c // b for c in G]
     t = a ** (len(G) - 1) * b ** (len(F) - 1)
@@ -249,8 +247,6 @@ def resultant(f: RatPoly, g: RatPoly) -> "Fraction":
         raise ValueError("resultant of two zero polynomials is undefined")
     if f.is_zero or g.is_zero:
         return Fraction(0)
-    if f.degree == 0 and g.degree == 0:
-        return Fraction(1)
     r = _int_resultant(f.nums, g.nums)
     return Fraction(r, f.den**g.degree * g.den**f.degree)
 
@@ -291,12 +287,6 @@ def squarefree_kernel_support(q) -> tuple[int, tuple[int, ...]]:
 # Arithmetic in GF(p)[x]; coefficient lists low-to-high, trimmed, and packed
 # into ints
 # ---------------------------------------------------------------------------
-
-def _gf_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
 
 def _gf_monic(a: Sequence[int], p: int) -> list[int]:
     inv = pow(a[-1], -1, p)
@@ -528,7 +518,7 @@ def frobenius_order_mod_p(f: RatPoly, p: int) -> int:
     fbar = _gf_monic(reduce_mod_p(f, p), p)
     n = len(fbar) - 1
     gf = _Euclid(n, p)
-    deriv = _gf_trim([i * c % p for i, c in enumerate(fbar)][1:])
+    deriv = _trim([i * c % p for i, c in enumerate(fbar)][1:])
     if not deriv or len(_gf_gcd(fbar, deriv, gf)) != 1:
         raise BadPrime(f"{p} divides the discriminant")
     if n == 1:
@@ -547,7 +537,7 @@ def frobenius_order_mod_p(f: RatPoly, p: int) -> int:
     for e, h in enumerate(hs, 1):
         if 2 * e > len(g) - 1:
             break
-        d = _gf_gcd(g, _gf_trim([h[0], (h[1] - 1) % p, *h[2:]]), gf)
+        d = _gf_gcd(g, _trim([h[0], (h[1] - 1) % p, *h[2:]]), gf)
         if len(d) > 1:
             order = math.lcm(order, e)
             g = _gf_divexact(g, d, gf)
@@ -615,19 +605,13 @@ def _parse_poly(text: str) -> RatPoly:
         raise ParseError("empty polynomial", 0)
     terms: list[tuple[int, int, int]] = []  # (power, signed numerator, denominator)
     i = 0
-    first = True
     while i < len(tokens):
-        # separator / unary signs; terms after the first must start with one
+        # separator / unary signs; every term after the first starts with one
         sign = 1
-        saw_sign = False
         while i < len(tokens) and tokens[i][0] == "sym" and tokens[i][1] in "+-":
             if tokens[i][1] == "-":
                 sign = -sign
-            saw_sign = True
             i += 1
-        if not first and not saw_sign:
-            raise ParseError("expected '+' or '-' between terms", tokens[i][2])
-        first = False
         if i >= len(tokens):
             raise ParseError("dangling sign", tokens[-1][2])
         num, den = sign, 1

@@ -395,9 +395,9 @@ def fiber_test(h: RatPoly, F: ClassSubspace) -> Callable[[int, int], bool]:
     dict that lives as long as the function.  The class of -n is that of n
     plus the sign, and the reduction is linear over F2, so a negative value
     adds the sign's reduced row.  A cofactor that meets the base is decided
-    by F.member each time and not kept: its class is not read over F's
-    base."""
-    value, read, member = _fiber_values(h), F._read, F.member
+    as F.member decides it, by whether F.extend returns F, each time and not
+    kept: its class is not read over F's base."""
+    value, read, extend = _fiber_values(h), F._read, F.extend
     sign_row = _reduce(1, F._rows)
     classes: dict[int, int] = {}  # |n| -> F._read(|n|)
 
@@ -410,7 +410,7 @@ def fiber_test(h: RatPoly, F: ClassSubspace) -> Callable[[int, int], bool]:
         if r is None:
             r = read(a)
             if r is None:
-                return not member(n)
+                return extend(n) is not F
             classes[a] = r
         return (r ^ sign_row if n < 0 else r) != 0  # _OUTSIDE stays nonzero
 

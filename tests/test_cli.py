@@ -1426,6 +1426,28 @@ class TestProcessEntry:
         proc = cli_process(*argv, text=False, cwd=tmp_path)
         assert (proc.returncode, proc.stdout) == (code, out.encode())
 
+    @pytest.mark.parametrize("argv, code", [
+        (["group-order", "--arity", "2", "--depth", "1"], 0),
+        (["index-report", "--poly", "x^2", "--level", "2", "--n", "1"], 1),
+        (["-h"], 0),
+    ])
+    def test_closed_stdout_in_process(self, capsys, monkeypatch, argv, code):
+        """Writing to a stdout whose reader went away, `main` returns the
+        command's code, and -h still raises SystemExit(0), with nothing on
+        stderr."""
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        if argv == ["-h"]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        else:
+            assert main(argv) == code
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     @pytest.mark.parametrize("argv, code, read", [
         # 6.6 kB of output, more than the pipe holds: the write outlives the reader

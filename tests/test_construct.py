@@ -258,7 +258,7 @@ class TestEnumerations:
 
 class TestStep:
     def test_first_step_record(self):
-        state = step(ConstructionState.initial(5), height=100)
+        state = step(ConstructionState(ClassSubspace(), ClassSubspace(), (), 5), height=100)
         rec = state.steps[-1]
         assert rec.to_json() == {
             "witness": -1,
@@ -409,7 +409,7 @@ class TestStep:
 class TestRecordsImmutable:
     RECORDS = {
         "VastSpec": lambda trace: vast_entry(1),
-        "ConstructionState": lambda trace: ConstructionState.initial(5),
+        "ConstructionState": lambda trace: ConstructionState(ClassSubspace(), ClassSubspace(), (), 5),
         "StepRecord": lambda trace: trace.steps[0],
         "ConstructionTrace": lambda trace: trace,
         "ClassStream": lambda trace: primes_stream(),
@@ -897,6 +897,20 @@ class TestVerify:
         found = [v for v in verify_trace(bad) if v.startswith("(4_2)")]
         assert found == ["(4_2): entry 2, levels 2..9 of x^2 + 1: past stream level 8"]
         assert max(levels) == 8
+
+    def test_unreachable_witness_violates_5m(self, tmp_path):
+        """Step 2 of run(3, 1, 1000) renamed to entry 1 at its depth 2: the
+        stream's first two classes are -1 and 5, both in the field of step 2,
+        so no witness is reachable and `verify` reports it beside the order."""
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(renamed(run(3, 1, 1000), 2, 1, depth=2).to_json()))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["verify", "--trace", str(path)]) == 1
+        assert json.loads(out.getvalue())["violations"] == [
+            "(4_2): stream entry 1 is not after entry 1",
+            "(5_2): no witness reachable in the recorded stream: no witness among the "
+            "first 2 elements of disc:x^2 + 1:1"]
 
     def test_wrong_witness_violates_5m(self, trace3):
         bad = mutate(trace3, steps__0__witness=7, final__F__0=7)

@@ -805,6 +805,18 @@ class TestParser:
             RatPoly.parse("x^^2")
         assert exc.value.position == 2
 
+    def test_every_short_text_parses_or_is_refused(self):
+        """Every text of up to 5 characters over x ^ * / + - 1 2 and space,
+        the empty one included, parses or raises ParseError at a position
+        within the text or just past its end, and raises nothing else."""
+        texts = ["".join(t) for k in range(6) for t in product("x^*/+-12 ", repeat=k)]
+        assert len(texts) == 66_430
+        for text in texts:
+            try:
+                RatPoly.parse(text)
+            except ParseError as exc:
+                assert 0 <= exc.position <= len(text), text
+
     def test_exponent_bound(self):
         assert RatPoly.parse("x^10000 - 1").degree == 10000
         with pytest.raises(ParseError) as exc:

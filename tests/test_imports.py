@@ -1,6 +1,7 @@
 """Source hygiene of the package, read with the stdlib `ast` module alone."""
 import ast
 import os
+import re
 
 import pytest
 
@@ -131,16 +132,23 @@ def test_every_public_definition_is_read():
 CHARACTER_CLASSES = {"isdecimal", "isdigit", "isnumeric", "isspace"}
 
 
-def character_class_uses(source: str) -> list[tuple[str | None, str]]:
-    """(function, predicate) for each use of a CHARACTER_CLASSES predicate
-    in `source`, called or not; function is the name of the outermost
-    function around it, or None at module level."""
-    tree = ast.parse(source)
+def outermost_functions(tree: ast.AST) -> dict[ast.AST, str]:
+    """The name of the outermost function around each node of `tree` that
+    lies in a function."""
     owner = {}
     for node in ast.walk(tree):  # outer functions first
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for inner in ast.walk(node):
                 owner.setdefault(inner, node.name)
+    return owner
+
+
+def character_class_uses(source: str) -> list[tuple[str | None, str]]:
+    """(function, predicate) for each use of a CHARACTER_CLASSES predicate
+    in `source`, called or not; function is the name of the outermost
+    function around it, or None at module level."""
+    tree = ast.parse(source)
+    owner = outermost_functions(tree)
     return [(owner.get(node), node.attr) for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr in CHARACTER_CLASSES]
 
@@ -161,6 +169,34 @@ def test_integers_have_one_reader(module):
     assert uses == ([("parse_integer", "isdigit")] if module == "exactpoly.py" else [])
 
 
+def trailing_zero_trims(source: str) -> list[str | None]:
+    """The outermost function around each `while a and a[-1] == 0` loop in
+    `source`, whatever the list's name; None at module level."""
+    tree = ast.parse(source)
+    owner = outermost_functions(tree)
+    return [owner.get(node) for node in ast.walk(tree) if isinstance(node, ast.While)
+            and re.fullmatch(r"(\w+) and \1\[-1\] == 0", ast.unparse(node.test))]
+
+
+def test_the_check_finds_a_trim():
+    source = ("def strip(cs):\n    while cs and cs[-1] == 0:\n        cs.pop()\n\n"
+              "while xs and xs[-1] == 0:\n    xs.pop()\n"
+              "while xs and ys[-1] == 0:\n    xs.pop()\n")
+    assert trailing_zero_trims(source) == [None, "strip"]
+    with open(os.path.join(PACKAGE, "arboreal.py")) as fh:
+        planted = fh.read() + ("\n\ndef _lead(A):\n    while A and A[-1] == 0:\n"
+                               "        A.pop()\n    return A[-1]\n")
+    assert trailing_zero_trims(planted) == ["_lead"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_trailing_zeros_have_one_trim(module):
+    """Only exactpoly._trim pops the trailing zeros off a coefficient list;
+    every other trim calls it."""
+    with open(os.path.join(PACKAGE, module)) as fh:
+        assert trailing_zero_trims(fh.read()) == (["_trim"] if module == "exactpoly.py" else [])
+
+
 # The types of the values that `json` reads: a type test that names one
 # reads a JSON value, which only construct._json does, or writes one, which
 # only cli._dumps does.
@@ -173,11 +209,7 @@ def json_type_tests(source: str) -> list[str | None]:
     comparison with a `type(...)` call, in `source` that names a JSON_TYPES
     type; None at module level."""
     tree = ast.parse(source)
-    owner = {}
-    for node in ast.walk(tree):  # outer functions first
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for inner in ast.walk(node):
-                owner.setdefault(inner, node.name)
+    owner = outermost_functions(tree)
 
     def called(node, name):
         return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
