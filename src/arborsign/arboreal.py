@@ -36,10 +36,6 @@ class Inseparable(Exception):
         self.level = level
 
 
-class NoGoodPrimes(ResourceBound):
-    """The inspected prime budget contained no prime of good reduction."""
-
-
 # ---------------------------------------------------------------------------
 # Discriminant classes of iterates
 # ---------------------------------------------------------------------------
@@ -214,7 +210,7 @@ def splitting_degree_lower_bound(f: RatPoly, k: int, prime_budget: int) -> int:
                 break
         p = next_prime(p)
     if good == 0:
-        raise NoGoodPrimes(f"no good prime among the first {prime_budget}")
+        raise ResourceBound(f"no good prime among the first {prime_budget}")
     return bound
 
 

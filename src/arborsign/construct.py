@@ -44,14 +44,6 @@ from .sqclass import (
 SCHEMA_VERSION = 5
 
 
-class PointSearchExhausted(ResourceBound):
-    """No integral specialization point below the height bound."""
-
-
-class TraceFormatError(InputError):
-    """Malformed or unsupported trace JSON."""
-
-
 class ConstructionAborted(ResourceBound):
     """Terminal engine failure; carries the partial trace."""
 
@@ -235,7 +227,7 @@ class StepRecord(namedtuple("StepRecord", "witness point entry depth_checked")):
 
     @classmethod
     def from_json(cls, data: object, i: int) -> "StepRecord":
-        """Read step i of a trace; raises TraceFormatError on malformed data.
+        """Read step i of a trace; raises InputError on malformed data.
         Besides each value's JSON type and each object's keys it checks that
         the witness is a nonzero nonsquare, that vast.poly and vast.n restate
         vast_entry(entry), and what the verifier needs to end: the point has
@@ -247,7 +239,7 @@ class StepRecord(namedtuple("StepRecord", "witness point entry depth_checked")):
         data = _json_object(data, f"step {i}", "witness", "point", "entry", "vast")
         witness = _json(data.get("witness"), int, at + "witness")
         if witness == 0:
-            raise TraceFormatError(at + "witness must be nonzero: zero has no square class")
+            raise InputError(at + "witness must be nonzero: zero has no square class")
         point = _point_parse(data.get("point"), at + "point")
         entry = _json(data.get("entry"), int, at + "entry")
         vast = _json_object(data.get("vast"), at + "vast", "poly", "n", "depth_checked")
@@ -255,18 +247,18 @@ class StepRecord(namedtuple("StepRecord", "witness point entry depth_checked")):
         vast_n = _json(vast.get("n"), int, at + "vast.n")
         depth_checked = _json(vast.get("depth_checked"), int, at + "vast.depth_checked")
         if same_class(witness, 1):
-            raise TraceFormatError(f"step {i}: witness is a perfect square: its class is trivial")
+            raise InputError(f"step {i}: witness is a perfect square: its class is trivial")
         if _height_key(*point)[0] > MAX_POINT_HEIGHT:
-            raise TraceFormatError(f"step {i}: point height exceeds {MAX_POINT_HEIGHT}")
+            raise InputError(f"step {i}: point height exceeds {MAX_POINT_HEIGHT}")
         last = MAX_STREAM_LEVEL * (MAX_STREAM_LEVEL + 1) // 2
         if not 1 <= entry <= last:
-            raise TraceFormatError(f"step {i}: entry must be in 1..{last}")
+            raise InputError(f"step {i}: entry must be in 1..{last}")
         spec = vast_entry(entry)
         if (vast_poly, vast_n) != (str(spec.f), spec.n):
-            raise TraceFormatError(f"step {i}: vast.poly and vast.n must restate entry {entry}")
+            raise InputError(f"step {i}: vast.poly and vast.n must restate entry {entry}")
         deepest = MAX_STREAM_LEVEL - spec.n + 1
         if not 1 <= depth_checked <= deepest:
-            raise TraceFormatError(f"step {i}: vast.depth_checked must be in 1..{deepest}")
+            raise InputError(f"step {i}: vast.depth_checked must be in 1..{deepest}")
         return cls(witness, point, entry, depth_checked)
 
 
@@ -289,14 +281,14 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps params retries"))
 
     @classmethod
     def from_json(cls, data: object) -> "ConstructionTrace":
-        """Parse a trace; raises TraceFormatError on a value of another JSON
+        """Parse a trace; raises InputError on a value of another JSON
         type or form than to_json writes, a key it does not write, a step
         that StepRecord.from_json refuses (read in step order), a final.F
         other than the witnesses in step order, or _check_depths' refusal."""
         data = _json(data, dict, "trace")
         schema = _json(data.get("schema"), int, "schema")
         if schema != SCHEMA_VERSION:
-            raise TraceFormatError(f"unsupported schema {schema}")
+            raise InputError(f"unsupported schema {schema}")
         _json_object(data, "trace", "schema", "params", "steps", "retries", "final")
         steps = tuple(StepRecord.from_json(s, i)
                       for i, s in enumerate(_json(data.get("steps"), list, "steps"), start=1))
@@ -306,7 +298,7 @@ class ConstructionTrace(namedtuple("ConstructionTrace", "steps params retries"))
         retries = tuple(_json_counts(r, f"retries[{j}]", "step", "depth")
                         for j, r in enumerate(_json(data.get("retries"), list, "retries")))
         if final != [s.witness for s in steps]:
-            raise TraceFormatError("final.F does not list the steps' witnesses in step order")
+            raise InputError("final.F does not list the steps' witnesses in step order")
         _check_depths(steps, params, retries)
         return cls(steps, params, retries)
 
@@ -321,10 +313,10 @@ def _check_depths(steps: tuple, params: dict, retries: tuple) -> None:
     d, n, at = params["depth"], len(steps), [r["step"] for r in retries]
     if (n > params["steps"] or at != sorted(at) or at and at[-1] > min(n + 1, params["steps"])
             or any(r["depth"] != d << k for k, r in enumerate(retries))):
-        raise TraceFormatError("params and retries contradict each other or the steps")
+        raise InputError("params and retries contradict each other or the steps")
     for i, s in enumerate(steps, start=1):
         if s.depth_checked != d << bisect_right(at, i):
-            raise TraceFormatError(f"step {i}: vast.depth_checked contradicts params and retries")
+            raise InputError(f"step {i}: vast.depth_checked contradicts params and retries")
 
 
 _KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
@@ -334,9 +326,9 @@ def _json(value: object, kind: type, name: str):
     """`value` if its type is exactly `kind`: int, str, list or dict, as `json`
     reads an integer, a string, an array and an object, so no bool or float
     is an int, and a missing key, read as None, is of no kind.  Otherwise
-    raises TraceFormatError("<name> must be an integer|a string|...")."""
+    raises InputError("<name> must be an integer|a string|...")."""
     if type(value) is not kind:
-        raise TraceFormatError(f"{name} must be {_KINDS[kind]}")
+        raise InputError(f"{name} must be {_KINDS[kind]}")
     return value
 
 
@@ -345,7 +337,7 @@ def _json_object(value: object, name: str, *keys: str) -> dict:
     key reads as null, as from any object."""
     for key in _json(value, dict, name):
         if key not in keys:
-            raise TraceFormatError(f"{name}: unknown key {key!r}")
+            raise InputError(f"{name}: unknown key {key!r}")
     return value
 
 
@@ -353,9 +345,9 @@ def _json_counts(value: object, name: str, *keys: str) -> dict:
     """`value` if it is in the form to_json writes params and each retry in:
     a JSON object of `keys`, in that order, each a JSON integer >= 1."""
     if tuple(_json(value, dict, name)) != keys:
-        raise TraceFormatError(f"{name} must be an object of {', '.join(keys)}, in that order")
+        raise InputError(f"{name} must be an object of {', '.join(keys)}, in that order")
     if min(_json(value[key], int, f"{name}.{key}") for key in keys) < 1:
-        raise TraceFormatError(f"{name}: {', '.join(keys)} must be >= 1")
+        raise InputError(f"{name}: {', '.join(keys)} must be >= 1")
     return value
 
 
@@ -370,7 +362,7 @@ def _point_parse(value: object, name: str) -> tuple[int, int]:
         if den <= 0:
             raise ValueError(text)
     except ValueError as exc:
-        raise TraceFormatError(f"{name}: bad rational {text!r}") from exc
+        raise InputError(f"{name}: bad rational {text!r}") from exc
     g = math.gcd(num, den)
     return num // g, den // g
 
@@ -423,7 +415,7 @@ def step(state: ConstructionState, *, height: int) -> ConstructionState:
             point = candidate
             break
     if point is None:
-        raise PointSearchExhausted(f"no point of height <= {height}")
+        raise ResourceBound(f"no point of height <= {height}")
     record = StepRecord(
         witness=w,
         point=point,

@@ -275,7 +275,7 @@ def squarefree_kernel_support(q) -> tuple[int, tuple[int, ...]]:
     """(s, primes): the unique squarefree integer s (sign included) with q/s
     a rational square, for a nonzero int or Fraction q, and the primes
     dividing s.  Factors q's numerator and denominator, so it raises
-    primes.FactoringBudget on a cofactor past factoring's budget."""
+    primes.ResourceBound on a cofactor past factoring's budget."""
     n = q.numerator * q.denominator  # q times the square den^2
     if n == 0:
         raise ValueError("zero has no square class")

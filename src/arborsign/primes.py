@@ -11,7 +11,7 @@ only to print kernels (`disc-seq`, `vast-witness`, `index-report`'s base and
   Selfridge's parameters, as in sympy.isprime above 2^64).
 - `factorint`: trial division, then `is_prime`, then Pollard-Brent rho.  A
   cofactor of more than `MAX_FACTOR_BITS` bits, or a composite that rho does
-  not split within `RHO_STEPS` steps, raises `FactoringBudget`.
+  not split within `RHO_STEPS` steps, raises `ResourceBound`.
 
 `InputError` is the base of every error that means the input was malformed,
 which the CLI reports with exit code 2, and `ResourceBound` of every error
@@ -46,7 +46,7 @@ _MR_BOUND = 3317044064679887385961981
 # Rho iterations spent on one composite before `factorint` gives up on it.
 # A prime factor p is typically found after about sqrt(p) iterations, so this
 # splits off every factor up to about 36 bits; a composite whose prime factors
-# all lie beyond that raises FactoringBudget.
+# all lie beyond that raises ResourceBound.
 RHO_STEPS = 1 << 18
 
 # Bits of the largest cofactor that `factorint` tests for primality or hands
@@ -63,11 +63,6 @@ class InputError(ValueError):
 class ResourceBound(ArithmeticError):
     """A resource bound was hit on well-formed input.  Not a ValueError, so
     that no parser that maps ValueError to bad input can catch it."""
-
-
-class FactoringBudget(ResourceBound):
-    """A cofactor past MAX_FACTOR_BITS, or a composite that Pollard-Brent
-    rho did not split within RHO_STEPS."""
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -197,7 +192,7 @@ def _rho_split(n: int) -> int | None:
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of a positive integer, in increasing p.
 
-    Raises FactoringBudget when a cofactor left by trial division has more
+    Raises ResourceBound when a cofactor left by trial division has more
     than MAX_FACTOR_BITS bits, or a composite one has no prime factor that
     rho finds within RHO_STEPS iterations."""
     if n < 1:
@@ -216,14 +211,14 @@ def factorint(n: int) -> dict[int, int]:
     while pending:
         m = pending.pop()
         if m.bit_length() > MAX_FACTOR_BITS:
-            raise FactoringBudget(f"cannot factor a {m.bit_length()}-bit cofactor: "
-                                  f"above the {MAX_FACTOR_BITS}-bit bound")
+            raise ResourceBound(f"cannot factor a {m.bit_length()}-bit cofactor: "
+                                f"above the {MAX_FACTOR_BITS}-bit bound")
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
         d = _rho_split(m)
         if d is None:
-            raise FactoringBudget(f"cannot factor a {m.bit_length()}-bit composite: "
-                                  f"rho found no factor within {RHO_STEPS} steps")
+            raise ResourceBound(f"cannot factor a {m.bit_length()}-bit composite: "
+                                f"rho found no factor within {RHO_STEPS} steps")
         pending += [d, m // d]
     return dict(sorted(factors.items()))

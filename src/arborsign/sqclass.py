@@ -34,7 +34,7 @@ def _is_square(n: int) -> bool:
 
 def kernel(rep: int) -> int:
     """The signed squarefree integer in the class of the nonzero integer rep,
-    for output.  Factors rep: raises primes.FactoringBudget when it is past
+    for output.  Factors rep: raises primes.ResourceBound when it is past
     factoring's budget."""
     return squarefree_kernel_support(rep)[0]
 
@@ -295,7 +295,7 @@ class ClassSubspace:
         -1, 2, 3, 5, ...; the JSON encoding of the subspace.  Bit 0 is -1,
         then the primes in increasing order, so each pivot is the lowest
         coordinate of its row.  Factors every basis representative, so it
-        raises primes.FactoringBudget when one is past factoring's budget."""
+        raises primes.ResourceBound when one is past factoring's budget."""
         supports = [squarefree_kernel_support(c) for c in self.basis]
         coords = [-1, *sorted({p for _, primes in supports for p in primes})]
         bit = {p: 1 << j for j, p in enumerate(coords)}

@@ -15,14 +15,6 @@ from itertools import chain, product
 Perm = tuple[int, ...]  # images of 0..d-1
 
 
-class ShapeMismatch(ValueError):
-    """Operands with different arity or depth."""
-
-
-class LevelOutOfRange(ValueError):
-    """Requested level outside 0..k."""
-
-
 def perm_compose(a: Perm, b: Perm) -> Perm:
     """(a o b)(i) = a(b(i))."""
     return tuple(a[b[i]] for i in range(len(b)))
@@ -120,7 +112,7 @@ def compose(g: Portrait, h: Portrait) -> Portrait:
     label_g(h(v)) o label_h(v), where h(v) is the vertex image under h.
     """
     if (g.d, g.k) != (h.d, h.k):
-        raise ShapeMismatch(f"({g.d},{g.k}) vs ({h.d},{h.k})")
+        raise ValueError(f"({g.d},{g.k}) vs ({h.d},{h.k})")
     labels = {
         addr: perm_compose(g.labels[h.apply_to_address(addr)], p)
         for addr, p in h.labels.items()
@@ -131,7 +123,7 @@ def compose(g: Portrait, h: Portrait) -> Portrait:
 def leaf_permutation(g: Portrait, n: int) -> Perm:
     """Induced permutation of the d^n level-n vertices in lexicographic order."""
     if not 0 <= n <= g.k:
-        raise LevelOutOfRange(f"level {n} not in 0..{g.k}")
+        raise ValueError(f"level {n} not in 0..{g.k}")
     return tuple(_address_to_index(g.apply_to_address(addr), g.d)
                  for addr in _addresses_at_depth(g.d, n))
 
@@ -158,7 +150,7 @@ def sign_level(g: Portrait, n: int) -> int:
     signs are independent: every sign vector is the image of some portrait.
     """
     if not 1 <= n <= g.k:
-        raise LevelOutOfRange(f"level {n} not in 1..{g.k}")
+        raise ValueError(f"level {n} not in 1..{g.k}")
     sign = 1
     for j in range(n):
         if g.d ** (n - 1 - j) % 2 == 1:

@@ -27,13 +27,13 @@ from arborsign.arboreal import (
 )
 from arborsign.construct import (
     ConstructionTrace,
-    TraceFormatError,
     counterexample_audit,
     run,
     vast_entry,
     verify_trace,
 )
 from arborsign.exactpoly import RatPoly, discriminant, iterate
+from arborsign.primes import InputError
 from arborsign.sqclass import ClassSubspace, kernel
 from arborsign.supernat import aut_order_supernatural
 from arborsign.treegroup import (
@@ -317,7 +317,7 @@ def test_criterion_08_fuzz_soundness(capsys, artifacts):
             kinds.append(kind)
             try:
                 mutated = ConstructionTrace.from_json(data)
-            except TraceFormatError:
+            except InputError:
                 refused.append(kind)
                 continue
             if not verify_trace(mutated):

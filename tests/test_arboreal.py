@@ -10,7 +10,6 @@ from sympy.polys.galoistools import gf_factor_sqf, gf_sqf_p
 from arborsign import arboreal
 from arborsign.arboreal import (
     Inseparable,
-    NoGoodPrimes,
     _level_sign,
     disc_class,
     disc_class_sequence,
@@ -28,6 +27,7 @@ from arborsign.exactpoly import (
     resultant,
     squarefree_kernel_support,
 )
+from arborsign.primes import ResourceBound
 from arborsign.sqclass import ClassSubspace, class_of, kernel, same_class
 from arborsign.treegroup import all_portraits, group_order, leaf_permutation
 
@@ -158,6 +158,59 @@ class TestCriticalOrbitIdentity:
             prev = disc
 
 
+def _stickelberger_mismatches(cases) -> tuple[int, list]:
+    """(checks, mismatches) of Stickelberger's parity (Stickelberger 1897;
+    Swan, Pacific J. Math. 12, 1962) on disc_class: for an odd prime p that
+    divides neither lc(f^(on)) nor the class integer c, with f^(on)
+    squarefree mod p, (c / p) = (-1)^(d^n - r), r the number of irreducible
+    factors of f^(on) mod p.  sympy composes and factors the iterate, so no
+    resultant of exactpoly's is read.  `cases` holds (poly, levels, primes)."""
+    x = sympy.Symbol("x")
+    checks, mismatches = 0, []
+    for poly, levels, bound in cases:
+        f = sympy.Poly(sympy.sympify(poly.replace("^", "**")), x)
+        fn, g = f, RatPoly.parse(poly)
+        for n in range(1, levels + 1):
+            c = disc_class(g, n)
+            for p in sympy.primerange(3, bound):
+                reduced = sympy.Poly(fn.as_expr(), x, modulus=p)
+                if fn.LC() % p == 0 or c % p == 0 or not reduced.is_sqf:
+                    continue
+                r = len(reduced.factor_list()[1])
+                checks += 1
+                if sympy.legendre_symbol(c % p, p) != (-1) ** (fn.degree() - r):
+                    mismatches.append((poly, n, p))
+            fn = f.compose(fn)
+    return checks, mismatches
+
+
+STICKELBERGER_CASES = [
+    *((f"x^2 + {c}", 5, 50) for c in (1, 2, -3, 5)),
+    *((poly, 3, 30) for poly in ("x^3 + x + 1", "x^3 - x + 2", "x^3 + x^2 - 1")),
+]
+
+
+class TestStickelbergerParity:
+    """An oracle for disc_class that shares no code with it: the parity of
+    the number of factors of f^(on) mod p."""
+
+    def test_class_has_the_parity_of_the_factor_count(self):
+        checks, mismatches = _stickelberger_mismatches(STICKELBERGER_CASES)
+        assert (checks, mismatches) == (314, [])
+
+    def test_the_check_finds_a_wrong_level_sign(self, monkeypatch):
+        """With s_n negated every class of x^2 + c is off by -1, which the
+        parity sees at each p = 3 mod 4: 137 of the 246 checks fail."""
+        sign = arboreal._level_sign
+        monkeypatch.setattr(arboreal, "_level_sign", lambda d, n: -sign(d, n))
+        arboreal._critical_orbit.cache_clear()
+        try:
+            checks, mismatches = _stickelberger_mismatches(STICKELBERGER_CASES[:4])
+        finally:
+            arboreal._critical_orbit.cache_clear()  # no later test reads a poisoned class
+        assert (checks, len(mismatches)) == (246, 137)
+
+
 class TestDiscStream:
     def test_offsets(self):
         s = disc_stream(X2P1, 2)
@@ -227,7 +280,7 @@ class TestSplittingDegree:
 
     def test_no_good_primes(self):
         # the only inspected prime (2) divides disc(x^2 - 3) = 12
-        with pytest.raises(NoGoodPrimes):
+        with pytest.raises(ResourceBound, match="^no good prime among the first 1$"):
             splitting_degree_lower_bound(X2M3, 1, 1)
 
     def test_inseparable_propagates(self):
@@ -260,7 +313,7 @@ class TestSplittingDegree:
                 splitting_degree_lower_bound(f, k, budget)
             return
         if expected is None:
-            with pytest.raises(NoGoodPrimes):
+            with pytest.raises(ResourceBound, match=f"^no good prime among the first {budget}$"):
                 splitting_degree_lower_bound(f, k, budget)
         else:
             assert splitting_degree_lower_bound(f, k, budget) == expected

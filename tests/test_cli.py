@@ -17,7 +17,7 @@ import arborsign
 from arborsign import cli, construct
 from arborsign.cli import COMMANDS, main, parse_args
 from arborsign.construct import ConstructionAborted, ConstructionTrace
-from arborsign.primes import ResourceBound
+from arborsign.primes import InputError, ResourceBound
 from arborsign.sqclass import kernel
 from arborsign.treegroup import group_order
 
@@ -229,7 +229,7 @@ class TestSimulateVerifyAudit:
 
         def fake_run(*args):
             if aborted:
-                raise ConstructionAborted(trace, construct.PointSearchExhausted("no point"))
+                raise ConstructionAborted(trace, ResourceBound("no point"))
             return trace
 
         monkeypatch.setattr(construct, "run", fake_run)
@@ -861,6 +861,9 @@ cli.entry()
 
 # One row per cause of exit 3, each primes.ResourceBound subclass and each of
 # the CLI's own caps: (interpreter arguments, a fragment of the error line).
+# Factoring's budget, the Frobenius scan's prime budget and the point scan
+# raise ResourceBound itself; their rows keep the names FactoringBudget,
+# NoGoodPrimes and PointSearchExhausted.
 # {tmp} is a fresh directory and {trace} a 3-step trace.
 RESOURCE_ROWS = {
     "FactoringBudget-rho": ([*CLI, "index-report", "--poly", "x^2+1", "--level", "1", "--n", "1",
@@ -905,8 +908,7 @@ class TestExitContract:
         """A new ResourceBound subclass needs its own row in RESOURCE_ROWS."""
         names = {cls.__name__ for cls in ResourceBound.__subclasses__()}
         assert {row.split("-")[0] for row in RESOURCE_ROWS} >= names
-        assert names == {"FactoringBudget", "NoGoodPrimes", "DepthExhausted",
-                         "PointSearchExhausted", "ConstructionAborted"}
+        assert names == {"DepthExhausted", "ConstructionAborted"}
 
     @pytest.mark.parametrize("row", RESOURCE_ROWS)
     def test_resource_bound_exit_3(self, trace_file, tmp_path, row):
@@ -1296,13 +1298,13 @@ class TestOneIntegerGrammar:
     def test_other_text_exit_2(self, capsys, trace_file, tmp_path, site, text):
         """Exit 2, nothing on stdout and one error line on stderr, after the
         usage line for an option value (a usage error).  In process, the
-        trace reader raises TraceFormatError."""
+        trace reader raises InputError."""
         argv = self.argv(site, text, trace_file, tmp_path)
         code, out, err = main_outcome(capsys, argv)
         lines = err.splitlines()
         assert (code, out) == (2, "")
         if argv[0] == "verify":
-            with pytest.raises(construct.TraceFormatError, match="step 1: .*bad rational"):
+            with pytest.raises(InputError, match="^step 1: point: bad rational "):
                 ConstructionTrace.from_json(json.loads((tmp_path / "point.json").read_text()))
         if site == "option":
             assert len(lines) == 2 and lines[0].startswith("usage: arborsign group-order")

@@ -22,9 +22,7 @@ from arborsign.construct import (
     ConstructionAborted,
     ConstructionState,
     ConstructionTrace,
-    PointSearchExhausted,
     StepRecord,
-    TraceFormatError,
     VastSpec,
     counterexample_audit,
     cover_entry,
@@ -40,6 +38,7 @@ from arborsign.construct import (
 from arborsign import arboreal, cli, construct, exactpoly, primes
 from arborsign.arboreal import disc_class
 from arborsign.exactpoly import RatPoly
+from arborsign.primes import InputError, ResourceBound
 from arborsign.sqclass import (
     ClassSubspace,
     class_of,
@@ -112,7 +111,7 @@ def reader_takes(j):
     try:
         StepRecord.from_json({"witness": -1, "point": "2/1", **restated(max(j, 1), 1),
                               "entry": j}, 1)
-    except TraceFormatError:
+    except InputError:
         return False
     return True
 
@@ -279,7 +278,8 @@ class TestStep:
     def test_point_search_exhausted_aborts(self):
         with pytest.raises(ConstructionAborted) as exc:
             run(1, 5, 1)
-        assert isinstance(exc.value.cause, PointSearchExhausted)
+        assert type(exc.value.cause) is ResourceBound
+        assert str(exc.value.cause) == "no point of height <= 1"
         assert exc.value.trace.steps == ()
 
     @pytest.mark.parametrize("depths", [
@@ -461,89 +461,99 @@ class TestTraceSerialization:
         assert [step["entry"] for step in data["steps"][:4]] == [1, 2, 3, 7]
 
     def test_rejects_wrong_schema(self, trace3):
-        with pytest.raises(TraceFormatError, match="^unsupported schema 4$"):
+        with pytest.raises(InputError, match="^unsupported schema 4$"):
             ConstructionTrace.from_json(schema4(trace3.to_json()))
         data = trace3.to_json()
         data["schema"] = 99
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(InputError, match="^unsupported schema 99$"):
             ConstructionTrace.from_json(data)
         data["schema"], data["params"]["window"] = 2, 64  # a schema-2 trace
-        with pytest.raises(TraceFormatError, match="unsupported schema 2"):
+        with pytest.raises(InputError, match="^unsupported schema 2$"):
             ConstructionTrace.from_json(data)
         data = schema4(trace3.to_json())  # a schema-3 trace
         data["schema"], data["params"]["height"], data["final"]["dim"] = 3, 100, 3
         for m, step in enumerate(data["steps"], start=1):
             step["m"], step["cover"] = m, {"id": m, "h": step["cover"]}
-        with pytest.raises(TraceFormatError, match="unsupported schema 3"):
+        with pytest.raises(InputError, match="^unsupported schema 3$"):
             ConstructionTrace.from_json(data)
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(InputError, match="^trace must be an object$"):
             ConstructionTrace.from_json([])
 
     def test_rejects_malformed_step(self, trace3):
         data = trace3.to_json()
         del data["steps"][0]["point"]
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(InputError, match="^step 1: point must be a string$"):
             ConstructionTrace.from_json(data)
 
-    @pytest.mark.parametrize(
-        "path, value",
-        [
-            (("final", "F"), [4]),
-            (("final", "F"), [0]),
-            (("final", "F"), ["3"]),
-            (("final", "F"), [True]),
-            (("steps", 1, "cover"), "abc"),
-            (("steps", 1, "cover"), 0),
-            (("steps", 1, "cover"), 1.5),
-            (("retries",), ["abc"]),
-            (("steps", 1, "vast", "n"), 0),
-            (("steps", 1, "vast", "n"), MAX_STREAM_LEVEL - 3),  # depth 5: one level over
-            (("steps", 1, "vast", "n"), 100000),
-            (("steps", 1, "vast", "depth_checked"), 0),
-            (("steps", 1, "vast", "depth_checked"), -3),
-            (("steps", 1, "vast", "depth_checked"), 1000),
-            (("steps", 1, "vast", "poly"), "x + 1"),
-            (("steps", 1, "vast", "poly"), "3"),
-            (("final", "F"), [9]),
-            (("final", "F"), [-1, 1.5]),
-            (("steps", 1, "point"), "2"),
-            (("steps", 1, "point"), 2.0),
-            (("steps", 1, "witness"), 0),
-            (("steps", 1, "witness"), "5"),
-            (("steps", 1, "witness"), True),
-            (("steps", 1, "vast", "poly"), 1.7),
-            (("steps", 1, "vast"), "2"),
-            (("steps", 1, "vast", "n"), True),
-            (("steps", 1, "vast", "n"), 1.0),
-            (("steps", 1, "vast", "depth_checked"), "5"),
-            (("steps", 1), {"witness_kernel": 5}),
-            (("final", "F"), "3"),
-            (("steps", 1, "point"), f"{MAX_POINT_HEIGHT + 1}/1"),
-            (("steps", 1, "point"), f"{2 * MAX_POINT_HEIGHT + 2}/2"),
-            (("steps", 1, "point"), f"-1/{MAX_POINT_HEIGHT + 1}"),
-            # params and each retry hold the form to_json writes
-            (("params",), [["steps", 3], ["depth", 5]]),
-            (("params",), {"depth": 5, "steps": 3}),
-            (("params",), {"steps": 3, "depth": 5, "height": 100}),
-            (("params", "steps"), 0),
-            (("params", "steps"), "3"),
-            (("params", "depth"), True),
-            (("params", "depth"), 5.0),
-            (("retries",), [{"step": "one"}]),
-            (("retries",), [{"step": 1, "depth": 0}]),
-            (("retries",), [{"step": 1}]),
-            (("retries",), [{"depth": 5, "step": 1}]),
-            (("retries",), ""),
-            (("retries",), {}),
-            # each section holds its JSON type; the empty path sets several
-            # sections, here two wrong-typed empty ones that used to read as
-            # a 0-step trace
-            ((), {"steps": "", "final": {"F": {}}}),
-            ((), {"steps": {}, "final": {"F": ""}}),
-            (("steps",), None),
-            (("schema",), 4.0),
-        ],
-    )
+    ORDER = "final.F does not list the steps' witnesses in step order"
+    COVER = "step 2: unknown key 'cover'"
+    RESTATE = "step 2: vast.poly and vast.n must restate entry 2"
+    DEPTH = f"step 2: vast.depth_checked must be in 1..{MAX_STREAM_LEVEL - 1}"
+    HEIGHT = f"step 2: point height exceeds {MAX_POINT_HEIGHT}"
+    PARAMS = "params must be an object of steps, depth, in that order"
+    RETRY = "retries[0] must be an object of step, depth, in that order"
+    # (path, value, the reader's refusal of the trace with that node set)
+    REFUSALS = [
+        (("final", "F"), [4], ORDER),
+        (("final", "F"), [0], ORDER),
+        (("final", "F"), ["3"], "final.F[0] must be an integer"),
+        (("final", "F"), [True], "final.F[0] must be an integer"),
+        (("steps", 1, "cover"), "abc", COVER),
+        (("steps", 1, "cover"), 0, COVER),
+        (("steps", 1, "cover"), 1.5, COVER),
+        (("retries",), ["abc"], "retries[0] must be an object"),
+        (("steps", 1, "vast", "n"), 0, RESTATE),
+        # depth 5 reads one level past the bound, but the restatement is read first
+        (("steps", 1, "vast", "n"), MAX_STREAM_LEVEL - 3, RESTATE),
+        (("steps", 1, "vast", "n"), 100000, RESTATE),
+        (("steps", 1, "vast", "depth_checked"), 0, DEPTH),
+        (("steps", 1, "vast", "depth_checked"), -3, DEPTH),
+        (("steps", 1, "vast", "depth_checked"), 1000, DEPTH),
+        (("steps", 1, "vast", "poly"), "x + 1", RESTATE),
+        (("steps", 1, "vast", "poly"), "3", RESTATE),
+        (("final", "F"), [9], ORDER),
+        (("final", "F"), [-1, 1.5], "final.F[1] must be an integer"),
+        (("steps", 1, "point"), "2", "step 2: point: bad rational '2'"),
+        (("steps", 1, "point"), 2.0, "step 2: point must be a string"),
+        (("steps", 1, "witness"), 0, "step 2: witness must be nonzero: zero has no square class"),
+        (("steps", 1, "witness"), "5", "step 2: witness must be an integer"),
+        (("steps", 1, "witness"), True, "step 2: witness must be an integer"),
+        (("steps", 1, "vast", "poly"), 1.7, "step 2: vast.poly must be a string"),
+        (("steps", 1, "vast"), "2", "step 2: vast must be an object"),
+        (("steps", 1, "vast", "n"), True, "step 2: vast.n must be an integer"),
+        (("steps", 1, "vast", "n"), 1.0, "step 2: vast.n must be an integer"),
+        (("steps", 1, "vast", "depth_checked"), "5",
+         "step 2: vast.depth_checked must be an integer"),
+        (("steps", 1), {"witness_kernel": 5}, "step 2: unknown key 'witness_kernel'"),
+        (("final", "F"), "3", "final.F must be a list"),
+        (("steps", 1, "point"), f"{MAX_POINT_HEIGHT + 1}/1", HEIGHT),
+        (("steps", 1, "point"), f"{2 * MAX_POINT_HEIGHT + 2}/2", HEIGHT),
+        (("steps", 1, "point"), f"-1/{MAX_POINT_HEIGHT + 1}", HEIGHT),
+        # params and each retry hold the form to_json writes
+        (("params",), [["steps", 3], ["depth", 5]], "params must be an object"),
+        (("params",), {"depth": 5, "steps": 3}, PARAMS),
+        (("params",), {"steps": 3, "depth": 5, "height": 100}, PARAMS),
+        (("params", "steps"), 0, "params: steps, depth must be >= 1"),
+        (("params", "steps"), "3", "params.steps must be an integer"),
+        (("params", "depth"), True, "params.depth must be an integer"),
+        (("params", "depth"), 5.0, "params.depth must be an integer"),
+        (("retries",), [{"step": "one"}], RETRY),
+        (("retries",), [{"step": 1, "depth": 0}], "retries[0]: step, depth must be >= 1"),
+        (("retries",), [{"step": 1}], RETRY),
+        (("retries",), [{"depth": 5, "step": 1}], RETRY),
+        (("retries",), "", "retries must be a list"),
+        (("retries",), {}, "retries must be a list"),
+        # each section holds its JSON type; the empty path sets several
+        # sections, here two wrong-typed empty ones that used to read as
+        # a 0-step trace
+        ((), {"steps": "", "final": {"F": {}}}, "steps must be a list"),
+        ((), {"steps": {}, "final": {"F": ""}}, "steps must be a list"),
+        (("steps",), None, "steps must be a list"),
+        (("schema",), 4.0, "schema must be an integer"),
+    ]
+    REFUSAL = {repr(row[:2]): row[2] for row in REFUSALS}
+
+    @pytest.mark.parametrize("path, value", [row[:2] for row in REFUSALS])
     def test_rejects_bad_final_params_retries(self, trace3, path, value):
         data = trace3.to_json()
         node = data
@@ -553,7 +563,8 @@ class TestTraceSerialization:
             node[path[-1]] = value
         else:
             data.update(value)
-        with pytest.raises(TraceFormatError):
+        message = self.REFUSAL[repr((path, value))]
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             ConstructionTrace.from_json(data)
 
     def test_accepts_deepest_stream_level(self, trace3):
@@ -568,7 +579,7 @@ class TestTraceSerialization:
         trace = ConstructionTrace.from_json(data)
         assert [s.depth_checked for s in trace.steps] == [depth] * 3
         data["params"]["depth"] = data["steps"][1]["vast"]["depth_checked"] = depth + 1
-        with pytest.raises(TraceFormatError,
+        with pytest.raises(InputError,
                            match=f"^step 2: vast.depth_checked must be in 1[.][.]{depth}$"):
             ConstructionTrace.from_json(data)
 
@@ -597,7 +608,7 @@ class TestTraceSerialization:
         for key in keys:
             node = node[key]
         node[last] = value
-        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             ConstructionTrace.from_json(data)
 
     CONTRADICT = "params and retries contradict each other or the steps"
@@ -625,7 +636,7 @@ class TestTraceSerialization:
         data = run(30, 1, 1000).to_json()
         ConstructionTrace.from_json(data)
         edit(data)
-        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             ConstructionTrace.from_json(data)
 
     @pytest.mark.parametrize("witnesses", [0, 2, 5])
@@ -652,7 +663,7 @@ class TestTraceSerialization:
     def test_rejects_bad_rational(self, trace3):
         data = trace3.to_json()
         data["steps"][0]["point"] = "1/0"
-        with pytest.raises(TraceFormatError):
+        with pytest.raises(InputError, match="^step 1: point: bad rational '1/0'$"):
             ConstructionTrace.from_json(data)
 
     @settings(max_examples=300, deadline=None)
@@ -686,7 +697,7 @@ class TestTraceSerialization:
         except (ValueError, ZeroDivisionError):
             q = None
         if q is None:
-            with pytest.raises(TraceFormatError):
+            with pytest.raises(InputError, match=f"^point: bad rational {re.escape(repr(text))}$"):
                 construct._point_parse(text, "point")
         else:
             assert construct._point_parse(text, "point") == (q.numerator, q.denominator)
@@ -716,7 +727,9 @@ class TestTraceSerialization:
             if den == 0:
                 raise ValueError(text)
         except ValueError:
-            with pytest.raises(TraceFormatError):
+            refusal = (f"point: bad rational {re.escape(repr(text))}" if type(text) is str
+                       else "point must be a string")
+            with pytest.raises(InputError, match=f"^{refusal}$"):
                 construct._point_parse(text, "point")
         else:
             g = math.gcd(num, den)
@@ -786,7 +799,7 @@ class TestTraceFuzz:
             for key in path:
                 node = node[key]
             for value in other_json_types(node):
-                with pytest.raises(TraceFormatError,
+                with pytest.raises(InputError,
                                    match="must be (an integer|a string|a list|an object)$"):
                     ConstructionTrace.from_json(replaced(doc, path, value))
 
@@ -794,12 +807,12 @@ class TestTraceFuzz:
     @given(st.data())
     def test_one_field_replaced_by_any_json(self, trace3, data):
         """A valid trace with one node, the root included, replaced by any
-        JSON value is read or refused with TraceFormatError: no KeyError,
+        JSON value is read or refused with InputError: no KeyError,
         TypeError or AttributeError escapes."""
         doc = one_node_replaced(trace3.to_json(), data)
         try:
             ConstructionTrace.from_json(doc)
-        except TraceFormatError:
+        except InputError:
             pass
 
     @settings(max_examples=200, deadline=None)
@@ -857,7 +870,7 @@ class TestVerify:
     def test_wrong_cover_violates_3m(self, trace3):
         """(3_m) holds by construction: a trace records no cover, and a step
         that names one is refused before any verification."""
-        with pytest.raises(TraceFormatError, match="^step 1: unknown key 'cover'$"):
+        with pytest.raises(InputError, match="^step 1: unknown key 'cover'$"):
             mutate(trace3, steps__0__cover="x + 1")
 
     def test_skipped_stream_violates_4m(self, trace3):
@@ -876,7 +889,7 @@ class TestVerify:
         assert vast_entry(38)[1:] == (RatPoly.parse("x^2 + 2"), 8)
         data = trace3.to_json()
         data["steps"][0].update(restated(38, 1))
-        with pytest.raises(TraceFormatError, match=r"^step 1: entry must be in 1\.\.36$"):
+        with pytest.raises(InputError, match=r"^step 1: entry must be in 1\.\.36$"):
             ConstructionTrace.from_json(data)
         path = tmp_path / "t.json"
         path.write_text(json.dumps(data))
@@ -930,7 +943,8 @@ class TestVerify:
     def test_tampered_final_field_refused(self, trace3):
         data = trace3.to_json()
         data["final"]["F"] = data["final"]["F"][:-1] + [97]
-        with pytest.raises(TraceFormatError, match="final.F"):
+        order = "final.F does not list the steps' witnesses in step order"
+        with pytest.raises(InputError, match=f"^{re.escape(order)}$"):
             ConstructionTrace.from_json(data)
 
 

@@ -751,7 +751,8 @@ class TestParser:
         """The parser takes a str.  A trace's vast.poly may hold any JSON
         value, and the trace reader refuses every other one; a cover, of
         any value, is a key no step holds.  The reader parses neither."""
-        from arborsign.construct import ConstructionTrace, TraceFormatError, run
+        from arborsign.construct import ConstructionTrace, run
+        from arborsign.primes import InputError
 
         trace = run(1, 5, 100)
         for field, refusal in (("cover", "unknown key 'cover'"),
@@ -759,7 +760,7 @@ class TestParser:
             data = trace.to_json()
             step = data["steps"][0]
             (step["vast"] if field == "vast.poly" else step)[field.split(".")[-1]] = value
-            with pytest.raises(TraceFormatError, match=f"^step 1: {refusal}$"):
+            with pytest.raises(InputError, match=f"^step 1: {refusal}$"):
                 ConstructionTrace.from_json(data)
 
     @pytest.mark.parametrize("text, error", [

@@ -1,5 +1,6 @@
 """Source hygiene of the package, read with the stdlib `ast` module alone."""
 import ast
+import builtins
 import os
 import re
 
@@ -254,3 +255,46 @@ def test_trace_values_have_one_reader(module):
     dict."""
     with open(os.path.join(PACKAGE, module)) as fh:
         assert stray_json_type_tests(module, fh.read()) == []
+
+
+def uncaught_exception_classes(sources: list[str]) -> list[str]:
+    """The classes defined in `sources`, taken as one package, that derive
+    from a builtin exception type, directly or through classes of `sources`,
+    and that no `except` clause of `sources` names: as a name or an
+    attribute (`construct.ConstructionAborted`), alone or in a tuple.  A
+    base is known by its last dotted part."""
+    trees = [ast.parse(source) for source in sources]
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    exceptions = {name for name, value in vars(builtins).items()
+                  if isinstance(value, type) and issubclass(value, BaseException)}
+    grew = True
+    while grew:  # close under subclassing, whatever order the classes come in
+        new = {c.name for c in classes if c.name not in exceptions
+               and any(ast.unparse(base).rpartition(".")[2] in exceptions for base in c.bases)}
+        exceptions |= new
+        grew = bool(new)
+    caught = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            named = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught.update(ast.unparse(n).rpartition(".")[2] for n in named)
+    return [c.name for c in classes if c.name in exceptions and c.name not in caught]
+
+
+def test_the_check_finds_an_uncaught_exception():
+    source = ("class Bad(ValueError):\n    pass\n\nclass Worse(Bad):\n    pass\n\n"
+              "class Worst(m.Worse):\n    pass\n\nclass Plain:\n    pass\n\n"
+              "class Loose(Exception):\n    pass\n\n"
+              "try:\n    pass\nexcept (OSError, m.Worst):\n    pass\nexcept Bad:\n    pass\n")
+    assert uncaught_exception_classes([source]) == ["Worse", "Loose"]
+    planted = ("from .primes import ResourceBound\n\n\nclass Stray(ResourceBound):\n"
+               "    pass\n\n\ndef scan():\n    raise Stray('nothing found')\n")
+    assert uncaught_exception_classes(sources(PACKAGE) + [planted]) == ["Stray"]
+
+
+def test_every_exception_is_caught_by_name():
+    """Each exception class of the package is named by some `except` of the
+    package: the CLI tells failures apart by InputError, ResourceBound and
+    Inseparable alone, so a subclass no handler names is a second name for
+    its base."""
+    assert uncaught_exception_classes(sources(PACKAGE)) == []
